@@ -384,7 +384,7 @@ pub struct CtSummary {
 /// Static (connection-independent) classification of one `x509.log` row:
 /// the public-CA verdict, the issuer category, and the recognizable-
 /// generator flag. One implementation shared by [`Corpus::build`] and the
-/// streaming builder's per-epoch columnar preview, so the two can never
+/// streaming builder's on-demand columnar preview, so the two can never
 /// drift.
 pub fn classify_cert(meta: &MetaKnowledge, rec: &X509Record) -> (bool, IssuerCategory, bool) {
     let public = meta.issuer_is_public(rec.issuer_org.as_deref())

@@ -6,19 +6,21 @@
 //! (an **epoch**) at a time, keeps each epoch's records in an append-only
 //! segment keyed by month, folds every analyzer-feeding aggregate into a
 //! per-epoch [`CertAgg`] partial (a commutative monoid, so epochs may
-//! arrive in any order), and refreshes the columnar mirror after every
-//! merge so a live consumer can scan the partial corpus mid-stream.
+//! arrive in any order), and builds a columnar preview on demand so a live
+//! consumer can scan the partial corpus mid-stream.
 //!
 //! Lifecycle:
 //!
 //! 1. **push** — [`CorpusBuilder::push_epoch`] ingests one month's
 //!    `ssl`/`x509` records: fingerprints are interned and tagged with the
-//!    contributing epoch (the dedup ledger), the epoch's `CertAgg`
-//!    partial is folded, and the columnar preview is rebuilt.
+//!    contributing epoch (the dedup ledger) and the epoch's `CertAgg`
+//!    partial is folded. A push touches only the incoming rows; the
+//!    columnar preview is built from the live epochs only when a caller
+//!    calls [`CorpusBuilder::columns`], so ingest stays linear in months.
 //! 2. **retire** — [`CorpusBuilder::retire_outside_window`] drops every
-//!    epoch older than the rolling window, releasing its records and
-//!    partial state. This is what bounds memory: the builder retains
-//!    O(window) connection rows, not O(corpus).
+//!    epoch older than the rolling window, releasing its records, partial
+//!    state and its own dedup-ledger entries. This is what bounds memory:
+//!    the builder retains O(window) connection rows, not O(corpus).
 //! 3. **finish** — [`CorpusBuilder::finish`] re-assembles the surviving
 //!    epochs in canonical month order (a `BTreeMap` walk, so shuffled
 //!    pushes converge to the same bytes), folds the per-epoch partials
@@ -31,13 +33,13 @@
 //!   the same input, for any push order;
 //! * a rolling window of N months is byte-identical to a batch build over
 //!   only those N months;
-//! * after every push, the columnar preview equals the batch columns of
-//!   the months pushed so far (modulo interception exclusions, which only
-//!   the finish-time filter can know).
+//! * after any sequence of pushes and retirements, the columnar preview
+//!   equals the batch columns of the live months (modulo interception
+//!   exclusions, which only the finish-time filter can know).
 
 use crate::columns::{cert_flag, conn_flag, CertColumns, ConnColumns, NO_CERT};
 use crate::corpus::{classify_cert, CertAgg, MetaKnowledge};
-use mtls_intern::{FxHashMap, Interner, Symbol};
+use mtls_intern::{FxHashMap, FxHashSet, Interner, Symbol};
 use mtls_obs::{Obs, SpanId};
 use mtls_zeek::{SslRecord, X509Record};
 use std::collections::hash_map::Entry;
@@ -85,6 +87,9 @@ struct Epoch {
     /// This epoch's mergeable partial of every connection aggregate,
     /// keyed by fingerprint symbol in the builder's interner.
     agg: FxHashMap<Symbol, CertAgg>,
+    /// Fingerprints this epoch was the first live contributor of: exactly
+    /// its entries in the dedup ledger, evicted when it retires.
+    fresh_fps: Vec<Symbol>,
     /// Retained-heap estimate of this epoch's records and partial.
     footprint: u64,
 }
@@ -146,15 +151,11 @@ pub struct CorpusBuilder {
     /// Live epochs, keyed by month (`BTreeMap` = canonical order for
     /// free, whatever order the pushes arrived in).
     epochs: BTreeMap<String, Epoch>,
-    /// Epoch-tagged fingerprint dedup: fingerprint symbol → index into
-    /// `epoch_keys` of the live epoch that first contributed it.
-    fp_epoch: FxHashMap<Symbol, u32>,
-    /// Registry backing `fp_epoch` (retired keys keep their slot; their
-    /// fingerprints are evicted from `fp_epoch` on retirement).
-    epoch_keys: Vec<String>,
+    /// Fingerprint dedup ledger: every fingerprint a live epoch has
+    /// contributed. Each one is tagged with its first contributor through
+    /// that epoch's `fresh_fps`.
+    live_fps: FxHashSet<Symbol>,
     summary: StreamSummary,
-    /// Columnar preview of the merged state, refreshed per epoch.
-    columns: Option<(CertColumns, ConnColumns)>,
     obs: Obs,
     parent: Option<SpanId>,
 }
@@ -165,10 +166,8 @@ impl CorpusBuilder {
             meta,
             interner: Interner::new(),
             epochs: BTreeMap::new(),
-            fp_epoch: FxHashMap::default(),
-            epoch_keys: Vec::new(),
+            live_fps: FxHashSet::default(),
             summary: StreamSummary::default(),
-            columns: None,
             obs: Obs::noop(),
             parent: None,
         }
@@ -191,14 +190,6 @@ impl CorpusBuilder {
         x509: Vec<X509Record>,
     ) -> EpochStats {
         let span = self.obs.span(self.parent, "epoch_merge");
-        let epoch_idx = match self.epoch_keys.iter().position(|k| k == key) {
-            Some(i) => i as u32,
-            None => {
-                self.epoch_keys.push(key.to_string());
-                (self.epoch_keys.len() - 1) as u32
-            }
-        };
-
         let mut stats = EpochStats {
             key: key.to_string(),
             ssl_rows: ssl.len(),
@@ -210,19 +201,17 @@ impl CorpusBuilder {
         // wins the tag; re-appearances are counted, not dropped (the
         // batch build keeps duplicate rows too, so byte-identity holds).
         let mut footprint = 0u64;
+        let mut fresh_fps = Vec::new();
         for rec in &x509 {
             footprint += x509_heap_bytes(rec) as u64;
             let sym = self.interner.intern(&rec.fingerprint);
-            match self.fp_epoch.entry(sym) {
-                Entry::Vacant(v) => {
-                    v.insert(epoch_idx);
-                    stats.fresh_fps += 1;
-                }
-                Entry::Occupied(_) => {
-                    stats.dup_fps += 1;
-                }
+            if self.live_fps.insert(sym) {
+                fresh_fps.push(sym);
+            } else {
+                stats.dup_fps += 1;
             }
         }
+        stats.fresh_fps = fresh_fps.len();
         self.summary.dup_fps += stats.dup_fps as u64;
 
         // Fold this month's mergeable partial: one CertAgg::observe per
@@ -251,10 +240,12 @@ impl CorpusBuilder {
             ssl: Vec::new(),
             x509: Vec::new(),
             agg: FxHashMap::default(),
+            fresh_fps: Vec::new(),
             footprint: 0,
         });
         slot.ssl.extend(ssl);
         slot.x509.extend(x509);
+        slot.fresh_fps.extend(fresh_fps);
         for (sym, partial) in agg {
             slot.agg.entry(sym).or_default().merge(partial);
         }
@@ -266,7 +257,6 @@ impl CorpusBuilder {
         stats.footprint_bytes = self.footprint_bytes();
         self.summary.peak_footprint_bytes =
             self.summary.peak_footprint_bytes.max(stats.footprint_bytes);
-        self.refresh_columns();
         span.finish();
 
         if self.obs.enabled() {
@@ -309,25 +299,21 @@ impl CorpusBuilder {
         while self.epochs.len() > keep {
             let key = self.epochs.keys().next().expect("non-empty epochs").clone();
             let epoch = self.epochs.remove(&key).expect("epoch exists");
-            if let Some(idx) = self.epoch_keys.iter().position(|k| k == &key) {
-                let idx = idx as u32;
-                self.fp_epoch.retain(|_, owner| *owner != idx);
+            for sym in &epoch.fresh_fps {
+                self.live_fps.remove(sym);
             }
             self.summary.epochs_retired += 1;
             self.summary.retired_ssl_rows += epoch.ssl.len() as u64;
             self.summary.retired_x509_rows += epoch.x509.len() as u64;
             retired_keys.push(key);
         }
-        if !retired_keys.is_empty() {
-            self.refresh_columns();
-            if self.obs.enabled() {
-                self.obs
-                    .counter_add("stream.epochs_retired", retired_keys.len() as u64);
-                self.obs
-                    .gauge_set("stream.epochs_live", self.epochs.len() as i64);
-                self.obs
-                    .gauge_set("stream.footprint_bytes", self.footprint_bytes() as i64);
-            }
+        if !retired_keys.is_empty() && self.obs.enabled() {
+            self.obs
+                .counter_add("stream.epochs_retired", retired_keys.len() as u64);
+            self.obs
+                .gauge_set("stream.epochs_live", self.epochs.len() as i64);
+            self.obs
+                .gauge_set("stream.footprint_bytes", self.footprint_bytes() as i64);
         }
         retired_keys
     }
@@ -344,18 +330,16 @@ impl CorpusBuilder {
         self.epochs.keys().map(String::as_str).collect()
     }
 
-    /// The per-epoch-refreshed columnar mirror of the merged state:
-    /// exactly the batch columns of the live months, except that
-    /// interception exclusions are unknowable before the finish-time
-    /// filter, so no EXCLUDED bit is ever set here. `None` before the
-    /// first push.
-    pub fn columns(&self) -> Option<&(CertColumns, ConnColumns)> {
-        self.columns.as_ref()
-    }
-
-    /// Rebuild the columnar preview from the live epochs in canonical
-    /// order. O(live rows); called after every push and retirement.
-    fn refresh_columns(&mut self) {
+    /// Build the columnar mirror of the merged state from the live epochs
+    /// in canonical order: exactly the batch columns of the live months,
+    /// except that interception exclusions are unknowable before the
+    /// finish-time filter, so no EXCLUDED bit is ever set here. O(live
+    /// rows) per call and nothing is cached, so pushes and retirements
+    /// never pay for it. `None` before the first push.
+    pub fn columns(&self) -> Option<(CertColumns, ConnColumns)> {
+        if self.summary.epochs_pushed == 0 {
+            return None;
+        }
         // Merged role/mTLS bits per fingerprint, folded from the per-epoch
         // partials (booleans only — no set cloning).
         const SEEN_AS_CLIENT: u8 = 1;
@@ -442,7 +426,7 @@ impl CorpusBuilder {
                 conn_cols.flags.push(flags);
             }
         }
-        self.columns = Some((cert_cols, conn_cols));
+        Some((cert_cols, conn_cols))
     }
 
     /// Seal the build: surviving epochs re-assembled in canonical month

@@ -10,6 +10,8 @@
 //! corporate-suffix rule ("Internet Widgits Pty Ltd" ends in "Ltd" but is an
 //! OpenSSL default, not a corporation).
 
+use std::sync::OnceLock;
+
 /// The issuer categories of Table 3 / Figure 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum IssuerCategory {
@@ -184,10 +186,17 @@ pub fn edit_distance_capped(a: &str, b: &str, cap: usize) -> usize {
 /// Whether the organization fuzzily matches a known dummy default
 /// (edit distance ≤ 2 after normalization).
 pub fn is_dummy_org(org: &str) -> bool {
-    let norm = normalize_org(org);
-    DUMMY_ORGS
+    is_dummy_norm(&normalize_org(org))
+}
+
+/// [`is_dummy_org`] on an already-normalized string. [`DUMMY_ORGS`] is
+/// normalized once per process, not once per call.
+fn is_dummy_norm(norm: &str) -> bool {
+    static DUMMY_NORMS: OnceLock<Vec<String>> = OnceLock::new();
+    DUMMY_NORMS
+        .get_or_init(|| DUMMY_ORGS.iter().map(|d| normalize_org(d)).collect())
         .iter()
-        .any(|d| edit_distance_capped(&norm, &normalize_org(d), 2) <= 2)
+        .any(|d| edit_distance_capped(norm, d, 2) <= 2)
 }
 
 /// Classify a (possibly absent) issuer organization string. `is_public` is
@@ -203,7 +212,7 @@ pub fn classify_issuer_org(org: Option<&str>, is_public: bool) -> IssuerCategory
     if norm.is_empty() {
         return IssuerCategory::MissingIssuer;
     }
-    if is_dummy_org(org) {
+    if is_dummy_norm(&norm) {
         return IssuerCategory::Dummy;
     }
     if EDUCATION_KEYWORDS.iter().any(|k| norm.contains(k)) {
@@ -289,6 +298,11 @@ mod tests {
         assert!(is_dummy_org("Internet Widgits Pty Ltd "));
         assert!(is_dummy_org("Internet Widgit Pty Ltd")); // 1 deletion
         assert!(!is_dummy_org("Honeywell International Inc"));
+        // Every default matches itself, raw and normalized.
+        for org in DUMMY_ORGS {
+            assert!(is_dummy_org(org), "{org}");
+            assert!(is_dummy_org(&normalize_org(org)), "{org}");
+        }
     }
 
     #[test]

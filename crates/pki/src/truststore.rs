@@ -107,14 +107,17 @@ impl TrustAnchors {
     }
 
     /// The paper's §3.2.1 public test on a single certificate: its issuer DN
-    /// is listed in ≥ 1 program.
+    /// is listed in ≥ 1 program. The DN is rendered once, not per program.
     pub fn is_public_issuer(&self, issuer: &DistinguishedName) -> bool {
-        self.stores.values().any(|s| s.contains_issuer(issuer))
+        let dn = issuer.to_display_string();
+        self.stores.values().any(|s| s.issuer_dns.contains(&dn))
     }
 
-    /// Whether a given CA certificate is a member of ≥ 1 program.
+    /// Whether a given CA certificate is a member of ≥ 1 program. The
+    /// certificate is hashed once, not per program.
     pub fn is_anchored(&self, cert: &Certificate) -> bool {
-        self.stores.values().any(|s| s.contains_certificate(cert))
+        let fp = cert.fingerprint();
+        self.stores.values().any(|s| s.fingerprints.contains(&fp))
     }
 
     /// The full §3.2.1 test over a presented chain (`leaf` first, then any

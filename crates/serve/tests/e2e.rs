@@ -8,6 +8,7 @@ use mtls_obs::Obs;
 use mtls_serve::client::{ClientSession, Response};
 use mtls_serve::demo::{demo_server_config, demo_verdict_context, demo_world, DemoWorld};
 use mtls_serve::server::Server;
+use std::time::{Duration, Instant};
 
 fn start_demo(workers: usize, quota_private: u32) -> (Server, DemoWorld, Obs) {
     let world = demo_world();
@@ -171,6 +172,16 @@ fn garbage_der_gets_parse_error_verdict_not_connection_drop() {
     server.shutdown();
 }
 
+/// Poll the server's live metrics until `name` appears (a worker records
+/// a request's latency just after writing its response).
+fn wait_for_metric(server: &Server, name: &str) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !server.metrics_json().contains(name) {
+        assert!(Instant::now() < deadline, "{name} never recorded");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 fn counter_of(snap: &mtls_obs::Snapshot, name: &str) -> u64 {
     snap.counters
         .iter()
@@ -223,6 +234,9 @@ fn metrics_frame_is_ops_gated_and_reports_privacy_exposure() {
         matches!(tenant.ping().unwrap(), Response::Pong),
         "refusal is request-level, not a connection drop"
     );
+    // A request's latency is recorded after its response is written, so
+    // wait for the ping's before the ops snapshot is taken.
+    wait_for_metric(&server, "serve.latency_us.ping.tenant-alpha");
 
     let mut ops =
         ClientSession::connect(&server.local_addr().to_string(), &world.ops_endpoint, None)
@@ -238,7 +252,25 @@ fn metrics_frame_is_ops_gated_and_reports_privacy_exposure() {
     assert!(body.contains("\"metrics\""));
     assert!(body.contains("\"flight\""));
     assert!(body.contains("serve.privacy.identity_bytes_total"));
-    assert_eq!(body, server.metrics_json(), "same renderer as the frame");
+    // Same renderer as the frame. Once the server has recorded the metrics
+    // request's own latency, that sample is the only difference.
+    let own = "serve.latency_us.metrics.tenant-ops";
+    wait_for_metric(&server, own);
+    let live = server.metrics_json();
+    assert!(!body.contains(own), "{body}");
+    assert!(body.contains("\"serve.latency_us.metrics\": {\"count\": 1,"));
+    assert!(live.contains("\"serve.latency_us.metrics\": {\"count\": 2,"));
+    let without_metrics_latency = |json: &str| -> Vec<String> {
+        json.lines()
+            .filter(|l| !l.contains("\"serve.latency_us.metrics"))
+            .map(str::to_string)
+            .collect()
+    };
+    assert_eq!(
+        without_metrics_latency(&body),
+        without_metrics_latency(&live),
+        "same renderer as the frame"
+    );
 
     drop(tenant);
     drop(ops);

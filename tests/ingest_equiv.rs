@@ -19,7 +19,8 @@ use mtlscope::core::{
 use mtlscope::intern::{FxHashSet, Interner};
 use mtlscope::netsim::{generate, SimConfig};
 use mtlscope::obs::{Obs, Snapshot};
-use mtlscope::zeek::{partition_monthly, ErrorKind};
+use mtlscope::zeek::{partition_monthly, ErrorKind, SslRecord, X509Record};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// Sorted shard paths for one log stream (`ssl` / `x509`) in `dir`.
@@ -495,43 +496,80 @@ fn columns_preview_tracks_the_batch_columns_after_every_push() {
     });
     let inputs = AnalysisInputs::from_sim(sim);
     let months = partition_monthly(inputs.ssl.clone(), inputs.x509.clone());
+    assert!(months.len() >= 6, "need enough months to retire some");
 
-    let mut builder = CorpusBuilder::new(inputs.meta.clone());
-    let mut prefix_ssl = Vec::new();
-    let mut prefix_x509 = Vec::new();
-    for (key, ssl, x509) in months {
-        prefix_ssl.extend(ssl.iter().cloned());
-        prefix_x509.extend(x509.iter().cloned());
-        builder.push_epoch(&key, ssl, x509);
-
-        // Batch oracle over the months pushed so far, with no exclusions
-        // (the preview cannot know interception exclusions — only the
-        // finish-time filter can).
+    // The preview must equal a batch build over exactly the live months,
+    // with no exclusions (the preview cannot know interception exclusions
+    // — only the finish-time filter can).
+    type Live = BTreeMap<String, (Vec<SslRecord>, Vec<X509Record>)>;
+    let check = |builder: &CorpusBuilder, live: &Live, at: &str| {
+        let keys: Vec<&str> = live.keys().map(String::as_str).collect();
+        assert_eq!(builder.live_epochs(), keys, "live months @ {at}");
         let oracle = Corpus::build(
-            prefix_ssl.clone(),
-            prefix_x509.clone(),
+            live.values().flat_map(|(s, _)| s.iter().cloned()).collect(),
+            live.values().flat_map(|(_, x)| x.iter().cloned()).collect(),
             inputs.meta.clone(),
             &FxHashSet::default(),
             Vec::new(),
             Interner::new(),
         );
-        let (cert_cols, conn_cols) = builder.columns().expect("preview refreshed");
-        assert_eq!(cert_cols.validity_days, oracle.cert_cols.validity_days);
-        assert_eq!(cert_cols.not_valid_after, oracle.cert_cols.not_valid_after);
-        assert_eq!(cert_cols.category, oracle.cert_cols.category);
+        let (cert_cols, conn_cols) = builder.columns().expect("preview after a push");
         assert_eq!(
-            cert_cols.flags, oracle.cert_cols.flags,
-            "cert flags @ {key}"
+            cert_cols.validity_days, oracle.cert_cols.validity_days,
+            "@ {at}"
         );
-        assert_eq!(conn_cols.direction, oracle.conn_cols.direction);
-        assert_eq!(conn_cols.resp_p, oracle.conn_cols.resp_p);
-        assert_eq!(conn_cols.ts, oracle.conn_cols.ts);
-        assert_eq!(conn_cols.client_leaf, oracle.conn_cols.client_leaf);
         assert_eq!(
-            conn_cols.flags, oracle.conn_cols.flags,
-            "conn flags @ {key}"
+            cert_cols.not_valid_after, oracle.cert_cols.not_valid_after,
+            "@ {at}"
         );
+        assert_eq!(cert_cols.category, oracle.cert_cols.category, "@ {at}");
+        assert_eq!(cert_cols.flags, oracle.cert_cols.flags, "cert flags @ {at}");
+        assert_eq!(conn_cols.direction, oracle.conn_cols.direction, "@ {at}");
+        assert_eq!(conn_cols.resp_p, oracle.conn_cols.resp_p, "@ {at}");
+        assert_eq!(conn_cols.ts, oracle.conn_cols.ts, "@ {at}");
+        assert_eq!(
+            conn_cols.client_leaf, oracle.conn_cols.client_leaf,
+            "@ {at}"
+        );
+        assert_eq!(conn_cols.flags, oracle.conn_cols.flags, "conn flags @ {at}");
+    };
+
+    // Full window: the preview tracks the growing prefix.
+    let mut builder = CorpusBuilder::new(inputs.meta.clone());
+    assert!(
+        builder.columns().is_none(),
+        "no preview before the first push"
+    );
+    let mut live = Live::new();
+    for (key, ssl, x509) in months.clone() {
+        live.insert(key.clone(), (ssl.clone(), x509.clone()));
+        builder.push_epoch(&key, ssl, x509);
+        check(&builder, &live, &key);
     }
+
+    // Rolling windows of 1–3 months: retire between pushes and check the
+    // preview after every step against the surviving months only.
+    let mut builder = CorpusBuilder::new(inputs.meta.clone());
+    let mut live = Live::new();
+    let mut retirements = 0;
+    for (i, (key, ssl, x509)) in months.into_iter().enumerate() {
+        live.insert(key.clone(), (ssl.clone(), x509.clone()));
+        builder.push_epoch(&key, ssl, x509);
+        check(&builder, &live, &format!("push {key}"));
+
+        let window = 1 + i % 3;
+        let mut expect_retired = Vec::new();
+        while live.len() > window {
+            let oldest = live.keys().next().expect("non-empty").clone();
+            live.remove(&oldest);
+            expect_retired.push(oldest);
+        }
+        let retired = builder.retire_outside_window(window);
+        assert_eq!(retired, expect_retired, "retired @ {key}");
+        retirements += retired.len();
+        check(&builder, &live, &format!("retire to {window} after {key}"));
+    }
+    assert!(retirements > 0, "the walk must exercise retirement");
 }
 
 #[test]
