@@ -2,7 +2,7 @@
 //!
 //! Two comparisons, matching the DESIGN.md "Performance" section:
 //!
-//! 1. `ingest_end_to_end` — the full `load_dir → build_corpus` pipeline,
+//! 1. `ingest_end_to_end` — the full `load_dir → build_corpus_obs` pipeline,
 //!    serial reference loader vs the sharded parallel loader over a
 //!    rotated 23-month directory (the speedup recorded in
 //!    `BENCH_ingest.json`).
@@ -13,7 +13,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use mtls_bench::{sim_output, BENCH_SCALE};
 use mtls_core::ingest::{load_dir, load_dir_obs, load_dir_serial};
-use mtls_core::pipeline::{build_corpus, build_corpus_obs, AnalysisInputs};
+use mtls_core::pipeline::{build_corpus_obs, AnalysisInputs};
 use mtls_core::IngestMode;
 use mtls_intern::{FxHashMap, Interner, Symbol};
 use mtls_obs::Obs;
@@ -205,20 +205,20 @@ fn bench_ingest_end_to_end(c: &mut Criterion) {
             // slices; the explicit clone here reproduces that extra
             // allocation pass against the move-based build.
             let cloned = inputs.clone();
-            let n = build_corpus(cloned).certs.len();
+            let n = build_corpus_obs(cloned, &Obs::noop(), None).certs.len();
             black_box((n, inputs.ssl.len()))
         })
     });
     group.bench_function("serial_load_dir_to_corpus", |b| {
         b.iter(|| {
             let inputs = load_dir_serial(dir).expect("serial ingest");
-            black_box(build_corpus(inputs).certs.len())
+            black_box(build_corpus_obs(inputs, &Obs::noop(), None).certs.len())
         })
     });
     group.bench_function("sharded_load_dir_to_corpus", |b| {
         b.iter(|| {
             let inputs = load_dir(dir).expect("sharded ingest");
-            black_box(build_corpus(inputs).certs.len())
+            black_box(build_corpus_obs(inputs, &Obs::noop(), None).certs.len())
         })
     });
     // The same path with a live Obs handle (span tree + batched counters +
@@ -247,7 +247,13 @@ fn bench_ingest_components(c: &mut Criterion) {
         b.iter(|| black_box(template.clone().ssl.len()))
     });
     group.bench_function("build_corpus_only", |b| {
-        b.iter(|| black_box(build_corpus(template.clone()).certs.len()))
+        b.iter(|| {
+            black_box(
+                build_corpus_obs(template.clone(), &Obs::noop(), None)
+                    .certs
+                    .len(),
+            )
+        })
     });
     group.bench_function("interception_filter_only", |b| {
         b.iter(|| {

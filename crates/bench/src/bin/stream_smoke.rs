@@ -29,8 +29,7 @@ use std::process::Command;
 use std::time::Instant;
 
 use mtls_core::{
-    load_dir_obs, run_pipeline_parallel_obs, run_pipeline_streamed_parallel_obs, IngestMode,
-    StreamOptions,
+    load_dir_obs, run_pipeline_obs, run_pipeline_streamed_parallel_obs, IngestMode, StreamOptions,
 };
 use mtls_crypto::{hex, sha256};
 use mtls_netsim::{generate, SimConfig};
@@ -103,7 +102,7 @@ fn phase_batch(dir: &Path) {
     let obs = Obs::noop();
     let t = Instant::now();
     let (inputs, _diag) = load_dir_obs(dir, IngestMode::Strict, &obs, None).expect("batch load");
-    let out = run_pipeline_parallel_obs(inputs, &obs, None);
+    let out = run_pipeline_obs(inputs, &obs, None);
     let wall_ms = t.elapsed().as_millis();
     let sha = report_sha(&out.render_all());
     println!(

@@ -41,7 +41,7 @@
 //! report. With `--out`, also writes the rendering to a file.
 
 use mtls_core::{
-    run_pipeline_parallel_obs, run_pipeline_streamed_parallel_obs, AnalysisInputs, CorpusBuilder,
+    run_pipeline_obs, run_pipeline_streamed_parallel_obs, AnalysisInputs, CorpusBuilder,
     IngestMode, StreamOptions,
 };
 use mtls_netsim::{generate_obs, SimConfig};
@@ -355,7 +355,7 @@ fn main() {
     let t1 = std::time::Instant::now();
     console.status("running analysis pipeline...");
     let output = match loaded {
-        Loaded::Batch(inputs) => run_pipeline_parallel_obs(inputs, &obs, run_id),
+        Loaded::Batch(inputs) => run_pipeline_obs(inputs, &obs, run_id),
         Loaded::Streamed(parts, ct, gossip) => {
             run_pipeline_streamed_parallel_obs(parts, &ct, &gossip, &obs, run_id)
         }

@@ -55,9 +55,8 @@ pub use ingest::{
 };
 pub use mtls_zeek::IngestMode;
 pub use pipeline::{
-    build_corpus_obs, build_corpus_streamed_obs, run_pipeline, run_pipeline_obs,
-    run_pipeline_parallel, run_pipeline_parallel_obs, run_pipeline_streamed_parallel_obs,
-    AnalysisInputs, PipelineOutput,
+    build_corpus_obs, run_pipeline, run_pipeline_obs, run_pipeline_parallel_obs,
+    run_pipeline_streamed_parallel_obs, AnalysisInputs, PipelineOutput,
 };
 pub use stream::{CorpusBuilder, EpochStats, StreamParts, StreamSummary};
 pub use verdict::{cert_verdict_der, record_verdict, shard_verdict, VerdictContext};

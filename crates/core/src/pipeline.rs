@@ -1,7 +1,15 @@
 //! End-to-end pipeline: interception filtering → corpus → all analyzers.
+//!
+//! Every entry point runs one body ([`run`]): build the corpus, run the
+//! analyzers, assemble [`PipelineOutput`]. The analyzers are one table,
+//! [`ANALYZERS`], of `(span name, job)` pairs, run in order on the
+//! caller's thread. The batch and streamed entry points differ only in how
+//! the corpus is built, so they produce the same bytes, spans and gauges
+//! by construction.
 
 use crate::analyze;
-use crate::corpus::{Corpus, CtSummary, MetaKnowledge};
+use crate::analyze::info_types::Slice;
+use crate::corpus::{CertAgg, Corpus, CtSummary, MetaKnowledge};
 use crate::stream::StreamParts;
 use mtls_intern::{FxHashMap, FxHashSet, Interner, Symbol};
 use mtls_obs::{Obs, SpanId};
@@ -319,43 +327,60 @@ impl PipelineOutput {
     }
 }
 
-/// Interception filter → interned corpus, shared by both pipeline
-/// entrypoints.
-pub fn build_corpus(inputs: AnalysisInputs) -> Corpus {
-    build_corpus_obs(inputs, &Obs::noop(), None)
+/// Interception filter → interned corpus from batch inputs, with the
+/// `interception_filter` and `corpus_build` spans under `parent`, plus the
+/// corpus-size gauges (certs, connections, interned strings) and
+/// interception counters.
+pub fn build_corpus_obs(inputs: AnalysisInputs, obs: &Obs, parent: Option<SpanId>) -> Corpus {
+    let AnalysisInputs {
+        ssl,
+        x509,
+        ct,
+        gossip,
+        meta,
+    } = inputs;
+    build_corpus_from(ssl, x509, meta, None, &ct, &gossip, obs, parent)
 }
 
-/// [`build_corpus`] with observability: `interception_filter` and
-/// `corpus_build` spans under `parent`, plus the corpus-size gauges
-/// (certs, connections, interned strings) and interception counters.
-pub fn build_corpus_obs(inputs: AnalysisInputs, obs: &Obs, parent: Option<SpanId>) -> Corpus {
-    let mut interner = Interner::with_capacity(inputs.x509.len());
+/// The one corpus build behind the batch and streamed pipelines. The
+/// interception filter runs over the full-window slices (it needs the
+/// global issuer/CT view, which no single epoch has), then the join.
+/// `streamed` carries a [`CorpusBuilder`](crate::stream::CorpusBuilder)'s
+/// interner and premerged per-epoch aggregates, which
+/// [`Corpus::build_with_partials`] consumes instead of re-observing every
+/// connection; `None` starts a fresh interner and observes inline. Spans
+/// and gauges are the same either way, so a metrics consumer sees one
+/// schema.
+#[allow(clippy::too_many_arguments)] // the batch and streamed inputs, unpacked
+fn build_corpus_from(
+    ssl: Vec<SslRecord>,
+    x509: Vec<X509Record>,
+    meta: MetaKnowledge,
+    streamed: Option<(Interner, FxHashMap<Symbol, CertAgg>)>,
+    ct: &CtLog,
+    gossip: &GossipBundle,
+    obs: &Obs,
+    parent: Option<SpanId>,
+) -> Corpus {
+    let (mut interner, partials) = match streamed {
+        Some((interner, partials)) => (interner, Some(partials)),
+        None => (Interner::with_capacity(x509.len()), None),
+    };
     let (excluded, issuers, ct_summary) = obs.time(parent, "interception_filter", || {
-        run_ct_filter(
-            &inputs.ssl,
-            &inputs.x509,
-            &inputs.ct,
-            &inputs.gossip,
-            &inputs.meta,
-            &mut interner,
-        )
+        run_ct_filter(&ssl, &x509, ct, gossip, &meta, &mut interner)
     });
-    let mut corpus = obs.time(parent, "corpus_build", || {
-        Corpus::build(
-            inputs.ssl,
-            inputs.x509,
-            inputs.meta,
-            &excluded,
-            issuers,
-            interner,
-        )
+    let mut corpus = obs.time(parent, "corpus_build", || match partials {
+        Some(partials) => {
+            Corpus::build_with_partials(ssl, x509, meta, &excluded, issuers, interner, partials)
+        }
+        None => Corpus::build(ssl, x509, meta, &excluded, issuers, interner),
     });
     corpus.ct = ct_summary;
     record_corpus_metrics(obs, &corpus);
     corpus
 }
 
-/// Filter dispatch shared by the batch and streamed corpus builders: with
+/// Filter dispatch for [`build_corpus_from`]: with
 /// gossip evidence the proof-carrying [`ctverify`] stage runs, without it
 /// the legacy bare-issuer comparison (so file sets and captures that carry
 /// no `ct_gossip.log` behave exactly as before).
@@ -375,8 +400,8 @@ fn run_ct_filter(
     }
 }
 
-/// The corpus-level counters and gauges both builders publish (one metric
-/// schema regardless of how the corpus was constructed).
+/// The corpus-level counters and gauges (one metric schema regardless of
+/// how the corpus was constructed).
 fn record_corpus_metrics(obs: &Obs, corpus: &Corpus) {
     if !obs.enabled() {
         return;
@@ -415,36 +440,108 @@ fn record_corpus_metrics(obs: &Obs, corpus: &Corpus) {
     obs.gauge_set("corpus.dangling_fps", corpus.dangling_fps as i64);
 }
 
-/// One report per analyzer — the intermediate the assembly helper folds
-/// into [`PipelineOutput`], however the analyzers were scheduled.
-struct Reports {
-    fig1: analyze::prevalence::Report,
-    tab1: analyze::cert_census::Report,
-    tab2: analyze::ports::Report,
-    tab3: analyze::inbound::Report,
-    fig2: analyze::outbound_flows::Report,
-    tab4: analyze::dummy_issuers::Report,
-    ser1: analyze::serial_collisions::Report,
-    tab5: analyze::cert_sharing::Report,
-    tab6: analyze::subnet_spread::Report,
-    fig3: analyze::incorrect_dates::Report,
-    fig4: analyze::validity::Report,
-    fig5: analyze::expired::Report,
-    tab7: analyze::cn_san_usage::Report,
-    tab8: analyze::info_types::Report,
-    tab9: analyze::unidentified::Report,
-    tab13: analyze::info_types::Report,
-    tab14: analyze::info_types::Report,
-    ext1: analyze::audit::Report,
-    ext2: analyze::tracking::Report,
-    gen1: analyze::generalization::Report,
+/// One slot per analyzer. Each [`ANALYZERS`] job fills its own slot;
+/// [`assemble`] empties them into [`PipelineOutput`].
+#[derive(Default)]
+struct Slots {
+    fig1: Option<analyze::prevalence::Report>,
+    tab1: Option<analyze::cert_census::Report>,
+    tab2: Option<analyze::ports::Report>,
+    tab3: Option<analyze::inbound::Report>,
+    fig2: Option<analyze::outbound_flows::Report>,
+    tab4: Option<analyze::dummy_issuers::Report>,
+    ser1: Option<analyze::serial_collisions::Report>,
+    tab5: Option<analyze::cert_sharing::Report>,
+    tab6: Option<analyze::subnet_spread::Report>,
+    fig3: Option<analyze::incorrect_dates::Report>,
+    fig4: Option<analyze::validity::Report>,
+    fig5: Option<analyze::expired::Report>,
+    tab7: Option<analyze::cn_san_usage::Report>,
+    tab8: Option<analyze::info_types::Report>,
+    tab9: Option<analyze::unidentified::Report>,
+    tab13: Option<analyze::info_types::Report>,
+    tab14: Option<analyze::info_types::Report>,
+    ext1: Option<analyze::audit::Report>,
+    ext2: Option<analyze::tracking::Report>,
+    gen1: Option<analyze::generalization::Report>,
+}
+
+/// Run one analyzer over the corpus into its slot.
+type Job = fn(&Corpus, &mut Slots);
+
+/// The analyzer schedule, in paper order: each job runs under the span
+/// `pipeline/analyze/<name>`. This is the only list of analyzers;
+/// `ci/check_metrics.py` keeps a copy of the names, and a test checks it
+/// against the spans a run records.
+static ANALYZERS: [(&str, Job); 20] = [
+    ("prevalence", |c, s| {
+        s.fig1 = Some(analyze::prevalence::run(c))
+    }),
+    ("cert_census", |c, s| {
+        s.tab1 = Some(analyze::cert_census::run(c))
+    }),
+    ("ports", |c, s| s.tab2 = Some(analyze::ports::run(c))),
+    ("inbound", |c, s| s.tab3 = Some(analyze::inbound::run(c))),
+    ("outbound_flows", |c, s| {
+        s.fig2 = Some(analyze::outbound_flows::run(c))
+    }),
+    ("dummy_issuers", |c, s| {
+        s.tab4 = Some(analyze::dummy_issuers::run(c))
+    }),
+    ("serial_collisions", |c, s| {
+        s.ser1 = Some(analyze::serial_collisions::run(c))
+    }),
+    ("cert_sharing", |c, s| {
+        s.tab5 = Some(analyze::cert_sharing::run(c))
+    }),
+    ("subnet_spread", |c, s| {
+        s.tab6 = Some(analyze::subnet_spread::run(c))
+    }),
+    ("incorrect_dates", |c, s| {
+        s.fig3 = Some(analyze::incorrect_dates::run(c))
+    }),
+    ("validity", |c, s| s.fig4 = Some(analyze::validity::run(c))),
+    ("expired", |c, s| s.fig5 = Some(analyze::expired::run(c))),
+    ("cn_san_usage", |c, s| {
+        s.tab7 = Some(analyze::cn_san_usage::run(c))
+    }),
+    ("info_types_mtls", |c, s| {
+        s.tab8 = Some(analyze::info_types::run(c, Slice::Mtls))
+    }),
+    ("unidentified", |c, s| {
+        s.tab9 = Some(analyze::unidentified::run(c))
+    }),
+    ("info_types_shared_certs", |c, s| {
+        s.tab13 = Some(analyze::info_types::run(c, Slice::SharedCerts))
+    }),
+    ("info_types_non_mtls_servers", |c, s| {
+        s.tab14 = Some(analyze::info_types::run(c, Slice::NonMtlsServers))
+    }),
+    ("audit", |c, s| s.ext1 = Some(analyze::audit::run(c))),
+    ("tracking", |c, s| s.ext2 = Some(analyze::tracking::run(c))),
+    ("generalization", |c, s| {
+        s.gen1 = Some(analyze::generalization::run(c))
+    }),
+];
+
+/// Run every [`ANALYZERS`] job in table order on the caller's thread,
+/// each under its own span inside one `analyze` span.
+fn analyze_all(corpus: &Corpus, obs: &Obs, parent: Option<SpanId>) -> Slots {
+    let analyze_span = obs.span(parent, "analyze");
+    let aid = analyze_span.id();
+    let mut slots = Slots::default();
+    for (name, job) in &ANALYZERS {
+        obs.time(aid, name, || job(corpus, &mut slots));
+    }
+    analyze_span.finish();
+    slots
 }
 
 /// Key result sizes of every report, exported as gauges so a metrics
 /// consumer can sanity-check a run without parsing the rendered tables.
-/// Gauges (not counters): they are corpus facts, identical however the
-/// analyzers were scheduled — which is exactly what the serial/parallel
-/// equivalence test leans on.
+/// Gauges (not counters): they are corpus facts, identical whichever
+/// entry point ran — which is exactly what the entry-point equivalence
+/// tests lean on.
 fn record_report_gauges(obs: &Obs, out: &PipelineOutput) {
     if !obs.enabled() {
         return;
@@ -472,206 +569,99 @@ fn record_report_gauges(obs: &Obs, out: &PipelineOutput) {
     );
 }
 
-/// The single assembly point for [`PipelineOutput`] (the interception
-/// report runs here because it reads corpus-level preprocessing state,
-/// not analyzer output).
-fn assemble(corpus: Corpus, r: Reports, obs: &Obs, parent: Option<SpanId>) -> PipelineOutput {
+/// Fill [`PipelineOutput`] from the analyzer slots. The interception and
+/// CT reports run here, under the `assemble` span, because they read
+/// corpus-level preprocessing state, not analyzer output.
+fn assemble(corpus: Corpus, s: Slots, obs: &Obs, parent: Option<SpanId>) -> PipelineOutput {
     let (pre1, ct1) = obs.time(parent, "assemble", || {
         (
             analyze::interception_report::run(&corpus),
             analyze::ct_report::run(&corpus),
         )
     });
+    fn take<T>(slot: Option<T>) -> T {
+        slot.expect("every analyzer job ran")
+    }
     PipelineOutput {
-        fig1: r.fig1,
-        tab1: r.tab1,
-        tab2: r.tab2,
-        tab3: r.tab3,
-        fig2: r.fig2,
-        tab4: r.tab4,
-        ser1: r.ser1,
-        tab5: r.tab5,
-        tab6: r.tab6,
-        fig3: r.fig3,
-        fig4: r.fig4,
-        fig5: r.fig5,
-        tab7: r.tab7,
-        tab8: r.tab8,
-        tab9: r.tab9,
-        tab13: r.tab13,
-        tab14: r.tab14,
+        fig1: take(s.fig1),
+        tab1: take(s.tab1),
+        tab2: take(s.tab2),
+        tab3: take(s.tab3),
+        fig2: take(s.fig2),
+        tab4: take(s.tab4),
+        ser1: take(s.ser1),
+        tab5: take(s.tab5),
+        tab6: take(s.tab6),
+        fig3: take(s.fig3),
+        fig4: take(s.fig4),
+        fig5: take(s.fig5),
+        tab7: take(s.tab7),
+        tab8: take(s.tab8),
+        tab9: take(s.tab9),
+        tab13: take(s.tab13),
+        tab14: take(s.tab14),
         pre1,
         ct1,
-        ext1: r.ext1,
-        ext2: r.ext2,
-        gen1: r.gen1,
+        ext1: take(s.ext1),
+        ext2: take(s.ext2),
+        gen1: take(s.gen1),
         corpus,
     }
 }
 
-/// Run the full pipeline, analyzers sharded across scoped threads (the
-/// `ablate_parallel` bench measures ~2x on this corpus shape). Produces
-/// output identical to [`run_pipeline`].
-pub fn run_pipeline_parallel(inputs: AnalysisInputs) -> PipelineOutput {
-    run_pipeline_parallel_obs(inputs, &Obs::noop(), None)
-}
-
-/// [`run_pipeline_parallel`] with observability: a `pipeline` span under
-/// `parent` containing the corpus-construction spans, an `analyze` span
-/// with one child per analyzer (recorded from whichever worker thread ran
-/// it — the tree aggregates by name, so the rows match the serial twin),
-/// the `assemble` span, and per-report result gauges.
-pub fn run_pipeline_parallel_obs(
-    inputs: AnalysisInputs,
+/// The one pipeline body behind every entry point: a `pipeline` span
+/// under `parent` holding `build`'s corpus spans, the `analyze` span with
+/// one child per analyzer, and the `assemble` span; then the per-report
+/// gauges.
+fn run(
     obs: &Obs,
     parent: Option<SpanId>,
+    build: impl FnOnce(Option<SpanId>) -> Corpus,
 ) -> PipelineOutput {
     let pipeline_span = obs.span(parent, "pipeline");
     let pid = pipeline_span.id();
-    let corpus = build_corpus_obs(inputs, obs, pid);
-    let reports = analyze_parallel(&corpus, obs, pid);
-    let out = assemble(corpus, reports, obs, pid);
+    let corpus = build(pid);
+    let slots = analyze_all(&corpus, obs, pid);
+    let out = assemble(corpus, slots, obs, pid);
     pipeline_span.finish();
     record_report_gauges(obs, &out);
     out
 }
 
-/// The parallel analyzer schedule, factored out so the batch and streamed
-/// pipelines share one copy: an `analyze` span with one child per
-/// analyzer, the analyzers grouped into five similarly-sized shards on
-/// scoped threads.
-fn analyze_parallel(corpus: &Corpus, obs: &Obs, pid: Option<SpanId>) -> Reports {
-    let analyze_span = obs.span(pid, "analyze");
-    let aid = analyze_span.id();
-    let (shard1, shard2, shard3, shard4, shard5) = std::thread::scope(|s| {
-        let c = corpus;
-        // Group analyzers into a handful of similarly-sized shards.
-        let h1 = s.spawn(move || {
-            (
-                obs.time(aid, "prevalence", || analyze::prevalence::run(c)),
-                obs.time(aid, "cert_census", || analyze::cert_census::run(c)),
-                obs.time(aid, "ports", || analyze::ports::run(c)),
-                obs.time(aid, "cn_san_usage", || analyze::cn_san_usage::run(c)),
-            )
-        });
-        let h2 = s.spawn(move || {
-            (
-                obs.time(aid, "inbound", || analyze::inbound::run(c)),
-                obs.time(aid, "outbound_flows", || analyze::outbound_flows::run(c)),
-                obs.time(aid, "dummy_issuers", || analyze::dummy_issuers::run(c)),
-                obs.time(aid, "cert_sharing", || analyze::cert_sharing::run(c)),
-            )
-        });
-        let h3 = s.spawn(move || {
-            (
-                obs.time(aid, "serial_collisions", || {
-                    analyze::serial_collisions::run(c)
-                }),
-                obs.time(aid, "subnet_spread", || analyze::subnet_spread::run(c)),
-                obs.time(aid, "incorrect_dates", || analyze::incorrect_dates::run(c)),
-                obs.time(aid, "validity", || analyze::validity::run(c)),
-                obs.time(aid, "expired", || analyze::expired::run(c)),
-            )
-        });
-        let h4 = s.spawn(move || {
-            (
-                obs.time(aid, "info_types_mtls", || {
-                    analyze::info_types::run(c, analyze::info_types::Slice::Mtls)
-                }),
-                obs.time(aid, "unidentified", || analyze::unidentified::run(c)),
-                obs.time(aid, "info_types_shared_certs", || {
-                    analyze::info_types::run(c, analyze::info_types::Slice::SharedCerts)
-                }),
-                obs.time(aid, "info_types_non_mtls_servers", || {
-                    analyze::info_types::run(c, analyze::info_types::Slice::NonMtlsServers)
-                }),
-            )
-        });
-        let h5 = s.spawn(move || {
-            (
-                obs.time(aid, "audit", || analyze::audit::run(c)),
-                obs.time(aid, "tracking", || analyze::tracking::run(c)),
-                obs.time(aid, "generalization", || analyze::generalization::run(c)),
-            )
-        });
-
-        (
-            h1.join().expect("shard 1"),
-            h2.join().expect("shard 2"),
-            h3.join().expect("shard 3"),
-            h4.join().expect("shard 4"),
-            h5.join().expect("shard 5"),
-        )
-    });
-    analyze_span.finish();
-    let (fig1, tab1, tab2, tab7) = shard1;
-    let (tab3, fig2, tab4, tab5) = shard2;
-    let (ser1, tab6, fig3, fig4, fig5) = shard3;
-    let (tab8, tab9, tab13, tab14) = shard4;
-    let (ext1, ext2, gen1) = shard5;
-    Reports {
-        fig1,
-        tab1,
-        tab2,
-        tab3,
-        fig2,
-        tab4,
-        ser1,
-        tab5,
-        tab6,
-        fig3,
-        fig4,
-        fig5,
-        tab7,
-        tab8,
-        tab9,
-        tab13,
-        tab14,
-        ext1,
-        ext2,
-        gen1,
-    }
+/// Run the full pipeline: the reference every other entry point matches
+/// byte for byte.
+pub fn run_pipeline(inputs: AnalysisInputs) -> PipelineOutput {
+    run_pipeline_obs(inputs, &Obs::noop(), None)
 }
 
-/// Corpus construction from pre-streamed parts: the interception filter
-/// runs over the re-assembled full-window slices (it needs the global
-/// issuer/CT view, which no single epoch has), then
-/// [`Corpus::build_with_partials`] consumes the premerged per-epoch
-/// aggregates instead of re-observing every connection. Span names and
-/// gauges match [`build_corpus_obs`], so a metrics consumer sees one
-/// schema either way.
-pub fn build_corpus_streamed_obs(
-    parts: StreamParts,
-    ct: &CtLog,
-    gossip: &GossipBundle,
+/// [`run_pipeline`] with observability: a `pipeline` span under `parent`
+/// containing the corpus-construction spans, an `analyze` span with one
+/// child per analyzer, the `assemble` span, and per-report result gauges.
+/// The analyzers run one at a time on the caller's thread.
+pub fn run_pipeline_obs(
+    inputs: AnalysisInputs,
     obs: &Obs,
     parent: Option<SpanId>,
-) -> Corpus {
-    let StreamParts {
-        ssl,
-        x509,
-        meta,
-        mut interner,
-        partials,
-        summary: _,
-    } = parts;
-    let (excluded, issuers, ct_summary) = obs.time(parent, "interception_filter", || {
-        run_ct_filter(&ssl, &x509, ct, gossip, &meta, &mut interner)
-    });
-    let mut corpus = obs.time(parent, "corpus_build", || {
-        Corpus::build_with_partials(ssl, x509, meta, &excluded, issuers, interner, partials)
-    });
-    corpus.ct = ct_summary;
-    record_corpus_metrics(obs, &corpus);
-    corpus
+) -> PipelineOutput {
+    run(obs, parent, |pid| build_corpus_obs(inputs, obs, pid))
 }
 
-/// The streamed twin of [`run_pipeline_parallel_obs`]: identical span
-/// tree, analyzer schedule, and report gauges, but the corpus comes from
-/// a [`CorpusBuilder`](crate::stream::CorpusBuilder)'s
-/// [`StreamParts`] instead of a batch [`AnalysisInputs`]. On the same
-/// (full-window) input the output is byte-identical to the batch
-/// pipeline.
+/// The same run as [`run_pipeline_obs`], kept under this name for the
+/// benchmark (`mtlsbench`) that calls it. The analyzers run serially here
+/// too: DESIGN §4 decision 1 records why there is no analyzer thread pool.
+pub fn run_pipeline_parallel_obs(
+    inputs: AnalysisInputs,
+    obs: &Obs,
+    parent: Option<SpanId>,
+) -> PipelineOutput {
+    run_pipeline_obs(inputs, obs, parent)
+}
+
+/// [`run_pipeline_obs`] over a
+/// [`CorpusBuilder`](crate::stream::CorpusBuilder)'s [`StreamParts`]
+/// instead of a batch [`AnalysisInputs`]: the corpus build consumes the
+/// premerged partials, and the span tree and gauges are the same. On the same (full-window) input the output is byte-identical to
+/// the batch pipeline.
 pub fn run_pipeline_streamed_parallel_obs(
     parts: StreamParts,
     ct: &CtLog,
@@ -679,79 +669,12 @@ pub fn run_pipeline_streamed_parallel_obs(
     obs: &Obs,
     parent: Option<SpanId>,
 ) -> PipelineOutput {
-    let pipeline_span = obs.span(parent, "pipeline");
-    let pid = pipeline_span.id();
-    let corpus = build_corpus_streamed_obs(parts, ct, gossip, obs, pid);
-    let reports = analyze_parallel(&corpus, obs, pid);
-    let out = assemble(corpus, reports, obs, pid);
-    pipeline_span.finish();
-    record_report_gauges(obs, &out);
-    out
-}
-
-/// Run the full pipeline serially (reference implementation; prefer
-/// [`run_pipeline_parallel`]).
-pub fn run_pipeline(inputs: AnalysisInputs) -> PipelineOutput {
-    run_pipeline_obs(inputs, &Obs::noop(), None)
-}
-
-/// [`run_pipeline`] with the same span tree and gauges as
-/// [`run_pipeline_parallel_obs`] — one analyzer at a time.
-pub fn run_pipeline_obs(
-    inputs: AnalysisInputs,
-    obs: &Obs,
-    parent: Option<SpanId>,
-) -> PipelineOutput {
-    let pipeline_span = obs.span(parent, "pipeline");
-    let pid = pipeline_span.id();
-    let corpus = build_corpus_obs(inputs, obs, pid);
-    let analyze_span = obs.span(pid, "analyze");
-    let aid = analyze_span.id();
-    let reports = Reports {
-        fig1: obs.time(aid, "prevalence", || analyze::prevalence::run(&corpus)),
-        tab1: obs.time(aid, "cert_census", || analyze::cert_census::run(&corpus)),
-        tab2: obs.time(aid, "ports", || analyze::ports::run(&corpus)),
-        tab3: obs.time(aid, "inbound", || analyze::inbound::run(&corpus)),
-        fig2: obs.time(aid, "outbound_flows", || {
-            analyze::outbound_flows::run(&corpus)
-        }),
-        tab4: obs.time(aid, "dummy_issuers", || {
-            analyze::dummy_issuers::run(&corpus)
-        }),
-        ser1: obs.time(aid, "serial_collisions", || {
-            analyze::serial_collisions::run(&corpus)
-        }),
-        tab5: obs.time(aid, "cert_sharing", || analyze::cert_sharing::run(&corpus)),
-        tab6: obs.time(aid, "subnet_spread", || {
-            analyze::subnet_spread::run(&corpus)
-        }),
-        fig3: obs.time(aid, "incorrect_dates", || {
-            analyze::incorrect_dates::run(&corpus)
-        }),
-        fig4: obs.time(aid, "validity", || analyze::validity::run(&corpus)),
-        fig5: obs.time(aid, "expired", || analyze::expired::run(&corpus)),
-        tab7: obs.time(aid, "cn_san_usage", || analyze::cn_san_usage::run(&corpus)),
-        tab8: obs.time(aid, "info_types_mtls", || {
-            analyze::info_types::run(&corpus, analyze::info_types::Slice::Mtls)
-        }),
-        tab9: obs.time(aid, "unidentified", || analyze::unidentified::run(&corpus)),
-        tab13: obs.time(aid, "info_types_shared_certs", || {
-            analyze::info_types::run(&corpus, analyze::info_types::Slice::SharedCerts)
-        }),
-        tab14: obs.time(aid, "info_types_non_mtls_servers", || {
-            analyze::info_types::run(&corpus, analyze::info_types::Slice::NonMtlsServers)
-        }),
-        ext1: obs.time(aid, "audit", || analyze::audit::run(&corpus)),
-        ext2: obs.time(aid, "tracking", || analyze::tracking::run(&corpus)),
-        gen1: obs.time(aid, "generalization", || {
-            analyze::generalization::run(&corpus)
-        }),
-    };
-    analyze_span.finish();
-    let out = assemble(corpus, reports, obs, pid);
-    pipeline_span.finish();
-    record_report_gauges(obs, &out);
-    out
+    run(obs, parent, |pid| {
+        let streamed = Some((parts.interner, parts.partials));
+        build_corpus_from(
+            parts.ssl, parts.x509, parts.meta, streamed, ct, gossip, obs, pid,
+        )
+    })
 }
 
 #[cfg(test)]
@@ -872,5 +795,38 @@ mod tests {
         let (excluded, issuers) = interception::filter(&ssl, &x509s, &ct, &meta(), &mut interner);
         assert!(excluded.is_empty(), "{excluded:?}");
         assert!(issuers.is_empty(), "{issuers:?}");
+    }
+
+    fn sim_inputs(seed: u64) -> AnalysisInputs {
+        AnalysisInputs::from_sim(mtls_netsim::generate(&mtls_netsim::SimConfig {
+            seed,
+            scale: 0.005,
+            ..Default::default()
+        }))
+    }
+
+    /// `ci/check_metrics.py` gates the `run/pipeline/analyze/<name>` span
+    /// paths from its own copy of the analyzer names (`ANALYZERS`). That
+    /// copy must name exactly the spans a run records.
+    #[test]
+    fn ci_analyzer_list_matches_the_recorded_spans() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../ci/check_metrics.py");
+        let script = std::fs::read_to_string(path).expect("read ci/check_metrics.py");
+        let (_, list) = script
+            .split_once("\nANALYZERS = [")
+            .expect("check_metrics.py defines ANALYZERS");
+        let (list, _) = list.split_once(']').expect("ANALYZERS list is closed");
+        let mut ci: Vec<&str> = list.split('"').skip(1).step_by(2).collect();
+        ci.sort_unstable();
+
+        let obs = Obs::new();
+        run_pipeline_obs(sim_inputs(1302), &obs, None);
+        let recorded: Vec<String> = obs
+            .snapshot()
+            .spans
+            .into_iter()
+            .filter_map(|row| Some(row.path.strip_prefix("pipeline/analyze/")?.to_string()))
+            .collect();
+        assert_eq!(recorded, ci, "ci/check_metrics.py ANALYZERS has drifted");
     }
 }

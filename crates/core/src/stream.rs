@@ -6,17 +6,15 @@
 //! (an **epoch**) at a time, keeps each epoch's records in an append-only
 //! segment keyed by month, folds every analyzer-feeding aggregate into a
 //! per-epoch [`CertAgg`] partial (a commutative monoid, so epochs may
-//! arrive in any order), and builds a columnar preview on demand so a live
-//! consumer can scan the partial corpus mid-stream.
+//! arrive in any order).
 //!
 //! Lifecycle:
 //!
 //! 1. **push** — [`CorpusBuilder::push_epoch`] ingests one month's
 //!    `ssl`/`x509` records: fingerprints are interned and tagged with the
 //!    contributing epoch (the dedup ledger) and the epoch's `CertAgg`
-//!    partial is folded. A push touches only the incoming rows; the
-//!    columnar preview is built from the live epochs only when a caller
-//!    calls [`CorpusBuilder::columns`], so ingest stays linear in months.
+//!    partial is folded. A push touches only the incoming rows, so ingest
+//!    stays linear in months.
 //! 2. **retire** — [`CorpusBuilder::retire_outside_window`] drops every
 //!    epoch older than the rolling window, releasing its records, partial
 //!    state and its own dedup-ledger entries. This is what bounds memory:
@@ -32,13 +30,9 @@
 //! * full-window streaming output is byte-identical to the batch build on
 //!   the same input, for any push order;
 //! * a rolling window of N months is byte-identical to a batch build over
-//!   only those N months;
-//! * after any sequence of pushes and retirements, the columnar preview
-//!   equals the batch columns of the live months (modulo interception
-//!   exclusions, which only the finish-time filter can know).
+//!   only those N months.
 
-use crate::columns::{cert_flag, conn_flag, CertColumns, ConnColumns, NO_CERT};
-use crate::corpus::{classify_cert, CertAgg, MetaKnowledge};
+use crate::corpus::{CertAgg, MetaKnowledge};
 use mtls_intern::{FxHashMap, FxHashSet, Interner, Symbol};
 use mtls_obs::{Obs, SpanId};
 use mtls_zeek::{SslRecord, X509Record};
@@ -328,105 +322,6 @@ impl CorpusBuilder {
     /// Live month keys in canonical order.
     pub fn live_epochs(&self) -> Vec<&str> {
         self.epochs.keys().map(String::as_str).collect()
-    }
-
-    /// Build the columnar mirror of the merged state from the live epochs
-    /// in canonical order: exactly the batch columns of the live months,
-    /// except that interception exclusions are unknowable before the
-    /// finish-time filter, so no EXCLUDED bit is ever set here. O(live
-    /// rows) per call and nothing is cached, so pushes and retirements
-    /// never pay for it. `None` before the first push.
-    pub fn columns(&self) -> Option<(CertColumns, ConnColumns)> {
-        if self.summary.epochs_pushed == 0 {
-            return None;
-        }
-        // Merged role/mTLS bits per fingerprint, folded from the per-epoch
-        // partials (booleans only — no set cloning).
-        const SEEN_AS_CLIENT: u8 = 1;
-        const IN_MTLS: u8 = 2;
-        let mut bits: FxHashMap<Symbol, u8> = FxHashMap::default();
-        for epoch in self.epochs.values() {
-            for (sym, agg) in &epoch.agg {
-                let mut b = 0u8;
-                if agg.seen_as_client {
-                    b |= SEEN_AS_CLIENT;
-                }
-                if agg.in_mtls {
-                    b |= IN_MTLS;
-                }
-                *bits.entry(*sym).or_insert(0) |= b;
-            }
-        }
-
-        // Cert columns + the preview join index (last row wins a
-        // fingerprint, exactly like the batch fp_index insert order).
-        let n_certs: usize = self.epochs.values().map(|e| e.x509.len()).sum();
-        let mut cert_cols = CertColumns {
-            validity_days: Vec::with_capacity(n_certs),
-            not_valid_after: Vec::with_capacity(n_certs),
-            category: Vec::with_capacity(n_certs),
-            flags: Vec::with_capacity(n_certs),
-        };
-        let mut fp_index: FxHashMap<Symbol, u32> = FxHashMap::default();
-        let mut cid = 0u32;
-        for epoch in self.epochs.values() {
-            for rec in &epoch.x509 {
-                let (public, category, _) = classify_cert(&self.meta, rec);
-                cert_cols.validity_days.push(rec.validity_days());
-                cert_cols.not_valid_after.push(rec.not_valid_after);
-                cert_cols.category.push(category);
-                let sym = self
-                    .interner
-                    .get(&rec.fingerprint)
-                    .expect("pushed fingerprints are interned");
-                let mut flags = 0u8;
-                if public {
-                    flags |= cert_flag::PUBLIC;
-                }
-                let b = bits.get(&sym).copied().unwrap_or(0);
-                if b & SEEN_AS_CLIENT != 0 {
-                    flags |= cert_flag::SEEN_AS_CLIENT;
-                }
-                if b & IN_MTLS != 0 {
-                    flags |= cert_flag::IN_MTLS;
-                }
-                if rec.has_incorrect_dates() {
-                    flags |= cert_flag::INCORRECT_DATES;
-                }
-                cert_cols.flags.push(flags);
-                fp_index.insert(sym, cid);
-                cid += 1;
-            }
-        }
-
-        let n_conns: usize = self.epochs.values().map(|e| e.ssl.len()).sum();
-        let mut conn_cols = ConnColumns {
-            direction: Vec::with_capacity(n_conns),
-            resp_p: Vec::with_capacity(n_conns),
-            ts: Vec::with_capacity(n_conns),
-            client_leaf: Vec::with_capacity(n_conns),
-            flags: Vec::with_capacity(n_conns),
-        };
-        for epoch in self.epochs.values() {
-            for rec in &epoch.ssl {
-                conn_cols.direction.push(self.meta.direction_of(rec));
-                conn_cols.resp_p.push(rec.resp_p);
-                conn_cols.ts.push(rec.ts);
-                let leaf = rec
-                    .client_cert_chain_fps
-                    .first()
-                    .and_then(|fp| self.interner.get(fp))
-                    .and_then(|sym| fp_index.get(&sym))
-                    .copied();
-                conn_cols.client_leaf.push(leaf.unwrap_or(NO_CERT));
-                let mut flags = 0u8;
-                if rec.is_mutual_tls() {
-                    flags |= conn_flag::MTLS;
-                }
-                conn_cols.flags.push(flags);
-            }
-        }
-        Some((cert_cols, conn_cols))
     }
 
     /// Seal the build: surviving epochs re-assembled in canonical month

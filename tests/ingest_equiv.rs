@@ -6,21 +6,19 @@
 //! it must recover with exact, fully-accounted skip counts while strict
 //! keeps its first-error-in-shard-order contract.
 
-use mtlscope::core::corpus::Corpus;
 use mtlscope::core::ingest::{
     load_dir, load_dir_obs, load_dir_serial, load_dir_serial_obs, load_dir_serial_with,
     load_dir_streaming_obs, load_dir_with, StreamOptions,
 };
 use mtlscope::core::testutil::faults;
 use mtlscope::core::{
-    run_pipeline, run_pipeline_obs, run_pipeline_parallel, run_pipeline_parallel_obs,
-    run_pipeline_streamed_parallel_obs, AnalysisInputs, CorpusBuilder, IngestMode,
+    run_pipeline, run_pipeline_obs, run_pipeline_parallel_obs, run_pipeline_streamed_parallel_obs,
+    AnalysisInputs, CorpusBuilder, IngestMode,
 };
-use mtlscope::intern::{FxHashSet, Interner};
+use mtlscope::intern::FxHashSet;
 use mtlscope::netsim::{generate, SimConfig};
 use mtlscope::obs::{Obs, Snapshot};
-use mtlscope::zeek::{partition_monthly, ErrorKind, SslRecord, X509Record};
-use std::collections::BTreeMap;
+use mtlscope::zeek::{partition_monthly, ErrorKind};
 use std::path::{Path, PathBuf};
 
 /// Sorted shard paths for one log stream (`ssl` / `x509`) in `dir`.
@@ -62,7 +60,7 @@ fn sharded_ingest_equals_serial_ingest_byte_for_byte() {
 
     // …and the full analysis over them renders byte-identically,
     // regardless of which pipeline entrypoint consumes which ingest.
-    let from_sharded = run_pipeline_parallel(sharded);
+    let from_sharded = run_pipeline_parallel_obs(sharded, &Obs::noop(), None);
     let from_serial = run_pipeline(serial);
     assert_eq!(from_sharded.render_all(), from_serial.render_all());
 
@@ -125,7 +123,7 @@ fn lenient_equals_strict_on_clean_corpus() {
 
     // …and the full analysis renders byte-identically from either mode.
     assert_eq!(
-        run_pipeline_parallel(strict).render_all(),
+        run_pipeline_parallel_obs(strict, &Obs::noop(), None).render_all(),
         run_pipeline(lenient).render_all()
     );
 
@@ -256,8 +254,8 @@ fn span_tree_is_deterministic_across_serial_and_parallel_pipeline() {
     let snap_parallel = obs_parallel.snapshot();
     let snap_serial = obs_serial.snapshot();
 
-    // Identical tree shape: the sharded analyzer pool lands every analyzer
-    // span on the same node the serial walk creates.
+    // Identical tree shape: both entry points land every analyzer span on
+    // the same node.
     assert_eq!(span_shape(&snap_parallel), span_shape(&snap_serial));
     for path in [
         "pipeline",
@@ -479,7 +477,7 @@ fn rolling_window_equals_batch_over_the_window_months() {
         }
     }
     let oracle = load_dir(&oracle_dir).expect("oracle ingest");
-    let oracle_report = run_pipeline_parallel(oracle).render_all();
+    let oracle_report = run_pipeline_parallel_obs(oracle, &Obs::noop(), None).render_all();
 
     assert_eq!(windowed_report, oracle_report);
 
@@ -488,86 +486,37 @@ fn rolling_window_equals_batch_over_the_window_months() {
 }
 
 #[test]
-fn columns_preview_tracks_the_batch_columns_after_every_push() {
+fn rolling_window_retires_the_oldest_months_and_tracks_the_live_ones() {
     let sim = generate(&SimConfig {
         seed: 9108,
         scale: 0.005,
         ..Default::default()
     });
     let inputs = AnalysisInputs::from_sim(sim);
-    let months = partition_monthly(inputs.ssl.clone(), inputs.x509.clone());
+    let months = partition_monthly(inputs.ssl, inputs.x509);
     assert!(months.len() >= 6, "need enough months to retire some");
 
-    // The preview must equal a batch build over exactly the live months,
-    // with no exclusions (the preview cannot know interception exclusions
-    // — only the finish-time filter can).
-    type Live = BTreeMap<String, (Vec<SslRecord>, Vec<X509Record>)>;
-    let check = |builder: &CorpusBuilder, live: &Live, at: &str| {
-        let keys: Vec<&str> = live.keys().map(String::as_str).collect();
-        assert_eq!(builder.live_epochs(), keys, "live months @ {at}");
-        let oracle = Corpus::build(
-            live.values().flat_map(|(s, _)| s.iter().cloned()).collect(),
-            live.values().flat_map(|(_, x)| x.iter().cloned()).collect(),
-            inputs.meta.clone(),
-            &FxHashSet::default(),
-            Vec::new(),
-            Interner::new(),
-        );
-        let (cert_cols, conn_cols) = builder.columns().expect("preview after a push");
-        assert_eq!(
-            cert_cols.validity_days, oracle.cert_cols.validity_days,
-            "@ {at}"
-        );
-        assert_eq!(
-            cert_cols.not_valid_after, oracle.cert_cols.not_valid_after,
-            "@ {at}"
-        );
-        assert_eq!(cert_cols.category, oracle.cert_cols.category, "@ {at}");
-        assert_eq!(cert_cols.flags, oracle.cert_cols.flags, "cert flags @ {at}");
-        assert_eq!(conn_cols.direction, oracle.conn_cols.direction, "@ {at}");
-        assert_eq!(conn_cols.resp_p, oracle.conn_cols.resp_p, "@ {at}");
-        assert_eq!(conn_cols.ts, oracle.conn_cols.ts, "@ {at}");
-        assert_eq!(
-            conn_cols.client_leaf, oracle.conn_cols.client_leaf,
-            "@ {at}"
-        );
-        assert_eq!(conn_cols.flags, oracle.conn_cols.flags, "conn flags @ {at}");
-    };
-
-    // Full window: the preview tracks the growing prefix.
-    let mut builder = CorpusBuilder::new(inputs.meta.clone());
-    assert!(
-        builder.columns().is_none(),
-        "no preview before the first push"
-    );
-    let mut live = Live::new();
-    for (key, ssl, x509) in months.clone() {
-        live.insert(key.clone(), (ssl.clone(), x509.clone()));
-        builder.push_epoch(&key, ssl, x509);
-        check(&builder, &live, &key);
-    }
-
     // Rolling windows of 1–3 months: retire between pushes and check the
-    // preview after every step against the surviving months only.
-    let mut builder = CorpusBuilder::new(inputs.meta.clone());
-    let mut live = Live::new();
+    // live months and the retired keys after every step.
+    let mut builder = CorpusBuilder::new(inputs.meta);
+    let mut live: Vec<String> = Vec::new();
     let mut retirements = 0;
     for (i, (key, ssl, x509)) in months.into_iter().enumerate() {
-        live.insert(key.clone(), (ssl.clone(), x509.clone()));
         builder.push_epoch(&key, ssl, x509);
-        check(&builder, &live, &format!("push {key}"));
+        live.push(key.clone());
+        live.sort();
+        assert_eq!(builder.live_epochs(), live, "live months @ push {key}");
 
         let window = 1 + i % 3;
-        let mut expect_retired = Vec::new();
-        while live.len() > window {
-            let oldest = live.keys().next().expect("non-empty").clone();
-            live.remove(&oldest);
-            expect_retired.push(oldest);
-        }
+        let expect_retired: Vec<String> = live.drain(..live.len().saturating_sub(window)).collect();
         let retired = builder.retire_outside_window(window);
         assert_eq!(retired, expect_retired, "retired @ {key}");
         retirements += retired.len();
-        check(&builder, &live, &format!("retire to {window} after {key}"));
+        assert_eq!(
+            builder.live_epochs(),
+            live,
+            "live months @ retire to {window} after {key}"
+        );
     }
     assert!(retirements > 0, "the walk must exercise retirement");
 }

@@ -227,7 +227,11 @@ fn parallel_pipeline_matches_sequential() {
         ..Default::default()
     });
     let sequential = run_pipeline(AnalysisInputs::from_sim(sim.clone()));
-    let parallel = mtlscope::core::run_pipeline_parallel(AnalysisInputs::from_sim(sim));
+    let parallel = mtlscope::core::run_pipeline_parallel_obs(
+        AnalysisInputs::from_sim(sim),
+        &mtlscope::obs::Obs::noop(),
+        None,
+    );
     assert_eq!(sequential.render_all(), parallel.render_all());
 }
 
