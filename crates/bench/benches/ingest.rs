@@ -2,7 +2,7 @@
 //!
 //! Two comparisons, matching the DESIGN.md "Performance" section:
 //!
-//! 1. `ingest_end_to_end` — the full `load_dir → build_corpus_obs` pipeline,
+//! 1. `ingest_end_to_end` — the full `load_dir_obs → build_corpus_obs` pipeline,
 //!    serial reference loader vs the sharded parallel loader over a
 //!    rotated 23-month directory (the speedup recorded in
 //!    `BENCH_ingest.json`).
@@ -12,7 +12,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mtls_bench::{sim_output, BENCH_SCALE};
-use mtls_core::ingest::{load_dir, load_dir_obs, load_dir_serial};
+use mtls_core::ingest::{load_dir_obs, load_dir_serial_with};
 use mtls_core::pipeline::{build_corpus_obs, AnalysisInputs};
 use mtls_core::IngestMode;
 use mtls_intern::{FxHashMap, Interner, Symbol};
@@ -186,9 +186,11 @@ fn fixture_dir() -> &'static PathBuf {
 fn bench_ingest_end_to_end(c: &mut Criterion) {
     let dir = fixture_dir();
     // meta.tsv / ct.log parsed once for the baseline arm; the optimized
-    // arms re-parse them inside load_dir, so the baseline is favored if
+    // arms re-parse them inside the loaders, so the baseline is favored if
     // anything.
-    let template = load_dir_serial(dir).expect("template ingest");
+    let template = load_dir_serial_with(dir, IngestMode::Strict)
+        .expect("template ingest")
+        .0;
     let mut group = c.benchmark_group(format!("ingest_end_to_end(scale={BENCH_SCALE})"));
     group.sample_size(10);
     group.bench_function("seed_alloc_parser_to_corpus", |b| {
@@ -211,13 +213,14 @@ fn bench_ingest_end_to_end(c: &mut Criterion) {
     });
     group.bench_function("serial_load_dir_to_corpus", |b| {
         b.iter(|| {
-            let inputs = load_dir_serial(dir).expect("serial ingest");
+            let (inputs, _) = load_dir_serial_with(dir, IngestMode::Strict).expect("serial ingest");
             black_box(build_corpus_obs(inputs, &Obs::noop(), None).certs.len())
         })
     });
     group.bench_function("sharded_load_dir_to_corpus", |b| {
         b.iter(|| {
-            let inputs = load_dir(dir).expect("sharded ingest");
+            let (inputs, _) =
+                load_dir_obs(dir, IngestMode::Strict, &Obs::noop(), None).expect("sharded ingest");
             black_box(build_corpus_obs(inputs, &Obs::noop(), None).certs.len())
         })
     });
@@ -237,11 +240,16 @@ fn bench_ingest_end_to_end(c: &mut Criterion) {
 
 fn bench_ingest_components(c: &mut Criterion) {
     let dir = fixture_dir();
-    let template = load_dir_serial(dir).expect("template ingest");
+    let template = load_dir_serial_with(dir, IngestMode::Strict)
+        .expect("template ingest")
+        .0;
     let mut group = c.benchmark_group("ingest_components");
     group.sample_size(10);
     group.bench_function("load_dir_serial_only", |b| {
-        b.iter(|| black_box(load_dir_serial(dir).expect("ingest").ssl.len()))
+        b.iter(|| {
+            let (inputs, _) = load_dir_serial_with(dir, IngestMode::Strict).expect("ingest");
+            black_box(inputs.ssl.len())
+        })
     });
     group.bench_function("inputs_clone_only", |b| {
         b.iter(|| black_box(template.clone().ssl.len()))
@@ -277,13 +285,16 @@ fn bench_shard_readers(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("read_monthly_serial", |b| {
         b.iter(|| {
-            let (ssl, x509) = mtls_zeek::read_monthly_serial(dir).expect("read");
+            let (ssl, x509, _) =
+                mtls_zeek::read_monthly_serial_obs(dir, IngestMode::Strict, &Obs::noop(), None)
+                    .expect("read");
             black_box((ssl.len(), x509.len()))
         })
     });
     group.bench_function("read_monthly_parallel", |b| {
         b.iter(|| {
-            let (ssl, x509) = mtls_zeek::read_monthly(dir).expect("read");
+            let (ssl, x509, _) =
+                mtls_zeek::read_monthly_with(dir, IngestMode::Strict).expect("read");
             black_box((ssl.len(), x509.len()))
         })
     });

@@ -279,10 +279,12 @@ fn main() {
         };
         if diag.has_problems() {
             console.status(format!(
-                "  skipped {} rows, quarantined {} shards, skipped {} meta entries (rate {:.6})",
+                "  skipped {} rows, quarantined {} shards, skipped {} meta entries, \
+                 skipped {} ct.log lines (rate {:.6})",
                 diag.stats.rows_skipped,
                 diag.stats.shards_quarantined,
                 diag.meta_entries_skipped,
+                diag.ct_lines_skipped,
                 diag.error_rate()
             ));
         }

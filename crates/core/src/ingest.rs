@@ -1,8 +1,9 @@
 //! File-based ingestion: load a log directory written by the simulator (or
 //! by any producer of the same layout) into [`AnalysisInputs`].
 //!
-//! Layout accepted:
-//! * `ssl.log` / `x509.log` — unrotated singletons, or
+//! Layout accepted (which of the first two a directory holds is decided in
+//! one place, [`mtls_zeek::rotate`]; every loader here reads either):
+//! * `ssl.log` / `x509.log` — the flat, unrotated pair, or
 //! * `ssl.YYYY-MM.log` / `x509.YYYY-MM.log` — Zeek-style monthly rotation;
 //! * `ct.log` — tab-separated (domain, issuer, fingerprint) triples;
 //! * `ct_gossip.log` — optional STH/proof gossip evidence (see
@@ -10,11 +11,18 @@
 //!   captures, in which case the legacy interception filter runs;
 //! * `meta.tsv` — the out-of-band knowledge (`key<TAB>value` lines).
 //!
+//! The three loaders — [`load_dir_obs`] (shard pool, CT parse overlapped),
+//! [`load_dir_serial_obs`] (the serial reference) and
+//! [`load_dir_streaming_obs`] (month by month into a [`CorpusBuilder`]) —
+//! differ only in how they read the Zeek logs; spans, error order and
+//! diagnostics come from one shared body.
+//!
 //! Every loader runs in one of two [`IngestMode`]s. [`IngestMode::Strict`]
 //! (the default, and the historical behavior) aborts on the first malformed
-//! row, shard, or meta entry. [`IngestMode::Lenient`] skips malformed data
-//! rows, quarantines whole shards that fail to open or carry a bad header,
-//! and skips malformed `cloud_nets` meta entries — recording everything in
+//! row, shard, `ct.log` line or meta entry. [`IngestMode::Lenient`] skips
+//! malformed data rows and `ct.log` lines, quarantines whole shards that
+//! fail to open or carry a bad header, and skips malformed `cloud_nets`
+//! meta entries — recording everything in
 //! an [`IngestDiagnostics`] so corruption is visible, bounded (see
 //! [`IngestDiagnostics::check_error_rate`]), and never silent. Structural
 //! problems (a missing required meta key, an unreadable `meta.tsv`) stay
@@ -28,8 +36,7 @@ use crate::stream::{CorpusBuilder, StreamParts};
 use mtls_obs::{Obs, SpanId};
 use mtls_pki::ctlog::{CtEntry, CtLog};
 use mtls_pki::GossipBundle;
-use mtls_zeek::{IngestMode, IngestStats, Ipv4, ShardDiag, TsvError, ERROR_KINDS};
-use std::io::BufReader;
+use mtls_zeek::{IngestMode, IngestStats, Ipv4, ShardDiag, ERROR_KINDS};
 use std::path::Path;
 
 /// Errors from loading a log directory.
@@ -39,6 +46,10 @@ pub enum IngestError {
     Tsv(mtls_zeek::TsvError),
     /// `meta.tsv` is missing a required key or has a malformed value.
     BadMeta(String),
+    /// `ct.log` line (1-based) without three tab-separated fields.
+    BadCt {
+        line: usize,
+    },
     /// The lenient loader skipped more than `--max-error-rate` allows.
     ErrorRate {
         rate: f64,
@@ -64,6 +75,10 @@ impl std::fmt::Display for IngestError {
             IngestError::Io(e) => write!(f, "io error: {e}"),
             IngestError::Tsv(e) => write!(f, "log parse error: {e}"),
             IngestError::BadMeta(k) => write!(f, "meta.tsv: bad or missing key {k:?}"),
+            IngestError::BadCt { line } => write!(
+                f,
+                "ct.log:{line}: expected domain, issuer and fingerprint separated by tabs"
+            ),
             IngestError::ErrorRate { rate, max } => write!(
                 f,
                 "ingest error rate {rate:.6} exceeds the configured maximum {max}"
@@ -84,8 +99,8 @@ struct MetaDiag {
 }
 
 /// Structured diagnostics for one directory load: the Zeek-log shard
-/// accounting from [`IngestStats`], the meta-entry skips, and per-stage
-/// wall times. Returned by [`load_dir_with`] / [`load_dir_serial_with`].
+/// accounting from [`IngestStats`], the meta-entry and `ct.log` line skips,
+/// and per-stage wall times. Returned by every loader in this module.
 #[derive(Debug, Clone, Default)]
 pub struct IngestDiagnostics {
     pub mode: IngestMode,
@@ -95,6 +110,8 @@ pub struct IngestDiagnostics {
     pub meta_entries_skipped: u64,
     /// First few skipped `cloud_nets` entries, verbatim.
     pub meta_samples: Vec<String>,
+    /// Malformed `ct.log` lines skipped (lenient mode only).
+    pub ct_lines_skipped: u64,
     /// Wall time parsing `meta.tsv`.
     pub meta_micros: u64,
     /// Wall time parsing `ct.log`.
@@ -107,11 +124,14 @@ pub struct IngestDiagnostics {
 
 impl IngestDiagnostics {
     /// Skipped fraction of everything attempted: skipped rows, quarantined
-    /// shards (one bad unit each), and skipped meta entries, over those
-    /// plus the rows that parsed. 0.0 for an empty load.
+    /// shards (one bad unit each), skipped meta entries and skipped
+    /// `ct.log` lines, over those plus the rows that parsed. 0.0 for an
+    /// empty load.
     pub fn error_rate(&self) -> f64 {
-        let bad =
-            self.stats.rows_skipped + self.stats.shards_quarantined + self.meta_entries_skipped;
+        let bad = self.stats.rows_skipped
+            + self.stats.shards_quarantined
+            + self.meta_entries_skipped
+            + self.ct_lines_skipped;
         let attempted = self.stats.rows_parsed + bad;
         if attempted == 0 {
             0.0
@@ -131,28 +151,12 @@ impl IngestDiagnostics {
         }
     }
 
-    /// Fold another load's diagnostics into this one — the incremental
-    /// ingest accumulator. The streaming loader absorbs each epoch's
-    /// diagnostics here so [`error_rate`](Self::error_rate) and
-    /// [`check_error_rate`](Self::check_error_rate) are always evaluated
-    /// over the cumulative totals across every epoch pushed so far —
-    /// never reset per month, which would let `--max-error-rate` pass a
-    /// corpus whose early months were clean and late months garbage.
-    pub fn absorb(&mut self, other: IngestDiagnostics) {
-        self.stats.absorb_stats(other.stats);
-        self.meta_entries_skipped += other.meta_entries_skipped;
-        self.meta_samples.extend(other.meta_samples);
-        self.meta_micros += other.meta_micros;
-        self.ct_micros += other.ct_micros;
-        self.logs_micros += other.logs_micros;
-        self.total_micros += other.total_micros;
-    }
-
     /// Whether anything at all was skipped or quarantined.
     pub fn has_problems(&self) -> bool {
         self.stats.rows_skipped > 0
             || self.stats.shards_quarantined > 0
             || self.meta_entries_skipped > 0
+            || self.ct_lines_skipped > 0
     }
 
     /// Plain-text rendering: a summary table always, plus a per-shard
@@ -180,6 +184,10 @@ impl IngestDiagnostics {
         t.row(vec![
             "meta entries skipped".into(),
             count(self.meta_entries_skipped as usize),
+        ]);
+        t.row(vec![
+            "ct.log lines skipped".into(),
+            count(self.ct_lines_skipped as usize),
         ]);
         t.row(vec![
             "bytes read".into(),
@@ -348,16 +356,25 @@ fn parse_meta(
     Ok((meta, diag))
 }
 
-fn parse_ct(path: &Path) -> Result<CtLog, IngestError> {
+/// Parse `ct.log`: one (domain, issuer, fingerprint) triple per line,
+/// tab-separated. A line without three fields (a blank line included) is a
+/// hard error in strict mode and a counted skip in lenient mode — a
+/// dropped CT entry shifts the interception filter, so it is never silent.
+fn parse_ct(path: &Path, mode: IngestMode) -> Result<(CtLog, u64), IngestError> {
     if !path.exists() {
-        return Ok(CtLog::new()); // CT data is optional
+        return Ok((CtLog::new(), 0)); // CT data is optional
     }
     let text = std::fs::read_to_string(path)?;
     let mut entries = Vec::new();
-    for line in text.lines() {
+    let mut skipped = 0;
+    for (i, line) in text.lines().enumerate() {
         let mut cols = line.splitn(3, '\t');
         let (Some(domain), Some(issuer), Some(fp)) = (cols.next(), cols.next(), cols.next()) else {
-            continue;
+            if mode == IngestMode::Lenient {
+                skipped += 1;
+                continue;
+            }
+            return Err(IngestError::BadCt { line: i + 1 });
         };
         entries.push(CtEntry {
             domain: domain.to_string(),
@@ -365,7 +382,7 @@ fn parse_ct(path: &Path) -> Result<CtLog, IngestError> {
             fingerprint_hex: fp.to_string(),
         });
     }
-    Ok(CtLog::from_entries(entries))
+    Ok((CtLog::from_entries(entries), skipped))
 }
 
 /// Parse the optional `ct_gossip.log` (STHs, consistency and inclusion
@@ -377,81 +394,6 @@ fn parse_gossip(path: &Path) -> Result<GossipBundle, IngestError> {
     }
     let text = std::fs::read_to_string(path)?;
     Ok(GossipBundle::from_tsv(&text))
-}
-
-/// A mode-aware TSV reader over an opened singleton log file.
-type SingletonReader<T> =
-    fn(BufReader<std::fs::File>, IngestMode, &mut ShardDiag) -> Result<Vec<T>, TsvError>;
-
-/// Open and parse one singleton log (`ssl.log` / `x509.log`), timing it and
-/// accounting rows into a fresh [`ShardDiag`]. Open failures surface as
-/// `TsvError::Io` so the caller's quarantine logic sees one error type.
-///
-/// Instrumented like the rotated shard readers: one span named after the
-/// file, one batched counter add per file — so a singleton layout and a
-/// rotated layout produce the same kind of span tree and metric totals.
-fn read_singleton<T>(
-    path: &Path,
-    mode: IngestMode,
-    read: SingletonReader<T>,
-    obs: &Obs,
-    parent: Option<SpanId>,
-) -> (ShardDiag, Result<Vec<T>, TsvError>) {
-    let name = path
-        .file_name()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| path.display().to_string());
-    let mut diag = ShardDiag::new(name);
-    let span = obs.span(parent, &diag.shard);
-    let result = std::fs::File::open(path)
-        .map_err(TsvError::from)
-        .and_then(|f| read(BufReader::new(f), mode, &mut diag));
-    diag.wall_micros = span.finish().as_micros() as u64;
-    if obs.enabled() {
-        obs.counter("ingest.rows_parsed").add(diag.rows_parsed);
-        obs.counter("ingest.rows_skipped").add(diag.rows_skipped());
-        obs.counter("ingest.bytes_read").add(diag.bytes_read);
-        obs.histogram_record("ingest.shard_parse_micros", diag.wall_micros);
-        obs.gauge_max("ingest.peak_shard_rows", diag.rows_parsed as i64);
-    }
-    (diag, result)
-}
-
-/// Fold one singleton read into `stats`. Strict propagates the error;
-/// lenient quarantines the file (its records are dropped, the load goes on
-/// with an empty vector) — the same contract rotated shards get.
-fn stitch_singleton<T>(
-    mode: IngestMode,
-    mut diag: ShardDiag,
-    result: Result<Vec<T>, TsvError>,
-    stats: &mut IngestStats,
-) -> Result<Vec<T>, IngestError> {
-    match result {
-        Ok(records) => {
-            stats.absorb(diag);
-            Ok(records)
-        }
-        Err(err) if mode == IngestMode::Lenient => {
-            diag.quarantine(&err);
-            stats.absorb(diag);
-            Ok(Vec::new())
-        }
-        Err(err) => Err(err.into()),
-    }
-}
-
-/// Load a directory into pipeline inputs plus [`IngestDiagnostics`].
-/// Accepts both the unrotated and the monthly-rotated layouts.
-///
-/// The four inputs are independent files, so `meta.tsv` and `ct.log`
-/// parse on their own scoped threads while the Zeek logs load (rotated
-/// shards additionally fan out inside [`mtls_zeek::read_monthly_with`]).
-/// Output is identical to [`load_dir_serial_with`].
-pub fn load_dir_with(
-    dir: &Path,
-    mode: IngestMode,
-) -> Result<(AnalysisInputs, IngestDiagnostics), IngestError> {
-    load_dir_obs(dir, mode, &Obs::noop(), None)
 }
 
 /// Fold the finished load into run-level throughput metrics: rows/sec and
@@ -467,103 +409,128 @@ fn record_throughput(obs: &Obs, diag: &IngestDiagnostics) {
     obs.gauge_set("ingest.bytes_per_sec", per_sec(diag.stats.bytes_read));
 }
 
-/// [`load_dir_with`] with observability: the load records an `ingest` span
-/// under `parent` with `meta` / `ct` / `logs` children (and one grandchild
-/// per shard), batched row/byte counters, a shard parse-latency histogram,
-/// and derived throughput gauges. The span durations are also what fills
-/// the wall-time fields of [`IngestDiagnostics`], so the diagnostics keep
+/// The one ingest body every directory loader runs through. It records an
+/// `ingest` span under `parent` with `meta` / `ct` / `logs` children,
+/// parses `meta.tsv`, then `ct.log` + `ct_gossip.log`, and hands the parsed
+/// meta to `logs`, which reads the Zeek logs under the `logs` span (its
+/// two span arguments are the `ingest` and `logs` ids) and returns its
+/// result with the log accounting. With `overlap`, the CT parse runs on
+/// its own scoped thread while `logs` reads. Errors surface in the order
+/// meta → ct → logs either way. The span durations fill the wall-time
+/// fields of the returned [`IngestDiagnostics`], so the diagnostics keep
 /// their shape whether or not `obs` is enabled.
-pub fn load_dir_obs(
+fn load<T>(
     dir: &Path,
     mode: IngestMode,
     obs: &Obs,
     parent: Option<SpanId>,
-) -> Result<(AnalysisInputs, IngestDiagnostics), IngestError> {
+    overlap: bool,
+    logs: impl FnOnce(
+        MetaKnowledge,
+        Option<SpanId>,
+        Option<SpanId>,
+    ) -> Result<(T, IngestStats), IngestError>,
+) -> Result<(T, CtLog, GossipBundle, IngestDiagnostics), IngestError> {
     let ingest_span = obs.span(parent, "ingest");
     let ingest_id = ingest_span.id();
-    let result = std::thread::scope(|s| {
-        let meta_handle = s.spawn(move || parse_meta(&dir.join("meta.tsv"), mode, obs, ingest_id));
-        let ct_handle = s.spawn(move || {
+    let result = (|| {
+        let (meta, meta_diag) = parse_meta(&dir.join("meta.tsv"), mode, obs, ingest_id)?;
+        let read_ct = || {
             let span = obs.span(ingest_id, "ct");
-            let res = parse_ct(&dir.join("ct.log"));
-            let gossip = parse_gossip(&dir.join("ct_gossip.log"));
-            (res, gossip, span.finish().as_micros() as u64)
-        });
-
-        let logs_span = obs.span(ingest_id, "logs");
-        let logs_id = logs_span.id();
-        let logs = if dir.join("ssl.log").exists() {
-            let ssl_handle = s.spawn(move || {
-                read_singleton(
-                    &dir.join("ssl.log"),
-                    mode,
-                    mtls_zeek::read_ssl_log_with,
-                    obs,
-                    logs_id,
-                )
-            });
-            let (x_diag, x_res) = read_singleton(
-                &dir.join("x509.log"),
-                mode,
-                mtls_zeek::read_x509_log_with,
-                obs,
-                logs_id,
-            );
-            let (s_diag, s_res) = ssl_handle.join().expect("ssl reader panicked");
-            // Stitch in serial order (ssl before x509) so strict mode's
-            // first-error choice matches load_dir_serial_with exactly.
-            (|| {
-                let mut stats = IngestStats {
-                    mode,
-                    ..IngestStats::default()
-                };
-                let ssl = stitch_singleton(mode, s_diag, s_res, &mut stats)?;
-                let x509 = stitch_singleton(mode, x_diag, x_res, &mut stats)?;
-                Ok((ssl, x509, stats))
-            })()
-        } else {
-            mtls_zeek::read_monthly_obs(dir, mode, obs, logs_id).map_err(IngestError::from)
+            let (ct, skipped) = parse_ct(&dir.join("ct.log"), mode)?;
+            let gossip = parse_gossip(&dir.join("ct_gossip.log"))?;
+            Ok::<_, IngestError>((ct, skipped, gossip, span.finish().as_micros() as u64))
         };
-        let logs_micros = logs_span.finish().as_micros() as u64;
-
-        // Surface errors in the serial loader's order: meta, ct, logs.
-        let (meta, meta_diag) = meta_handle.join().expect("meta parser panicked")?;
-        let (ct_res, gossip_res, ct_micros) = ct_handle.join().expect("ct parser panicked");
-        let ct = ct_res?;
-        let gossip = gossip_res?;
-        let (ssl, x509, mut stats) = logs?;
+        let read_logs = || {
+            let span = obs.span(ingest_id, "logs");
+            let (value, stats) = logs(meta, ingest_id, span.id())?;
+            Ok::<_, IngestError>((value, stats, span.finish().as_micros() as u64))
+        };
+        let (ct, logs) = if overlap {
+            std::thread::scope(|s| {
+                let ct = s.spawn(read_ct);
+                let logs = read_logs();
+                (ct.join().expect("ct parser panicked"), logs)
+            })
+        } else {
+            let ct = read_ct()?;
+            (Ok(ct), read_logs())
+        };
+        let (ct, ct_lines_skipped, gossip, ct_micros) = ct?;
+        let (value, mut stats, logs_micros) = logs?;
         stats.wall_micros = logs_micros;
         let diagnostics = IngestDiagnostics {
             mode,
             stats,
             meta_entries_skipped: meta_diag.entries_skipped,
             meta_samples: meta_diag.samples,
+            ct_lines_skipped,
             meta_micros: meta_diag.wall_micros,
             ct_micros,
             logs_micros,
             total_micros: 0, // stamped below, once the ingest span closes
         };
-        Ok((
-            AnalysisInputs {
-                ssl,
-                x509,
-                ct,
-                gossip,
-                meta,
-            },
-            diagnostics,
-        ))
-    });
+        Ok((value, ct, gossip, diagnostics))
+    })();
     let total_micros = ingest_span.finish().as_micros() as u64;
-    result.map(|(inputs, mut diag)| {
+    result.map(|(value, ct, gossip, mut diag)| {
         diag.total_micros = total_micros;
         record_throughput(obs, &diag);
-        (inputs, diag)
+        (value, ct, gossip, diag)
     })
 }
 
-/// Serial reference loader: same contract and output as [`load_dir_with`],
-/// one file at a time. Kept as the equivalence and benchmark baseline.
+/// [`load`] into [`AnalysisInputs`]. `threaded` reads the logs on the
+/// shard pool with the CT parse overlapped; otherwise every file is read
+/// one at a time, the serial reference.
+fn load_inputs(
+    dir: &Path,
+    mode: IngestMode,
+    obs: &Obs,
+    parent: Option<SpanId>,
+    threaded: bool,
+) -> Result<(AnalysisInputs, IngestDiagnostics), IngestError> {
+    let read = if threaded {
+        mtls_zeek::read_monthly_obs
+    } else {
+        mtls_zeek::read_monthly_serial_obs
+    };
+    let ((meta, ssl, x509), ct, gossip, diag) =
+        load(dir, mode, obs, parent, threaded, |meta, _, logs_id| {
+            let (ssl, x509, stats) = read(dir, mode, obs, logs_id)?;
+            Ok(((meta, ssl, x509), stats))
+        })?;
+    let inputs = AnalysisInputs {
+        ssl,
+        x509,
+        ct,
+        gossip,
+        meta,
+    };
+    Ok((inputs, diag))
+}
+
+/// Load a directory (either layout) into pipeline inputs plus
+/// [`IngestDiagnostics`], with observability: an `ingest` span under
+/// `parent` with `meta` / `ct` / `logs` children and one grandchild per
+/// log file, batched row/byte counters, a shard parse-latency histogram,
+/// and derived throughput gauges.
+///
+/// The log files parse on the [`mtls_zeek::read_monthly_obs`] shard pool
+/// while `ct.log` parses on its own scoped thread. Output, span rows and
+/// counter totals are identical to [`load_dir_serial_obs`].
+pub fn load_dir_obs(
+    dir: &Path,
+    mode: IngestMode,
+    obs: &Obs,
+    parent: Option<SpanId>,
+) -> Result<(AnalysisInputs, IngestDiagnostics), IngestError> {
+    load_inputs(dir, mode, obs, parent, true)
+}
+
+/// Serial reference loader: same contract and output as
+/// [`load_dir_obs`], one file at a time. Kept as the equivalence and
+/// benchmark baseline.
 pub fn load_dir_serial_with(
     dir: &Path,
     mode: IngestMode,
@@ -580,72 +547,7 @@ pub fn load_dir_serial_obs(
     obs: &Obs,
     parent: Option<SpanId>,
 ) -> Result<(AnalysisInputs, IngestDiagnostics), IngestError> {
-    let ingest_span = obs.span(parent, "ingest");
-    let ingest_id = ingest_span.id();
-    let result = (|| {
-        let (meta, meta_diag) = parse_meta(&dir.join("meta.tsv"), mode, obs, ingest_id)?;
-        let ct_span = obs.span(ingest_id, "ct");
-        let ct = parse_ct(&dir.join("ct.log"))?;
-        let gossip = parse_gossip(&dir.join("ct_gossip.log"))?;
-        let ct_micros = ct_span.finish().as_micros() as u64;
-
-        let logs_span = obs.span(ingest_id, "logs");
-        let logs_id = logs_span.id();
-        let (ssl, x509, mut stats) = if dir.join("ssl.log").exists() {
-            let mut stats = IngestStats {
-                mode,
-                ..IngestStats::default()
-            };
-            let (s_diag, s_res) = read_singleton(
-                &dir.join("ssl.log"),
-                mode,
-                mtls_zeek::read_ssl_log_with,
-                obs,
-                logs_id,
-            );
-            let ssl = stitch_singleton(mode, s_diag, s_res, &mut stats)?;
-            let (x_diag, x_res) = read_singleton(
-                &dir.join("x509.log"),
-                mode,
-                mtls_zeek::read_x509_log_with,
-                obs,
-                logs_id,
-            );
-            let x509 = stitch_singleton(mode, x_diag, x_res, &mut stats)?;
-            (ssl, x509, stats)
-        } else {
-            mtls_zeek::read_monthly_serial_obs(dir, mode, obs, logs_id)?
-        };
-        let logs_micros = logs_span.finish().as_micros() as u64;
-        stats.wall_micros = logs_micros;
-
-        let diagnostics = IngestDiagnostics {
-            mode,
-            stats,
-            meta_entries_skipped: meta_diag.entries_skipped,
-            meta_samples: meta_diag.samples,
-            meta_micros: meta_diag.wall_micros,
-            ct_micros,
-            logs_micros,
-            total_micros: 0, // stamped below, once the ingest span closes
-        };
-        Ok((
-            AnalysisInputs {
-                ssl,
-                x509,
-                ct,
-                gossip,
-                meta,
-            },
-            diagnostics,
-        ))
-    })();
-    let total_micros = ingest_span.finish().as_micros() as u64;
-    result.map(|(inputs, mut diag): (AnalysisInputs, IngestDiagnostics)| {
-        diag.total_micros = total_micros;
-        record_throughput(obs, &diag);
-        (inputs, diag)
-    })
+    load_inputs(dir, mode, obs, parent, false)
 }
 
 /// Options for [`load_dir_streaming_obs`].
@@ -669,9 +571,9 @@ pub struct StreamOptions {
 /// The span schema matches [`load_dir_obs`] — `ingest` with
 /// `meta`/`ct`/`logs` children and one `logs/<shard>` grandchild per
 /// shard file — plus the builder's `epoch_merge` child and `stream.*`
-/// gauges. An unrotated singleton directory degrades gracefully: the
-/// singletons are read whole, then partitioned into monthly epochs in
-/// memory, so windowing still works.
+/// gauges. A flat directory (no [`mtls_zeek::month_keys`]) degrades
+/// gracefully: its pair is read whole, then partitioned into monthly
+/// epochs in memory, so windowing still works.
 pub fn load_dir_streaming_obs(
     dir: &Path,
     mode: IngestMode,
@@ -679,94 +581,40 @@ pub fn load_dir_streaming_obs(
     obs: &Obs,
     parent: Option<SpanId>,
 ) -> Result<(StreamParts, CtLog, GossipBundle, IngestDiagnostics), IngestError> {
-    let ingest_span = obs.span(parent, "ingest");
-    let ingest_id = ingest_span.id();
-    let result = (|| {
-        let (meta, meta_diag) = parse_meta(&dir.join("meta.tsv"), mode, obs, ingest_id)?;
-        let ct_span = obs.span(ingest_id, "ct");
-        let ct = parse_ct(&dir.join("ct.log"))?;
-        let gossip = parse_gossip(&dir.join("ct_gossip.log"))?;
-        let ct_micros = ct_span.finish().as_micros() as u64;
-
-        let logs_span = obs.span(ingest_id, "logs");
-        let logs_id = logs_span.id();
+    load(dir, mode, obs, parent, false, |meta, ingest_id, logs_id| {
         let mut builder = CorpusBuilder::new(meta).with_obs(obs, ingest_id);
-        let mut stats = IngestStats {
-            mode,
-            ..IngestStats::default()
+        // Evict months about to fall out of the window *before* reading
+        // the next month, so the peak live set is `window` months, never
+        // `window + 1`.
+        let retire = |builder: &mut CorpusBuilder| {
+            if let Some(window) = opts.window_months {
+                builder.retire_for_incoming(window);
+            }
         };
-        if dir.join("ssl.log").exists() {
-            // Singleton layout: read whole, then partition into monthly
-            // epochs in memory so the push/retire lifecycle still runs.
-            let (s_diag, s_res) = read_singleton(
-                &dir.join("ssl.log"),
-                mode,
-                mtls_zeek::read_ssl_log_with,
-                obs,
-                logs_id,
-            );
-            let ssl = stitch_singleton(mode, s_diag, s_res, &mut stats)?;
-            let (x_diag, x_res) = read_singleton(
-                &dir.join("x509.log"),
-                mode,
-                mtls_zeek::read_x509_log_with,
-                obs,
-                logs_id,
-            );
-            let x509 = stitch_singleton(mode, x_diag, x_res, &mut stats)?;
+        let keys = mtls_zeek::month_keys(dir)?;
+        let stats = if keys.is_empty() {
+            let (ssl, x509, stats) = mtls_zeek::read_monthly_serial_obs(dir, mode, obs, logs_id)?;
             for (key, ssl_part, x509_part) in mtls_zeek::partition_monthly(ssl, x509) {
-                if let Some(window) = opts.window_months {
-                    builder.retire_for_incoming(window);
-                }
+                retire(&mut builder);
                 builder.push_epoch(&key, ssl_part, x509_part);
             }
+            stats
         } else {
-            for key in mtls_zeek::month_keys(dir)? {
-                // Evict months about to fall out of the window *before*
-                // reading the next shard pair, so the peak live set is
-                // `window` months, never `window + 1`.
-                if let Some(window) = opts.window_months {
-                    builder.retire_for_incoming(window);
-                }
+            let mut stats = IngestStats {
+                mode,
+                ..IngestStats::default()
+            };
+            for key in keys {
+                retire(&mut builder);
                 let (ssl_part, x509_part, month_stats) =
                     mtls_zeek::read_month_obs(dir, &key, mode, obs, logs_id)?;
                 stats.absorb_stats(month_stats);
                 builder.push_epoch(&key, ssl_part, x509_part);
             }
-        }
-        let logs_micros = logs_span.finish().as_micros() as u64;
-        stats.wall_micros = logs_micros;
-
-        let diagnostics = IngestDiagnostics {
-            mode,
-            stats,
-            meta_entries_skipped: meta_diag.entries_skipped,
-            meta_samples: meta_diag.samples,
-            meta_micros: meta_diag.wall_micros,
-            ct_micros,
-            logs_micros,
-            total_micros: 0, // stamped below, once the ingest span closes
+            stats
         };
-        Ok((builder.finish(), ct, gossip, diagnostics))
-    })();
-    let total_micros = ingest_span.finish().as_micros() as u64;
-    result.map(
-        |(parts, ct, gossip, mut diag): (StreamParts, CtLog, GossipBundle, IngestDiagnostics)| {
-            diag.total_micros = total_micros;
-            record_throughput(obs, &diag);
-            (parts, ct, gossip, diag)
-        },
-    )
-}
-
-/// Strict [`load_dir_with`] without the diagnostics — the historical API.
-pub fn load_dir(dir: &Path) -> Result<AnalysisInputs, IngestError> {
-    load_dir_with(dir, IngestMode::Strict).map(|(inputs, _)| inputs)
-}
-
-/// Strict [`load_dir_serial_with`] without the diagnostics.
-pub fn load_dir_serial(dir: &Path) -> Result<AnalysisInputs, IngestError> {
-    load_dir_serial_with(dir, IngestMode::Strict).map(|(inputs, _)| inputs)
+        Ok((builder.finish(), stats))
+    })
 }
 
 #[cfg(test)]
@@ -776,6 +624,19 @@ mod tests {
     const BASE_META: &str = "university_net\t172.29.0.0/16\ncampus_issuer_orgs\tX\n\
                              public_ca_orgs\t\nhealth_slds\t\nuniversity_slds\t\nvpn_slds\t\n\
                              localorg_slds\t\nglobus_slds\t\nnon_mtls_weight\t10\n";
+
+    /// The pooled loader, unobserved.
+    fn load_dir_with(
+        dir: &Path,
+        mode: IngestMode,
+    ) -> Result<(AnalysisInputs, IngestDiagnostics), IngestError> {
+        load_dir_obs(dir, mode, &Obs::noop(), None)
+    }
+
+    /// A strict pooled load's inputs.
+    fn load_strict(dir: &Path) -> Result<AnalysisInputs, IngestError> {
+        load_dir_with(dir, IngestMode::Strict).map(|(inputs, _)| inputs)
+    }
 
     fn write_empty_logs(dir: &Path) {
         let mut ssl = Vec::new();
@@ -791,7 +652,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("mtlscope-ingest-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("meta.tsv"), "university_net\t10.0.0.0/8\n").unwrap();
-        let err = match load_dir(&dir) {
+        let err = match load_strict(&dir) {
             Err(e) => e,
             Ok(_) => panic!("incomplete meta must be rejected"),
         };
@@ -812,7 +673,7 @@ mod tests {
         )
         .unwrap();
         std::fs::write(dir.join("x509.log"), [0xFFu8, 0xFE, 0x00, 0x80]).unwrap();
-        assert!(load_dir(&dir).is_err());
+        assert!(load_strict(&dir).is_err());
 
         // A malformed university_net is a BadMeta, not a panic.
         std::fs::write(
@@ -820,7 +681,7 @@ mod tests {
             BASE_META.replace("/16", "/notaprefix"),
         )
         .unwrap();
-        assert!(matches!(load_dir(&dir), Err(IngestError::BadMeta(_))));
+        assert!(matches!(load_strict(&dir), Err(IngestError::BadMeta(_))));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -835,7 +696,7 @@ mod tests {
         std::fs::write(dir.join("meta.tsv"), meta).unwrap();
         write_empty_logs(&dir);
 
-        let inputs = load_dir(&dir).unwrap();
+        let inputs = load_strict(&dir).unwrap();
         assert!(inputs.ct.is_empty());
         assert!(inputs.ssl.is_empty());
         assert_eq!(inputs.meta.non_mtls_weight, 10.0);
@@ -892,37 +753,46 @@ mod tests {
     }
 
     #[test]
-    fn error_rate_is_cumulative_across_absorbed_epochs_and_zero_when_empty() {
+    fn strict_rejects_malformed_ct_lines_lenient_counts_them() {
+        let dir = std::env::temp_dir().join(format!("mtlscope-ingest6-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("meta.tsv"), BASE_META).unwrap();
+        write_empty_logs(&dir);
+        // Two good triples around a two-field line and a blank line; both
+        // used to be dropped without a trace.
+        std::fs::write(
+            dir.join("ct.log"),
+            "a.example\tCA\tfp1\nb.example\tCA\n\nc.example\tCA\tfp3\n",
+        )
+        .unwrap();
+
+        for loader in [load_dir_with, load_dir_serial_with] {
+            let err = match loader(&dir, IngestMode::Strict) {
+                Err(e) => e,
+                Ok(_) => panic!("strict mode must reject a malformed ct.log line"),
+            };
+            assert!(matches!(err, IngestError::BadCt { line: 2 }), "{err}");
+            assert!(err.to_string().contains("ct.log:2"), "{err}");
+
+            let (inputs, diag) = loader(&dir, IngestMode::Lenient).unwrap();
+            assert_eq!(inputs.ct.len(), 2);
+            assert_eq!(diag.ct_lines_skipped, 2);
+            assert!(diag.has_problems());
+            // Two skipped units, nothing parsed: the whole load is bad.
+            assert_eq!(diag.error_rate(), 1.0);
+            assert!(diag.check_error_rate(0.5).is_err());
+            assert!(diag.render().contains("ct.log lines skipped"));
+        }
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn error_rate_is_zero_when_empty() {
         // Empty diagnostics: 0.0, not NaN (0/0).
         let total = IngestDiagnostics::default();
         assert_eq!(total.error_rate(), 0.0);
         assert!(total.check_error_rate(0.0).is_ok());
-
-        // A clean early epoch followed by a garbage late epoch: evaluated
-        // per month, the clean epoch passes (0.0) and only the last
-        // month's isolated rate would reach the guard. Cumulative
-        // absorption evaluates 50 bad over 150 attempted.
-        let clean = IngestDiagnostics {
-            stats: mtls_zeek::IngestStats {
-                rows_parsed: 100,
-                ..mtls_zeek::IngestStats::default()
-            },
-            ..IngestDiagnostics::default()
-        };
-        let dirty = IngestDiagnostics {
-            stats: mtls_zeek::IngestStats {
-                rows_skipped: 50,
-                ..mtls_zeek::IngestStats::default()
-            },
-            ..IngestDiagnostics::default()
-        };
-        let mut total = IngestDiagnostics::default();
-        total.absorb(clean);
-        assert_eq!(total.error_rate(), 0.0);
-        total.absorb(dirty);
-        assert!((total.error_rate() - 50.0 / 150.0).abs() < 1e-12);
-        assert!(total.check_error_rate(0.2).is_err());
-        assert!(total.check_error_rate(0.5).is_ok());
     }
 
     #[test]
@@ -987,7 +857,7 @@ mod tests {
         for loader in [load_dir_with, load_dir_serial_with] {
             assert!(matches!(
                 loader(&dir, IngestMode::Strict),
-                Err(IngestError::Tsv(TsvError::BadHeader))
+                Err(IngestError::Tsv(mtls_zeek::TsvError::BadHeader))
             ));
             let (inputs, diag) = loader(&dir, IngestMode::Lenient).unwrap();
             assert!(inputs.x509.is_empty());

@@ -2,8 +2,11 @@
 //!
 //! Real Zeek deployments rotate logs; a 23-month collection is hundreds of
 //! files, not two. This module writes a corpus as per-month files
-//! (`ssl.2022-05.log`, `x509.2022-05.log`, …) and reads such a directory
-//! back in chronological order, so the pipeline can ingest either layout.
+//! (`ssl.2022-05.log`, `x509.2022-05.log`, …) and reads a log directory
+//! back in chronological order. It is also the one place that decides a
+//! directory's layout: `ssl.log` present means the flat, unrotated
+//! `ssl.log` / `x509.log` pair, anything else the rotated shards. Every
+//! reader here, and so every loader in `mtls-core`, accepts either.
 
 use crate::diag::{IngestMode, IngestStats, ShardDiag};
 use crate::records::{SslRecord, X509Record};
@@ -11,8 +14,9 @@ use crate::tsv::{read_ssl_log_with, read_x509_log_with, write_ssl_log, write_x50
 use mtls_intern::FxHashMap;
 use mtls_obs::{Obs, SpanId};
 use std::io::BufReader;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::time::Instant;
 
 /// `YYYY-MM` for a Unix-seconds timestamp (proleptic Gregorian).
 fn month_key(ts: f64) -> String {
@@ -68,13 +72,20 @@ pub fn write_monthly(dir: &Path, ssl: &[SslRecord], x509: &[X509Record]) -> std:
     Ok(())
 }
 
-/// Enumerate the rotated shard files of a directory, sorted into filename
-/// (chronological) order. Files not matching the `ssl.*.log` /
-/// `x509.*.log` patterns are ignored, as are the unrotated
-/// `ssl.log`/`x509.log` singletons.
-fn shard_files(dir: &Path) -> Result<(Vec<std::path::PathBuf>, Vec<std::path::PathBuf>), TsvError> {
-    let mut ssl_files: Vec<std::path::PathBuf> = Vec::new();
-    let mut x509_files: Vec<std::path::PathBuf> = Vec::new();
+/// The log files of a directory as `(path, is_ssl)` read tasks, ssl before
+/// x509 — the order the records concatenate in. This is the one place the
+/// layout is decided: a directory holding `ssl.log` is the flat, unrotated
+/// layout, read as the `ssl.log` / `x509.log` pair (any rotated shards
+/// beside it are ignored). Otherwise it is the rotated layout: the
+/// `ssl.*.log` / `x509.*.log` shards in filename (chronological) order,
+/// with unrelated files ignored.
+fn shard_files(dir: &Path) -> Result<Vec<(PathBuf, bool)>, TsvError> {
+    let flat = dir.join("ssl.log");
+    if flat.exists() {
+        return Ok(vec![(flat, true), (dir.join("x509.log"), false)]);
+    }
+    let mut ssl_files: Vec<PathBuf> = Vec::new();
+    let mut x509_files: Vec<PathBuf> = Vec::new();
     for entry in std::fs::read_dir(dir).map_err(TsvError::Io)? {
         let path = entry.map_err(TsvError::Io)?.path();
         let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
@@ -88,7 +99,11 @@ fn shard_files(dir: &Path) -> Result<(Vec<std::path::PathBuf>, Vec<std::path::Pa
     }
     ssl_files.sort();
     x509_files.sort();
-    Ok((ssl_files, x509_files))
+    Ok(ssl_files
+        .into_iter()
+        .map(|p| (p, true))
+        .chain(x509_files.into_iter().map(|p| (p, false)))
+        .collect())
 }
 
 /// One parsed shard, tagged by kind so both log streams can share a
@@ -107,6 +122,9 @@ fn shard_name(path: &Path) -> String {
 /// One shard's parse outcome: its accounting plus the records or the
 /// shard-level error.
 type ShardResult = (ShardDiag, Result<ParsedShard, TsvError>);
+
+/// Records and accounting of a directory (or month) read.
+type ReadResult = Result<(Vec<SslRecord>, Vec<X509Record>, IngestStats), TsvError>;
 
 /// Open and parse one shard, timing it and accounting rows/bytes into its
 /// [`ShardDiag`]. Shard-level failures (open, header) come back as `Err`;
@@ -146,11 +164,12 @@ fn read_shard(
     (diag, parsed)
 }
 
-/// Stitch per-shard results back in filename order. Strict mode surfaces
-/// the first shard error in that order (matching serial semantics);
-/// lenient mode quarantines failed shards and keeps going.
+/// Stitch per-shard results back in task order. Strict mode surfaces the
+/// first shard error in that order and stops pulling from `slots` (so a
+/// lazy iterator of reads is the serial reader); lenient mode quarantines
+/// failed shards and keeps going.
 fn stitch(
-    slots: Vec<ShardResult>,
+    slots: impl IntoIterator<Item = ShardResult>,
     mode: IngestMode,
     stats: &mut IngestStats,
 ) -> Result<(Vec<SslRecord>, Vec<X509Record>), TsvError> {
@@ -168,25 +187,44 @@ fn stitch(
     Ok((ssl, x509))
 }
 
-/// Read a rotated directory back, concatenated in filename (chronological)
-/// order, parsing shard files concurrently and reporting per-shard
-/// diagnostics.
+/// The serial file loop: read `tasks` one at a time, in order, stopping at
+/// the first error in strict mode — the ordered-first-error semantics the
+/// shard pool reproduces.
+fn read_serial(
+    tasks: &[(PathBuf, bool)],
+    mode: IngestMode,
+    obs: &Obs,
+    parent: Option<SpanId>,
+) -> ReadResult {
+    let t0 = Instant::now();
+    let mut stats = IngestStats {
+        mode,
+        ..IngestStats::default()
+    };
+    let reads = tasks
+        .iter()
+        .map(|(path, is_ssl)| read_shard(path, *is_ssl, mode, obs, parent));
+    let (ssl, x509) = stitch(reads, mode, &mut stats)?;
+    stats.wall_micros = t0.elapsed().as_micros() as u64;
+    Ok((ssl, x509, stats))
+}
+
+/// Read a log directory (either layout, see the module docs) back,
+/// concatenated in filename (chronological) order, parsing shard files
+/// concurrently and reporting per-shard diagnostics.
 ///
 /// Each monthly shard is independent — parse work dominates I/O here — so
 /// shards are drained from one shared queue by a pool of scoped threads
 /// capped at [`std::thread::available_parallelism`] (a 23-month corpus is
 /// 46 files; spawning 46 threads on a small box costs more than it buys).
 /// Results are stitched back in sorted filename order, making the output
-/// byte-identical to [`read_monthly_serial_with`]; in strict mode the
+/// byte-identical to [`read_monthly_serial_obs`]; in strict mode the
 /// first shard error (in that same order) is reported, matching serial
 /// semantics, while lenient mode quarantines the failed shard and
 /// continues. Workers also fold their rows/bytes counters into shared
 /// relaxed atomics — one `fetch_add` batch per shard — which
 /// cross-checks the per-shard sums in the returned [`IngestStats`].
-pub fn read_monthly_with(
-    dir: &Path,
-    mode: IngestMode,
-) -> Result<(Vec<SslRecord>, Vec<X509Record>, IngestStats), TsvError> {
+pub fn read_monthly_with(dir: &Path, mode: IngestMode) -> ReadResult {
     read_monthly_obs(dir, mode, &Obs::noop(), None)
 }
 
@@ -198,7 +236,7 @@ pub fn read_monthly_obs(
     mode: IngestMode,
     obs: &Obs,
     parent: Option<SpanId>,
-) -> Result<(Vec<SslRecord>, Vec<X509Record>, IngestStats), TsvError> {
+) -> ReadResult {
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -210,11 +248,7 @@ pub fn read_monthly_obs(
 /// `perf_smoke` bin sweeps pool sizes on whatever box it runs on);
 /// ordinary callers want the `available_parallelism` default of
 /// [`read_monthly_with`]. A pool of 0 or 1 takes the serial path.
-pub fn read_monthly_pool(
-    dir: &Path,
-    mode: IngestMode,
-    workers: usize,
-) -> Result<(Vec<SslRecord>, Vec<X509Record>, IngestStats), TsvError> {
+pub fn read_monthly_pool(dir: &Path, mode: IngestMode, workers: usize) -> ReadResult {
     read_monthly_pool_obs(dir, mode, &Obs::noop(), None, workers)
 }
 
@@ -224,13 +258,12 @@ fn read_monthly_pool_obs(
     obs: &Obs,
     parent: Option<SpanId>,
     workers: usize,
-) -> Result<(Vec<SslRecord>, Vec<X509Record>, IngestStats), TsvError> {
-    let t0 = std::time::Instant::now();
-    let (ssl_files, x509_files) = shard_files(dir)?;
-    let n_tasks = ssl_files.len() + x509_files.len();
-    let workers = workers.min(n_tasks);
+) -> ReadResult {
+    let t0 = Instant::now();
+    let tasks = shard_files(dir)?;
+    let workers = workers.min(tasks.len());
     if workers <= 1 {
-        return read_monthly_serial_obs(dir, mode, obs, parent);
+        return read_serial(&tasks, mode, obs, parent);
     }
 
     let next = AtomicUsize::new(0);
@@ -246,14 +279,10 @@ fn read_monthly_pool_obs(
                     let mut done = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n_tasks {
+                        let Some((path, is_ssl)) = tasks.get(i) else {
                             return done;
-                        }
-                        let (diag, parsed) = if i < ssl_files.len() {
-                            read_shard(&ssl_files[i], true, mode, obs, parent)
-                        } else {
-                            read_shard(&x509_files[i - ssl_files.len()], false, mode, obs, parent)
                         };
+                        let (diag, parsed) = read_shard(path, *is_ssl, mode, obs, parent);
                         rows_parsed.fetch_add(diag.rows_parsed, Ordering::Relaxed);
                         rows_skipped.fetch_add(diag.rows_skipped(), Ordering::Relaxed);
                         bytes_read.fetch_add(diag.bytes_read, Ordering::Relaxed);
@@ -268,7 +297,7 @@ fn read_monthly_pool_obs(
             .collect()
     });
 
-    let mut slots: Vec<Option<ShardResult>> = (0..n_tasks).map(|_| None).collect();
+    let mut slots: Vec<Option<ShardResult>> = (0..tasks.len()).map(|_| None).collect();
     for (i, result) in per_worker.into_iter().flatten() {
         slots[i] = Some(result);
     }
@@ -276,10 +305,9 @@ fn read_monthly_pool_obs(
         mode,
         ..IngestStats::default()
     };
-    let ordered: Vec<_> = slots
+    let ordered = slots
         .into_iter()
-        .map(|slot| slot.expect("every shard task ran"))
-        .collect();
+        .map(|slot| slot.expect("every shard task ran"));
     let (ssl, x509) = stitch(ordered, mode, &mut stats)?;
     // The pool's atomic totals and the per-shard sums must agree; prefer
     // the atomics (they are what a streaming consumer would watch).
@@ -292,47 +320,16 @@ fn read_monthly_pool_obs(
     Ok((ssl, x509, stats))
 }
 
-/// Serial reference reader: same contract as [`read_monthly_with`], one
-/// shard at a time. Kept as the equivalence baseline for tests and
-/// benchmarks.
-pub fn read_monthly_serial_with(
-    dir: &Path,
-    mode: IngestMode,
-) -> Result<(Vec<SslRecord>, Vec<X509Record>, IngestStats), TsvError> {
-    read_monthly_serial_obs(dir, mode, &Obs::noop(), None)
-}
-
-/// [`read_monthly_serial_with`] with the same per-shard observability as
-/// [`read_monthly_obs`] — the serial and sharded paths must yield the
-/// same span rows and counter totals on a clean corpus.
+/// Serial reference reader: same contract, output, span rows and counter
+/// totals as [`read_monthly_obs`], one shard at a time. Kept as the
+/// equivalence oracle for tests and benchmarks.
 pub fn read_monthly_serial_obs(
     dir: &Path,
     mode: IngestMode,
     obs: &Obs,
     parent: Option<SpanId>,
-) -> Result<(Vec<SslRecord>, Vec<X509Record>, IngestStats), TsvError> {
-    let t0 = std::time::Instant::now();
-    let (ssl_files, x509_files) = shard_files(dir)?;
-    let mut stats = IngestStats {
-        mode,
-        ..IngestStats::default()
-    };
-    let mut ssl = Vec::new();
-    let mut x509 = Vec::new();
-    // One shard at a time, stopping at the first error in strict mode —
-    // the ordered-first-error semantics the parallel path reproduces.
-    let tasks = ssl_files
-        .iter()
-        .map(|p| (p, true))
-        .chain(x509_files.iter().map(|p| (p, false)));
-    for (path, is_ssl) in tasks {
-        let (diag, parsed) = read_shard(path, is_ssl, mode, obs, parent);
-        let (ssl_part, x509_part) = stitch(vec![(diag, parsed)], mode, &mut stats)?;
-        ssl.extend(ssl_part);
-        x509.extend(x509_part);
-    }
-    stats.wall_micros = t0.elapsed().as_micros() as u64;
-    Ok((ssl, x509, stats))
+) -> ReadResult {
+    read_serial(&shard_files(dir)?, mode, obs, parent)
 }
 
 /// The month key embedded in a rotated shard filename
@@ -348,13 +345,12 @@ fn shard_month(name: &str) -> Option<&str> {
 /// The distinct month keys present in a rotated directory, sorted into
 /// chronological (`YYYY-MM` lexicographic) order. This is the epoch
 /// schedule of a streaming ingest: each key names one
-/// [`read_month_obs`] unit.
+/// [`read_month_obs`] unit. Empty for the flat layout, which has no
+/// per-month files.
 pub fn month_keys(dir: &Path) -> Result<Vec<String>, TsvError> {
-    let (ssl_files, x509_files) = shard_files(dir)?;
-    let mut keys: Vec<String> = ssl_files
+    let mut keys: Vec<String> = shard_files(dir)?
         .iter()
-        .chain(x509_files.iter())
-        .filter_map(|p| p.file_name()?.to_str())
+        .filter_map(|(p, _)| p.file_name()?.to_str())
         .filter_map(shard_month)
         .map(str::to_string)
         .collect();
@@ -377,29 +373,13 @@ pub fn read_month_obs(
     mode: IngestMode,
     obs: &Obs,
     parent: Option<SpanId>,
-) -> Result<(Vec<SslRecord>, Vec<X509Record>, IngestStats), TsvError> {
-    let t0 = std::time::Instant::now();
-    let mut stats = IngestStats {
-        mode,
-        ..IngestStats::default()
-    };
-    let mut ssl = Vec::new();
-    let mut x509 = Vec::new();
-    for (name, is_ssl) in [
-        (format!("ssl.{key}.log"), true),
-        (format!("x509.{key}.log"), false),
-    ] {
-        let path = dir.join(&name);
-        if !path.exists() {
-            continue;
-        }
-        let (diag, parsed) = read_shard(&path, is_ssl, mode, obs, parent);
-        let (ssl_part, x509_part) = stitch(vec![(diag, parsed)], mode, &mut stats)?;
-        ssl.extend(ssl_part);
-        x509.extend(x509_part);
-    }
-    stats.wall_micros = t0.elapsed().as_micros() as u64;
-    Ok((ssl, x509, stats))
+) -> ReadResult {
+    let tasks: Vec<(PathBuf, bool)> = [("ssl", true), ("x509", false)]
+        .into_iter()
+        .map(|(stream, is_ssl)| (dir.join(format!("{stream}.{key}.log")), is_ssl))
+        .filter(|(path, _)| path.exists())
+        .collect();
+    read_serial(&tasks, mode, obs, parent)
 }
 
 /// Partition in-memory records into per-month epochs, chronologically
@@ -423,16 +403,6 @@ pub fn partition_monthly(
         .into_iter()
         .map(|(key, (ssl, x509))| (key, ssl, x509))
         .collect()
-}
-
-/// Strict directory read (historical signature): first error aborts.
-pub fn read_monthly(dir: &Path) -> Result<(Vec<SslRecord>, Vec<X509Record>), TsvError> {
-    read_monthly_with(dir, IngestMode::Strict).map(|(ssl, x509, _)| (ssl, x509))
-}
-
-/// Strict serial directory read (historical signature).
-pub fn read_monthly_serial(dir: &Path) -> Result<(Vec<SslRecord>, Vec<X509Record>), TsvError> {
-    read_monthly_serial_with(dir, IngestMode::Strict).map(|(ssl, x509, _)| (ssl, x509))
 }
 
 #[cfg(test)]
@@ -480,6 +450,20 @@ mod tests {
         }
     }
 
+    /// The serial reference reader, unobserved.
+    fn serial_with(dir: &Path, mode: IngestMode) -> ReadResult {
+        read_monthly_serial_obs(dir, mode, &Obs::noop(), None)
+    }
+
+    /// A strict read's records, without the accounting.
+    fn strict_records(
+        read: fn(&Path, IngestMode) -> ReadResult,
+        dir: &Path,
+    ) -> (Vec<SslRecord>, Vec<X509Record>) {
+        let (ssl, x509, _) = read(dir, IngestMode::Strict).unwrap();
+        (ssl, x509)
+    }
+
     const MAY_2022: f64 = 1_651_363_200.0;
     const JUN_2022: f64 = 1_654_041_600.0;
 
@@ -519,15 +503,13 @@ mod tests {
         let text = std::fs::read_to_string(&victim).unwrap();
         std::fs::write(&victim, text.replace("#fields\tts", "#fields\tbogus")).unwrap();
 
-        // Strict: both paths fail with BadHeader.
-        assert!(matches!(read_monthly(&dir), Err(TsvError::BadHeader)));
-        assert!(matches!(
-            read_monthly_serial(&dir),
-            Err(TsvError::BadHeader)
-        ));
-
-        // Lenient: the shard is quarantined, everything else survives.
-        for read in [read_monthly_with, read_monthly_serial_with] {
+        for read in [read_monthly_with, serial_with] {
+            // Strict: both paths fail with BadHeader.
+            assert!(matches!(
+                read(&dir, IngestMode::Strict),
+                Err(TsvError::BadHeader)
+            ));
+            // Lenient: the shard is quarantined, everything else survives.
             let (ssl_rt, x509_rt, stats) = read(&dir, IngestMode::Lenient).unwrap();
             assert_eq!(ssl_rt, ssl);
             assert_eq!(x509_rt, vec![x509_at(JUN_2022, "f2")]);
@@ -568,7 +550,7 @@ mod tests {
         assert!(names.contains(&"ssl.2022-06.log".to_string()));
         assert!(names.contains(&"x509.2022-05.log".to_string()));
 
-        let (ssl_rt, x509_rt) = read_monthly(&dir).unwrap();
+        let (ssl_rt, x509_rt) = strict_records(read_monthly_with, &dir);
         assert_eq!(ssl_rt, ssl, "chronological concatenation");
         assert_eq!(x509_rt, x509);
         std::fs::remove_dir_all(&dir).ok();
@@ -585,8 +567,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("mtlscope-rotate3-{}", std::process::id()));
         write_monthly(&dir, &ssl, &x509).unwrap();
 
-        let par = read_monthly(&dir).unwrap();
-        let ser = read_monthly_serial(&dir).unwrap();
+        let par = strict_records(read_monthly_with, &dir);
+        let ser = strict_records(serial_with, &dir);
         assert_eq!(par, ser);
         assert_eq!(par.0, ssl);
         assert_eq!(par.1, x509);
@@ -619,7 +601,7 @@ mod tests {
             walked_ssl.extend(s);
             walked_x509.extend(x);
         }
-        let (batch_ssl, batch_x509) = read_monthly(&dir).unwrap();
+        let (batch_ssl, batch_x509) = strict_records(read_monthly_with, &dir);
         assert_eq!(walked_ssl, batch_ssl);
         assert_eq!(walked_x509, batch_x509);
         assert_eq!(rows, 4);
@@ -662,10 +644,44 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("mtlscope-rotate2-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("notes.txt"), "hi").unwrap();
-        std::fs::write(dir.join("ssl.log"), "unrotated singleton").unwrap();
-        let (ssl, x509) = read_monthly(&dir).unwrap();
+        let (ssl, x509) = strict_records(read_monthly_with, &dir);
         assert!(ssl.is_empty());
         assert!(x509.is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn flat_pair_wins_over_rotated_shards() {
+        // A directory holding both layouts reads the flat `ssl.log` /
+        // `x509.log` pair and ignores the rotated shards beside it.
+        let dir = std::env::temp_dir().join(format!("mtlscope-rotate7-{}", std::process::id()));
+        write_monthly(&dir, &[ssl_at(MAY_2022, "rotated")], &[]).unwrap();
+        let flat_ssl = vec![ssl_at(JUN_2022, "flat")];
+        let flat_x509 = vec![x509_at(JUN_2022, "f1")];
+        let mut buf = Vec::new();
+        write_ssl_log(&mut buf, &flat_ssl).unwrap();
+        std::fs::write(dir.join("ssl.log"), &buf).unwrap();
+        buf.clear();
+        write_x509_log(&mut buf, &flat_x509).unwrap();
+        std::fs::write(dir.join("x509.log"), &buf).unwrap();
+
+        for read in [read_monthly_with, serial_with] {
+            let (ssl, x509, stats) = read(&dir, IngestMode::Strict).unwrap();
+            assert_eq!(ssl, flat_ssl);
+            assert_eq!(x509, flat_x509);
+            let names: Vec<&str> = stats.shards.iter().map(|d| d.shard.as_str()).collect();
+            assert_eq!(names, ["ssl.log", "x509.log"]);
+        }
+        // The flat layout has no per-month files, so no epoch schedule.
+        assert!(crate::rotate::month_keys(&dir).unwrap().is_empty());
+
+        // Without `ssl.log` the same directory is rotated again, and a
+        // stray `x509.log` is not one of its shards.
+        std::fs::remove_file(dir.join("ssl.log")).unwrap();
+        let (ssl, x509) = strict_records(serial_with, &dir);
+        assert_eq!(ssl, vec![ssl_at(MAY_2022, "rotated")]);
+        assert!(x509.is_empty());
+        assert_eq!(crate::rotate::month_keys(&dir).unwrap(), ["2022-05"]);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

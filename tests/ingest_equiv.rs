@@ -7,8 +7,8 @@
 //! keeps its first-error-in-shard-order contract.
 
 use mtlscope::core::ingest::{
-    load_dir, load_dir_obs, load_dir_serial, load_dir_serial_obs, load_dir_serial_with,
-    load_dir_streaming_obs, load_dir_with, StreamOptions,
+    load_dir_obs, load_dir_serial_obs, load_dir_serial_with, load_dir_streaming_obs,
+    IngestDiagnostics, IngestError, StreamOptions,
 };
 use mtlscope::core::testutil::faults;
 use mtlscope::core::{
@@ -16,10 +16,36 @@ use mtlscope::core::{
     AnalysisInputs, CorpusBuilder, IngestMode,
 };
 use mtlscope::intern::FxHashSet;
-use mtlscope::netsim::{generate, SimConfig};
+use mtlscope::netsim::{generate, SimConfig, SimOutput};
 use mtlscope::obs::{Obs, Snapshot};
 use mtlscope::zeek::{partition_monthly, ErrorKind};
 use std::path::{Path, PathBuf};
+
+/// What a batch loader returns.
+type Loaded = Result<(AnalysisInputs, IngestDiagnostics), IngestError>;
+
+/// The pooled loader, unobserved.
+fn pooled(dir: &Path, mode: IngestMode) -> Loaded {
+    load_dir_obs(dir, mode, &Obs::noop(), None)
+}
+
+/// A strict load's inputs, through the pooled or the serial loader.
+fn inputs(load: fn(&Path, IngestMode) -> Loaded, dir: &Path) -> AnalysisInputs {
+    load(dir, IngestMode::Strict).expect("strict ingest").0
+}
+
+/// The two on-disk layouts every loader reads: the flat `ssl.log` /
+/// `x509.log` pair and the monthly-rotated shards.
+const LAYOUTS: [&str; 2] = ["flat", "rotated"];
+
+/// Write `sim` under `dir` in the named layout.
+fn write_layout(sim: &SimOutput, dir: &Path, layout: &str) {
+    match layout {
+        "flat" => sim.write_to_dir(dir),
+        _ => sim.write_to_dir_rotated(dir),
+    }
+    .expect("write logs");
+}
 
 /// Sorted shard paths for one log stream (`ssl` / `x509`) in `dir`.
 fn shards(dir: &Path, stream: &str) -> Vec<PathBuf> {
@@ -50,8 +76,8 @@ fn sharded_ingest_equals_serial_ingest_byte_for_byte() {
     let dir = std::env::temp_dir().join(format!("mtlscope-equiv-{}", std::process::id()));
     sim.write_to_dir_rotated(&dir).expect("write rotated logs");
 
-    let sharded = load_dir(&dir).expect("parallel ingest");
-    let serial = load_dir_serial(&dir).expect("serial ingest");
+    let sharded = inputs(pooled, &dir);
+    let serial = inputs(load_dir_serial_with, &dir);
 
     // Inputs agree field-for-field…
     assert_eq!(sharded.ssl, serial.ssl);
@@ -74,15 +100,49 @@ fn sharded_ingest_handles_unrotated_layout_too() {
         scale: 0.005,
         ..Default::default()
     });
-    let dir = std::env::temp_dir().join(format!("mtlscope-equiv-flat-{}", std::process::id()));
-    sim.write_to_dir(&dir).expect("write unrotated logs");
+    for layout in LAYOUTS {
+        let dir =
+            std::env::temp_dir().join(format!("mtlscope-equiv-{layout}-{}", std::process::id()));
+        write_layout(&sim, &dir, layout);
 
-    let sharded = load_dir(&dir).expect("parallel ingest");
-    let serial = load_dir_serial(&dir).expect("serial ingest");
-    assert_eq!(sharded.ssl, serial.ssl);
-    assert_eq!(sharded.x509, serial.x509);
+        // All three loaders over the same directory: the shard pool, the
+        // serial reference, and the month-by-month streaming walk (whose
+        // flat-layout branch reads the pair whole and partitions it).
+        let (sharded, sharded_diag) = pooled(&dir, IngestMode::Strict).expect("pooled ingest");
+        let (serial, serial_diag) =
+            load_dir_serial_with(&dir, IngestMode::Strict).expect("serial ingest");
+        let (parts, ct, gossip, stream_diag) = load_dir_streaming_obs(
+            &dir,
+            IngestMode::Strict,
+            StreamOptions::default(),
+            &Obs::noop(),
+            None,
+        )
+        .expect("streaming ingest");
+        // Every loader's report is the serial pipeline's, byte for byte.
+        let oracle = run_pipeline(serial).render_all();
+        for report in [
+            run_pipeline_parallel_obs(sharded, &Obs::noop(), None).render_all(),
+            run_pipeline_streamed_parallel_obs(parts, &ct, &gossip, &Obs::noop(), None)
+                .render_all(),
+        ] {
+            assert!(report == oracle, "{layout}: report differs from serial");
+        }
 
-    std::fs::remove_dir_all(&dir).ok();
+        // And the same accounting: rows, bytes and the files read (the
+        // streaming walk reads them month by month, hence the sort).
+        let accounting = |d: &IngestDiagnostics| {
+            let mut names: Vec<&str> = d.stats.shards.iter().map(|s| s.shard.as_str()).collect();
+            names.sort_unstable();
+            (d.stats.rows_parsed, d.stats.bytes_read, names.join(" "))
+        };
+        assert_eq!(accounting(&sharded_diag), accounting(&serial_diag));
+        assert_eq!(accounting(&stream_diag), accounting(&serial_diag));
+        let files = if layout == "flat" { 2 } else { 46 };
+        assert_eq!(serial_diag.stats.shards.len(), files, "{layout}");
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]
@@ -95,8 +155,8 @@ fn lenient_equals_strict_on_clean_corpus() {
     let dir = std::env::temp_dir().join(format!("mtlscope-equiv-clean-{}", std::process::id()));
     sim.write_to_dir_rotated(&dir).expect("write rotated logs");
 
-    let (strict, strict_diag) = load_dir_with(&dir, IngestMode::Strict).expect("strict ingest");
-    let (lenient, lenient_diag) = load_dir_with(&dir, IngestMode::Lenient).expect("lenient ingest");
+    let (strict, strict_diag) = pooled(&dir, IngestMode::Strict).expect("strict ingest");
+    let (lenient, lenient_diag) = pooled(&dir, IngestMode::Lenient).expect("lenient ingest");
     let (lenient_serial, serial_diag) =
         load_dir_serial_with(&dir, IngestMode::Lenient).expect("lenient serial ingest");
 
@@ -157,79 +217,85 @@ fn span_tree_is_deterministic_across_serial_and_sharded_ingest() {
         scale: 0.005,
         ..Default::default()
     });
-    let dir = std::env::temp_dir().join(format!("mtlscope-equiv-obs-{}", std::process::id()));
-    sim.write_to_dir_rotated(&dir).expect("write rotated logs");
+    for layout in LAYOUTS {
+        let dir = std::env::temp_dir().join(format!(
+            "mtlscope-equiv-obs-{layout}-{}",
+            std::process::id()
+        ));
+        write_layout(&sim, &dir, layout);
 
-    let obs_sharded = Obs::new();
-    let (sharded, sharded_diag) =
-        load_dir_obs(&dir, IngestMode::Strict, &obs_sharded, None).expect("sharded ingest");
-    let obs_serial = Obs::new();
-    let (serial, serial_diag) =
-        load_dir_serial_obs(&dir, IngestMode::Strict, &obs_serial, None).expect("serial ingest");
-    assert_eq!(sharded.ssl, serial.ssl);
-    assert_eq!(sharded.x509, serial.x509);
+        let obs_sharded = Obs::new();
+        let (sharded, sharded_diag) =
+            load_dir_obs(&dir, IngestMode::Strict, &obs_sharded, None).expect("sharded ingest");
+        let obs_serial = Obs::new();
+        let (serial, serial_diag) =
+            load_dir_serial_obs(&dir, IngestMode::Strict, &obs_serial, None)
+                .expect("serial ingest");
+        assert_eq!(sharded.ssl, serial.ssl);
+        assert_eq!(sharded.x509, serial.x509);
 
-    let snap_sharded = obs_sharded.snapshot();
-    let snap_serial = obs_serial.snapshot();
+        let snap_sharded = obs_sharded.snapshot();
+        let snap_serial = obs_serial.snapshot();
 
-    // The racing worker pool must aggregate onto the exact tree the serial
-    // loader builds: same paths, same nesting, same per-node counts.
-    assert_eq!(span_shape(&snap_sharded), span_shape(&snap_serial));
+        // The racing worker pool must aggregate onto the exact tree the serial
+        // loader builds: same paths, same nesting, same per-node counts.
+        assert_eq!(span_shape(&snap_sharded), span_shape(&snap_serial));
 
-    // The tree covers the whole load: the ingest root, its three phases,
-    // and one grandchild per shard on disk.
-    for path in ["ingest", "ingest/meta", "ingest/ct", "ingest/logs"] {
-        let row = snap_sharded
-            .span(path)
-            .unwrap_or_else(|| panic!("span {path} missing from {:?}", span_shape(&snap_sharded)));
-        assert_eq!(row.count, 1, "span {path} should run exactly once");
-    }
-    for shard in shards(&dir, "ssl").iter().chain(&shards(&dir, "x509")) {
-        let path = format!("ingest/logs/{}", shard_name(shard));
-        assert!(
-            snap_sharded.span(&path).is_some_and(|r| r.count == 1),
-            "per-shard span {path} missing or miscounted"
-        );
-    }
+        // The tree covers the whole load: the ingest root, its three phases,
+        // and one grandchild per shard on disk.
+        for path in ["ingest", "ingest/meta", "ingest/ct", "ingest/logs"] {
+            let row = snap_sharded.span(path).unwrap_or_else(|| {
+                panic!("span {path} missing from {:?}", span_shape(&snap_sharded))
+            });
+            assert_eq!(row.count, 1, "span {path} should run exactly once");
+        }
+        for shard in shards(&dir, "ssl").iter().chain(&shards(&dir, "x509")) {
+            let path = format!("ingest/logs/{}", shard_name(shard));
+            assert!(
+                snap_sharded.span(&path).is_some_and(|r| r.count == 1),
+                "per-shard span {path} missing or miscounted"
+            );
+        }
 
-    // Counter totals are exactly equal — the batched per-shard adds commute.
-    assert_eq!(snap_sharded.counters, snap_serial.counters);
-    // Gauges agree too, once the wall-time-derived throughput rates are
-    // set aside; histograms agree on population (bucket placement is a
-    // function of shard latency, which is the one thing allowed to vary).
-    assert_eq!(stable_gauges(&snap_sharded), stable_gauges(&snap_serial));
-    assert_eq!(
-        snap_sharded
-            .histograms
-            .iter()
-            .map(|h| (h.name.clone(), h.count))
-            .collect::<Vec<_>>(),
-        snap_serial
-            .histograms
-            .iter()
-            .map(|h| (h.name.clone(), h.count))
-            .collect::<Vec<_>>()
-    );
-
-    // The metrics registry and the diagnostics ledger are two views of one
-    // load; they must tell the same story.
-    for (snap, diag) in [(&snap_sharded, &sharded_diag), (&snap_serial, &serial_diag)] {
+        // Counter totals are exactly equal — the batched per-shard adds commute.
+        assert_eq!(snap_sharded.counters, snap_serial.counters);
+        // Gauges agree too, once the wall-time-derived throughput rates are
+        // set aside; histograms agree on population (bucket placement is a
+        // function of shard latency, which is the one thing allowed to vary).
+        assert_eq!(stable_gauges(&snap_sharded), stable_gauges(&snap_serial));
         assert_eq!(
-            snap.counter("ingest.rows_parsed"),
-            Some(diag.stats.rows_parsed)
+            snap_sharded
+                .histograms
+                .iter()
+                .map(|h| (h.name.clone(), h.count))
+                .collect::<Vec<_>>(),
+            snap_serial
+                .histograms
+                .iter()
+                .map(|h| (h.name.clone(), h.count))
+                .collect::<Vec<_>>()
         );
-        assert_eq!(
-            snap.counter("ingest.rows_skipped"),
-            Some(diag.stats.rows_skipped)
-        );
-        assert_eq!(
-            snap.counter("ingest.meta_entries_skipped"),
-            Some(diag.meta_entries_skipped)
-        );
-        assert!(snap.counter("ingest.bytes_read").unwrap_or(0) > 0);
-    }
 
-    std::fs::remove_dir_all(&dir).ok();
+        // The metrics registry and the diagnostics ledger are two views of one
+        // load; they must tell the same story.
+        for (snap, diag) in [(&snap_sharded, &sharded_diag), (&snap_serial, &serial_diag)] {
+            assert_eq!(
+                snap.counter("ingest.rows_parsed"),
+                Some(diag.stats.rows_parsed)
+            );
+            assert_eq!(
+                snap.counter("ingest.rows_skipped"),
+                Some(diag.stats.rows_skipped)
+            );
+            assert_eq!(
+                snap.counter("ingest.meta_entries_skipped"),
+                Some(diag.meta_entries_skipped)
+            );
+            assert!(snap.counter("ingest.bytes_read").unwrap_or(0) > 0);
+        }
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]
@@ -241,8 +307,8 @@ fn span_tree_is_deterministic_across_serial_and_parallel_pipeline() {
     });
     let dir = std::env::temp_dir().join(format!("mtlscope-equiv-pobs-{}", std::process::id()));
     sim.write_to_dir_rotated(&dir).expect("write rotated logs");
-    let for_parallel = load_dir(&dir).expect("ingest");
-    let for_serial = load_dir(&dir).expect("ingest");
+    let for_parallel = inputs(pooled, &dir);
+    let for_serial = inputs(pooled, &dir);
     std::fs::remove_dir_all(&dir).ok();
 
     let obs_parallel = Obs::new();
@@ -476,7 +542,7 @@ fn rolling_window_equals_batch_over_the_window_months() {
             }
         }
     }
-    let oracle = load_dir(&oracle_dir).expect("oracle ingest");
+    let oracle = inputs(pooled, &oracle_dir);
     let oracle_report = run_pipeline_parallel_obs(oracle, &Obs::noop(), None).render_all();
 
     assert_eq!(windowed_report, oracle_report);
@@ -530,7 +596,7 @@ fn lenient_recovers_from_injected_faults_with_exact_accounting() {
     });
     let dir = std::env::temp_dir().join(format!("mtlscope-equiv-fault-{}", std::process::id()));
     sim.write_to_dir_rotated(&dir).expect("write rotated logs");
-    let clean = load_dir(&dir).expect("clean ingest");
+    let clean = inputs(pooled, &dir);
 
     let ssl_shards = shards(&dir, "ssl");
     let x509_shards = shards(&dir, "x509");
@@ -556,7 +622,7 @@ fn lenient_recovers_from_injected_faults_with_exact_accounting() {
     // Strict aborts, and the parallel loader reports the same first error
     // (in serial shard order: the ColumnCount on the first ssl shard's
     // first data line, not the x509 header corruption further along).
-    let strict_par = load_dir_with(&dir, IngestMode::Strict).map(|_| ());
+    let strict_par = pooled(&dir, IngestMode::Strict).map(|_| ());
     let strict_ser = load_dir_serial_with(&dir, IngestMode::Strict).map(|_| ());
     let par_msg = strict_par.expect_err("strict must abort").to_string();
     let ser_msg = strict_ser.expect_err("strict must abort").to_string();
@@ -564,7 +630,7 @@ fn lenient_recovers_from_injected_faults_with_exact_accounting() {
     assert!(par_msg.contains("columns"), "{par_msg}");
 
     // Lenient recovers: both paths, identical records, exact accounting.
-    for loader in [load_dir_with, load_dir_serial_with] {
+    for loader in [pooled, load_dir_serial_with] {
         let (inputs, diag) = loader(&dir, IngestMode::Lenient).expect("lenient ingest");
         assert_eq!(inputs.ssl.len(), clean.ssl.len() - 3);
         assert_eq!(inputs.x509.len(), clean.x509.len() - lost_rows);

@@ -2,8 +2,9 @@
 //! identically, and the analysis over the re-read logs must equal the
 //! in-memory analysis.
 
-use mtlscope::core::{run_pipeline, AnalysisInputs};
+use mtlscope::core::{run_pipeline, AnalysisInputs, IngestMode};
 use mtlscope::netsim::{generate, SimConfig};
+use mtlscope::obs::Obs;
 use std::io::BufReader;
 
 #[test]
@@ -38,7 +39,9 @@ fn zeek_logs_round_trip_and_reanalyze_identically() {
 
     // Analysis over re-read logs equals in-memory analysis — through the
     // generic directory loader (meta.tsv + ct.log included).
-    let loaded = mtlscope::core::ingest::load_dir(&dir).expect("ingest");
+    let (loaded, _) =
+        mtlscope::core::ingest::load_dir_obs(&dir, IngestMode::Strict, &Obs::noop(), None)
+            .expect("ingest");
     assert_eq!(loaded.ssl, sim.ssl);
     assert_eq!(loaded.ct.len(), sim.ct.len());
     let from_files = run_pipeline(loaded);
@@ -76,7 +79,8 @@ fn rotated_logs_round_trip() {
         .count();
     assert!(ssl_files >= 20, "expected per-month files, got {ssl_files}");
 
-    let (ssl, x509) = mtlscope::zeek::read_monthly(&dir).expect("read rotated");
+    let (ssl, x509, _) =
+        mtlscope::zeek::read_monthly_with(&dir, IngestMode::Strict).expect("read rotated");
     assert_eq!(ssl.len(), sim.ssl.len());
     assert_eq!(x509.len(), sim.x509.len());
     // Records are already ts-sorted by the emitter, so chronological
