@@ -4,12 +4,18 @@
 Default mode validates a `repro --metrics` metrics.json: schema, span
 tree covering every pipeline stage, consistent durations.
 
+`--stream` mode runs the default checks on a `repro --stream --window`
+metrics.json, then gates the streaming builder's own metrics: the
+`epoch_merge` span, the `stream.*` gauges, rows pushed equal to rows
+parsed, and at least one retired epoch.
+
 `--serve` mode validates a serve metrics envelope (what `REQ_METRICS`
 returns and `mtlscope bench-client --metrics` saves): the schema tag,
 the embedded snapshot, every `serve.*`/`bench.*` name against a mirror
 of `crates/serve/src/taxonomy.rs`, and the flight-recorder dump shape.
 
 Usage: check_metrics.py obs-out/metrics.json
+       check_metrics.py --stream obs-stream/metrics.json
        check_metrics.py --serve bench-serve-metrics.json
 """
 import json
@@ -142,6 +148,45 @@ def main(path):
     print(f"check_metrics: ok — {len(spans)} spans "
           f"({len(shard_spans)} shards), {len(counters)} counters, "
           f"{len(doc['gauges'])} gauges, {len(doc['histograms'])} histograms")
+    return doc
+
+
+# --- streamed run mode (`--stream`) -----------------------------------
+# The streaming CorpusBuilder's metrics (crates/core/src/stream.rs).
+STREAM_GAUGES = [
+    "stream.epochs_live",
+    "stream.footprint_bytes",
+    "stream.peak_footprint_bytes",
+]
+
+
+def main_stream(path):
+    doc = main(path)
+    spans = {row["path"] for row in doc["spans"]}
+    if "run/ingest/epoch_merge" not in spans:
+        fail("required span 'run/ingest/epoch_merge' missing — the run "
+             "did not stream")
+    gauges, counters = doc["gauges"], doc["counters"]
+    for name in STREAM_GAUGES:
+        if name not in gauges:
+            fail(f"gauge {name!r} missing from a streamed run")
+    peak = gauges["stream.peak_footprint_bytes"]
+    live = gauges["stream.footprint_bytes"]
+    if not peak >= live > 0:
+        fail(f"stream footprint gauges out of order: peak {peak} >= "
+             f"footprint {live} > 0 does not hold")
+    pushed = (counters.get("stream.ssl_rows_pushed", 0)
+              + counters.get("stream.x509_rows_pushed", 0))
+    parsed = counters.get("ingest.rows_parsed", 0)
+    if pushed != parsed:
+        fail(f"stream rows pushed ({pushed}) != ingest.rows_parsed "
+             f"({parsed}) — the builder lost or duplicated rows")
+    retired = counters.get("stream.epochs_retired", 0)
+    if retired <= 0:
+        fail("stream.epochs_retired is 0 — the rolling window never "
+             "retired a month")
+    print(f"check_metrics[stream]: ok — {pushed} rows pushed, "
+          f"{retired} epochs retired, peak footprint {peak} bytes")
 
 
 # --- serve envelope mode (`--serve`) ----------------------------------
@@ -303,7 +348,11 @@ if __name__ == "__main__":
         if len(argv) != 2:
             fail("usage: check_metrics.py --serve ENVELOPE_JSON")
         main_serve(argv[1])
+    elif argv and argv[0] == "--stream":
+        if len(argv) != 2:
+            fail("usage: check_metrics.py --stream METRICS_JSON")
+        main_stream(argv[1])
     else:
         if len(argv) != 1:
-            fail("usage: check_metrics.py [--serve] METRICS_JSON")
+            fail("usage: check_metrics.py [--serve|--stream] METRICS_JSON")
         main(argv[0])

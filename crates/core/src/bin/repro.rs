@@ -217,7 +217,7 @@ fn main() {
         .then(|| heartbeat(obs.clone(), console, Duration::from_secs(2)));
 
     // What the load stage hands the pipeline: batch inputs, or streamed
-    // parts (pre-merged epoch aggregates plus the CT log).
+    // parts (the live months' rows plus the CT log).
     enum Loaded {
         Batch(AnalysisInputs),
         Streamed(

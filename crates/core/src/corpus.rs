@@ -59,104 +59,6 @@ impl ServerAssociation {
 /// Index of a deduplicated certificate in the corpus.
 pub type CertId = usize;
 
-/// The connection-derived aggregates of one certificate, factored out of
-/// [`CertInfo`] as a *mergeable partial state*: the identity is
-/// [`CertAgg::default`], one `ssl.log` chain reference folds in via
-/// [`CertAgg::observe`], and two partials built from disjoint connection
-/// sets combine via [`CertAgg::merge`]. Every field is a commutative
-/// monoid (OR for the role flags, min/max for the timestamps, sum for the
-/// counter, union for the sets), so observing a connection stream in any
-/// grouping — one batch pass, or per-month partials merged later by the
-/// streaming [`CorpusBuilder`](crate::stream::CorpusBuilder) — produces
-/// identical state. `Corpus::build` itself accumulates through this type,
-/// which is what makes the batch and streaming paths semantically one
-/// implementation.
-#[derive(Debug, Clone)]
-pub struct CertAgg {
-    pub seen_as_server: bool,
-    pub seen_as_client: bool,
-    pub in_mtls: bool,
-    pub in_client_only: bool,
-    pub in_non_mtls_server: bool,
-    /// Min/max connection timestamp; the `±INFINITY` identities survive
-    /// only for certificates no connection ever referenced (see
-    /// [`CertInfo::activity_days`]).
-    pub first_seen: f64,
-    pub last_seen: f64,
-    pub conns: usize,
-    pub client_ips: FxHashSet<Ipv4>,
-    pub server_subnets: FxHashSet<Ipv4>,
-    pub client_subnets: FxHashSet<Ipv4>,
-}
-
-impl Default for CertAgg {
-    fn default() -> CertAgg {
-        CertAgg {
-            seen_as_server: false,
-            seen_as_client: false,
-            in_mtls: false,
-            in_client_only: false,
-            in_non_mtls_server: false,
-            first_seen: f64::INFINITY,
-            last_seen: f64::NEG_INFINITY,
-            conns: 0,
-            client_ips: FxHashSet::default(),
-            server_subnets: FxHashSet::default(),
-            client_subnets: FxHashSet::default(),
-        }
-    }
-}
-
-impl CertAgg {
-    /// Fold in one chain reference from `rec` (`as_server` says which
-    /// chain the fingerprint sat in).
-    pub fn observe(&mut self, rec: &SslRecord, as_server: bool) {
-        let mtls = rec.is_mutual_tls();
-        if as_server {
-            self.seen_as_server = true;
-            self.server_subnets.insert(rec.resp_h.subnet24());
-            if !mtls {
-                self.in_non_mtls_server = true;
-            }
-        } else {
-            self.seen_as_client = true;
-            self.client_subnets.insert(rec.orig_h.subnet24());
-        }
-        if mtls {
-            self.in_mtls = true;
-        }
-        if rec.is_client_only() && !as_server {
-            self.in_client_only = true;
-        }
-        self.first_seen = self.first_seen.min(rec.ts);
-        self.last_seen = self.last_seen.max(rec.ts);
-        self.conns += 1;
-        self.client_ips.insert(rec.orig_h);
-    }
-
-    /// Combine another partial into this one (commutative, associative).
-    pub fn merge(&mut self, other: CertAgg) {
-        self.seen_as_server |= other.seen_as_server;
-        self.seen_as_client |= other.seen_as_client;
-        self.in_mtls |= other.in_mtls;
-        self.in_client_only |= other.in_client_only;
-        self.in_non_mtls_server |= other.in_non_mtls_server;
-        self.first_seen = self.first_seen.min(other.first_seen);
-        self.last_seen = self.last_seen.max(other.last_seen);
-        self.conns += other.conns;
-        self.client_ips.extend(other.client_ips);
-        self.server_subnets.extend(other.server_subnets);
-        self.client_subnets.extend(other.client_subnets);
-    }
-
-    /// Rough retained heap of this partial (for the streaming footprint
-    /// gauge); deterministic for given contents.
-    pub fn approx_heap_bytes(&self) -> usize {
-        (self.client_ips.len() + self.server_subnets.len() + self.client_subnets.len())
-            * std::mem::size_of::<Ipv4>()
-    }
-}
-
 /// One certificate with everything the analyzers ask about.
 #[derive(Debug, Clone)]
 pub struct CertInfo {
@@ -215,19 +117,31 @@ impl CertInfo {
         self.conns > 0
     }
 
-    /// Install the merged connection aggregates.
-    pub(crate) fn apply_agg(&mut self, agg: CertAgg) {
-        self.seen_as_server = agg.seen_as_server;
-        self.seen_as_client = agg.seen_as_client;
-        self.in_mtls = agg.in_mtls;
-        self.in_client_only = agg.in_client_only;
-        self.in_non_mtls_server = agg.in_non_mtls_server;
-        self.first_seen = agg.first_seen;
-        self.last_seen = agg.last_seen;
-        self.conns = agg.conns;
-        self.client_ips = agg.client_ips;
-        self.server_subnets = agg.server_subnets;
-        self.client_subnets = agg.client_subnets;
+    /// Fold in one chain reference from `rec` (`as_server` says which
+    /// chain the fingerprint sat in). Every field is an OR, a min/max, a
+    /// sum or a set union, so the result does not depend on row order.
+    fn observe(&mut self, rec: &SslRecord, as_server: bool) {
+        let mtls = rec.is_mutual_tls();
+        if as_server {
+            self.seen_as_server = true;
+            self.server_subnets.insert(rec.resp_h.subnet24());
+            if !mtls {
+                self.in_non_mtls_server = true;
+            }
+        } else {
+            self.seen_as_client = true;
+            self.client_subnets.insert(rec.orig_h.subnet24());
+        }
+        if mtls {
+            self.in_mtls = true;
+        }
+        if rec.is_client_only() && !as_server {
+            self.in_client_only = true;
+        }
+        self.first_seen = self.first_seen.min(rec.ts);
+        self.last_seen = self.last_seen.max(rec.ts);
+        self.conns += 1;
+        self.client_ips.insert(rec.orig_h);
     }
 
     /// Shared by server and client endpoints (in any connections).
@@ -459,55 +373,7 @@ impl Corpus {
         meta: MetaKnowledge,
         excluded_fps: &FxHashSet<Symbol>,
         interception_issuers: Vec<String>,
-        interner: Interner,
-    ) -> Corpus {
-        Corpus::build_inner(
-            ssl,
-            x509,
-            meta,
-            excluded_fps,
-            interception_issuers,
-            interner,
-            None,
-        )
-    }
-
-    /// [`Corpus::build`] fed with *precomputed* per-fingerprint connection
-    /// aggregates — the streaming engine's finish path. The `partials` map
-    /// holds the fold of every epoch's [`CertAgg`] partial (symbols keyed
-    /// into `interner`); the connection walk then only joins, taints, and
-    /// counts dangling references instead of re-observing every chain
-    /// reference. Aggregates for fingerprints without an `x509.log` row
-    /// (dangling) are dropped, exactly as the inline path never creates
-    /// them.
-    pub fn build_with_partials(
-        ssl: Vec<SslRecord>,
-        x509: Vec<X509Record>,
-        meta: MetaKnowledge,
-        excluded_fps: &FxHashSet<Symbol>,
-        interception_issuers: Vec<String>,
-        interner: Interner,
-        partials: FxHashMap<Symbol, CertAgg>,
-    ) -> Corpus {
-        Corpus::build_inner(
-            ssl,
-            x509,
-            meta,
-            excluded_fps,
-            interception_issuers,
-            interner,
-            Some(partials),
-        )
-    }
-
-    fn build_inner(
-        ssl: Vec<SslRecord>,
-        x509: Vec<X509Record>,
-        meta: MetaKnowledge,
-        excluded_fps: &FxHashSet<Symbol>,
-        interception_issuers: Vec<String>,
         mut interner: Interner,
-        partials: Option<FxHashMap<Symbol, CertAgg>>,
     ) -> Corpus {
         let mut fp_index: FxHashMap<Symbol, CertId> =
             FxHashMap::with_capacity_and_hasher(x509.len(), FxBuildHasher);
@@ -541,21 +407,6 @@ impl Corpus {
         // the string once, then integer-keyed map hits.
         let interner = interner;
         let lookup = |fp: &String| interner.get(fp).and_then(|sym| fp_index.get(&sym)).copied();
-
-        // Connection aggregates live in a dense arena parallel to `certs`.
-        // With precomputed partials (streaming finish) the merged state is
-        // translated in up front and the connection walk below skips the
-        // per-reference observe; otherwise the walk folds each reference
-        // into the arena through the very same `CertAgg::observe`.
-        let precomputed = partials.is_some();
-        let mut aggs: Vec<CertAgg> = vec![CertAgg::default(); certs.len()];
-        if let Some(partials) = partials {
-            for (sym, agg) in partials {
-                if let Some(&cid) = fp_index.get(&sym) {
-                    aggs[cid].merge(agg);
-                }
-            }
-        }
 
         let mut conns: Vec<ConnInfo> = Vec::with_capacity(ssl.len());
         let mut dangling_fp_refs = 0u64;
@@ -602,8 +453,7 @@ impl Corpus {
                 mtls && rec.cert_chain_fps.first() == rec.client_cert_chain_fps.first();
             let mut excluded = false;
 
-            // Update certificate aggregates (join, taint, dangling; the
-            // observe itself is skipped when the state came premerged).
+            // Update certificate aggregates (join, taint, dangling).
             for (fp, as_server) in rec
                 .cert_chain_fps
                 .iter()
@@ -614,9 +464,7 @@ impl Corpus {
                     if certs[cid].excluded {
                         excluded = true;
                     }
-                    if !precomputed {
-                        aggs[cid].observe(&rec, as_server);
-                    }
+                    certs[cid].observe(&rec, as_server);
                 } else {
                     dangling_fp_refs += 1;
                     if dangling_seen.insert(fp.clone()) && dangling_samples.len() < 8 {
@@ -637,12 +485,6 @@ impl Corpus {
                 same_cert_both_ends,
                 excluded,
             });
-        }
-
-        // Install the merged aggregates; the columnar projection below
-        // reads the final flags, so this must land first.
-        for (info, agg) in certs.iter_mut().zip(aggs) {
-            info.apply_agg(agg);
         }
 
         let excluded_certs = certs.iter().filter(|c| c.excluded).count();
@@ -927,81 +769,6 @@ mod tests {
         assert_eq!(untouched.activity_days(), 0);
         assert!(corpus.certs[0].ever_connected());
         assert_eq!(corpus.certs[0].activity_days(), 0); // one conn, same day
-    }
-
-    #[test]
-    fn premerged_partials_reproduce_the_inline_build() {
-        // Build the same corpus twice: once with the inline observe path,
-        // once with CertAgg partials accumulated per-connection-group and
-        // merged (the streaming finish path). Every aggregate must match.
-        let internal = Ipv4::new(172, 29, 20, 5);
-        let external = Ipv4::new(98, 100, 1, 1);
-        let certs = vec![x509("aa", None), x509("bb", None), x509("idle", None)];
-        let mut c1 = conn(external, internal, None, "aa", Some("bb"));
-        let mut c2 = conn(internal, external, None, "aa", None);
-        let mut c3 = conn(external, internal, None, "dangling", Some("bb"));
-        c1.ts = 1_000_000.0;
-        c2.ts = 1_000_000.0 + 86_400.0 * 30.0;
-        c3.ts = 1_000_000.0 + 86_400.0 * 61.0;
-        let ssl = vec![c1, c2, c3];
-
-        let inline = build_unfiltered(&ssl, &certs, meta());
-
-        // Partials: split the connections into two "epochs", fold each
-        // separately, then merge — exercising observe + merge + translate.
-        let mut interner = Interner::new();
-        let mut fold = |recs: &[SslRecord]| {
-            let mut agg: FxHashMap<Symbol, CertAgg> = FxHashMap::default();
-            for rec in recs {
-                for (fp, as_server) in rec
-                    .cert_chain_fps
-                    .iter()
-                    .map(|f| (f, true))
-                    .chain(rec.client_cert_chain_fps.iter().map(|f| (f, false)))
-                {
-                    agg.entry(interner.intern(fp))
-                        .or_default()
-                        .observe(rec, as_server);
-                }
-            }
-            agg
-        };
-        let mut merged = fold(&ssl[..1]);
-        for (sym, agg) in fold(&ssl[1..]) {
-            merged.entry(sym).or_default().merge(agg);
-        }
-        let streamed = Corpus::build_with_partials(
-            ssl.clone(),
-            certs.clone(),
-            meta(),
-            &FxHashSet::default(),
-            vec![],
-            interner,
-            merged,
-        );
-
-        assert_eq!(streamed.certs.len(), inline.certs.len());
-        for (a, b) in inline.certs.iter().zip(streamed.certs.iter()) {
-            assert_eq!(a.seen_as_server, b.seen_as_server);
-            assert_eq!(a.seen_as_client, b.seen_as_client);
-            assert_eq!(a.in_mtls, b.in_mtls);
-            assert_eq!(a.in_client_only, b.in_client_only);
-            assert_eq!(a.in_non_mtls_server, b.in_non_mtls_server);
-            assert_eq!(a.first_seen, b.first_seen);
-            assert_eq!(a.last_seen, b.last_seen);
-            assert_eq!(a.conns, b.conns);
-            assert_eq!(a.client_ips, b.client_ips);
-            assert_eq!(a.server_subnets, b.server_subnets);
-            assert_eq!(a.client_subnets, b.client_subnets);
-        }
-        // Dangling accounting comes from the connection walk either way.
-        assert_eq!(streamed.dangling_fp_refs, inline.dangling_fp_refs);
-        assert_eq!(streamed.dangling_samples, inline.dangling_samples);
-        // The never-connected cert keeps identity aggregates in both.
-        assert_eq!(streamed.certs[2].activity_days(), 0);
-        // Columns mirror the same final flags.
-        assert_eq!(streamed.cert_cols.flags, inline.cert_cols.flags);
-        assert_eq!(streamed.conn_cols.flags, inline.conn_cols.flags);
     }
 
     #[test]

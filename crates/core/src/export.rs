@@ -307,7 +307,8 @@ pub fn write_tsv_obs(
 
 /// Write the ingest accounting as `ingest_diagnostics.tsv` under `dir`
 /// (created if missing): one row per shard, a `(meta.cloud_nets)` row for
-/// skipped meta entries, and a `(total)` row with the corpus-wide sums.
+/// skipped meta entries, a `(ct.log)` row for skipped CT lines, and a
+/// `(total)` row with the corpus-wide sums.
 pub fn write_ingest_tsv(diag: &IngestDiagnostics, dir: &Path) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
     let mut header = String::from("shard\tmode\trows_parsed\tbytes_read");
@@ -341,23 +342,39 @@ pub fn write_ingest_tsv(diag: &IngestDiagnostics, dir: &Path) -> std::io::Result
         })
         .collect();
 
-    if diag.meta_entries_skipped > 0 {
-        let mut row = vec![
-            "(meta.cloud_nets)".to_string(),
-            mode.clone(),
-            "0".to_string(),
-            "0".to_string(),
-        ];
-        // Malformed meta entries are field-level failures.
+    // The sidecar files' skips, each as one row under the error kind it
+    // is: a malformed meta entry is a field-level failure, a `ct.log` line
+    // without its three fields a column-count failure.
+    let sidecars = [
+        (
+            "(meta.cloud_nets)",
+            "bad_field",
+            diag.meta_entries_skipped,
+            diag.meta_micros,
+        ),
+        (
+            "(ct.log)",
+            "column_count",
+            diag.ct_lines_skipped,
+            diag.ct_micros,
+        ),
+    ];
+    let sidecar_skips =
+        |label: &str| -> u64 { sidecars.iter().filter(|s| s.1 == label).map(|s| s.2).sum() };
+    for (name, kind, skipped, micros) in sidecars {
+        if skipped == 0 {
+            continue;
+        }
+        let mut row = vec![name.to_string(), mode.clone(), "0".into(), "0".into()];
         row.extend(ERROR_KINDS.iter().map(|k| {
-            if k.label() == "bad_field" {
-                diag.meta_entries_skipped.to_string()
+            if k.label() == kind {
+                skipped.to_string()
             } else {
                 "0".to_string()
             }
         }));
         row.push("-".to_string());
-        row.push(diag.meta_micros.to_string());
+        row.push(micros.to_string());
         rows.push(row);
     }
 
@@ -369,12 +386,7 @@ pub fn write_ingest_tsv(diag: &IngestDiagnostics, dir: &Path) -> std::io::Result
     ];
     total.extend(ERROR_KINDS.iter().map(|kind| {
         let per_shard: u64 = diag.stats.shards.iter().map(|d| d.skipped_of(*kind)).sum();
-        let meta = if kind.label() == "bad_field" {
-            diag.meta_entries_skipped
-        } else {
-            0
-        };
-        (per_shard + meta).to_string()
+        (per_shard + sidecar_skips(kind.label())).to_string()
     }));
     total.push(diag.stats.shards_quarantined.to_string());
     total.push(diag.total_micros.to_string());
@@ -475,6 +487,8 @@ mod tests {
         let mut diag = IngestDiagnostics {
             mode: IngestMode::Lenient,
             meta_entries_skipped: 2,
+            ct_lines_skipped: 3,
+            ct_micros: 55,
             ..IngestDiagnostics::default()
         };
         diag.stats.absorb(shard);
@@ -484,11 +498,25 @@ mod tests {
         let text = std::fs::read_to_string(dir.join("ingest_diagnostics.tsv")).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert!(lines[0].starts_with("shard\tmode\trows_parsed\tbytes_read\tcolumn_count"));
-        // Shard row, meta row, and the total row (which folds both in).
-        assert_eq!(lines.len(), 4);
+        // Shard row, meta row, ct.log row, and the total row (which folds
+        // all three in).
+        assert_eq!(lines.len(), 5);
         assert!(lines[1].starts_with("ssl.2022-05.log\tlenient\t7\t1000\t1\t0"));
         assert!(lines[2].starts_with("(meta.cloud_nets)\tlenient\t0\t0\t0\t2"));
-        assert!(lines[3].starts_with("(total)\tlenient\t7\t1000\t1\t2"));
+        assert!(lines[3].starts_with("(ct.log)\tlenient\t0\t0\t3\t0"));
+        assert!(lines[3].ends_with("\t-\t55"));
+        assert!(lines[4].starts_with("(total)\tlenient\t7\t1000\t4\t2"));
+        // Every skip the rendered ledger counts lands in the total row.
+        let total_skips: u64 = lines[4]
+            .split('\t')
+            .skip(4)
+            .take(ERROR_KINDS.len())
+            .map(|f| f.parse::<u64>().unwrap())
+            .sum();
+        assert_eq!(
+            total_skips,
+            diag.stats.rows_skipped + diag.meta_entries_skipped + diag.ct_lines_skipped
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

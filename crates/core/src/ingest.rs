@@ -563,8 +563,8 @@ pub struct StreamOptions {
 /// time, pushing each month into a [`CorpusBuilder`] and (in window mode)
 /// retiring epochs that fall outside the rolling window, so peak memory
 /// is bounded by the window — not the corpus. Returns the builder's
-/// [`StreamParts`] (records in canonical month order, merged aggregate
-/// partials, interner), the CT log, and *cumulative* diagnostics: every
+/// [`StreamParts`] (the live months' records in canonical month order and
+/// the build summary), the CT log, and *cumulative* diagnostics: every
 /// epoch's stats are absorbed into one [`IngestDiagnostics`], so the
 /// `--max-error-rate` guard sees the whole stream, never a single month.
 ///

@@ -48,7 +48,7 @@ pub mod verdict;
 pub mod testutil;
 
 pub use columns::{CertColumns, ConnColumns};
-pub use corpus::{CertAgg, Corpus, Direction, ServerAssociation};
+pub use corpus::{Corpus, Direction, ServerAssociation};
 pub use ingest::{
     load_dir_obs, load_dir_serial_obs, load_dir_streaming_obs, IngestDiagnostics, IngestError,
     StreamOptions,
@@ -58,5 +58,5 @@ pub use pipeline::{
     build_corpus_obs, run_pipeline, run_pipeline_obs, run_pipeline_parallel_obs,
     run_pipeline_streamed_parallel_obs, AnalysisInputs, PipelineOutput,
 };
-pub use stream::{CorpusBuilder, EpochStats, StreamParts, StreamSummary};
+pub use stream::{CorpusBuilder, StreamParts, StreamSummary};
 pub use verdict::{cert_verdict_der, record_verdict, shard_verdict, VerdictContext};

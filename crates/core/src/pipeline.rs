@@ -9,7 +9,7 @@
 
 use crate::analyze;
 use crate::analyze::info_types::Slice;
-use crate::corpus::{CertAgg, Corpus, CtSummary, MetaKnowledge};
+use crate::corpus::{Corpus, CtSummary, MetaKnowledge};
 use crate::stream::StreamParts;
 use mtls_intern::{FxHashMap, FxHashSet, Interner, Symbol};
 use mtls_obs::{Obs, SpanId};
@@ -339,41 +339,29 @@ pub fn build_corpus_obs(inputs: AnalysisInputs, obs: &Obs, parent: Option<SpanId
         gossip,
         meta,
     } = inputs;
-    build_corpus_from(ssl, x509, meta, None, &ct, &gossip, obs, parent)
+    build_corpus_from(ssl, x509, meta, &ct, &gossip, obs, parent)
 }
 
 /// The one corpus build behind the batch and streamed pipelines. The
 /// interception filter runs over the full-window slices (it needs the
-/// global issuer/CT view, which no single epoch has), then the join.
-/// `streamed` carries a [`CorpusBuilder`](crate::stream::CorpusBuilder)'s
-/// interner and premerged per-epoch aggregates, which
-/// [`Corpus::build_with_partials`] consumes instead of re-observing every
-/// connection; `None` starts a fresh interner and observes inline. Spans
-/// and gauges are the same either way, so a metrics consumer sees one
-/// schema.
-#[allow(clippy::too_many_arguments)] // the batch and streamed inputs, unpacked
+/// global issuer/CT view, which no single epoch has), then the join, both
+/// on a fresh interner. Spans and gauges are the same for either caller,
+/// so a metrics consumer sees one schema.
 fn build_corpus_from(
     ssl: Vec<SslRecord>,
     x509: Vec<X509Record>,
     meta: MetaKnowledge,
-    streamed: Option<(Interner, FxHashMap<Symbol, CertAgg>)>,
     ct: &CtLog,
     gossip: &GossipBundle,
     obs: &Obs,
     parent: Option<SpanId>,
 ) -> Corpus {
-    let (mut interner, partials) = match streamed {
-        Some((interner, partials)) => (interner, Some(partials)),
-        None => (Interner::with_capacity(x509.len()), None),
-    };
+    let mut interner = Interner::with_capacity(x509.len());
     let (excluded, issuers, ct_summary) = obs.time(parent, "interception_filter", || {
         run_ct_filter(&ssl, &x509, ct, gossip, &meta, &mut interner)
     });
-    let mut corpus = obs.time(parent, "corpus_build", || match partials {
-        Some(partials) => {
-            Corpus::build_with_partials(ssl, x509, meta, &excluded, issuers, interner, partials)
-        }
-        None => Corpus::build(ssl, x509, meta, &excluded, issuers, interner),
+    let mut corpus = obs.time(parent, "corpus_build", || {
+        Corpus::build(ssl, x509, meta, &excluded, issuers, interner)
     });
     corpus.ct = ct_summary;
     record_corpus_metrics(obs, &corpus);
@@ -659,9 +647,10 @@ pub fn run_pipeline_parallel_obs(
 
 /// [`run_pipeline_obs`] over a
 /// [`CorpusBuilder`](crate::stream::CorpusBuilder)'s [`StreamParts`]
-/// instead of a batch [`AnalysisInputs`]: the corpus build consumes the
-/// premerged partials, and the span tree and gauges are the same. On the same (full-window) input the output is byte-identical to
-/// the batch pipeline.
+/// instead of a batch [`AnalysisInputs`]: the surviving month rows go
+/// through the same corpus build, so the span tree and gauges are the
+/// same, and on the same (full-window) input the output is byte-identical
+/// to the batch pipeline.
 pub fn run_pipeline_streamed_parallel_obs(
     parts: StreamParts,
     ct: &CtLog,
@@ -670,10 +659,7 @@ pub fn run_pipeline_streamed_parallel_obs(
     parent: Option<SpanId>,
 ) -> PipelineOutput {
     run(obs, parent, |pid| {
-        let streamed = Some((parts.interner, parts.partials));
-        build_corpus_from(
-            parts.ssl, parts.x509, parts.meta, streamed, ct, gossip, obs, pid,
-        )
+        build_corpus_from(parts.ssl, parts.x509, parts.meta, ct, gossip, obs, pid)
     })
 }
 

@@ -1,30 +1,34 @@
-//! Streaming corpus engine: bounded-memory incremental ingest.
+//! Streaming corpus engine: a windowed month buffer.
 //!
 //! The batch pipeline slurps all 23 months, then builds one immutable
-//! [`Corpus`] — peak memory linear in months. This module turns the build
-//! into an *incremental* engine: a [`CorpusBuilder`] accepts one month
-//! (an **epoch**) at a time, keeps each epoch's records in an append-only
-//! segment keyed by month, folds every analyzer-feeding aggregate into a
-//! per-epoch [`CertAgg`] partial (a commutative monoid, so epochs may
-//! arrive in any order).
+//! [`Corpus`](crate::Corpus) — peak memory linear in months. A
+//! [`CorpusBuilder`] instead accepts one month (an **epoch**) at a time and
+//! keeps each epoch's `ssl`/`x509` rows in a segment keyed by month, so a
+//! rolling window bounds what is held. It computes no aggregates of its
+//! own: [`Corpus::build`](crate::Corpus::build) is the one fold over
+//! connections, and it runs on the rows [`CorpusBuilder::finish`] hands
+//! back, exactly as it runs on a batch load.
 //!
 //! Lifecycle:
 //!
-//! 1. **push** — [`CorpusBuilder::push_epoch`] ingests one month's
-//!    `ssl`/`x509` records: fingerprints are interned and tagged with the
-//!    contributing epoch (the dedup ledger) and the epoch's `CertAgg`
-//!    partial is folded. A push touches only the incoming rows, so ingest
+//! 1. **push** — [`CorpusBuilder::push_epoch`] appends one month's records
+//!    to that month's segment and adds their retained-heap estimate to the
+//!    epoch's footprint. A push touches only the incoming rows, so ingest
 //!    stays linear in months.
-//! 2. **retire** — [`CorpusBuilder::retire_outside_window`] drops every
-//!    epoch older than the rolling window, releasing its records, partial
-//!    state and its own dedup-ledger entries. This is what bounds memory:
-//!    the builder retains O(window) connection rows, not O(corpus).
+//! 2. **retire** — [`CorpusBuilder::retire_outside_window`] (or
+//!    [`CorpusBuilder::retire_for_incoming`], before reading the next
+//!    month) drops every epoch older than the rolling window and releases
+//!    its rows. This is what bounds memory: the builder retains O(window)
+//!    connection rows, not O(corpus).
 //! 3. **finish** — [`CorpusBuilder::finish`] re-assembles the surviving
 //!    epochs in canonical month order (a `BTreeMap` walk, so shuffled
-//!    pushes converge to the same bytes), folds the per-epoch partials
-//!    into one merged map, and hands everything to
-//!    [`Corpus::build_with_partials`] — the same join code the batch path
-//!    runs, fed premerged aggregates.
+//!    pushes converge to the same rows). The pipeline then runs the
+//!    interception filter and `Corpus::build` over them with a fresh
+//!    interner — the same body the batch path runs.
+//!
+//! Earlier versions also folded a mergeable per-month aggregate on push
+//! and merged those partials at finish; the build walked every connection
+//! again anyway, so the partials repeated its work and were removed.
 //!
 //! Equivalence contracts (pinned in `tests/ingest_equiv.rs`):
 //! * full-window streaming output is byte-identical to the batch build on
@@ -32,11 +36,9 @@
 //! * a rolling window of N months is byte-identical to a batch build over
 //!   only those N months.
 
-use crate::corpus::{CertAgg, MetaKnowledge};
-use mtls_intern::{FxHashMap, FxHashSet, Interner, Symbol};
+use crate::corpus::MetaKnowledge;
 use mtls_obs::{Obs, SpanId};
 use mtls_zeek::{SslRecord, X509Record};
-use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 
 /// Rough retained heap of one `ssl.log` record (owned strings + vectors;
@@ -74,35 +76,13 @@ fn x509_heap_bytes(rec: &X509Record) -> usize {
             .sum::<usize>()
 }
 
-/// One month's retained state.
+/// One month's retained rows.
+#[derive(Default)]
 struct Epoch {
     ssl: Vec<SslRecord>,
     x509: Vec<X509Record>,
-    /// This epoch's mergeable partial of every connection aggregate,
-    /// keyed by fingerprint symbol in the builder's interner.
-    agg: FxHashMap<Symbol, CertAgg>,
-    /// Fingerprints this epoch was the first live contributor of: exactly
-    /// its entries in the dedup ledger, evicted when it retires.
-    fresh_fps: Vec<Symbol>,
-    /// Retained-heap estimate of this epoch's records and partial.
+    /// Retained-heap estimate of this epoch's rows.
     footprint: u64,
-}
-
-/// What one [`CorpusBuilder::push_epoch`] call did.
-#[derive(Debug, Clone, Default)]
-pub struct EpochStats {
-    pub key: String,
-    pub ssl_rows: usize,
-    pub x509_rows: usize,
-    /// x509 rows introducing a fingerprint no live epoch had contributed.
-    pub fresh_fps: usize,
-    /// x509 rows whose fingerprint an earlier push already contributed
-    /// (the epoch-tagged dedup ledger; the rows are kept, exactly as the
-    /// batch build keeps duplicate rows, but the re-appearance is
-    /// accounted).
-    pub dup_fps: usize,
-    /// Builder retained-heap estimate after this push (live epochs only).
-    pub footprint_bytes: u64,
 }
 
 /// Summary of a whole streaming build, returned inside [`StreamParts`].
@@ -110,45 +90,32 @@ pub struct EpochStats {
 pub struct StreamSummary {
     /// Epochs pushed, in push order.
     pub epochs_pushed: usize,
-    /// Epochs retired out of the rolling window, with their row counts.
+    /// Epochs retired out of the rolling window.
     pub epochs_retired: usize,
-    pub retired_ssl_rows: u64,
-    pub retired_x509_rows: u64,
     /// High-water retained-heap estimate across the whole build.
     pub peak_footprint_bytes: u64,
     /// Largest single epoch's retained-heap estimate — the "1-month
     /// footprint" reference the rolling-window RSS ceiling is gated
     /// against (peak ≤ 2× this when `--window 1mo`).
     pub max_epoch_footprint_bytes: u64,
-    /// Cross-epoch duplicate fingerprints observed by the dedup ledger.
-    pub dup_fps: u64,
 }
 
 /// Everything [`CorpusBuilder::finish`] hands the pipeline: the surviving
-/// records in canonical month order, the shared interner, the merged
-/// aggregate partials, and the build summary. Feed it to
-/// `pipeline::run_pipeline_streamed_parallel_obs` (or run the interception
-/// filter and [`crate::Corpus::build_with_partials`] by hand).
+/// records in canonical month order and the build summary. Feed it to
+/// `pipeline::run_pipeline_streamed_parallel_obs`.
 pub struct StreamParts {
     pub ssl: Vec<SslRecord>,
     pub x509: Vec<X509Record>,
     pub meta: MetaKnowledge,
-    pub interner: Interner,
-    pub partials: FxHashMap<Symbol, CertAgg>,
     pub summary: StreamSummary,
 }
 
 /// The incremental corpus builder. See the module docs for the lifecycle.
 pub struct CorpusBuilder {
     meta: MetaKnowledge,
-    interner: Interner,
     /// Live epochs, keyed by month (`BTreeMap` = canonical order for
     /// free, whatever order the pushes arrived in).
     epochs: BTreeMap<String, Epoch>,
-    /// Fingerprint dedup ledger: every fingerprint a live epoch has
-    /// contributed. Each one is tagged with its first contributor through
-    /// that epoch's `fresh_fps`.
-    live_fps: FxHashSet<Symbol>,
     summary: StreamSummary,
     obs: Obs,
     parent: Option<SpanId>,
@@ -158,9 +125,7 @@ impl CorpusBuilder {
     pub fn new(meta: MetaKnowledge) -> CorpusBuilder {
         CorpusBuilder {
             meta,
-            interner: Interner::new(),
             epochs: BTreeMap::new(),
-            live_fps: FxHashSet::default(),
             summary: StreamSummary::default(),
             obs: Obs::noop(),
             parent: None,
@@ -177,103 +142,44 @@ impl CorpusBuilder {
 
     /// Ingest one month. Pushing the same key twice appends to that
     /// epoch (shards of one month may arrive separately).
-    pub fn push_epoch(
-        &mut self,
-        key: &str,
-        ssl: Vec<SslRecord>,
-        x509: Vec<X509Record>,
-    ) -> EpochStats {
+    pub fn push_epoch(&mut self, key: &str, ssl: Vec<SslRecord>, x509: Vec<X509Record>) {
         let span = self.obs.span(self.parent, "epoch_merge");
-        let mut stats = EpochStats {
-            key: key.to_string(),
-            ssl_rows: ssl.len(),
-            x509_rows: x509.len(),
-            ..EpochStats::default()
-        };
+        let (ssl_rows, x509_rows) = (ssl.len(), x509.len());
+        let footprint = ssl.iter().map(ssl_heap_bytes).sum::<usize>()
+            + x509.iter().map(x509_heap_bytes).sum::<usize>();
 
-        // Epoch-tagged fingerprint dedup ledger: first live contributor
-        // wins the tag; re-appearances are counted, not dropped (the
-        // batch build keeps duplicate rows too, so byte-identity holds).
-        let mut footprint = 0u64;
-        let mut fresh_fps = Vec::new();
-        for rec in &x509 {
-            footprint += x509_heap_bytes(rec) as u64;
-            let sym = self.interner.intern(&rec.fingerprint);
-            if self.live_fps.insert(sym) {
-                fresh_fps.push(sym);
-            } else {
-                stats.dup_fps += 1;
-            }
-        }
-        stats.fresh_fps = fresh_fps.len();
-        self.summary.dup_fps += stats.dup_fps as u64;
-
-        // Fold this month's mergeable partial: one CertAgg::observe per
-        // chain reference, keyed by interned fingerprint. This is the
-        // same observe the batch build runs — only the grouping differs.
-        let mut agg: FxHashMap<Symbol, CertAgg> = FxHashMap::default();
-        for rec in &ssl {
-            footprint += ssl_heap_bytes(rec) as u64;
-            for (fp, as_server) in rec
-                .cert_chain_fps
-                .iter()
-                .map(|f| (f, true))
-                .chain(rec.client_cert_chain_fps.iter().map(|f| (f, false)))
-            {
-                agg.entry(self.interner.intern(fp))
-                    .or_default()
-                    .observe(rec, as_server);
-            }
-        }
-        footprint += agg
-            .values()
-            .map(|a| a.approx_heap_bytes() as u64 + std::mem::size_of::<CertAgg>() as u64)
-            .sum::<u64>();
-
-        let slot = self.epochs.entry(key.to_string()).or_insert_with(|| Epoch {
-            ssl: Vec::new(),
-            x509: Vec::new(),
-            agg: FxHashMap::default(),
-            fresh_fps: Vec::new(),
-            footprint: 0,
-        });
+        let slot = self.epochs.entry(key.to_string()).or_default();
         slot.ssl.extend(ssl);
         slot.x509.extend(x509);
-        slot.fresh_fps.extend(fresh_fps);
-        for (sym, partial) in agg {
-            slot.agg.entry(sym).or_default().merge(partial);
-        }
-        slot.footprint += footprint;
+        slot.footprint += footprint as u64;
         self.summary.epochs_pushed += 1;
         self.summary.max_epoch_footprint_bytes =
             self.summary.max_epoch_footprint_bytes.max(slot.footprint);
 
-        stats.footprint_bytes = self.footprint_bytes();
-        self.summary.peak_footprint_bytes =
-            self.summary.peak_footprint_bytes.max(stats.footprint_bytes);
+        let footprint_bytes = self.footprint_bytes();
+        self.summary.peak_footprint_bytes = self.summary.peak_footprint_bytes.max(footprint_bytes);
         span.finish();
 
         if self.obs.enabled() {
             self.obs
                 .gauge_set("stream.epochs_live", self.epochs.len() as i64);
             self.obs
-                .gauge_set("stream.footprint_bytes", stats.footprint_bytes as i64);
+                .gauge_set("stream.footprint_bytes", footprint_bytes as i64);
             self.obs.gauge_max(
                 "stream.peak_footprint_bytes",
                 self.summary.peak_footprint_bytes as i64,
             );
             self.obs
-                .counter_add("stream.ssl_rows_pushed", stats.ssl_rows as u64);
+                .counter_add("stream.ssl_rows_pushed", ssl_rows as u64);
             self.obs
-                .counter_add("stream.x509_rows_pushed", stats.x509_rows as u64);
+                .counter_add("stream.x509_rows_pushed", x509_rows as u64);
             self.obs.sample_rss();
         }
-        stats
     }
 
     /// Keep only the newest `window` months; every older epoch is
-    /// retired — its records, partial aggregates, and dedup-ledger
-    /// entries are released. Returns the retired keys (oldest first).
+    /// retired and its rows released. Returns the retired keys (oldest
+    /// first).
     pub fn retire_outside_window(&mut self, window: usize) -> Vec<String> {
         self.retire_down_to(window.max(1))
     }
@@ -291,14 +197,8 @@ impl CorpusBuilder {
     fn retire_down_to(&mut self, keep: usize) -> Vec<String> {
         let mut retired_keys = Vec::new();
         while self.epochs.len() > keep {
-            let key = self.epochs.keys().next().expect("non-empty epochs").clone();
-            let epoch = self.epochs.remove(&key).expect("epoch exists");
-            for sym in &epoch.fresh_fps {
-                self.live_fps.remove(sym);
-            }
+            let (key, _) = self.epochs.pop_first().expect("non-empty epochs");
             self.summary.epochs_retired += 1;
-            self.summary.retired_ssl_rows += epoch.ssl.len() as u64;
-            self.summary.retired_x509_rows += epoch.x509.len() as u64;
             retired_keys.push(key);
         }
         if !retired_keys.is_empty() && self.obs.enabled() {
@@ -312,9 +212,9 @@ impl CorpusBuilder {
         retired_keys
     }
 
-    /// Retained-heap estimate of every live epoch (records + partials).
-    /// Deterministic for given contents — this is the number the bench
-    /// gates, with the OS-reported RSS recorded alongside it.
+    /// Retained-heap estimate of every live epoch's rows. Deterministic
+    /// for given contents — this is the number the bench gates, with the
+    /// OS-reported RSS recorded alongside it.
     pub fn footprint_bytes(&self) -> u64 {
         self.epochs.values().map(|e| e.footprint).sum()
     }
@@ -325,34 +225,186 @@ impl CorpusBuilder {
     }
 
     /// Seal the build: surviving epochs re-assembled in canonical month
-    /// order, per-epoch partials folded into one merged map. The caller
-    /// runs the interception filter over the assembled slices and then
-    /// [`crate::Corpus::build_with_partials`].
+    /// order. The caller runs the interception filter and
+    /// [`crate::Corpus::build`] over the assembled rows.
     pub fn finish(self) -> StreamParts {
         let mut ssl = Vec::new();
         let mut x509 = Vec::new();
-        let mut partials: FxHashMap<Symbol, CertAgg> = FxHashMap::default();
         for (_, epoch) in self.epochs {
             ssl.extend(epoch.ssl);
             x509.extend(epoch.x509);
-            for (sym, agg) in epoch.agg {
-                match partials.entry(sym) {
-                    Entry::Vacant(v) => {
-                        v.insert(agg);
-                    }
-                    Entry::Occupied(mut o) => {
-                        o.get_mut().merge(agg);
-                    }
-                }
-            }
         }
         StreamParts {
             ssl,
             x509,
             meta: self.meta,
-            interner: self.interner,
-            partials,
             summary: self.summary,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testutil::{external, internal, meta, T0};
+    use mtls_zeek::TlsVersion;
+
+    fn ssl(uid: &str, fps: &[&str]) -> SslRecord {
+        SslRecord {
+            ts: T0,
+            uid: uid.into(),
+            orig_h: external(1),
+            orig_p: 40_000,
+            resp_h: internal(1),
+            resp_p: 443,
+            version: TlsVersion::Tls12,
+            server_name: Some("host.example.com".into()),
+            established: true,
+            cert_chain_fps: fps.iter().map(|f| f.to_string()).collect(),
+            client_cert_chain_fps: vec![],
+        }
+    }
+
+    fn x509(fp: &str) -> X509Record {
+        X509Record {
+            ts: T0,
+            fingerprint: fp.into(),
+            version: 3,
+            serial: "0A".into(),
+            subject: "CN=host".into(),
+            issuer: "O=SomeOrg".into(),
+            issuer_org: Some("SomeOrg".into()),
+            subject_cn: Some("host".into()),
+            not_valid_before: 0,
+            not_valid_after: 86_400,
+            key_alg: "rsa".into(),
+            key_length: 2048,
+            sig_alg: "sha256WithRSAEncryption".into(),
+            san_dns: vec!["a.example.com".into()],
+            san_email: vec![],
+            san_uri: vec![],
+            san_ip: vec![],
+            basic_constraints_ca: false,
+        }
+    }
+
+    /// One month of `n` connections (each a two-cert chain) and `n` certs.
+    fn month(tag: &str, n: usize) -> (Vec<SslRecord>, Vec<X509Record>) {
+        let ssl = (0..n)
+            .map(|i| ssl(&format!("{tag}-{i}"), &[&format!("{tag}{i}"), "root"]))
+            .collect();
+        let x509 = (0..n).map(|i| x509(&format!("{tag}{i}"))).collect();
+        (ssl, x509)
+    }
+
+    /// The row estimate the builder should charge for one push.
+    fn estimate(rows: &(Vec<SslRecord>, Vec<X509Record>)) -> u64 {
+        (rows.0.iter().map(ssl_heap_bytes).sum::<usize>()
+            + rows.1.iter().map(x509_heap_bytes).sum::<usize>()) as u64
+    }
+
+    fn push(b: &mut CorpusBuilder, key: &str, rows: &(Vec<SslRecord>, Vec<X509Record>)) {
+        b.push_epoch(key, rows.0.clone(), rows.1.clone());
+    }
+
+    #[test]
+    fn footprint_is_the_sum_of_live_row_estimates() {
+        let months = [month("a", 3), month("b", 5), month("c", 1)];
+        let mut b = CorpusBuilder::new(meta());
+        let mut total = 0;
+        for (key, rows) in ["2022-05", "2022-06", "2022-07"].iter().zip(&months) {
+            push(&mut b, key, rows);
+            total += estimate(rows);
+            assert_eq!(b.footprint_bytes(), total);
+        }
+        assert!(total > 0);
+    }
+
+    #[test]
+    fn retiring_a_month_releases_exactly_its_footprint() {
+        let (old, new) = (month("a", 4), month("b", 2));
+        let mut b = CorpusBuilder::new(meta());
+        push(&mut b, "2022-05", &old);
+        push(&mut b, "2022-06", &new);
+        let before = b.footprint_bytes();
+        assert_eq!(b.retire_outside_window(1), vec!["2022-05".to_string()]);
+        assert_eq!(b.footprint_bytes(), before - estimate(&old));
+        assert_eq!(b.footprint_bytes(), estimate(&new));
+        assert_eq!(b.live_epochs(), vec!["2022-06"]);
+    }
+
+    #[test]
+    fn repushing_a_live_key_appends_to_that_epoch_only() {
+        let (first, other, second) = (month("a", 2), month("b", 3), month("c", 4));
+        let mut b = CorpusBuilder::new(meta());
+        push(&mut b, "2022-05", &first);
+        push(&mut b, "2022-06", &other);
+        push(&mut b, "2022-05", &second);
+        assert_eq!(b.live_epochs(), vec!["2022-05", "2022-06"]);
+        assert_eq!(
+            b.footprint_bytes(),
+            estimate(&first) + estimate(&other) + estimate(&second)
+        );
+        // Retiring the re-pushed month releases both of its pushes.
+        b.retire_outside_window(1);
+        assert_eq!(b.footprint_bytes(), estimate(&other));
+
+        let mut b = CorpusBuilder::new(meta());
+        push(&mut b, "2022-05", &first);
+        push(&mut b, "2022-05", &second);
+        let parts = b.finish();
+        assert_eq!(parts.summary.epochs_pushed, 2);
+        assert_eq!(
+            parts.summary.max_epoch_footprint_bytes,
+            estimate(&first) + estimate(&second)
+        );
+        let uids: Vec<&str> = parts.ssl.iter().map(|r| r.uid.as_str()).collect();
+        assert_eq!(uids, ["a-0", "a-1", "c-0", "c-1", "c-2", "c-3"]);
+        assert_eq!(parts.x509.len(), 6);
+    }
+
+    #[test]
+    fn peak_and_max_epoch_footprints_are_high_water_marks() {
+        let (big, small) = (month("a", 6), month("b", 1));
+        let mut b = CorpusBuilder::new(meta());
+        push(&mut b, "2022-05", &big);
+        push(&mut b, "2022-06", &small);
+        let peak = b.footprint_bytes();
+        b.retire_outside_window(1);
+        push(&mut b, "2022-07", &small);
+        assert!(b.footprint_bytes() < peak);
+        let parts = b.finish();
+        assert_eq!(parts.summary.peak_footprint_bytes, peak);
+        assert_eq!(parts.summary.max_epoch_footprint_bytes, estimate(&big));
+        assert_eq!(parts.summary.epochs_retired, 1);
+        // finish walks the survivors in month order.
+        let uids: Vec<&str> = parts.ssl.iter().map(|r| r.uid.as_str()).collect();
+        assert_eq!(uids, ["b-0", "b-0"]);
+    }
+
+    #[test]
+    fn retire_for_incoming_leaves_room_for_one_and_window_zero_is_one() {
+        let rows = month("a", 1);
+        let keys = ["2022-05", "2022-06", "2022-07", "2022-08"];
+        let filled = || {
+            let mut b = CorpusBuilder::new(meta());
+            for key in keys {
+                push(&mut b, key, &rows);
+            }
+            b
+        };
+        for w in 1..=4 {
+            let mut b = filled();
+            let retired = b.retire_for_incoming(w);
+            assert_eq!(b.live_epochs().len(), w - 1, "window {w}");
+            assert_eq!(retired, keys[..keys.len() + 1 - w].to_vec(), "window {w}");
+        }
+        let mut b = filled();
+        b.retire_for_incoming(0);
+        assert!(b.live_epochs().is_empty());
+        assert_eq!(b.footprint_bytes(), 0);
+        let mut b = filled();
+        b.retire_outside_window(0);
+        assert_eq!(b.live_epochs(), vec!["2022-08"]);
     }
 }

@@ -13,9 +13,9 @@ use mtlscope::core::ingest::{
 use mtlscope::core::testutil::faults;
 use mtlscope::core::{
     run_pipeline, run_pipeline_obs, run_pipeline_parallel_obs, run_pipeline_streamed_parallel_obs,
-    AnalysisInputs, CorpusBuilder, IngestMode,
+    AnalysisInputs, Corpus, CorpusBuilder, IngestMode,
 };
-use mtlscope::intern::FxHashSet;
+use mtlscope::intern::{FxHashSet, Interner};
 use mtlscope::netsim::{generate, SimConfig, SimOutput};
 use mtlscope::obs::{Obs, Snapshot};
 use mtlscope::zeek::{partition_monthly, ErrorKind};
@@ -474,12 +474,19 @@ fn epoch_merge_takes_min_first_seen_and_max_last_seen() {
             builder.push_epoch(&key, ssl, x509);
         }
         let parts = builder.finish();
+        let corpus = Corpus::build(
+            parts.ssl,
+            parts.x509,
+            parts.meta,
+            &FxHashSet::default(),
+            vec![],
+            Interner::new(),
+        );
         for fp in &multi_month {
-            let sym = parts.interner.get(fp).expect("fp interned");
-            let agg = parts.partials.get(&sym).expect("partial merged");
+            let cert = corpus.cert(corpus.cert_by_fp(fp).expect("fp has an x509 row"));
             let (min_ts, max_ts, _) = expected[fp];
-            assert_eq!(agg.first_seen, min_ts, "first_seen merge for {fp}");
-            assert_eq!(agg.last_seen, max_ts, "last_seen merge for {fp}");
+            assert_eq!(cert.first_seen, min_ts, "first_seen across months for {fp}");
+            assert_eq!(cert.last_seen, max_ts, "last_seen across months for {fp}");
         }
     }
 }
