@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """CI gate for metrics snapshots.
 
-Default mode validates a `repro --metrics` metrics.json: schema, span
-tree covering every pipeline stage, consistent durations.
+Default mode validates a `repro --from-logs --metrics` metrics.json:
+schema, span tree covering every pipeline stage, consistent durations,
+and the month walk's own metrics (every directory load runs it): the
+`epoch_merge` span, the `stream.*` gauges, and rows pushed equal to rows
+parsed.
 
-`--stream` mode runs the default checks on a `repro --stream --window`
-metrics.json, then gates the streaming builder's own metrics: the
-`epoch_merge` span, the `stream.*` gauges, rows pushed equal to rows
-parsed, and at least one retired epoch.
+`--stream` mode runs the default checks on a `repro --window` run's
+metrics.json, then requires at least one retired month.
 
 `--serve` mode validates a serve metrics envelope (what `REQ_METRICS`
 returns and `mtlscope bench-client --metrics` saves): the schema tag,
@@ -35,6 +36,7 @@ REQUIRED_PATHS = [
     "run/ingest/meta",
     "run/ingest/ct",
     "run/ingest/logs",
+    "run/ingest/epoch_merge",
     "run/pipeline",
     "run/pipeline/interception_filter",
     "run/pipeline/corpus_build",
@@ -45,6 +47,13 @@ REQUIRED_PATHS = [
 
 SPAN_FIELDS = {"path", "name", "depth", "count", "total_micros",
                "min_micros", "max_micros"}
+
+# The month walk's gauges (crates/core/src/stream.rs, CorpusBuilder).
+STREAM_GAUGES = [
+    "stream.epochs_live",
+    "stream.footprint_bytes",
+    "stream.peak_footprint_bytes",
+]
 
 # The ct.* counter schema registered by the pipeline's CT verification
 # stage (crates/core/src/pipeline.rs, record_corpus_metrics). All names
@@ -145,31 +154,12 @@ def main(path):
         if counters.get(name, 0) != 0:
             fail(f"clean CI corpus but {name} = {counters[name]}")
 
-    print(f"check_metrics: ok — {len(spans)} spans "
-          f"({len(shard_spans)} shards), {len(counters)} counters, "
-          f"{len(doc['gauges'])} gauges, {len(doc['histograms'])} histograms")
-    return doc
-
-
-# --- streamed run mode (`--stream`) -----------------------------------
-# The streaming CorpusBuilder's metrics (crates/core/src/stream.rs).
-STREAM_GAUGES = [
-    "stream.epochs_live",
-    "stream.footprint_bytes",
-    "stream.peak_footprint_bytes",
-]
-
-
-def main_stream(path):
-    doc = main(path)
-    spans = {row["path"] for row in doc["spans"]}
-    if "run/ingest/epoch_merge" not in spans:
-        fail("required span 'run/ingest/epoch_merge' missing — the run "
-             "did not stream")
-    gauges, counters = doc["gauges"], doc["counters"]
+    # The month walk: every load pushes months through the CorpusBuilder.
+    gauges = doc["gauges"]
     for name in STREAM_GAUGES:
         if name not in gauges:
-            fail(f"gauge {name!r} missing from a streamed run")
+            fail(f"gauge {name!r} missing — the load did not run the "
+                 f"month walk")
     peak = gauges["stream.peak_footprint_bytes"]
     live = gauges["stream.footprint_bytes"]
     if not peak >= live > 0:
@@ -181,12 +171,23 @@ def main_stream(path):
     if pushed != parsed:
         fail(f"stream rows pushed ({pushed}) != ingest.rows_parsed "
              f"({parsed}) — the builder lost or duplicated rows")
-    retired = counters.get("stream.epochs_retired", 0)
+
+    print(f"check_metrics: ok — {len(spans)} spans "
+          f"({len(shard_spans)} shards), {len(counters)} counters, "
+          f"{len(doc['gauges'])} gauges, {len(doc['histograms'])} histograms")
+    return doc
+
+
+# --- rolling-window run mode (`--stream`) -----------------------------
+
+
+def main_stream(path):
+    doc = main(path)
+    retired = doc["counters"].get("stream.epochs_retired", 0)
     if retired <= 0:
         fail("stream.epochs_retired is 0 — the rolling window never "
              "retired a month")
-    print(f"check_metrics[stream]: ok — {pushed} rows pushed, "
-          f"{retired} epochs retired, peak footprint {peak} bytes")
+    print(f"check_metrics[stream]: ok — {retired} epochs retired")
 
 
 # --- serve envelope mode (`--serve`) ----------------------------------

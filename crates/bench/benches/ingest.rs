@@ -2,24 +2,23 @@
 //!
 //! Two comparisons, matching the DESIGN.md "Performance" section:
 //!
-//! 1. `ingest_end_to_end` — the full `load_dir_obs → build_corpus_obs` pipeline,
-//!    serial reference loader vs the sharded parallel loader over a
-//!    rotated 23-month directory (the speedup recorded in
-//!    `BENCH_ingest.json`).
+//! 1. `ingest_end_to_end` — the full `load_dir → build_corpus_obs` pipeline
+//!    over a rotated 23-month directory, against a reconstruction of the
+//!    seed revision's parser (the speedup recorded in `BENCH_ingest.json`).
 //! 2. `fp_index` — the fingerprint index at the heart of `Corpus::build`:
 //!    the old shape (owned `String` keys, SipHash `HashMap`) vs the new
 //!    one (interned `Symbol` keys, FxHash map).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mtls_bench::{sim_output, BENCH_SCALE};
-use mtls_core::ingest::{load_dir_obs, load_dir_serial_with};
+use mtls_core::ingest::load_dir;
 use mtls_core::pipeline::{build_corpus_obs, AnalysisInputs};
 use mtls_core::IngestMode;
 use mtls_intern::{FxHashMap, Interner, Symbol};
 use mtls_obs::Obs;
 use std::collections::HashMap;
 use std::hint::black_box;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 /// The pre-optimization reader, reconstructed from the seed revision of
@@ -183,14 +182,19 @@ fn fixture_dir() -> &'static PathBuf {
     })
 }
 
+/// A strict load of `dir` with no window, through `obs`.
+fn load(dir: &Path, obs: &Obs) -> AnalysisInputs {
+    load_dir(dir, IngestMode::Strict, None, obs, None)
+        .expect("ingest")
+        .0
+}
+
 fn bench_ingest_end_to_end(c: &mut Criterion) {
     let dir = fixture_dir();
     // meta.tsv / ct.log parsed once for the baseline arm; the optimized
-    // arms re-parse them inside the loaders, so the baseline is favored if
+    // arms re-parse them inside the loader, so the baseline is favored if
     // anything.
-    let template = load_dir_serial_with(dir, IngestMode::Strict)
-        .expect("template ingest")
-        .0;
+    let template = load(dir, &Obs::noop());
     let mut group = c.benchmark_group(format!("ingest_end_to_end(scale={BENCH_SCALE})"));
     group.sample_size(10);
     group.bench_function("seed_alloc_parser_to_corpus", |b| {
@@ -211,27 +215,19 @@ fn bench_ingest_end_to_end(c: &mut Criterion) {
             black_box((n, inputs.ssl.len()))
         })
     });
-    group.bench_function("serial_load_dir_to_corpus", |b| {
+    group.bench_function("load_dir_to_corpus", |b| {
         b.iter(|| {
-            let (inputs, _) = load_dir_serial_with(dir, IngestMode::Strict).expect("serial ingest");
-            black_box(build_corpus_obs(inputs, &Obs::noop(), None).certs.len())
-        })
-    });
-    group.bench_function("sharded_load_dir_to_corpus", |b| {
-        b.iter(|| {
-            let (inputs, _) =
-                load_dir_obs(dir, IngestMode::Strict, &Obs::noop(), None).expect("sharded ingest");
+            let inputs = load(dir, &Obs::noop());
             black_box(build_corpus_obs(inputs, &Obs::noop(), None).certs.len())
         })
     });
     // The same path with a live Obs handle (span tree + batched counters +
     // histograms); the gap to the arm above is the instrumentation cost the
     // obs_overhead bin guards (< 3%, recorded in BENCH_obs.json).
-    group.bench_function("sharded_load_dir_to_corpus_instrumented", |b| {
+    group.bench_function("load_dir_to_corpus_instrumented", |b| {
         b.iter(|| {
             let obs = Obs::new();
-            let (inputs, _diag) =
-                load_dir_obs(dir, IngestMode::Strict, &obs, None).expect("sharded ingest");
+            let inputs = load(dir, &obs);
             black_box(build_corpus_obs(inputs, &obs, None).certs.len())
         })
     });
@@ -240,16 +236,11 @@ fn bench_ingest_end_to_end(c: &mut Criterion) {
 
 fn bench_ingest_components(c: &mut Criterion) {
     let dir = fixture_dir();
-    let template = load_dir_serial_with(dir, IngestMode::Strict)
-        .expect("template ingest")
-        .0;
+    let template = load(dir, &Obs::noop());
     let mut group = c.benchmark_group("ingest_components");
     group.sample_size(10);
-    group.bench_function("load_dir_serial_only", |b| {
-        b.iter(|| {
-            let (inputs, _) = load_dir_serial_with(dir, IngestMode::Strict).expect("ingest");
-            black_box(inputs.ssl.len())
-        })
+    group.bench_function("load_dir_only", |b| {
+        b.iter(|| black_box(load(dir, &Obs::noop()).ssl.len()))
     });
     group.bench_function("inputs_clone_only", |b| {
         b.iter(|| black_box(template.clone().ssl.len()))
@@ -283,27 +274,20 @@ fn bench_shard_readers(c: &mut Criterion) {
     let dir = fixture_dir();
     let mut group = c.benchmark_group("shard_readers");
     group.sample_size(10);
-    group.bench_function("read_monthly_serial", |b| {
+    group.bench_function("read_dir", |b| {
         b.iter(|| {
             let (ssl, x509, _) =
-                mtls_zeek::read_monthly_serial_obs(dir, IngestMode::Strict, &Obs::noop(), None)
-                    .expect("read");
-            black_box((ssl.len(), x509.len()))
-        })
-    });
-    group.bench_function("read_monthly_parallel", |b| {
-        b.iter(|| {
-            let (ssl, x509, _) =
-                mtls_zeek::read_monthly_with(dir, IngestMode::Strict).expect("read");
+                mtls_zeek::read_dir_obs(dir, IngestMode::Strict, &Obs::noop(), None).expect("read");
             black_box((ssl.len(), x509.len()))
         })
     });
     // Lenient mode on a clean corpus: measures the cost of the skip
     // accounting (diag counters, byte offsets) relative to strict.
-    group.bench_function("read_monthly_parallel_lenient", |b| {
+    group.bench_function("read_dir_lenient", |b| {
         b.iter(|| {
             let (ssl, x509, stats) =
-                mtls_zeek::read_monthly_with(dir, mtls_zeek::IngestMode::Lenient).expect("read");
+                mtls_zeek::read_dir_obs(dir, IngestMode::Lenient, &Obs::noop(), None)
+                    .expect("read");
             black_box((ssl.len(), x509.len(), stats.rows_parsed))
         })
     });

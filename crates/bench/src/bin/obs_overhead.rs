@@ -15,7 +15,7 @@
 //! Usage: `cargo run --release -p mtls-bench --bin obs_overhead [OUT.json]`
 
 use mtls_bench::sim_output;
-use mtls_core::ingest::load_dir_obs;
+use mtls_core::ingest::load_dir;
 use mtls_core::{build_corpus_obs, IngestMode};
 use mtls_obs::Obs;
 use std::hint::black_box;
@@ -31,7 +31,7 @@ const DEFAULT_MAX_PCT: f64 = 3.0;
 /// uninstrumented arm). Returns wall micros.
 fn one_pass(dir: &Path, obs: &Obs) -> u64 {
     let t0 = Instant::now();
-    let (inputs, diag) = load_dir_obs(dir, IngestMode::Strict, obs, None).expect("ingest");
+    let (inputs, diag) = load_dir(dir, IngestMode::Strict, None, obs, None).expect("ingest");
     let corpus = build_corpus_obs(inputs, obs, None);
     black_box((corpus.certs.len(), diag.stats.rows_parsed));
     t0.elapsed().as_micros() as u64
@@ -95,7 +95,7 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"crates/bench/src/bin/obs_overhead.rs\",\n  \
          \"command\": \"cargo run --release -p mtls-bench --bin obs_overhead\",\n  \
-         \"path\": \"load_dir_obs (rotated 23-month dir, strict) -> build_corpus_obs\",\n  \
+         \"path\": \"load_dir (rotated 23-month dir, strict, no window) -> build_corpus_obs\",\n  \
          \"arms\": {{\n    \
          \"uninstrumented\": \"Obs::noop() — every obs call short-circuits\",\n    \
          \"instrumented\": \"Obs::new() — live span tree, counters, histograms\"\n  }},\n  \

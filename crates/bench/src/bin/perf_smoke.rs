@@ -1,7 +1,7 @@
 //! Hot-path throughput smoke: stable medians for the byte-level fast
 //! paths (SWAR TSV scanning, block-batched SHA-256, table-driven hex, the
-//! columnar analyzer scan) plus end-to-end ingest and a worker-scaling
-//! sweep, written as JSON for `ci/check_bench.py` to gate.
+//! columnar analyzer scan) plus end-to-end ingest, written as JSON for
+//! `ci/check_bench.py` to gate.
 //!
 //! Every fast path is measured against its in-tree reference twin in the
 //! same process (SWAR vs scalar module, one-shot vs streaming SHA, column
@@ -13,11 +13,11 @@
 
 use mtls_bench::{corpus, sim_output};
 use mtls_core::columns::conn_flag;
-use mtls_core::ingest::load_dir_obs;
+use mtls_core::ingest::load_dir;
 use mtls_core::{build_corpus_obs, Direction, IngestMode};
 use mtls_crypto::{hex, sha256, sha256_batch, sha256_x4, Sha256};
 use mtls_obs::Obs;
-use mtls_zeek::{read_monthly_pool, swar, write_ssl_log};
+use mtls_zeek::{read_dir_obs, swar, write_ssl_log};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -188,30 +188,22 @@ fn main() {
         }
     });
 
-    // ---- end-to-end ingest + parse component + worker scaling over the
-    // rotated fixture directory.
+    // ---- end-to-end ingest + parse component over the rotated fixture
+    // directory.
     let dir = std::env::temp_dir().join(format!("mtlscope-perf-smoke-{}", std::process::id()));
     sim.write_to_dir_rotated(&dir)
         .expect("write rotated fixture");
     let ingest_e2e = median_micros(&rounds, || {
         let (inputs, diag) =
-            load_dir_obs(&dir, IngestMode::Strict, &Obs::noop(), None).expect("ingest");
+            load_dir(&dir, IngestMode::Strict, None, &Obs::noop(), None).expect("ingest");
         let corpus = build_corpus_obs(inputs, &Obs::noop(), None);
         black_box((corpus.certs.len(), diag.stats.rows_parsed));
     });
     let parse_component = median_micros(&rounds, || {
         let (ssl, x509, stats) =
-            read_monthly_pool(&dir, IngestMode::Strict, 1).expect("read shards");
+            read_dir_obs(&dir, IngestMode::Strict, &Obs::noop(), None).expect("read shards");
         black_box((ssl.len(), x509.len(), stats.rows_parsed));
     });
-    let mut scaling = Vec::new();
-    for workers in [1usize, 2, 4, 8] {
-        let t = median_micros(&rounds, || {
-            let out = read_monthly_pool(&dir, IngestMode::Strict, workers).expect("read shards");
-            black_box((out.0.len(), out.1.len()));
-        });
-        scaling.push((workers, t));
-    }
     std::fs::remove_dir_all(&dir).ok();
 
     // ---- report.
@@ -221,16 +213,6 @@ fn main() {
     let sha_speedup_batch = ratio(sha_oneshot as f64, sha_batch as f64);
     let sha_speedup_x4 = ratio(sha_oneshot as f64, sha_x4 as f64);
     let columnar_speedup = ratio(row_scan as f64, columnar_scan as f64);
-    let scaling_json = scaling
-        .iter()
-        .map(|(w, t)| {
-            format!(
-                "{{\"workers\": {w}, \"median_ms\": {:.2}}}",
-                *t as f64 / 1000.0
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(", ");
 
     let json = format!(
         "{{\n  \"bench\": \"crates/bench/src/bin/perf_smoke.rs\",\n  \
@@ -261,8 +243,7 @@ fn main() {
          \"ingest_ms\": {{\n    \
          \"end_to_end_median\": {:.2},\n    \
          \"parse_component_median\": {:.2}\n  }},\n  \
-         \"worker_scaling\": [{scaling_json}],\n  \
-         \"note\": \"MB/s medians of {} rounds. Reference twins run in-process: scalar_* is the byte-at-a-time module the SWAR scanners must match bit-for-bit, streaming SHA is the partial-block-buffer path, row scan strides ConnInfo structs. interleaved_x4 is the 4-lane variant measured explicitly; on baseline x86-64 LLVM keeps the lanes scalar so batch_dispatch falls back to the one-shot loop there (it only routes quads through x4 when the build targets AVX2). Worker scaling is shard-level; on a 1-core box all worker counts collapse to the serial path.\"\n}}\n",
+         \"note\": \"MB/s medians of {} rounds. Reference twins run in-process: scalar_* is the byte-at-a-time module the SWAR scanners must match bit-for-bit, streaming SHA is the partial-block-buffer path, row scan strides ConnInfo structs. interleaved_x4 is the 4-lane variant measured explicitly; on baseline x86-64 LLVM keeps the lanes scalar so batch_dispatch falls back to the one-shot loop there (it only routes quads through x4 when the build targets AVX2).\"\n}}\n",
         rounds.warmup,
         rounds.measured,
         mb_per_s(scan_bytes, swar_count),

@@ -1,15 +1,16 @@
-//! Streaming-ingest smoke: proves the PR-7 acceptance claims at scale and
-//! regenerates the `streaming` + `worker_scaling` sections of
-//! `BENCH_ingest.json` (gated by `ci/check_bench.py --ingest`).
+//! Month-walk ingest smoke: proves the rolling-window claims at scale and
+//! regenerates the `streaming` section of `BENCH_ingest.json` (gated by
+//! `ci/check_bench.py --ingest`).
 //!
-//! Four claims, each measured in its own *child process* so every arm
+//! Three claims, each measured in its own *child process* so every arm
 //! reports a clean per-process peak RSS (`VmHWM` is a high-water mark; a
-//! shared process would smear the batch arm's peak over the streaming
-//! arms):
+//! shared process would smear the batch arm's peak over the windowed
+//! arm):
 //!
-//! 1. **Identity** — full-window streaming produces a byte-identical
-//!    report to the batch build on the same rotated fixture (sha256 of
-//!    `PipelineOutput::render_all`).
+//! 1. **Identity** — two full-window loads of the same rotated fixture,
+//!    the `batch` and `stream-full` arms, each in its own process, render
+//!    byte-identical reports (sha256 of `PipelineOutput::render_all`). Both
+//!    run the one loader, so this pins cross-process determinism at scale.
 //! 2. **Bounded memory** — with `--window 1mo` the builder's peak
 //!    retained-heap estimate stays ≤ 2× the largest single month's
 //!    footprint (deterministic, environment-independent), and the
@@ -17,8 +18,6 @@
 //!    largest single month (the paper-scale "1-month footprint").
 //! 3. **Scale** — the fixture is generated at ≥ 10× the committed bench
 //!    fixture's scale (`--quick`: 10×, full: 100×).
-//! 4. **Worker scaling** — the `read_monthly_pool` sweep stays regression-
-//!    gated (absolute medians compared only on matching `cpu_cores`).
 //!
 //! Usage: `stream_smoke [--quick] [OUT_JSON]` (default
 //! `bench-ingest-fresh.json`). Children are invoked internally as
@@ -28,9 +27,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::Instant;
 
-use mtls_core::{
-    load_dir_obs, run_pipeline_obs, run_pipeline_streamed_parallel_obs, IngestMode, StreamOptions,
-};
+use mtls_core::{load_dir, run_pipeline_obs, IngestMode};
 use mtls_crypto::{hex, sha256};
 use mtls_netsim::{generate, SimConfig};
 use mtls_obs::{read_self_rss, Obs};
@@ -39,35 +36,6 @@ use mtls_obs::{read_self_rss, Obs};
 /// a multiple of this (claim 3).
 const FIXTURE_SCALE: f64 = 0.05;
 const SEED: u64 = 11;
-
-struct Rounds {
-    warmup: usize,
-    measured: usize,
-}
-
-const FULL: Rounds = Rounds {
-    warmup: 2,
-    measured: 5,
-};
-const QUICK: Rounds = Rounds {
-    warmup: 1,
-    measured: 3,
-};
-
-fn median_micros(rounds: &Rounds, mut f: impl FnMut()) -> u64 {
-    for _ in 0..rounds.warmup {
-        f();
-    }
-    let mut samples: Vec<u64> = (0..rounds.measured)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_micros() as u64
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
 
 fn peak_rss_bytes() -> u64 {
     read_self_rss().map(|s| s.peak_rss_bytes).unwrap_or(0)
@@ -98,30 +66,14 @@ fn phase_gen(dir: &Path, scale: f64) {
     println!("RESULT {{\"ssl_rows\":{ssl_rows},\"x509_rows\":{x509_rows},\"bytes\":{bytes}}}");
 }
 
-fn phase_batch(dir: &Path) {
+/// Load `dir` (the newest `window` months, or all of them), run the
+/// pipeline and report wall time, peak RSS, report sha and the walk.
+fn phase_load(dir: &Path, window: Option<usize>) {
     let obs = Obs::noop();
     let t = Instant::now();
-    let (inputs, _diag) = load_dir_obs(dir, IngestMode::Strict, &obs, None).expect("batch load");
+    let (inputs, diag) = load_dir(dir, IngestMode::Strict, window, &obs, None).expect("load");
+    let summary = diag.stream;
     let out = run_pipeline_obs(inputs, &obs, None);
-    let wall_ms = t.elapsed().as_millis();
-    let sha = report_sha(&out.render_all());
-    println!(
-        "RESULT {{\"wall_ms\":{wall_ms},\"peak_rss_bytes\":{},\"report_sha\":\"{sha}\"}}",
-        peak_rss_bytes()
-    );
-}
-
-fn phase_stream(dir: &Path, window: Option<usize>) {
-    let obs = Obs::noop();
-    let opts = StreamOptions {
-        window_months: window,
-    };
-    let t = Instant::now();
-    let (parts, ct, gossip, _diag) =
-        mtls_core::load_dir_streaming_obs(dir, IngestMode::Strict, opts, &obs, None)
-            .expect("streaming load");
-    let summary = parts.summary.clone();
-    let out = run_pipeline_streamed_parallel_obs(parts, &ct, &gossip, &obs, None);
     let wall_ms = t.elapsed().as_millis();
     let sha = report_sha(&out.render_all());
     println!(
@@ -137,7 +89,7 @@ fn phase_stream(dir: &Path, window: Option<usize>) {
 }
 
 // ---------------------------------------------------------------------
-// Parent: orchestrate phases, sweep workers, assemble the JSON.
+// Parent: orchestrate phases, assemble the JSON.
 // ---------------------------------------------------------------------
 
 fn run_phase(exe: &Path, args: &[&str]) -> String {
@@ -237,9 +189,8 @@ fn main() {
         let dir = PathBuf::from(args.get(3).expect("--phase needs DIR"));
         match phase {
             "gen" => phase_gen(&dir, args[4].parse().expect("bad scale")),
-            "batch" => phase_batch(&dir),
-            "stream-full" => phase_stream(&dir, None),
-            "stream-window" => phase_stream(&dir, Some(args[4].parse().expect("bad window"))),
+            "batch" | "stream-full" => phase_load(&dir, None),
+            "stream-window" => phase_load(&dir, Some(args[4].parse().expect("bad window"))),
             other => panic!("unknown phase {other}"),
         }
         return;
@@ -252,7 +203,6 @@ fn main() {
         .find(|a| !a.starts_with("--"))
         .cloned()
         .unwrap_or_else(|| "bench-ingest-fresh.json".to_string());
-    let rounds = if quick { QUICK } else { FULL };
     let scale_factor: f64 = if quick { 10.0 } else { 100.0 };
     let scale = FIXTURE_SCALE * scale_factor;
     let cpu_cores = std::thread::available_parallelism()
@@ -295,20 +245,6 @@ fn main() {
         ju64(&batch, "peak_rss_bytes"),
         ju64(&swin, "peak_rss_bytes"),
     );
-
-    eprintln!("stream_smoke: worker-scaling sweep (read_monthly_pool)");
-    let mut points = Vec::new();
-    for workers in [1usize, 2, 4, 8] {
-        let micros = median_micros(&rounds, || {
-            let parsed = mtls_zeek::read_monthly_pool(&fixture, IngestMode::Strict, workers)
-                .expect("pool read");
-            std::hint::black_box(&parsed);
-        });
-        points.push(format!(
-            "      {{ \"workers\": {workers}, \"median_ms\": {:.2} }}",
-            micros as f64 / 1000.0
-        ));
-    }
 
     let json = format!(
         r#"{{
@@ -356,12 +292,6 @@ fn main() {
       "stream_windowed": {swin_wall}
     }},
     "windowed_epochs_retired": {retired}
-  }},
-  "worker_scaling": {{
-    "cpu_cores": {cpu_cores},
-    "points": [
-{points}
-    ]
   }}
 }}
 "#,
@@ -383,7 +313,6 @@ fn main() {
         sfull_wall = ju64(&sfull, "wall_ms"),
         swin_wall = ju64(&swin, "wall_ms"),
         retired = ju64(&swin, "epochs_retired"),
-        points = points.join(",\n"),
     );
     std::fs::write(&out_path, &json).expect("write bench json");
 

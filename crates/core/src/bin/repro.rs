@@ -3,7 +3,7 @@
 //! Usage:
 //!   repro [--seed N] [--scale F] [--logs DIR] [--out FILE] [--tsv DIR]
 //!         [--from-logs DIR] [--strict | --lenient]
-//!         [--max-error-rate FRACTION] [--stream] [--window Nmo]
+//!         [--max-error-rate FRACTION] [--window Nmo]
 //!         [--ct-legacy] [--metrics[=PATH]] [--progress] [--quiet]
 //!
 //! `--from-logs DIR` skips generation and analyzes an existing log
@@ -16,14 +16,11 @@
 //! ingest diagnostics with the report. `--max-error-rate 0.01` aborts a
 //! lenient run whose skipped fraction exceeds 1%.
 //!
-//! Streaming:
-//! * `--stream` ingests month by month through the incremental
-//!   `CorpusBuilder` instead of slurping everything — peak memory is
-//!   bounded by the live window, and on the same input the report is
-//!   byte-identical to the batch path.
-//! * `--window Nmo` (e.g. `--window 6mo`; implies `--stream`) keeps only
-//!   the newest N months live, retiring older epochs as the walk
-//!   advances — the analysis then covers exactly those months.
+//! Every log directory is read month by month through the `CorpusBuilder`.
+//! `--window Nmo` (e.g. `--window 6mo`) keeps only the newest N months
+//! live, retiring older months as the walk advances, so peak memory is
+//! bounded by the window and the analysis covers exactly those months.
+//! Without `--from-logs` the window applies to the generated corpus.
 //!
 //! Observability:
 //! * `--metrics` instruments the whole run (spans, counters, histograms)
@@ -40,10 +37,7 @@
 //! the simulator), runs the full analysis pipeline, and prints every
 //! report. With `--out`, also writes the rendering to a file.
 
-use mtls_core::{
-    run_pipeline_obs, run_pipeline_streamed_parallel_obs, AnalysisInputs, CorpusBuilder,
-    IngestMode, StreamOptions,
-};
+use mtls_core::{run_pipeline_obs, AnalysisInputs, CorpusBuilder, IngestMode, StreamSummary};
 use mtls_netsim::{generate_obs, SimConfig};
 use mtls_obs::{heartbeat, Console, Obs};
 use std::io::Write;
@@ -58,7 +52,6 @@ struct Args {
     from_logs: Option<String>,
     mode: IngestMode,
     max_error_rate: Option<f64>,
-    stream: bool,
     window: Option<usize>,
     ct_legacy: bool,
     /// `None` = metrics off; `Some(None)` = on, default location;
@@ -76,7 +69,6 @@ fn parse_args() -> Args {
     let mut from_logs = None;
     let mut mode = IngestMode::Strict;
     let mut max_error_rate = None;
-    let mut stream = false;
     let mut window = None;
     let mut ct_legacy = false;
     let mut metrics = None;
@@ -118,7 +110,6 @@ fn parse_args() -> Args {
                 );
                 max_error_rate = Some(rate);
             }
-            "--stream" => stream = true,
             "--window" => {
                 let spec = args
                     .next()
@@ -131,7 +122,6 @@ fn parse_args() -> Args {
                     .filter(|&n| n > 0)
                     .expect("--window needs a positive month count (e.g. 6mo)");
                 window = Some(months);
-                stream = true; // a rolling window only exists while streaming
             }
             "--ct-legacy" => ct_legacy = true,
             "--metrics" => metrics = Some(None),
@@ -141,7 +131,7 @@ fn parse_args() -> Args {
                 eprintln!(
                     "usage: repro [--seed N] [--scale F] [--logs DIR] [--out FILE] [--tsv DIR] \
                      [--from-logs DIR] [--strict | --lenient] [--max-error-rate FRACTION] \
-                     [--stream] [--window Nmo] [--ct-legacy] [--metrics[=PATH]] \
+                     [--window Nmo] [--ct-legacy] [--metrics[=PATH]] \
                      [--progress] [--quiet]"
                 );
                 std::process::exit(0);
@@ -164,13 +154,22 @@ fn parse_args() -> Args {
         from_logs,
         mode,
         max_error_rate,
-        stream,
         window,
         ct_legacy,
         metrics,
         progress,
         quiet,
     }
+}
+
+/// One status line for a month walk.
+fn walk_summary(s: &StreamSummary) -> String {
+    format!(
+        "{} months pushed, {} retired, peak footprint {} MiB",
+        s.epochs_pushed,
+        s.epochs_retired,
+        s.peak_footprint_bytes / (1024 * 1024)
+    )
 }
 
 /// Where `metrics.json` and `metrics.tsv` land: an explicit `*.json` path
@@ -216,67 +215,30 @@ fn main() {
         .progress
         .then(|| heartbeat(obs.clone(), console, Duration::from_secs(2)));
 
-    // What the load stage hands the pipeline: batch inputs, or streamed
-    // parts (the live months' rows plus the CT log).
-    enum Loaded {
-        Batch(AnalysisInputs),
-        Streamed(
-            mtls_core::StreamParts,
-            mtls_pki::ctlog::CtLog,
-            mtls_pki::GossipBundle,
-        ),
-    }
-
     let mut ingest_diag = None;
-    let loaded = if let Some(dir) = &args.from_logs {
+    let mut inputs = if let Some(dir) = &args.from_logs {
         console.status(format!(
             "loading logs from {dir} ({} mode{})...",
             args.mode.label(),
-            match (args.stream, args.window) {
-                (true, Some(w)) => format!(", streaming, window {w}mo"),
-                (true, None) => ", streaming".to_string(),
-                _ => String::new(),
-            }
+            args.window
+                .map(|w| format!(", window {w}mo"))
+                .unwrap_or_default()
         ));
         let path = std::path::Path::new(dir);
-        let (loaded, diag) = if args.stream {
-            let opts = StreamOptions {
-                window_months: args.window,
+        let (inputs, diag) =
+            match mtls_core::ingest::load_dir(path, args.mode, args.window, &obs, run_id) {
+                Ok(loaded) => loaded,
+                Err(e) => {
+                    console.error(format!("failed to load {dir}: {e}"));
+                    std::process::exit(1);
+                }
             };
-            match mtls_core::ingest::load_dir_streaming_obs(path, args.mode, opts, &obs, run_id) {
-                Ok((parts, ct, gossip, diag)) => {
-                    console.status(format!(
-                        "  {} connections, {} certificate rows live ({} epochs pushed, \
-                         {} retired, peak footprint {} MiB)",
-                        parts.ssl.len(),
-                        parts.x509.len(),
-                        parts.summary.epochs_pushed,
-                        parts.summary.epochs_retired,
-                        parts.summary.peak_footprint_bytes / (1024 * 1024),
-                    ));
-                    (Loaded::Streamed(parts, ct, gossip), diag)
-                }
-                Err(e) => {
-                    console.error(format!("failed to load {dir}: {e}"));
-                    std::process::exit(1);
-                }
-            }
-        } else {
-            match mtls_core::ingest::load_dir_obs(path, args.mode, &obs, run_id) {
-                Ok((inputs, diag)) => {
-                    console.status(format!(
-                        "  {} connections, {} unique certificates",
-                        inputs.ssl.len(),
-                        inputs.x509.len()
-                    ));
-                    (Loaded::Batch(inputs), diag)
-                }
-                Err(e) => {
-                    console.error(format!("failed to load {dir}: {e}"));
-                    std::process::exit(1);
-                }
-            }
-        };
+        console.status(format!(
+            "  {} connections, {} certificate rows live ({})",
+            inputs.ssl.len(),
+            inputs.x509.len(),
+            walk_summary(&diag.stream),
+        ));
         if diag.has_problems() {
             console.status(format!(
                 "  skipped {} rows, quarantined {} shards, skipped {} meta entries, \
@@ -295,7 +257,7 @@ fn main() {
             }
         }
         ingest_diag = Some(diag);
-        loaded
+        inputs
     } else {
         let config = &args.config;
         let t0 = std::time::Instant::now();
@@ -316,52 +278,28 @@ fn main() {
             console.status(format!("  Zeek-format logs written to {dir}"));
         }
         let inputs = AnalysisInputs::from_sim(sim);
-        if args.stream {
-            // Stream the in-memory corpus month by month, exactly like a
-            // rotated-directory walk would.
-            let mut builder = CorpusBuilder::new(inputs.meta).with_obs(&obs, run_id);
-            for (key, ssl, x509) in mtls_zeek::partition_monthly(inputs.ssl, inputs.x509) {
-                if let Some(window) = args.window {
-                    builder.retire_for_incoming(window);
-                }
-                builder.push_epoch(&key, ssl, x509);
+        match args.window {
+            // Walk the in-memory corpus month by month, exactly like a
+            // rotated-directory load would.
+            Some(window) => {
+                let mut builder = CorpusBuilder::new(inputs.meta).with_obs(&obs, run_id);
+                builder.push_records(inputs.ssl, inputs.x509, Some(window));
+                let parts = builder.finish();
+                console.status(format!("  {}", walk_summary(&parts.summary)));
+                parts.into_inputs(inputs.ct, inputs.gossip)
             }
-            let parts = builder.finish();
-            console.status(format!(
-                "  streamed {} epochs ({} retired, peak footprint {} MiB)",
-                parts.summary.epochs_pushed,
-                parts.summary.epochs_retired,
-                parts.summary.peak_footprint_bytes / (1024 * 1024),
-            ));
-            Loaded::Streamed(parts, inputs.ct, inputs.gossip)
-        } else {
-            Loaded::Batch(inputs)
+            None => inputs,
         }
     };
     // --ct-legacy: drop the gossip evidence so the pipeline takes the
     // legacy bare-issuer interception path.
-    let loaded = if args.ct_legacy {
-        match loaded {
-            Loaded::Batch(mut inputs) => {
-                inputs.gossip = mtls_pki::GossipBundle::default();
-                Loaded::Batch(inputs)
-            }
-            Loaded::Streamed(parts, ct, _) => {
-                Loaded::Streamed(parts, ct, mtls_pki::GossipBundle::default())
-            }
-        }
-    } else {
-        loaded
-    };
+    if args.ct_legacy {
+        inputs.gossip = mtls_pki::GossipBundle::default();
+    }
 
     let t1 = std::time::Instant::now();
     console.status("running analysis pipeline...");
-    let output = match loaded {
-        Loaded::Batch(inputs) => run_pipeline_obs(inputs, &obs, run_id),
-        Loaded::Streamed(parts, ct, gossip) => {
-            run_pipeline_streamed_parallel_obs(parts, &ct, &gossip, &obs, run_id)
-        }
-    };
+    let output = run_pipeline_obs(inputs, &obs, run_id);
     console.status(format!("  analyzed in {:?}", t1.elapsed()));
 
     if let Some(dir) = &args.tsv_dir {

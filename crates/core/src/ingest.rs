@@ -2,7 +2,7 @@
 //! by any producer of the same layout) into [`AnalysisInputs`].
 //!
 //! Layout accepted (which of the first two a directory holds is decided in
-//! one place, [`mtls_zeek::rotate`]; every loader here reads either):
+//! one place, [`mtls_zeek::rotate`]; the loader reads either):
 //! * `ssl.log` / `x509.log` — the flat, unrotated pair, or
 //! * `ssl.YYYY-MM.log` / `x509.YYYY-MM.log` — Zeek-style monthly rotation;
 //! * `ct.log` — tab-separated (domain, issuer, fingerprint) triples;
@@ -11,13 +11,14 @@
 //!   captures, in which case the legacy interception filter runs;
 //! * `meta.tsv` — the out-of-band knowledge (`key<TAB>value` lines).
 //!
-//! The three loaders — [`load_dir_obs`] (shard pool, CT parse overlapped),
-//! [`load_dir_serial_obs`] (the serial reference) and
-//! [`load_dir_streaming_obs`] (month by month into a [`CorpusBuilder`]) —
-//! differ only in how they read the Zeek logs; spans, error order and
-//! diagnostics come from one shared body.
+//! There is one loader, [`load_dir`]. It walks a rotated directory month by
+//! month into a [`CorpusBuilder`] (a flat pair is read whole and
+//! partitioned into months in memory). With no window that walk is the
+//! batch load; with `Some(n)` it keeps a rolling window of the newest `n`
+//! months. Shards are read in month order, so strict mode reports the
+//! first error in that order and the diagnostics list shards in it.
 //!
-//! Every loader runs in one of two [`IngestMode`]s. [`IngestMode::Strict`]
+//! The loader runs in one of two [`IngestMode`]s. [`IngestMode::Strict`]
 //! (the default, and the historical behavior) aborts on the first malformed
 //! row, shard, `ct.log` line or meta entry. [`IngestMode::Lenient`] skips
 //! malformed data rows and `ct.log` lines, quarantines whole shards that
@@ -32,7 +33,7 @@
 use crate::corpus::MetaKnowledge;
 use crate::pipeline::AnalysisInputs;
 use crate::report::{count, fmt_micros, Table};
-use crate::stream::{CorpusBuilder, StreamParts};
+use crate::stream::{CorpusBuilder, StreamParts, StreamSummary};
 use mtls_obs::{Obs, SpanId};
 use mtls_pki::ctlog::{CtEntry, CtLog};
 use mtls_pki::GossipBundle;
@@ -100,7 +101,8 @@ struct MetaDiag {
 
 /// Structured diagnostics for one directory load: the Zeek-log shard
 /// accounting from [`IngestStats`], the meta-entry and `ct.log` line skips,
-/// and per-stage wall times. Returned by every loader in this module.
+/// the corpus builder's summary of the walk, and per-stage wall times.
+/// Returned by [`load_dir`].
 #[derive(Debug, Clone, Default)]
 pub struct IngestDiagnostics {
     pub mode: IngestMode,
@@ -112,6 +114,8 @@ pub struct IngestDiagnostics {
     pub meta_samples: Vec<String>,
     /// Malformed `ct.log` lines skipped (lenient mode only).
     pub ct_lines_skipped: u64,
+    /// The month walk: epochs pushed and retired, retained-heap footprints.
+    pub stream: StreamSummary,
     /// Wall time parsing `meta.tsv`.
     pub meta_micros: u64,
     /// Wall time parsing `ct.log`.
@@ -341,9 +345,13 @@ fn parse_meta(
         vpn_slds: list(get("vpn_slds")?),
         localorg_slds: list(get("localorg_slds")?),
         globus_slds: list(get("globus_slds")?),
+        // The weight scales the non-mTLS counts in the weighted shares: a
+        // non-finite or non-positive one turns them into NaN or negatives.
         non_mtls_weight: get("non_mtls_weight")?
             .parse()
-            .map_err(|_| IngestError::BadMeta("non_mtls_weight".into()))?,
+            .ok()
+            .filter(|w: &f64| w.is_finite() && *w > 0.0)
+            .ok_or_else(|| IngestError::BadMeta("non_mtls_weight".into()))?,
         // Optional: only simulated corpora with a planted CT fork carry it.
         ct_forked_logs: list(get("ct_forked_logs").unwrap_or_default()),
     };
@@ -398,8 +406,8 @@ fn parse_gossip(path: &Path) -> Result<GossipBundle, IngestError> {
 
 /// Fold the finished load into run-level throughput metrics: rows/sec and
 /// bytes/sec gauges derived from the logs stage wall time. (Gauges, not
-/// counters — they are rates of this run, and serial/sharded twins of the
-/// same corpus legitimately differ here.)
+/// counters — they are rates of this run, and two loads of the same corpus
+/// legitimately differ here.)
 fn record_throughput(obs: &Obs, diag: &IngestDiagnostics) {
     if !obs.enabled() || diag.logs_micros == 0 {
         return;
@@ -409,171 +417,133 @@ fn record_throughput(obs: &Obs, diag: &IngestDiagnostics) {
     obs.gauge_set("ingest.bytes_per_sec", per_sec(diag.stats.bytes_read));
 }
 
-/// The one ingest body every directory loader runs through. It records an
-/// `ingest` span under `parent` with `meta` / `ct` / `logs` children,
-/// parses `meta.tsv`, then `ct.log` + `ct_gossip.log`, and hands the parsed
-/// meta to `logs`, which reads the Zeek logs under the `logs` span (its
-/// two span arguments are the `ingest` and `logs` ids) and returns its
-/// result with the log accounting. With `overlap`, the CT parse runs on
-/// its own scoped thread while `logs` reads. Errors surface in the order
-/// meta → ct → logs either way. The span durations fill the wall-time
-/// fields of the returned [`IngestDiagnostics`], so the diagnostics keep
-/// their shape whether or not `obs` is enabled.
-fn load<T>(
+/// Walk `dir` into `builder`: a rotated directory one month at a time
+/// ([`mtls_zeek::month_keys`] + [`mtls_zeek::read_month_obs`]), the flat
+/// pair read whole and pushed as its months. With a `window`, months about
+/// to fall out of it are retired *before* the next month is read, so the
+/// peak live set is `window` months, never `window + 1`. The returned
+/// stats are cumulative over every month, so the `--max-error-rate` guard
+/// sees the whole walk, never a single month.
+fn walk(
     dir: &Path,
     mode: IngestMode,
+    window: Option<usize>,
+    builder: &mut CorpusBuilder,
+    obs: &Obs,
+    logs_id: Option<SpanId>,
+) -> Result<IngestStats, IngestError> {
+    let keys = mtls_zeek::month_keys(dir)?;
+    if keys.is_empty() {
+        let (ssl, x509, stats) = mtls_zeek::read_dir_obs(dir, mode, obs, logs_id)?;
+        builder.push_records(ssl, x509, window);
+        return Ok(stats);
+    }
+    let mut stats = IngestStats {
+        mode,
+        ..IngestStats::default()
+    };
+    for key in keys {
+        if let Some(window) = window {
+            builder.retire_for_incoming(window);
+        }
+        let (ssl, x509, month_stats) = mtls_zeek::read_month_obs(dir, &key, mode, obs, logs_id)?;
+        stats.absorb_stats(month_stats);
+        builder.push_epoch(&key, ssl, x509);
+    }
+    Ok(stats)
+}
+
+/// Load a directory (either layout) into pipeline inputs plus
+/// [`IngestDiagnostics`]. `window_months: None` loads every month; `Some(n)`
+/// keeps only the newest `n`, so peak memory is bounded by the window, not
+/// the corpus.
+///
+/// Observability: an `ingest` span under `parent` with `meta` / `ct` /
+/// `logs` children, one `logs/<shard>` grandchild per log file and the
+/// builder's `epoch_merge` child; batched row/byte counters, a shard
+/// parse-latency histogram, the builder's `stream.*` gauges and derived
+/// throughput gauges. Errors surface in the order meta → ct → logs. The
+/// span durations fill the wall-time fields of the diagnostics, so they
+/// keep their shape whether or not `obs` is enabled.
+pub fn load_dir(
+    dir: &Path,
+    mode: IngestMode,
+    window_months: Option<usize>,
     obs: &Obs,
     parent: Option<SpanId>,
-    overlap: bool,
-    logs: impl FnOnce(
-        MetaKnowledge,
-        Option<SpanId>,
-        Option<SpanId>,
-    ) -> Result<(T, IngestStats), IngestError>,
-) -> Result<(T, CtLog, GossipBundle, IngestDiagnostics), IngestError> {
+) -> Result<(AnalysisInputs, IngestDiagnostics), IngestError> {
     let ingest_span = obs.span(parent, "ingest");
     let ingest_id = ingest_span.id();
     let result = (|| {
         let (meta, meta_diag) = parse_meta(&dir.join("meta.tsv"), mode, obs, ingest_id)?;
-        let read_ct = || {
-            let span = obs.span(ingest_id, "ct");
-            let (ct, skipped) = parse_ct(&dir.join("ct.log"), mode)?;
-            let gossip = parse_gossip(&dir.join("ct_gossip.log"))?;
-            Ok::<_, IngestError>((ct, skipped, gossip, span.finish().as_micros() as u64))
-        };
-        let read_logs = || {
-            let span = obs.span(ingest_id, "logs");
-            let (value, stats) = logs(meta, ingest_id, span.id())?;
-            Ok::<_, IngestError>((value, stats, span.finish().as_micros() as u64))
-        };
-        let (ct, logs) = if overlap {
-            std::thread::scope(|s| {
-                let ct = s.spawn(read_ct);
-                let logs = read_logs();
-                (ct.join().expect("ct parser panicked"), logs)
-            })
-        } else {
-            let ct = read_ct()?;
-            (Ok(ct), read_logs())
-        };
-        let (ct, ct_lines_skipped, gossip, ct_micros) = ct?;
-        let (value, mut stats, logs_micros) = logs?;
+
+        let span = obs.span(ingest_id, "ct");
+        let (ct, ct_lines_skipped) = parse_ct(&dir.join("ct.log"), mode)?;
+        let gossip = parse_gossip(&dir.join("ct_gossip.log"))?;
+        let ct_micros = span.finish().as_micros() as u64;
+
+        let span = obs.span(ingest_id, "logs");
+        let mut builder = CorpusBuilder::new(meta).with_obs(obs, ingest_id);
+        let mut stats = walk(dir, mode, window_months, &mut builder, obs, span.id())?;
+        let logs_micros = span.finish().as_micros() as u64;
         stats.wall_micros = logs_micros;
+
+        let parts = builder.finish();
+        let summary = parts.summary.clone();
+        let inputs = parts.into_inputs(ct, gossip);
         let diagnostics = IngestDiagnostics {
             mode,
             stats,
             meta_entries_skipped: meta_diag.entries_skipped,
             meta_samples: meta_diag.samples,
             ct_lines_skipped,
+            stream: summary,
             meta_micros: meta_diag.wall_micros,
             ct_micros,
             logs_micros,
             total_micros: 0, // stamped below, once the ingest span closes
         };
-        Ok((value, ct, gossip, diagnostics))
+        Ok((inputs, diagnostics))
     })();
     let total_micros = ingest_span.finish().as_micros() as u64;
-    result.map(|(value, ct, gossip, mut diag)| {
+    result.map(|(inputs, mut diag)| {
         diag.total_micros = total_micros;
         record_throughput(obs, &diag);
-        (value, ct, gossip, diag)
+        (inputs, diag)
     })
 }
 
-/// [`load`] into [`AnalysisInputs`]. `threaded` reads the logs on the
-/// shard pool with the CT parse overlapped; otherwise every file is read
-/// one at a time, the serial reference.
-fn load_inputs(
-    dir: &Path,
-    mode: IngestMode,
-    obs: &Obs,
-    parent: Option<SpanId>,
-    threaded: bool,
-) -> Result<(AnalysisInputs, IngestDiagnostics), IngestError> {
-    let read = if threaded {
-        mtls_zeek::read_monthly_obs
-    } else {
-        mtls_zeek::read_monthly_serial_obs
-    };
-    let ((meta, ssl, x509), ct, gossip, diag) =
-        load(dir, mode, obs, parent, threaded, |meta, _, logs_id| {
-            let (ssl, x509, stats) = read(dir, mode, obs, logs_id)?;
-            Ok(((meta, ssl, x509), stats))
-        })?;
-    let inputs = AnalysisInputs {
-        ssl,
-        x509,
-        ct,
-        gossip,
-        meta,
-    };
-    Ok((inputs, diag))
-}
-
-/// Load a directory (either layout) into pipeline inputs plus
-/// [`IngestDiagnostics`], with observability: an `ingest` span under
-/// `parent` with `meta` / `ct` / `logs` children and one grandchild per
-/// log file, batched row/byte counters, a shard parse-latency histogram,
-/// and derived throughput gauges.
-///
-/// The log files parse on the [`mtls_zeek::read_monthly_obs`] shard pool
-/// while `ct.log` parses on its own scoped thread. Output, span rows and
-/// counter totals are identical to [`load_dir_serial_obs`].
+/// [`load_dir`] with no window. Kept for the benchmark (`mtlsbench`),
+/// which calls it by this name; the next change to the benchmark removes it.
 pub fn load_dir_obs(
     dir: &Path,
     mode: IngestMode,
     obs: &Obs,
     parent: Option<SpanId>,
 ) -> Result<(AnalysisInputs, IngestDiagnostics), IngestError> {
-    load_inputs(dir, mode, obs, parent, true)
+    load_dir(dir, mode, None, obs, parent)
 }
 
-/// Serial reference loader: same contract and output as
-/// [`load_dir_obs`], one file at a time. Kept as the equivalence and
-/// benchmark baseline.
+/// [`load_dir`] with no window, unobserved. Kept for the benchmark
+/// (`mtlsbench`), which calls it by this name; the next change to the
+/// benchmark removes it.
 pub fn load_dir_serial_with(
     dir: &Path,
     mode: IngestMode,
 ) -> Result<(AnalysisInputs, IngestDiagnostics), IngestError> {
-    load_dir_serial_obs(dir, mode, &Obs::noop(), None)
+    load_dir(dir, mode, None, &Obs::noop(), None)
 }
 
-/// [`load_dir_serial_with`] with the same observability as
-/// [`load_dir_obs`]: the two must produce identical span rows and counter
-/// totals on a clean corpus (durations aside).
-pub fn load_dir_serial_obs(
-    dir: &Path,
-    mode: IngestMode,
-    obs: &Obs,
-    parent: Option<SpanId>,
-) -> Result<(AnalysisInputs, IngestDiagnostics), IngestError> {
-    load_inputs(dir, mode, obs, parent, false)
-}
-
-/// Options for [`load_dir_streaming_obs`].
+/// The window argument of [`load_dir_streaming_obs`]. Kept for the
+/// benchmark (`mtlsbench`); the next change to the benchmark removes it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StreamOptions {
-    /// Rolling window: keep only the newest N months live in the
-    /// builder, retiring older epochs as newer ones arrive. `None`
-    /// streams the full directory (every epoch survives to the finish).
     pub window_months: Option<usize>,
 }
 
-/// Month-by-month streaming load: walk a rotated directory one epoch at a
-/// time, pushing each month into a [`CorpusBuilder`] and (in window mode)
-/// retiring epochs that fall outside the rolling window, so peak memory
-/// is bounded by the window — not the corpus. Returns the builder's
-/// [`StreamParts`] (the live months' records in canonical month order and
-/// the build summary), the CT log, and *cumulative* diagnostics: every
-/// epoch's stats are absorbed into one [`IngestDiagnostics`], so the
-/// `--max-error-rate` guard sees the whole stream, never a single month.
-///
-/// The span schema matches [`load_dir_obs`] — `ingest` with
-/// `meta`/`ct`/`logs` children and one `logs/<shard>` grandchild per
-/// shard file — plus the builder's `epoch_merge` child and `stream.*`
-/// gauges. A flat directory (no [`mtls_zeek::month_keys`]) degrades
-/// gracefully: its pair is read whole, then partitioned into monthly
-/// epochs in memory, so windowing still works.
+/// [`load_dir`] with its result split the way the benchmark (`mtlsbench`)
+/// reads it. Kept for the benchmark; the next change to the benchmark
+/// removes it.
 pub fn load_dir_streaming_obs(
     dir: &Path,
     mode: IngestMode,
@@ -581,40 +551,14 @@ pub fn load_dir_streaming_obs(
     obs: &Obs,
     parent: Option<SpanId>,
 ) -> Result<(StreamParts, CtLog, GossipBundle, IngestDiagnostics), IngestError> {
-    load(dir, mode, obs, parent, false, |meta, ingest_id, logs_id| {
-        let mut builder = CorpusBuilder::new(meta).with_obs(obs, ingest_id);
-        // Evict months about to fall out of the window *before* reading
-        // the next month, so the peak live set is `window` months, never
-        // `window + 1`.
-        let retire = |builder: &mut CorpusBuilder| {
-            if let Some(window) = opts.window_months {
-                builder.retire_for_incoming(window);
-            }
-        };
-        let keys = mtls_zeek::month_keys(dir)?;
-        let stats = if keys.is_empty() {
-            let (ssl, x509, stats) = mtls_zeek::read_monthly_serial_obs(dir, mode, obs, logs_id)?;
-            for (key, ssl_part, x509_part) in mtls_zeek::partition_monthly(ssl, x509) {
-                retire(&mut builder);
-                builder.push_epoch(&key, ssl_part, x509_part);
-            }
-            stats
-        } else {
-            let mut stats = IngestStats {
-                mode,
-                ..IngestStats::default()
-            };
-            for key in keys {
-                retire(&mut builder);
-                let (ssl_part, x509_part, month_stats) =
-                    mtls_zeek::read_month_obs(dir, &key, mode, obs, logs_id)?;
-                stats.absorb_stats(month_stats);
-                builder.push_epoch(&key, ssl_part, x509_part);
-            }
-            stats
-        };
-        Ok((builder.finish(), stats))
-    })
+    let (inputs, diag) = load_dir(dir, mode, opts.window_months, obs, parent)?;
+    let parts = StreamParts {
+        ssl: inputs.ssl,
+        x509: inputs.x509,
+        meta: inputs.meta,
+        summary: diag.stream.clone(),
+    };
+    Ok((parts, inputs.ct, inputs.gossip, diag))
 }
 
 #[cfg(test)]
@@ -625,15 +569,15 @@ mod tests {
                              public_ca_orgs\t\nhealth_slds\t\nuniversity_slds\t\nvpn_slds\t\n\
                              localorg_slds\t\nglobus_slds\t\nnon_mtls_weight\t10\n";
 
-    /// The pooled loader, unobserved.
+    /// The loader with no window, unobserved.
     fn load_dir_with(
         dir: &Path,
         mode: IngestMode,
     ) -> Result<(AnalysisInputs, IngestDiagnostics), IngestError> {
-        load_dir_obs(dir, mode, &Obs::noop(), None)
+        load_dir(dir, mode, None, &Obs::noop(), None)
     }
 
-    /// A strict pooled load's inputs.
+    /// A strict load's inputs.
     fn load_strict(dir: &Path) -> Result<AnalysisInputs, IngestError> {
         load_dir_with(dir, IngestMode::Strict).map(|(inputs, _)| inputs)
     }
@@ -657,6 +601,24 @@ mod tests {
             Ok(_) => panic!("incomplete meta must be rejected"),
         };
         assert!(matches!(err, IngestError::BadMeta(_)), "{err}");
+
+        // A non_mtls_weight that is not a finite positive number would turn
+        // the weighted shares into NaN or negatives: rejected in both modes.
+        write_empty_logs(&dir);
+        for weight in ["NaN", "inf", "-inf", "0", "-0", "-3", "ten"] {
+            let meta =
+                BASE_META.replace("non_mtls_weight\t10", &format!("non_mtls_weight\t{weight}"));
+            std::fs::write(dir.join("meta.tsv"), meta).unwrap();
+            for mode in [IngestMode::Strict, IngestMode::Lenient] {
+                match load_dir_with(&dir, mode) {
+                    Err(IngestError::BadMeta(k)) => assert_eq!(k, "non_mtls_weight"),
+                    Err(e) => panic!("weight {weight:?}: {e}"),
+                    Ok(_) => panic!("weight {weight:?} must be rejected in {mode:?} mode"),
+                }
+            }
+        }
+        std::fs::write(dir.join("meta.tsv"), BASE_META.replace("\t10\n", "\t0.5\n")).unwrap();
+        assert_eq!(load_strict(&dir).unwrap().meta.non_mtls_weight, 0.5);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -721,34 +683,32 @@ mod tests {
         std::fs::write(dir.join("meta.tsv"), &meta).unwrap();
         write_empty_logs(&dir);
 
-        for loader in [load_dir_with, load_dir_serial_with] {
-            let err = match loader(&dir, IngestMode::Strict) {
-                Err(e) => e,
-                Ok(_) => panic!("strict mode must reject malformed cloud_nets"),
-            };
-            assert!(
-                matches!(&err, IngestError::BadMeta(k) if k.contains("cloud_nets")),
-                "{err}"
-            );
+        let err = match load_dir_with(&dir, IngestMode::Strict) {
+            Err(e) => e,
+            Ok(_) => panic!("strict mode must reject malformed cloud_nets"),
+        };
+        assert!(
+            matches!(&err, IngestError::BadMeta(k) if k.contains("cloud_nets")),
+            "{err}"
+        );
 
-            let (inputs, diag) = loader(&dir, IngestMode::Lenient).unwrap();
-            assert_eq!(
-                inputs.meta.cloud_nets,
-                vec![
-                    (Ipv4::new(18, 204, 0, 0), 16),
-                    (Ipv4::new(35, 80, 0, 0), 12)
-                ]
-            );
-            assert_eq!(diag.meta_entries_skipped, 3);
-            assert_eq!(
-                diag.meta_samples,
-                vec!["10.9.8.0", "52.0.0.0/40", "nonsense/8"]
-            );
-            assert!(diag.error_rate() > 0.0);
-            assert!(diag.check_error_rate(0.0).is_err());
-            assert!(diag.check_error_rate(1.0).is_ok());
-            assert!(diag.render().contains("cloud_nets"));
-        }
+        let (inputs, diag) = load_dir_with(&dir, IngestMode::Lenient).unwrap();
+        assert_eq!(
+            inputs.meta.cloud_nets,
+            vec![
+                (Ipv4::new(18, 204, 0, 0), 16),
+                (Ipv4::new(35, 80, 0, 0), 12)
+            ]
+        );
+        assert_eq!(diag.meta_entries_skipped, 3);
+        assert_eq!(
+            diag.meta_samples,
+            vec!["10.9.8.0", "52.0.0.0/40", "nonsense/8"]
+        );
+        assert!(diag.error_rate() > 0.0);
+        assert!(diag.check_error_rate(0.0).is_err());
+        assert!(diag.check_error_rate(1.0).is_ok());
+        assert!(diag.render().contains("cloud_nets"));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -766,23 +726,21 @@ mod tests {
         )
         .unwrap();
 
-        for loader in [load_dir_with, load_dir_serial_with] {
-            let err = match loader(&dir, IngestMode::Strict) {
-                Err(e) => e,
-                Ok(_) => panic!("strict mode must reject a malformed ct.log line"),
-            };
-            assert!(matches!(err, IngestError::BadCt { line: 2 }), "{err}");
-            assert!(err.to_string().contains("ct.log:2"), "{err}");
+        let err = match load_dir_with(&dir, IngestMode::Strict) {
+            Err(e) => e,
+            Ok(_) => panic!("strict mode must reject a malformed ct.log line"),
+        };
+        assert!(matches!(err, IngestError::BadCt { line: 2 }), "{err}");
+        assert!(err.to_string().contains("ct.log:2"), "{err}");
 
-            let (inputs, diag) = loader(&dir, IngestMode::Lenient).unwrap();
-            assert_eq!(inputs.ct.len(), 2);
-            assert_eq!(diag.ct_lines_skipped, 2);
-            assert!(diag.has_problems());
-            // Two skipped units, nothing parsed: the whole load is bad.
-            assert_eq!(diag.error_rate(), 1.0);
-            assert!(diag.check_error_rate(0.5).is_err());
-            assert!(diag.render().contains("ct.log lines skipped"));
-        }
+        let (inputs, diag) = load_dir_with(&dir, IngestMode::Lenient).unwrap();
+        assert_eq!(inputs.ct.len(), 2);
+        assert_eq!(diag.ct_lines_skipped, 2);
+        assert!(diag.has_problems());
+        // Two skipped units, nothing parsed: the whole load is bad.
+        assert_eq!(diag.error_rate(), 1.0);
+        assert!(diag.check_error_rate(0.5).is_err());
+        assert!(diag.render().contains("ct.log lines skipped"));
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -823,15 +781,8 @@ mod tests {
         text.push_str("garbage\nmore\tgarbage\nworse\n");
         std::fs::write(&victim, text).unwrap();
 
-        let (parts, _ct, _gossip, diag) = load_dir_streaming_obs(
-            &dir,
-            IngestMode::Lenient,
-            StreamOptions::default(),
-            &Obs::noop(),
-            None,
-        )
-        .unwrap();
-        assert_eq!(parts.summary.epochs_pushed, 2);
+        let (_inputs, diag) = load_dir_with(&dir, IngestMode::Lenient).unwrap();
+        assert_eq!(diag.stream.epochs_pushed, 2);
         assert_eq!(diag.stats.rows_parsed, 2);
         assert_eq!(diag.stats.rows_skipped, 3);
         // Cumulative: 3 bad of 5 attempted across BOTH epochs — a
@@ -854,23 +805,21 @@ mod tests {
         // x509.log has a header that belongs to no known schema.
         std::fs::write(dir.join("x509.log"), "#fields\tnope\nnope\n").unwrap();
 
-        for loader in [load_dir_with, load_dir_serial_with] {
-            assert!(matches!(
-                loader(&dir, IngestMode::Strict),
-                Err(IngestError::Tsv(mtls_zeek::TsvError::BadHeader))
-            ));
-            let (inputs, diag) = loader(&dir, IngestMode::Lenient).unwrap();
-            assert!(inputs.x509.is_empty());
-            assert_eq!(diag.stats.shards_quarantined, 1);
-            let bad = diag
-                .stats
-                .shards
-                .iter()
-                .find(|d| d.quarantined.is_some())
-                .unwrap();
-            assert_eq!(bad.shard, "x509.log");
-            assert!(diag.render().contains("quarantined"));
-        }
+        assert!(matches!(
+            load_dir_with(&dir, IngestMode::Strict),
+            Err(IngestError::Tsv(mtls_zeek::TsvError::BadHeader))
+        ));
+        let (inputs, diag) = load_dir_with(&dir, IngestMode::Lenient).unwrap();
+        assert!(inputs.x509.is_empty());
+        assert_eq!(diag.stats.shards_quarantined, 1);
+        let bad = diag
+            .stats
+            .shards
+            .iter()
+            .find(|d| d.quarantined.is_some())
+            .unwrap();
+        assert_eq!(bad.shard, "x509.log");
+        assert!(diag.render().contains("quarantined"));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

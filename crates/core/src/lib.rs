@@ -50,8 +50,7 @@ pub mod testutil;
 pub use columns::{CertColumns, ConnColumns};
 pub use corpus::{Corpus, Direction, ServerAssociation};
 pub use ingest::{
-    load_dir_obs, load_dir_serial_obs, load_dir_streaming_obs, IngestDiagnostics, IngestError,
-    StreamOptions,
+    load_dir, load_dir_obs, load_dir_streaming_obs, IngestDiagnostics, IngestError, StreamOptions,
 };
 pub use mtls_zeek::IngestMode;
 pub use pipeline::{

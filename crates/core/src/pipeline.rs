@@ -3,9 +3,8 @@
 //! Every entry point runs one body ([`run`]): build the corpus, run the
 //! analyzers, assemble [`PipelineOutput`]. The analyzers are one table,
 //! [`ANALYZERS`], of `(span name, job)` pairs, run in order on the
-//! caller's thread. The batch and streamed entry points differ only in how
-//! the corpus is built, so they produce the same bytes, spans and gauges
-//! by construction.
+//! caller's thread. Every directory load hands the pipeline the same
+//! [`AnalysisInputs`] (see [`crate::ingest::load_dir`]), windowed or not.
 
 use crate::analyze;
 use crate::analyze::info_types::Slice;
@@ -342,10 +341,10 @@ pub fn build_corpus_obs(inputs: AnalysisInputs, obs: &Obs, parent: Option<SpanId
     build_corpus_from(ssl, x509, meta, &ct, &gossip, obs, parent)
 }
 
-/// The one corpus build behind the batch and streamed pipelines. The
-/// interception filter runs over the full-window slices (it needs the
+/// The one corpus build behind every pipeline entry point. The
+/// interception filter runs over the whole loaded window (it needs the
 /// global issuer/CT view, which no single epoch has), then the join, both
-/// on a fresh interner. Spans and gauges are the same for either caller,
+/// on a fresh interner. Spans and gauges are the same for every caller,
 /// so a metrics consumer sees one schema.
 fn build_corpus_from(
     ssl: Vec<SslRecord>,
@@ -634,9 +633,10 @@ pub fn run_pipeline_obs(
     run(obs, parent, |pid| build_corpus_obs(inputs, obs, pid))
 }
 
-/// The same run as [`run_pipeline_obs`], kept under this name for the
-/// benchmark (`mtlsbench`) that calls it. The analyzers run serially here
-/// too: DESIGN §4 decision 1 records why there is no analyzer thread pool.
+/// The same run as [`run_pipeline_obs`]. Kept for the benchmark
+/// (`mtlsbench`), which calls it by this name; the next change to the
+/// benchmark removes it. DESIGN §4 decision 1 records why there is no
+/// analyzer thread pool.
 pub fn run_pipeline_parallel_obs(
     inputs: AnalysisInputs,
     obs: &Obs,
@@ -645,12 +645,9 @@ pub fn run_pipeline_parallel_obs(
     run_pipeline_obs(inputs, obs, parent)
 }
 
-/// [`run_pipeline_obs`] over a
-/// [`CorpusBuilder`](crate::stream::CorpusBuilder)'s [`StreamParts`]
-/// instead of a batch [`AnalysisInputs`]: the surviving month rows go
-/// through the same corpus build, so the span tree and gauges are the
-/// same, and on the same (full-window) input the output is byte-identical
-/// to the batch pipeline.
+/// [`run_pipeline_obs`] over [`StreamParts`] and a borrowed CT log. Kept
+/// for the benchmark (`mtlsbench`), which calls it by this name; the next
+/// change to the benchmark removes it.
 pub fn run_pipeline_streamed_parallel_obs(
     parts: StreamParts,
     ct: &CtLog,

@@ -1,45 +1,45 @@
-//! Streaming corpus engine: a windowed month buffer.
+//! The corpus builder: a windowed month buffer.
 //!
-//! The batch pipeline slurps all 23 months, then builds one immutable
-//! [`Corpus`](crate::Corpus) — peak memory linear in months. A
-//! [`CorpusBuilder`] instead accepts one month (an **epoch**) at a time and
-//! keeps each epoch's `ssl`/`x509` rows in a segment keyed by month, so a
-//! rolling window bounds what is held. It computes no aggregates of its
-//! own: [`Corpus::build`](crate::Corpus::build) is the one fold over
+//! Every directory load walks the capture one month (an **epoch**) at a
+//! time into a [`CorpusBuilder`]; a batch load is the walk with no window.
+//! The builder keeps the live rows in one `ssl` and one `x509` buffer, each
+//! month's rows one contiguous run in canonical month order, with the
+//! per-month row counts in a `BTreeMap`. A rolling window bounds what is
+//! held. It computes no aggregates of its own:
+//! [`Corpus::build`](crate::Corpus::build) is the one fold over
 //! connections, and it runs on the rows [`CorpusBuilder::finish`] hands
-//! back, exactly as it runs on a batch load.
+//! back.
 //!
 //! Lifecycle:
 //!
-//! 1. **push** — [`CorpusBuilder::push_epoch`] appends one month's records
-//!    to that month's segment and adds their retained-heap estimate to the
-//!    epoch's footprint. A push touches only the incoming rows, so ingest
-//!    stays linear in months.
+//! 1. **push** — [`CorpusBuilder::push_epoch`] splices one month's records
+//!    in at that month's offset (a plain append for an in-order walk) and
+//!    adds their retained-heap estimate to the epoch's footprint. A push
+//!    touches only the incoming rows and the rows of later months, so an
+//!    in-order ingest stays linear in months.
 //! 2. **retire** — [`CorpusBuilder::retire_outside_window`] (or
 //!    [`CorpusBuilder::retire_for_incoming`], before reading the next
-//!    month) drops every epoch older than the rolling window and releases
-//!    its rows. This is what bounds memory: the builder retains O(window)
-//!    connection rows, not O(corpus).
-//! 3. **finish** — [`CorpusBuilder::finish`] re-assembles the surviving
-//!    epochs in canonical month order (a `BTreeMap` walk, so shuffled
-//!    pushes converge to the same rows). The pipeline then runs the
+//!    month) drains every epoch older than the rolling window from the
+//!    front of the buffers. This is what bounds memory: the builder
+//!    retains O(window) connection rows, not O(corpus).
+//! 3. **finish** — [`CorpusBuilder::finish`] moves the two buffers out,
+//!    already in canonical month order (so shuffled pushes converge to the
+//!    same rows) and without copying a row. The pipeline then runs the
 //!    interception filter and `Corpus::build` over them with a fresh
-//!    interner — the same body the batch path runs.
-//!
-//! Earlier versions also folded a mergeable per-month aggregate on push
-//! and merged those partials at finish; the build walked every connection
-//! again anyway, so the partials repeated its work and were removed.
+//!    interner.
 //!
 //! Equivalence contracts (pinned in `tests/ingest_equiv.rs`):
-//! * full-window streaming output is byte-identical to the batch build on
-//!   the same input, for any push order;
-//! * a rolling window of N months is byte-identical to a batch build over
-//!   only those N months.
+//! * the full-window output is byte-identical for any push order;
+//! * a rolling window of N months is byte-identical to a load of only
+//!   those N months.
 
 use crate::corpus::MetaKnowledge;
+use crate::pipeline::AnalysisInputs;
 use mtls_obs::{Obs, SpanId};
+use mtls_pki::{CtLog, GossipBundle};
 use mtls_zeek::{SslRecord, X509Record};
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 /// Rough retained heap of one `ssl.log` record (owned strings + vectors;
 /// lengths, not capacities, so the estimate is deterministic for given
@@ -76,16 +76,26 @@ fn x509_heap_bytes(rec: &X509Record) -> usize {
             .sum::<usize>()
 }
 
-/// One month's retained rows.
+/// One live month: the length of its run in each row buffer.
 #[derive(Default)]
 struct Epoch {
-    ssl: Vec<SslRecord>,
-    x509: Vec<X509Record>,
+    ssl_rows: usize,
+    x509_rows: usize,
     /// Retained-heap estimate of this epoch's rows.
     footprint: u64,
 }
 
-/// Summary of a whole streaming build, returned inside [`StreamParts`].
+/// Insert `rows` at `at`: an append when `at` is the end, else a splice
+/// that shifts the rows of later months up.
+fn insert_at<T>(buf: &mut Vec<T>, at: usize, mut rows: Vec<T>) {
+    if at == buf.len() {
+        buf.append(&mut rows);
+    } else {
+        buf.splice(at..at, rows);
+    }
+}
+
+/// Summary of a whole month walk, returned inside [`StreamParts`].
 #[derive(Debug, Clone, Default)]
 pub struct StreamSummary {
     /// Epochs pushed, in push order.
@@ -100,9 +110,8 @@ pub struct StreamSummary {
     pub max_epoch_footprint_bytes: u64,
 }
 
-/// Everything [`CorpusBuilder::finish`] hands the pipeline: the surviving
-/// records in canonical month order and the build summary. Feed it to
-/// `pipeline::run_pipeline_streamed_parallel_obs`.
+/// Everything [`CorpusBuilder::finish`] hands back: the surviving records
+/// in canonical month order and the build summary.
 pub struct StreamParts {
     pub ssl: Vec<SslRecord>,
     pub x509: Vec<X509Record>,
@@ -110,11 +119,29 @@ pub struct StreamParts {
     pub summary: StreamSummary,
 }
 
+impl StreamParts {
+    /// The pipeline inputs: these rows and meta with the CT evidence.
+    pub fn into_inputs(self, ct: CtLog, gossip: GossipBundle) -> AnalysisInputs {
+        AnalysisInputs {
+            ssl: self.ssl,
+            x509: self.x509,
+            ct,
+            gossip,
+            meta: self.meta,
+        }
+    }
+}
+
 /// The incremental corpus builder. See the module docs for the lifecycle.
 pub struct CorpusBuilder {
     meta: MetaKnowledge,
+    /// Live rows of every epoch: each month one contiguous run, months in
+    /// key order.
+    ssl: Vec<SslRecord>,
+    x509: Vec<X509Record>,
     /// Live epochs, keyed by month (`BTreeMap` = canonical order for
-    /// free, whatever order the pushes arrived in).
+    /// free, whatever order the pushes arrived in). Their row counts, in
+    /// key order, cut the buffers into months.
     epochs: BTreeMap<String, Epoch>,
     summary: StreamSummary,
     obs: Obs,
@@ -125,6 +152,8 @@ impl CorpusBuilder {
     pub fn new(meta: MetaKnowledge) -> CorpusBuilder {
         CorpusBuilder {
             meta,
+            ssl: Vec::new(),
+            x509: Vec::new(),
             epochs: BTreeMap::new(),
             summary: StreamSummary::default(),
             obs: Obs::noop(),
@@ -148,9 +177,17 @@ impl CorpusBuilder {
         let footprint = ssl.iter().map(ssl_heap_bytes).sum::<usize>()
             + x509.iter().map(x509_heap_bytes).sum::<usize>();
 
+        // The month's rows go after every live row up to and including its
+        // own run: the end of the buffers for an in-order walk.
+        let (ssl_at, x509_at) = self
+            .epochs
+            .range::<str, _>((Bound::Unbounded, Bound::Included(key)))
+            .fold((0, 0), |(s, x), (_, e)| (s + e.ssl_rows, x + e.x509_rows));
+        insert_at(&mut self.ssl, ssl_at, ssl);
+        insert_at(&mut self.x509, x509_at, x509);
         let slot = self.epochs.entry(key.to_string()).or_default();
-        slot.ssl.extend(ssl);
-        slot.x509.extend(x509);
+        slot.ssl_rows += ssl_rows;
+        slot.x509_rows += x509_rows;
         slot.footprint += footprint as u64;
         self.summary.epochs_pushed += 1;
         self.summary.max_epoch_footprint_bytes =
@@ -177,6 +214,23 @@ impl CorpusBuilder {
         }
     }
 
+    /// Push in-memory records the way a walk of their rotated directory
+    /// would: partitioned into months, pushed in month order, each push
+    /// first retiring to leave room for it when `window` is set.
+    pub fn push_records(
+        &mut self,
+        ssl: Vec<SslRecord>,
+        x509: Vec<X509Record>,
+        window: Option<usize>,
+    ) {
+        for (key, ssl, x509) in mtls_zeek::partition_monthly(ssl, x509) {
+            if let Some(window) = window {
+                self.retire_for_incoming(window);
+            }
+            self.push_epoch(&key, ssl, x509);
+        }
+    }
+
     /// Keep only the newest `window` months; every older epoch is
     /// retired and its rows released. Returns the retired keys (oldest
     /// first).
@@ -196,11 +250,17 @@ impl CorpusBuilder {
 
     fn retire_down_to(&mut self, keep: usize) -> Vec<String> {
         let mut retired_keys = Vec::new();
+        let (mut ssl_rows, mut x509_rows) = (0, 0);
         while self.epochs.len() > keep {
-            let (key, _) = self.epochs.pop_first().expect("non-empty epochs");
+            let (key, epoch) = self.epochs.pop_first().expect("non-empty epochs");
+            ssl_rows += epoch.ssl_rows;
+            x509_rows += epoch.x509_rows;
             self.summary.epochs_retired += 1;
             retired_keys.push(key);
         }
+        // The oldest months are the front of the buffers.
+        self.ssl.drain(..ssl_rows);
+        self.x509.drain(..x509_rows);
         if !retired_keys.is_empty() && self.obs.enabled() {
             self.obs
                 .counter_add("stream.epochs_retired", retired_keys.len() as u64);
@@ -224,19 +284,13 @@ impl CorpusBuilder {
         self.epochs.keys().map(String::as_str).collect()
     }
 
-    /// Seal the build: surviving epochs re-assembled in canonical month
-    /// order. The caller runs the interception filter and
-    /// [`crate::Corpus::build`] over the assembled rows.
+    /// Seal the build: the surviving rows, already in canonical month
+    /// order, moved out without a copy. The caller runs the interception
+    /// filter and [`crate::Corpus::build`] over them.
     pub fn finish(self) -> StreamParts {
-        let mut ssl = Vec::new();
-        let mut x509 = Vec::new();
-        for (_, epoch) in self.epochs {
-            ssl.extend(epoch.ssl);
-            x509.extend(epoch.x509);
-        }
         StreamParts {
-            ssl,
-            x509,
+            ssl: self.ssl,
+            x509: self.x509,
             meta: self.meta,
             summary: self.summary,
         }
@@ -361,6 +415,25 @@ mod tests {
         let uids: Vec<&str> = parts.ssl.iter().map(|r| r.uid.as_str()).collect();
         assert_eq!(uids, ["a-0", "a-1", "c-0", "c-1", "c-2", "c-3"]);
         assert_eq!(parts.x509.len(), 6);
+
+        // A month pushed out of order lands in the middle of the live
+        // window, a re-push of it goes after its own rows, and retiring the
+        // oldest month drains exactly its rows from the front.
+        let mut b = CorpusBuilder::new(meta());
+        push(&mut b, "2022-05", &first);
+        push(&mut b, "2022-08", &other);
+        push(&mut b, "2022-06", &second);
+        push(&mut b, "2022-06", &month("d", 1));
+        push(&mut b, "2022-05", &month("e", 2));
+        assert_eq!(b.retire_outside_window(2), ["2022-05"]);
+        let parts = b.finish();
+        let uids: Vec<&str> = parts.ssl.iter().map(|r| r.uid.as_str()).collect();
+        assert_eq!(
+            uids,
+            ["c-0", "c-1", "c-2", "c-3", "d-0", "b-0", "b-1", "b-2"]
+        );
+        let fps: Vec<&str> = parts.x509.iter().map(|r| r.fingerprint.as_str()).collect();
+        assert_eq!(fps, ["c0", "c1", "c2", "c3", "d0", "b0", "b1", "b2"]);
     }
 
     #[test]
@@ -380,6 +453,25 @@ mod tests {
         // finish walks the survivors in month order.
         let uids: Vec<&str> = parts.ssl.iter().map(|r| r.uid.as_str()).collect();
         assert_eq!(uids, ["b-0", "b-0"]);
+
+        // The high-water marks survive an out-of-order push into the middle
+        // of the window and the retirement that follows it; the surviving
+        // rows come back once each, in month order.
+        let mut b = CorpusBuilder::new(meta());
+        push(&mut b, "2022-05", &small);
+        push(&mut b, "2022-07", &month("c", 2));
+        push(&mut b, "2022-06", &big);
+        let peak = b.footprint_bytes();
+        assert_eq!(b.retire_outside_window(2), ["2022-05"]);
+        let parts = b.finish();
+        assert_eq!(parts.summary.peak_footprint_bytes, peak);
+        assert_eq!(parts.summary.max_epoch_footprint_bytes, estimate(&big));
+        let uids: Vec<&str> = parts.ssl.iter().map(|r| r.uid.as_str()).collect();
+        assert_eq!(
+            uids,
+            ["a-0", "a-1", "a-2", "a-3", "a-4", "a-5", "c-0", "c-1"]
+        );
+        assert_eq!(parts.x509.len(), 8);
     }
 
     #[test]

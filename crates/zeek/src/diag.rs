@@ -189,13 +189,13 @@ fn snippet_of(raw: &[u8]) -> String {
 }
 
 /// Aggregate diagnostics for one directory read: every shard's
-/// [`ShardDiag`] plus corpus-wide totals (maintained with cheap relaxed
-/// atomics inside the parallel shard pool).
+/// [`ShardDiag`] plus corpus-wide totals.
 #[derive(Debug, Clone, Default)]
 pub struct IngestStats {
     pub mode: IngestMode,
-    /// One entry per shard, in filename (chronological) order, ssl before
-    /// x509 — the same order the records concatenate in.
+    /// One entry per shard, in the order the files were read: month by
+    /// month (ssl before x509 within a month) for a rotated directory,
+    /// `ssl.log` then `x509.log` for the flat pair.
     pub shards: Vec<ShardDiag>,
     pub rows_parsed: u64,
     pub rows_skipped: u64,
@@ -220,8 +220,7 @@ impl IngestStats {
         }
     }
 
-    /// Fold one shard into the totals (the serial path; the parallel pool
-    /// aggregates the same numbers through atomics instead).
+    /// Fold one shard into the totals.
     pub fn absorb(&mut self, diag: ShardDiag) {
         self.rows_parsed += diag.rows_parsed;
         self.rows_skipped += diag.rows_skipped();

@@ -3,10 +3,11 @@
 //! Real Zeek deployments rotate logs; a 23-month collection is hundreds of
 //! files, not two. This module writes a corpus as per-month files
 //! (`ssl.2022-05.log`, `x509.2022-05.log`, …) and reads a log directory
-//! back in chronological order. It is also the one place that decides a
+//! back: a month at a time ([`month_keys`] + [`read_month_obs`], the walk
+//! the `mtls-core` loader runs) or whole ([`read_dir_obs`], which the
+//! loader uses for the flat pair). It is also the one place that decides a
 //! directory's layout: `ssl.log` present means the flat, unrotated
-//! `ssl.log` / `x509.log` pair, anything else the rotated shards. Every
-//! reader here, and so every loader in `mtls-core`, accepts either.
+//! `ssl.log` / `x509.log` pair, anything else the rotated shards.
 
 use crate::diag::{IngestMode, IngestStats, ShardDiag};
 use crate::records::{SslRecord, X509Record};
@@ -15,7 +16,6 @@ use mtls_intern::FxHashMap;
 use mtls_obs::{Obs, SpanId};
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// `YYYY-MM` for a Unix-seconds timestamp (proleptic Gregorian).
@@ -106,8 +106,8 @@ fn shard_files(dir: &Path) -> Result<Vec<(PathBuf, bool)>, TsvError> {
         .collect())
 }
 
-/// One parsed shard, tagged by kind so both log streams can share a
-/// single work queue.
+/// One parsed shard, tagged by kind so one file loop reads both log
+/// streams.
 enum ParsedShard {
     Ssl(Vec<SslRecord>),
     X509(Vec<X509Record>),
@@ -119,10 +119,6 @@ fn shard_name(path: &Path) -> String {
         .unwrap_or_else(|| path.display().to_string())
 }
 
-/// One shard's parse outcome: its accounting plus the records or the
-/// shard-level error.
-type ShardResult = (ShardDiag, Result<ParsedShard, TsvError>);
-
 /// Records and accounting of a directory (or month) read.
 type ReadResult = Result<(Vec<SslRecord>, Vec<X509Record>, IngestStats), TsvError>;
 
@@ -131,8 +127,7 @@ type ReadResult = Result<(Vec<SslRecord>, Vec<X509Record>, IngestStats), TsvErro
 /// the caller either propagates them (strict) or quarantines (lenient).
 ///
 /// Each shard records one span (named after the shard file) under
-/// `parent`, so the span tree of a sharded read matches its serial twin
-/// regardless of worker interleaving. Metrics are batched — one counter
+/// `parent`. Metrics are batched — one counter
 /// add and one histogram observation per shard, never per row — keeping
 /// the instrumented hot path within the overhead budget.
 fn read_shard(
@@ -141,7 +136,7 @@ fn read_shard(
     mode: IngestMode,
     obs: &Obs,
     parent: Option<SpanId>,
-) -> ShardResult {
+) -> (ShardDiag, Result<ParsedShard, TsvError>) {
     let mut diag = ShardDiag::new(shard_name(path));
     let span = obs.span(parent, &diag.shard);
     let parsed = std::fs::File::open(path)
@@ -164,33 +159,10 @@ fn read_shard(
     (diag, parsed)
 }
 
-/// Stitch per-shard results back in task order. Strict mode surfaces the
-/// first shard error in that order and stops pulling from `slots` (so a
-/// lazy iterator of reads is the serial reader); lenient mode quarantines
-/// failed shards and keeps going.
-fn stitch(
-    slots: impl IntoIterator<Item = ShardResult>,
-    mode: IngestMode,
-    stats: &mut IngestStats,
-) -> Result<(Vec<SslRecord>, Vec<X509Record>), TsvError> {
-    let mut ssl = Vec::new();
-    let mut x509 = Vec::new();
-    for (mut diag, parsed) in slots {
-        match parsed {
-            Ok(ParsedShard::Ssl(records)) => ssl.extend(records),
-            Ok(ParsedShard::X509(records)) => x509.extend(records),
-            Err(err) if mode == IngestMode::Lenient => diag.quarantine(&err),
-            Err(err) => return Err(err),
-        }
-        stats.absorb(diag);
-    }
-    Ok((ssl, x509))
-}
-
-/// The serial file loop: read `tasks` one at a time, in order, stopping at
-/// the first error in strict mode — the ordered-first-error semantics the
-/// shard pool reproduces.
-fn read_serial(
+/// The file loop: read `tasks` one at a time, in order. Strict mode stops
+/// at the first shard error; lenient mode quarantines failed shards and
+/// keeps going.
+fn read_files(
     tasks: &[(PathBuf, bool)],
     mode: IngestMode,
     obs: &Obs,
@@ -201,135 +173,33 @@ fn read_serial(
         mode,
         ..IngestStats::default()
     };
-    let reads = tasks
-        .iter()
-        .map(|(path, is_ssl)| read_shard(path, *is_ssl, mode, obs, parent));
-    let (ssl, x509) = stitch(reads, mode, &mut stats)?;
+    let mut ssl = Vec::new();
+    let mut x509 = Vec::new();
+    for (path, is_ssl) in tasks {
+        let (mut diag, parsed) = read_shard(path, *is_ssl, mode, obs, parent);
+        match parsed {
+            Ok(ParsedShard::Ssl(records)) => ssl.extend(records),
+            Ok(ParsedShard::X509(records)) => x509.extend(records),
+            Err(err) if mode == IngestMode::Lenient => diag.quarantine(&err),
+            Err(err) => return Err(err),
+        }
+        stats.absorb(diag);
+    }
     stats.wall_micros = t0.elapsed().as_micros() as u64;
     Ok((ssl, x509, stats))
 }
 
-/// Read a log directory (either layout, see the module docs) back,
-/// concatenated in filename (chronological) order, parsing shard files
-/// concurrently and reporting per-shard diagnostics.
-///
-/// Each monthly shard is independent — parse work dominates I/O here — so
-/// shards are drained from one shared queue by a pool of scoped threads
-/// capped at [`std::thread::available_parallelism`] (a 23-month corpus is
-/// 46 files; spawning 46 threads on a small box costs more than it buys).
-/// Results are stitched back in sorted filename order, making the output
-/// byte-identical to [`read_monthly_serial_obs`]; in strict mode the
-/// first shard error (in that same order) is reported, matching serial
-/// semantics, while lenient mode quarantines the failed shard and
-/// continues. Workers also fold their rows/bytes counters into shared
-/// relaxed atomics — one `fetch_add` batch per shard — which
-/// cross-checks the per-shard sums in the returned [`IngestStats`].
+/// Read a whole log directory (either layout, see the module docs): every
+/// ssl file, then every x509 file, each stream in filename (chronological)
+/// order, with one span per file under `parent`.
+pub fn read_dir_obs(dir: &Path, mode: IngestMode, obs: &Obs, parent: Option<SpanId>) -> ReadResult {
+    read_files(&shard_files(dir)?, mode, obs, parent)
+}
+
+/// [`read_dir_obs`] unobserved. Kept for the benchmark (`mtlsbench`),
+/// which calls it by this name; the next change to the benchmark removes it.
 pub fn read_monthly_with(dir: &Path, mode: IngestMode) -> ReadResult {
-    read_monthly_obs(dir, mode, &Obs::noop(), None)
-}
-
-/// [`read_monthly_with`] with per-shard observability: each shard records
-/// a span (named after its file) under `parent`, plus batched row/byte
-/// counters and a parse-latency histogram.
-pub fn read_monthly_obs(
-    dir: &Path,
-    mode: IngestMode,
-    obs: &Obs,
-    parent: Option<SpanId>,
-) -> ReadResult {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    read_monthly_pool_obs(dir, mode, obs, parent, workers)
-}
-
-/// [`read_monthly_with`] with an explicit worker-pool size. This is the
-/// scaling probe behind `BENCH_ingest.json`'s `scaling` section (the
-/// `perf_smoke` bin sweeps pool sizes on whatever box it runs on);
-/// ordinary callers want the `available_parallelism` default of
-/// [`read_monthly_with`]. A pool of 0 or 1 takes the serial path.
-pub fn read_monthly_pool(dir: &Path, mode: IngestMode, workers: usize) -> ReadResult {
-    read_monthly_pool_obs(dir, mode, &Obs::noop(), None, workers)
-}
-
-fn read_monthly_pool_obs(
-    dir: &Path,
-    mode: IngestMode,
-    obs: &Obs,
-    parent: Option<SpanId>,
-    workers: usize,
-) -> ReadResult {
-    let t0 = Instant::now();
-    let tasks = shard_files(dir)?;
-    let workers = workers.min(tasks.len());
-    if workers <= 1 {
-        return read_serial(&tasks, mode, obs, parent);
-    }
-
-    let next = AtomicUsize::new(0);
-    // Corpus-wide counters, shared by the pool: cheap because each worker
-    // adds a whole shard's counts at once, not per row.
-    let rows_parsed = AtomicU64::new(0);
-    let rows_skipped = AtomicU64::new(0);
-    let bytes_read = AtomicU64::new(0);
-    let per_worker: Vec<Vec<(usize, ShardResult)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut done = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some((path, is_ssl)) = tasks.get(i) else {
-                            return done;
-                        };
-                        let (diag, parsed) = read_shard(path, *is_ssl, mode, obs, parent);
-                        rows_parsed.fetch_add(diag.rows_parsed, Ordering::Relaxed);
-                        rows_skipped.fetch_add(diag.rows_skipped(), Ordering::Relaxed);
-                        bytes_read.fetch_add(diag.bytes_read, Ordering::Relaxed);
-                        done.push((i, (diag, parsed)));
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard reader panicked"))
-            .collect()
-    });
-
-    let mut slots: Vec<Option<ShardResult>> = (0..tasks.len()).map(|_| None).collect();
-    for (i, result) in per_worker.into_iter().flatten() {
-        slots[i] = Some(result);
-    }
-    let mut stats = IngestStats {
-        mode,
-        ..IngestStats::default()
-    };
-    let ordered = slots
-        .into_iter()
-        .map(|slot| slot.expect("every shard task ran"));
-    let (ssl, x509) = stitch(ordered, mode, &mut stats)?;
-    // The pool's atomic totals and the per-shard sums must agree; prefer
-    // the atomics (they are what a streaming consumer would watch).
-    debug_assert_eq!(stats.rows_parsed, rows_parsed.load(Ordering::Relaxed));
-    debug_assert_eq!(stats.rows_skipped, rows_skipped.load(Ordering::Relaxed));
-    stats.rows_parsed = rows_parsed.load(Ordering::Relaxed);
-    stats.rows_skipped = rows_skipped.load(Ordering::Relaxed);
-    stats.bytes_read = bytes_read.load(Ordering::Relaxed);
-    stats.wall_micros = t0.elapsed().as_micros() as u64;
-    Ok((ssl, x509, stats))
-}
-
-/// Serial reference reader: same contract, output, span rows and counter
-/// totals as [`read_monthly_obs`], one shard at a time. Kept as the
-/// equivalence oracle for tests and benchmarks.
-pub fn read_monthly_serial_obs(
-    dir: &Path,
-    mode: IngestMode,
-    obs: &Obs,
-    parent: Option<SpanId>,
-) -> ReadResult {
-    read_serial(&shard_files(dir)?, mode, obs, parent)
+    read_dir_obs(dir, mode, &Obs::noop(), None)
 }
 
 /// The month key embedded in a rotated shard filename
@@ -344,7 +214,7 @@ fn shard_month(name: &str) -> Option<&str> {
 
 /// The distinct month keys present in a rotated directory, sorted into
 /// chronological (`YYYY-MM` lexicographic) order. This is the epoch
-/// schedule of a streaming ingest: each key names one
+/// schedule of a directory load: each key names one
 /// [`read_month_obs`] unit. Empty for the flat layout, which has no
 /// per-month files.
 pub fn month_keys(dir: &Path) -> Result<Vec<String>, TsvError> {
@@ -360,13 +230,12 @@ pub fn month_keys(dir: &Path) -> Result<Vec<String>, TsvError> {
 }
 
 /// Read only the shards of one month (`ssl.<key>.log` / `x509.<key>.log`
-/// where present) — the unit of work a streaming ingest pushes as one
-/// epoch. Observability mirrors [`read_monthly_obs`]: one span per shard
-/// file under `parent`, batched row/byte counters, so a month-by-month
-/// walk of a directory produces the same span tree and counter totals as
-/// one batch read. Strict mode surfaces the first shard error in
-/// filename order; lenient quarantines it, exactly like the batch
-/// readers.
+/// where present) — the unit of work the loader pushes as one epoch.
+/// Observability mirrors [`read_dir_obs`]: one span per shard file under
+/// `parent`, batched row/byte counters, so a month-by-month walk of a
+/// directory produces the same span rows and counter totals as one whole
+/// read. Strict mode surfaces the month's first shard error (ssl before
+/// x509); lenient quarantines it.
 pub fn read_month_obs(
     dir: &Path,
     key: &str,
@@ -379,7 +248,7 @@ pub fn read_month_obs(
         .map(|(stream, is_ssl)| (dir.join(format!("{stream}.{key}.log")), is_ssl))
         .filter(|(path, _)| path.exists())
         .collect();
-    read_serial(&tasks, mode, obs, parent)
+    read_files(&tasks, mode, obs, parent)
 }
 
 /// Partition in-memory records into per-month epochs, chronologically
@@ -450,17 +319,14 @@ mod tests {
         }
     }
 
-    /// The serial reference reader, unobserved.
-    fn serial_with(dir: &Path, mode: IngestMode) -> ReadResult {
-        read_monthly_serial_obs(dir, mode, &Obs::noop(), None)
+    /// A whole-directory read, unobserved.
+    fn read_dir(dir: &Path, mode: IngestMode) -> ReadResult {
+        read_dir_obs(dir, mode, &Obs::noop(), None)
     }
 
-    /// A strict read's records, without the accounting.
-    fn strict_records(
-        read: fn(&Path, IngestMode) -> ReadResult,
-        dir: &Path,
-    ) -> (Vec<SslRecord>, Vec<X509Record>) {
-        let (ssl, x509, _) = read(dir, IngestMode::Strict).unwrap();
+    /// A strict whole-directory read's records, without the accounting.
+    fn strict_records(dir: &Path) -> (Vec<SslRecord>, Vec<X509Record>) {
+        let (ssl, x509, _) = read_dir(dir, IngestMode::Strict).unwrap();
         (ssl, x509)
     }
 
@@ -503,31 +369,29 @@ mod tests {
         let text = std::fs::read_to_string(&victim).unwrap();
         std::fs::write(&victim, text.replace("#fields\tts", "#fields\tbogus")).unwrap();
 
-        for read in [read_monthly_with, serial_with] {
-            // Strict: both paths fail with BadHeader.
-            assert!(matches!(
-                read(&dir, IngestMode::Strict),
-                Err(TsvError::BadHeader)
-            ));
-            // Lenient: the shard is quarantined, everything else survives.
-            let (ssl_rt, x509_rt, stats) = read(&dir, IngestMode::Lenient).unwrap();
-            assert_eq!(ssl_rt, ssl);
-            assert_eq!(x509_rt, vec![x509_at(JUN_2022, "f2")]);
-            assert_eq!(stats.shards_quarantined, 1);
-            assert_eq!(stats.rows_parsed, 3);
-            assert_eq!(stats.rows_skipped, 0);
-            let bad = stats
-                .shards
-                .iter()
-                .find(|d| d.quarantined.is_some())
-                .expect("quarantined shard diag");
-            assert_eq!(bad.shard, "x509.2022-05.log");
-            assert_eq!(bad.quarantined.as_ref().unwrap().kind, ErrorKind::BadHeader);
-            // Atomic totals agree with the per-shard sums.
-            let summed: u64 = stats.shards.iter().map(|d| d.rows_parsed).sum();
-            assert_eq!(stats.rows_parsed, summed);
-            assert!(stats.error_rate() > 0.0);
-        }
+        // Strict fails with BadHeader.
+        assert!(matches!(
+            read_dir(&dir, IngestMode::Strict),
+            Err(TsvError::BadHeader)
+        ));
+        // Lenient: the shard is quarantined, everything else survives.
+        let (ssl_rt, x509_rt, stats) = read_dir(&dir, IngestMode::Lenient).unwrap();
+        assert_eq!(ssl_rt, ssl);
+        assert_eq!(x509_rt, vec![x509_at(JUN_2022, "f2")]);
+        assert_eq!(stats.shards_quarantined, 1);
+        assert_eq!(stats.rows_parsed, 3);
+        assert_eq!(stats.rows_skipped, 0);
+        let bad = stats
+            .shards
+            .iter()
+            .find(|d| d.quarantined.is_some())
+            .expect("quarantined shard diag");
+        assert_eq!(bad.shard, "x509.2022-05.log");
+        assert_eq!(bad.quarantined.as_ref().unwrap().kind, ErrorKind::BadHeader);
+        // The corpus-wide totals agree with the per-shard sums.
+        let summed: u64 = stats.shards.iter().map(|d| d.rows_parsed).sum();
+        assert_eq!(stats.rows_parsed, summed);
+        assert!(stats.error_rate() > 0.0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -550,28 +414,9 @@ mod tests {
         assert!(names.contains(&"ssl.2022-06.log".to_string()));
         assert!(names.contains(&"x509.2022-05.log".to_string()));
 
-        let (ssl_rt, x509_rt) = strict_records(read_monthly_with, &dir);
+        let (ssl_rt, x509_rt) = strict_records(&dir);
         assert_eq!(ssl_rt, ssl, "chronological concatenation");
         assert_eq!(x509_rt, x509);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn parallel_matches_serial() {
-        let ssl: Vec<SslRecord> = (0..40)
-            .map(|i| ssl_at(MAY_2022 + f64::from(i) * 86_400.0, &format!("u{i}")))
-            .collect();
-        let x509: Vec<X509Record> = (0..40)
-            .map(|i| x509_at(MAY_2022 + f64::from(i) * 86_400.0, &format!("fp{i}")))
-            .collect();
-        let dir = std::env::temp_dir().join(format!("mtlscope-rotate3-{}", std::process::id()));
-        write_monthly(&dir, &ssl, &x509).unwrap();
-
-        let par = strict_records(read_monthly_with, &dir);
-        let ser = strict_records(serial_with, &dir);
-        assert_eq!(par, ser);
-        assert_eq!(par.0, ssl);
-        assert_eq!(par.1, x509);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -601,7 +446,7 @@ mod tests {
             walked_ssl.extend(s);
             walked_x509.extend(x);
         }
-        let (batch_ssl, batch_x509) = strict_records(read_monthly_with, &dir);
+        let (batch_ssl, batch_x509) = strict_records(&dir);
         assert_eq!(walked_ssl, batch_ssl);
         assert_eq!(walked_x509, batch_x509);
         assert_eq!(rows, 4);
@@ -644,7 +489,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("mtlscope-rotate2-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("notes.txt"), "hi").unwrap();
-        let (ssl, x509) = strict_records(read_monthly_with, &dir);
+        let (ssl, x509) = strict_records(&dir);
         assert!(ssl.is_empty());
         assert!(x509.is_empty());
         std::fs::remove_dir_all(&dir).ok();
@@ -665,20 +510,18 @@ mod tests {
         write_x509_log(&mut buf, &flat_x509).unwrap();
         std::fs::write(dir.join("x509.log"), &buf).unwrap();
 
-        for read in [read_monthly_with, serial_with] {
-            let (ssl, x509, stats) = read(&dir, IngestMode::Strict).unwrap();
-            assert_eq!(ssl, flat_ssl);
-            assert_eq!(x509, flat_x509);
-            let names: Vec<&str> = stats.shards.iter().map(|d| d.shard.as_str()).collect();
-            assert_eq!(names, ["ssl.log", "x509.log"]);
-        }
+        let (ssl, x509, stats) = read_dir(&dir, IngestMode::Strict).unwrap();
+        assert_eq!(ssl, flat_ssl);
+        assert_eq!(x509, flat_x509);
+        let names: Vec<&str> = stats.shards.iter().map(|d| d.shard.as_str()).collect();
+        assert_eq!(names, ["ssl.log", "x509.log"]);
         // The flat layout has no per-month files, so no epoch schedule.
         assert!(crate::rotate::month_keys(&dir).unwrap().is_empty());
 
         // Without `ssl.log` the same directory is rotated again, and a
         // stray `x509.log` is not one of its shards.
         std::fs::remove_file(dir.join("ssl.log")).unwrap();
-        let (ssl, x509) = strict_records(serial_with, &dir);
+        let (ssl, x509) = strict_records(&dir);
         assert_eq!(ssl, vec![ssl_at(MAY_2022, "rotated")]);
         assert!(x509.is_empty());
         assert_eq!(crate::rotate::month_keys(&dir).unwrap(), ["2022-05"]);

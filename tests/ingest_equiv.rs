@@ -1,19 +1,16 @@
-//! Sharded-ingest equivalence: the parallel directory loader must be an
-//! observationally exact replacement for the serial one — same records,
-//! same corpus, byte-identical rendered report — on a realistic rotated
-//! (23-month) log directory. On a clean corpus the lenient loader must be
-//! observationally identical to the strict one; on a fault-injected corpus
-//! it must recover with exact, fully-accounted skip counts while strict
-//! keeps its first-error-in-shard-order contract.
+//! Directory-ingest equivalence: the month-walk loader must read both
+//! layouts of a realistic (23-month) corpus into the report the generation
+//! path renders, byte for byte. On a clean corpus lenient mode must be
+//! observationally identical to strict; on a fault-injected corpus it must
+//! recover with exact, fully-accounted skip counts while strict keeps its
+//! first-error-in-walk-order contract. Month push order must not matter,
+//! and a rolling window must equal a load of only its months.
 
-use mtlscope::core::ingest::{
-    load_dir_obs, load_dir_serial_obs, load_dir_serial_with, load_dir_streaming_obs,
-    IngestDiagnostics, IngestError, StreamOptions,
-};
+use mtlscope::core::ingest::{load_dir, IngestDiagnostics, IngestError};
 use mtlscope::core::testutil::faults;
 use mtlscope::core::{
-    run_pipeline, run_pipeline_obs, run_pipeline_parallel_obs, run_pipeline_streamed_parallel_obs,
-    AnalysisInputs, Corpus, CorpusBuilder, IngestMode,
+    run_pipeline, run_pipeline_obs, run_pipeline_parallel_obs, AnalysisInputs, Corpus,
+    CorpusBuilder, IngestMode,
 };
 use mtlscope::intern::{FxHashSet, Interner};
 use mtlscope::netsim::{generate, SimConfig, SimOutput};
@@ -21,20 +18,17 @@ use mtlscope::obs::{Obs, Snapshot};
 use mtlscope::zeek::{partition_monthly, ErrorKind};
 use std::path::{Path, PathBuf};
 
-/// What a batch loader returns.
-type Loaded = Result<(AnalysisInputs, IngestDiagnostics), IngestError>;
-
-/// The pooled loader, unobserved.
-fn pooled(dir: &Path, mode: IngestMode) -> Loaded {
-    load_dir_obs(dir, mode, &Obs::noop(), None)
+/// A load with no window, unobserved.
+fn load(dir: &Path, mode: IngestMode) -> Result<(AnalysisInputs, IngestDiagnostics), IngestError> {
+    load_dir(dir, mode, None, &Obs::noop(), None)
 }
 
-/// A strict load's inputs, through the pooled or the serial loader.
-fn inputs(load: fn(&Path, IngestMode) -> Loaded, dir: &Path) -> AnalysisInputs {
+/// A strict load's inputs.
+fn inputs(dir: &Path) -> AnalysisInputs {
     load(dir, IngestMode::Strict).expect("strict ingest").0
 }
 
-/// The two on-disk layouts every loader reads: the flat `ssl.log` /
+/// The two on-disk layouts the loader reads: the flat `ssl.log` /
 /// `x509.log` pair and the monthly-rotated shards.
 const LAYOUTS: [&str; 2] = ["flat", "rotated"];
 
@@ -67,79 +61,34 @@ fn shard_name(path: &Path) -> String {
 }
 
 #[test]
-fn sharded_ingest_equals_serial_ingest_byte_for_byte() {
-    let sim = generate(&SimConfig {
-        seed: 9099,
-        scale: 0.01,
-        ..Default::default()
-    });
-    let dir = std::env::temp_dir().join(format!("mtlscope-equiv-{}", std::process::id()));
-    sim.write_to_dir_rotated(&dir).expect("write rotated logs");
-
-    let sharded = inputs(pooled, &dir);
-    let serial = inputs(load_dir_serial_with, &dir);
-
-    // Inputs agree field-for-field…
-    assert_eq!(sharded.ssl, serial.ssl);
-    assert_eq!(sharded.x509, serial.x509);
-    assert_eq!(sharded.ct.len(), serial.ct.len());
-
-    // …and the full analysis over them renders byte-identically,
-    // regardless of which pipeline entrypoint consumes which ingest.
-    let from_sharded = run_pipeline_parallel_obs(sharded, &Obs::noop(), None);
-    let from_serial = run_pipeline(serial);
-    assert_eq!(from_sharded.render_all(), from_serial.render_all());
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn sharded_ingest_handles_unrotated_layout_too() {
     let sim = generate(&SimConfig {
         seed: 9100,
         scale: 0.005,
         ..Default::default()
     });
+    // The oracle is the generation path: no logs on disk at all.
+    let oracle = run_pipeline(AnalysisInputs::from_sim(sim.clone())).render_all();
+    let rows = (sim.ssl.len() + sim.x509.len()) as u64;
     for layout in LAYOUTS {
         let dir =
             std::env::temp_dir().join(format!("mtlscope-equiv-{layout}-{}", std::process::id()));
         write_layout(&sim, &dir, layout);
 
-        // All three loaders over the same directory: the shard pool, the
-        // serial reference, and the month-by-month streaming walk (whose
-        // flat-layout branch reads the pair whole and partitions it).
-        let (sharded, sharded_diag) = pooled(&dir, IngestMode::Strict).expect("pooled ingest");
-        let (serial, serial_diag) =
-            load_dir_serial_with(&dir, IngestMode::Strict).expect("serial ingest");
-        let (parts, ct, gossip, stream_diag) = load_dir_streaming_obs(
-            &dir,
-            IngestMode::Strict,
-            StreamOptions::default(),
-            &Obs::noop(),
-            None,
-        )
-        .expect("streaming ingest");
-        // Every loader's report is the serial pipeline's, byte for byte.
-        let oracle = run_pipeline(serial).render_all();
-        for report in [
-            run_pipeline_parallel_obs(sharded, &Obs::noop(), None).render_all(),
-            run_pipeline_streamed_parallel_obs(parts, &ct, &gossip, &Obs::noop(), None)
-                .render_all(),
-        ] {
-            assert!(report == oracle, "{layout}: report differs from serial");
-        }
+        // The rotated layout is walked shard by shard; the flat pair is read
+        // whole and partitioned into months. Both render the oracle.
+        let (loaded, diag) = load(&dir, IngestMode::Strict).expect("ingest");
+        assert!(
+            run_pipeline(loaded).render_all() == oracle,
+            "{layout}: report differs from the generation path"
+        );
 
-        // And the same accounting: rows, bytes and the files read (the
-        // streaming walk reads them month by month, hence the sort).
-        let accounting = |d: &IngestDiagnostics| {
-            let mut names: Vec<&str> = d.stats.shards.iter().map(|s| s.shard.as_str()).collect();
-            names.sort_unstable();
-            (d.stats.rows_parsed, d.stats.bytes_read, names.join(" "))
-        };
-        assert_eq!(accounting(&sharded_diag), accounting(&serial_diag));
-        assert_eq!(accounting(&stream_diag), accounting(&serial_diag));
+        // Every row is accounted, every file read once, every month pushed.
+        assert_eq!(diag.stats.rows_parsed, rows, "{layout}");
         let files = if layout == "flat" { 2 } else { 46 };
-        assert_eq!(serial_diag.stats.shards.len(), files, "{layout}");
+        assert_eq!(diag.stats.shards.len(), files, "{layout}");
+        assert_eq!(diag.stream.epochs_pushed, 23, "{layout}");
+        assert_eq!(diag.stream.epochs_retired, 0, "{layout}");
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -155,21 +104,16 @@ fn lenient_equals_strict_on_clean_corpus() {
     let dir = std::env::temp_dir().join(format!("mtlscope-equiv-clean-{}", std::process::id()));
     sim.write_to_dir_rotated(&dir).expect("write rotated logs");
 
-    let (strict, strict_diag) = pooled(&dir, IngestMode::Strict).expect("strict ingest");
-    let (lenient, lenient_diag) = pooled(&dir, IngestMode::Lenient).expect("lenient ingest");
-    let (lenient_serial, serial_diag) =
-        load_dir_serial_with(&dir, IngestMode::Lenient).expect("lenient serial ingest");
+    let (strict, strict_diag) = load(&dir, IngestMode::Strict).expect("strict ingest");
+    let (lenient, lenient_diag) = load(&dir, IngestMode::Lenient).expect("lenient ingest");
 
-    // Identical inputs, both against the strict parallel loader and
-    // between the lenient parallel and serial paths.
+    // Identical inputs from either mode.
     assert_eq!(strict.ssl, lenient.ssl);
     assert_eq!(strict.x509, lenient.x509);
-    assert_eq!(lenient.ssl, lenient_serial.ssl);
-    assert_eq!(lenient.x509, lenient_serial.x509);
 
     // A clean corpus produces zero skips in every ledger, and passes even
     // the tightest error-rate guard.
-    for diag in [&strict_diag, &lenient_diag, &serial_diag] {
+    for diag in [&strict_diag, &lenient_diag] {
         assert_eq!(diag.stats.rows_skipped, 0);
         assert_eq!(diag.stats.shards_quarantined, 0);
         assert_eq!(diag.meta_entries_skipped, 0);
@@ -200,18 +144,19 @@ fn span_shape(snap: &Snapshot) -> Vec<(String, usize, u64)> {
         .collect()
 }
 
-/// Gauges with the duration-derived rates removed (`*_per_sec` is computed
-/// from wall time, so it legitimately differs between runs).
+/// Gauges with the duration-derived rates and the RSS samples removed
+/// (`*_per_sec` is computed from wall time and `mem.*` reads the process,
+/// so both legitimately differ between runs).
 fn stable_gauges(snap: &Snapshot) -> Vec<(String, i64)> {
     snap.gauges
         .iter()
-        .filter(|(name, _)| !name.ends_with("_per_sec"))
+        .filter(|(name, _)| !name.ends_with("_per_sec") && !name.starts_with("mem."))
         .cloned()
         .collect()
 }
 
 #[test]
-fn span_tree_is_deterministic_across_serial_and_sharded_ingest() {
+fn ingest_span_tree_covers_every_shard_and_agrees_with_the_ledger() {
     let sim = generate(&SimConfig {
         seed: 9103,
         scale: 0.005,
@@ -224,75 +169,66 @@ fn span_tree_is_deterministic_across_serial_and_sharded_ingest() {
         ));
         write_layout(&sim, &dir, layout);
 
-        let obs_sharded = Obs::new();
-        let (sharded, sharded_diag) =
-            load_dir_obs(&dir, IngestMode::Strict, &obs_sharded, None).expect("sharded ingest");
-        let obs_serial = Obs::new();
-        let (serial, serial_diag) =
-            load_dir_serial_obs(&dir, IngestMode::Strict, &obs_serial, None)
-                .expect("serial ingest");
-        assert_eq!(sharded.ssl, serial.ssl);
-        assert_eq!(sharded.x509, serial.x509);
+        let observed_load = || {
+            let obs = Obs::new();
+            let (_, diag) = load_dir(&dir, IngestMode::Strict, None, &obs, None).expect("ingest");
+            (obs.snapshot(), diag)
+        };
+        let (snap, diag) = observed_load();
+        let (again, _) = observed_load();
 
-        let snap_sharded = obs_sharded.snapshot();
-        let snap_serial = obs_serial.snapshot();
-
-        // The racing worker pool must aggregate onto the exact tree the serial
-        // loader builds: same paths, same nesting, same per-node counts.
-        assert_eq!(span_shape(&snap_sharded), span_shape(&snap_serial));
+        // Two loads of one directory record the same tree, counter totals,
+        // gauges (the wall-time-derived rates aside) and histogram
+        // populations (bucket placement follows shard latency).
+        assert_eq!(span_shape(&snap), span_shape(&again));
+        assert_eq!(snap.counters, again.counters);
+        assert_eq!(stable_gauges(&snap), stable_gauges(&again));
+        let populations = |s: &Snapshot| {
+            s.histograms
+                .iter()
+                .map(|h| (h.name.clone(), h.count))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(populations(&snap), populations(&again));
 
         // The tree covers the whole load: the ingest root, its three phases,
-        // and one grandchild per shard on disk.
+        // one grandchild per shard on disk, and one epoch merge per month.
         for path in ["ingest", "ingest/meta", "ingest/ct", "ingest/logs"] {
-            let row = snap_sharded.span(path).unwrap_or_else(|| {
-                panic!("span {path} missing from {:?}", span_shape(&snap_sharded))
-            });
+            let row = snap
+                .span(path)
+                .unwrap_or_else(|| panic!("span {path} missing from {:?}", span_shape(&snap)));
             assert_eq!(row.count, 1, "span {path} should run exactly once");
         }
         for shard in shards(&dir, "ssl").iter().chain(&shards(&dir, "x509")) {
             let path = format!("ingest/logs/{}", shard_name(shard));
             assert!(
-                snap_sharded.span(&path).is_some_and(|r| r.count == 1),
+                snap.span(&path).is_some_and(|r| r.count == 1),
                 "per-shard span {path} missing or miscounted"
             );
         }
-
-        // Counter totals are exactly equal — the batched per-shard adds commute.
-        assert_eq!(snap_sharded.counters, snap_serial.counters);
-        // Gauges agree too, once the wall-time-derived throughput rates are
-        // set aside; histograms agree on population (bucket placement is a
-        // function of shard latency, which is the one thing allowed to vary).
-        assert_eq!(stable_gauges(&snap_sharded), stable_gauges(&snap_serial));
         assert_eq!(
-            snap_sharded
-                .histograms
-                .iter()
-                .map(|h| (h.name.clone(), h.count))
-                .collect::<Vec<_>>(),
-            snap_serial
-                .histograms
-                .iter()
-                .map(|h| (h.name.clone(), h.count))
-                .collect::<Vec<_>>()
+            snap.span("ingest/epoch_merge").map(|r| r.count),
+            Some(diag.stream.epochs_pushed as u64)
         );
 
         // The metrics registry and the diagnostics ledger are two views of one
         // load; they must tell the same story.
-        for (snap, diag) in [(&snap_sharded, &sharded_diag), (&snap_serial, &serial_diag)] {
-            assert_eq!(
-                snap.counter("ingest.rows_parsed"),
-                Some(diag.stats.rows_parsed)
-            );
-            assert_eq!(
-                snap.counter("ingest.rows_skipped"),
-                Some(diag.stats.rows_skipped)
-            );
-            assert_eq!(
-                snap.counter("ingest.meta_entries_skipped"),
-                Some(diag.meta_entries_skipped)
-            );
-            assert!(snap.counter("ingest.bytes_read").unwrap_or(0) > 0);
-        }
+        assert_eq!(
+            snap.counter("ingest.rows_parsed"),
+            Some(diag.stats.rows_parsed)
+        );
+        assert_eq!(
+            snap.counter("ingest.rows_skipped"),
+            Some(diag.stats.rows_skipped)
+        );
+        assert_eq!(
+            snap.counter("ingest.meta_entries_skipped"),
+            Some(diag.meta_entries_skipped)
+        );
+        assert!(snap.counter("ingest.bytes_read").unwrap_or(0) > 0);
+        let pushed = snap.counter("stream.ssl_rows_pushed").unwrap_or(0)
+            + snap.counter("stream.x509_rows_pushed").unwrap_or(0);
+        assert_eq!(pushed, diag.stats.rows_parsed);
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -307,8 +243,8 @@ fn span_tree_is_deterministic_across_serial_and_parallel_pipeline() {
     });
     let dir = std::env::temp_dir().join(format!("mtlscope-equiv-pobs-{}", std::process::id()));
     sim.write_to_dir_rotated(&dir).expect("write rotated logs");
-    let for_parallel = inputs(pooled, &dir);
-    let for_serial = inputs(pooled, &dir);
+    let for_parallel = inputs(&dir);
+    let for_serial = inputs(&dir);
     std::fs::remove_dir_all(&dir).ok();
 
     let obs_parallel = Obs::new();
@@ -402,13 +338,14 @@ fn streamed_pipeline_is_order_independent_and_matches_batch() {
         }
         let parts = builder.finish();
         let obs = Obs::new();
-        let out = run_pipeline_streamed_parallel_obs(parts, &inputs.ct, &inputs.gossip, &obs, None);
+        let pushed = parts.into_inputs(inputs.ct.clone(), inputs.gossip.clone());
+        let out = run_pipeline_obs(pushed, &obs, None);
         streamed.push((out.render_all(), obs.snapshot()));
         let _ = label;
     }
 
     let obs_batch = Obs::new();
-    let batch = run_pipeline_parallel_obs(inputs, &obs_batch, None);
+    let batch = run_pipeline_obs(inputs, &obs_batch, None);
     let batch_report = batch.render_all();
     let snap_batch = obs_batch.snapshot();
 
@@ -502,20 +439,11 @@ fn rolling_window_equals_batch_over_the_window_months() {
     sim.write_to_dir_rotated(&dir).expect("write rotated logs");
 
     const WINDOW: usize = 6;
-    let (parts, ct, gossip, _diag) = load_dir_streaming_obs(
-        &dir,
-        IngestMode::Strict,
-        StreamOptions {
-            window_months: Some(WINDOW),
-        },
-        &Obs::noop(),
-        None,
-    )
-    .expect("windowed streaming ingest");
-    assert_eq!(parts.summary.epochs_pushed, 23);
-    assert_eq!(parts.summary.epochs_retired, 23 - WINDOW);
-    let windowed_report =
-        run_pipeline_streamed_parallel_obs(parts, &ct, &gossip, &Obs::noop(), None).render_all();
+    let (windowed, diag) = load_dir(&dir, IngestMode::Strict, Some(WINDOW), &Obs::noop(), None)
+        .expect("windowed ingest");
+    assert_eq!(diag.stream.epochs_pushed, 23);
+    assert_eq!(diag.stream.epochs_retired, 23 - WINDOW);
+    let windowed_report = run_pipeline(windowed).render_all();
 
     // Oracle: a batch run over a directory holding only the last WINDOW
     // months' shards (plus the sidecars).
@@ -549,8 +477,7 @@ fn rolling_window_equals_batch_over_the_window_months() {
             }
         }
     }
-    let oracle = inputs(pooled, &oracle_dir);
-    let oracle_report = run_pipeline_parallel_obs(oracle, &Obs::noop(), None).render_all();
+    let oracle_report = run_pipeline(inputs(&oracle_dir)).render_all();
 
     assert_eq!(windowed_report, oracle_report);
 
@@ -603,7 +530,7 @@ fn lenient_recovers_from_injected_faults_with_exact_accounting() {
     });
     let dir = std::env::temp_dir().join(format!("mtlscope-equiv-fault-{}", std::process::id()));
     sim.write_to_dir_rotated(&dir).expect("write rotated logs");
-    let clean = inputs(pooled, &dir);
+    let clean = inputs(&dir);
 
     let ssl_shards = shards(&dir, "ssl");
     let x509_shards = shards(&dir, "x509");
@@ -626,77 +553,72 @@ fn lenient_recovers_from_injected_faults_with_exact_accounting() {
     faults::inject_non_utf8(hurt_ssl, 4);
     faults::corrupt_header(quarantined_x509);
 
-    // Strict aborts, and the parallel loader reports the same first error
-    // (in serial shard order: the ColumnCount on the first ssl shard's
-    // first data line, not the x509 header corruption further along).
-    let strict_par = pooled(&dir, IngestMode::Strict).map(|_| ());
-    let strict_ser = load_dir_serial_with(&dir, IngestMode::Strict).map(|_| ());
-    let par_msg = strict_par.expect_err("strict must abort").to_string();
-    let ser_msg = strict_ser.expect_err("strict must abort").to_string();
-    assert_eq!(par_msg, ser_msg);
-    assert!(par_msg.contains("columns"), "{par_msg}");
+    // Strict aborts with the first error in walk order: the ColumnCount on
+    // the first month's ssl shard's first data line, not the x509 header
+    // corruption a month later.
+    let strict = load(&dir, IngestMode::Strict).map(|_| ());
+    let msg = strict.expect_err("strict must abort").to_string();
+    assert!(msg.contains("columns"), "{msg}");
 
-    // Lenient recovers: both paths, identical records, exact accounting.
-    for loader in [pooled, load_dir_serial_with] {
-        let (inputs, diag) = loader(&dir, IngestMode::Lenient).expect("lenient ingest");
-        assert_eq!(inputs.ssl.len(), clean.ssl.len() - 3);
-        assert_eq!(inputs.x509.len(), clean.x509.len() - lost_rows);
+    // Lenient recovers with exact accounting.
+    let (inputs, diag) = load(&dir, IngestMode::Lenient).expect("lenient ingest");
+    assert_eq!(inputs.ssl.len(), clean.ssl.len() - 3);
+    assert_eq!(inputs.x509.len(), clean.x509.len() - lost_rows);
 
-        assert_eq!(diag.stats.rows_skipped, 3);
-        assert_eq!(diag.stats.shards_quarantined, 1);
-        assert_eq!(
-            diag.stats.rows_parsed,
-            (inputs.ssl.len() + inputs.x509.len()) as u64
-        );
+    assert_eq!(diag.stats.rows_skipped, 3);
+    assert_eq!(diag.stats.shards_quarantined, 1);
+    assert_eq!(
+        diag.stats.rows_parsed,
+        (inputs.ssl.len() + inputs.x509.len()) as u64
+    );
 
-        let hurt = diag
-            .stats
-            .shards
-            .iter()
-            .find(|d| d.shard == shard_name(hurt_ssl))
-            .expect("hurt shard in ledger");
-        assert_eq!(hurt.skipped_of(ErrorKind::ColumnCount), 1);
-        assert_eq!(hurt.skipped_of(ErrorKind::BadField), 1);
-        assert_eq!(hurt.skipped_of(ErrorKind::NonUtf8), 1);
-        assert_eq!(hurt.samples.len(), 3);
-        // Samples arrive in line order with real positions attached.
-        let kinds: Vec<ErrorKind> = hurt.samples.iter().map(|s| s.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                ErrorKind::ColumnCount,
-                ErrorKind::BadField,
-                ErrorKind::NonUtf8
-            ]
-        );
-        assert!(hurt.samples.windows(2).all(|w| w[0].line < w[1].line));
-        assert!(hurt
-            .samples
-            .windows(2)
-            .all(|w| w[0].byte_offset < w[1].byte_offset));
+    let hurt = diag
+        .stats
+        .shards
+        .iter()
+        .find(|d| d.shard == shard_name(hurt_ssl))
+        .expect("hurt shard in ledger");
+    assert_eq!(hurt.skipped_of(ErrorKind::ColumnCount), 1);
+    assert_eq!(hurt.skipped_of(ErrorKind::BadField), 1);
+    assert_eq!(hurt.skipped_of(ErrorKind::NonUtf8), 1);
+    assert_eq!(hurt.samples.len(), 3);
+    // Samples arrive in line order with real positions attached.
+    let kinds: Vec<ErrorKind> = hurt.samples.iter().map(|s| s.kind).collect();
+    assert_eq!(
+        kinds,
+        vec![
+            ErrorKind::ColumnCount,
+            ErrorKind::BadField,
+            ErrorKind::NonUtf8
+        ]
+    );
+    assert!(hurt.samples.windows(2).all(|w| w[0].line < w[1].line));
+    assert!(hurt
+        .samples
+        .windows(2)
+        .all(|w| w[0].byte_offset < w[1].byte_offset));
 
-        let quarantined = diag
-            .stats
-            .shards
-            .iter()
-            .find(|d| d.quarantined.is_some())
-            .expect("quarantined shard in ledger");
-        assert_eq!(quarantined.shard, shard_name(quarantined_x509));
-        assert_eq!(
-            quarantined.quarantined.as_ref().unwrap().kind,
-            ErrorKind::BadHeader
-        );
+    let quarantined = diag
+        .stats
+        .shards
+        .iter()
+        .find(|d| d.quarantined.is_some())
+        .expect("quarantined shard in ledger");
+    assert_eq!(quarantined.shard, shard_name(quarantined_x509));
+    assert_eq!(
+        quarantined.quarantined.as_ref().unwrap().kind,
+        ErrorKind::BadHeader
+    );
 
-        // The guard trips at zero tolerance and passes above the rate.
-        assert!(diag.error_rate() > 0.0);
-        assert!(diag.check_error_rate(0.0).is_err());
-        assert!(diag.check_error_rate(1.0).is_ok());
+    // The guard trips at zero tolerance and passes above the rate.
+    assert!(diag.error_rate() > 0.0);
+    assert!(diag.check_error_rate(0.0).is_err());
+    assert!(diag.check_error_rate(1.0).is_ok());
 
-        // The rendering names the damage.
-        let rendered = diag.render();
-        assert!(rendered.contains(&shard_name(hurt_ssl)));
-        assert!(rendered.contains("quarantined"));
-    }
+    // The rendering names the damage.
+    let rendered = diag.render();
+    assert!(rendered.contains(&shard_name(hurt_ssl)));
+    assert!(rendered.contains("quarantined"));
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -40,7 +40,7 @@ fn zeek_logs_round_trip_and_reanalyze_identically() {
     // Analysis over re-read logs equals in-memory analysis — through the
     // generic directory loader (meta.tsv + ct.log included).
     let (loaded, _) =
-        mtlscope::core::ingest::load_dir_obs(&dir, IngestMode::Strict, &Obs::noop(), None)
+        mtlscope::core::ingest::load_dir(&dir, IngestMode::Strict, None, &Obs::noop(), None)
             .expect("ingest");
     assert_eq!(loaded.ssl, sim.ssl);
     assert_eq!(loaded.ct.len(), sim.ct.len());
@@ -79,8 +79,8 @@ fn rotated_logs_round_trip() {
         .count();
     assert!(ssl_files >= 20, "expected per-month files, got {ssl_files}");
 
-    let (ssl, x509, _) =
-        mtlscope::zeek::read_monthly_with(&dir, IngestMode::Strict).expect("read rotated");
+    let (ssl, x509, _) = mtlscope::zeek::read_dir_obs(&dir, IngestMode::Strict, &Obs::noop(), None)
+        .expect("read rotated");
     assert_eq!(ssl.len(), sim.ssl.len());
     assert_eq!(x509.len(), sim.x509.len());
     // Records are already ts-sorted by the emitter, so chronological

@@ -5,7 +5,7 @@
 //! from disk, and the corpus reports exactly the resulting dangling
 //! fingerprint references — all without a panic anywhere in the pipeline.
 
-use mtlscope::core::ingest::load_dir_obs;
+use mtlscope::core::ingest::load_dir;
 use mtlscope::core::{build_corpus_obs, run_pipeline_parallel_obs, AnalysisInputs, IngestMode};
 use mtlscope::netsim::{generate, SimConfig};
 use mtlscope::obs::Obs;
@@ -42,7 +42,7 @@ fn malformed_scenario_is_accounted_through_the_whole_pipeline() {
     let dir = std::env::temp_dir().join(format!("mtlscope-malformed-{}", std::process::id()));
     sim.write_to_dir(&dir).expect("write logs");
     let (inputs, diag) =
-        load_dir_obs(&dir, IngestMode::Lenient, &Obs::noop(), None).expect("lenient ingest");
+        load_dir(&dir, IngestMode::Lenient, None, &Obs::noop(), None).expect("lenient ingest");
     assert_eq!(inputs.ssl.len(), sim.ssl.len());
     assert_eq!(inputs.x509.len(), sim.x509.len());
     assert!(!diag.has_problems(), "log rows themselves are well-formed");
