@@ -1,7 +1,7 @@
 //! Experiment `ct1` — Certificate Transparency verification & gossip.
 //!
 //! Summarizes what the proof-carrying preprocessing stage
-//! ([`crate::pipeline::ctverify`]) concluded: how many logs and signed
+//! ([`crate::pipeline::interception`]) concluded: how many logs and signed
 //! tree heads the gossip vantage points observed, which logs failed to
 //! prove consistency (split views), how many CT entries survived
 //! verification, and how many SCT-stripped certificates were excluded.

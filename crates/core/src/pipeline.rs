@@ -23,7 +23,7 @@ pub struct AnalysisInputs {
     pub ct: CtLog,
     /// STH/proof evidence exchanged by the gossip vantage points. An empty
     /// bundle selects the legacy bare-issuer filter; a populated one makes
-    /// preprocessing demand verifiable CT evidence ([`ctverify`]).
+    /// preprocessing demand verifiable CT evidence ([`interception`]).
     pub gossip: GossipBundle,
     pub meta: MetaKnowledge,
 }
@@ -47,8 +47,18 @@ impl AnalysisInputs {
 /// issuer is labelled interception (the paper's manual-investigation step)
 /// when it has ≥ `MIN_CERTS` certificates and ≥ 80 % of them are
 /// candidates. Returns (excluded fingerprints, interception issuer list).
+///
+/// With gossip evidence the stage is proof-carrying: it first audits the
+/// evidence ([`mtls_pki::SplitViewDetector`]), runs the filter over the
+/// index of the entries the evidence supports
+/// ([`mtls_pki::CtAudit::trusted_index`]) instead of whatever the
+/// (possibly equivocating) log *claims*, and finally flags SCT-stripped
+/// twins of logged certificates. Without it (`--ct-legacy`, or file sets
+/// with no `ct_gossip.log`) the same body runs over the log's own index.
 pub mod interception {
     use super::*;
+    use mtls_pki::{CtIndex, SplitViewDetector};
+    use std::borrow::Cow;
 
     pub(crate) const MIN_CERTS: usize = 3;
     pub(crate) const CANDIDATE_SHARE: f64 = 0.8;
@@ -58,15 +68,16 @@ pub mod interception {
     /// serve verdict path ([`crate::verdict`]) so the two calls can never
     /// diverge. The caller is responsible for the issuer-level gating
     /// (public issuers and empty orgs are out of scope).
-    pub fn is_candidate(cert: &X509Record, ct: &CtLog) -> bool {
+    pub fn is_candidate(cert: &X509Record, ct: &CtIndex) -> bool {
         cert.san_dns
             .iter()
             .chain(cert.subject_cn.iter())
             .any(|domain| ct.contains_domain(domain) && !ct.domain_has_issuer(domain, &cert.issuer))
     }
 
-    /// Run the filter with the paper's thresholds. Excluded fingerprints
-    /// come back as symbols in `interner`, ready for [`Corpus::build`].
+    /// Run the filter over the log's own index (no gossip evidence) with
+    /// the paper's thresholds. Excluded fingerprints come back as symbols
+    /// in `interner`, ready for [`Corpus::build`].
     pub fn filter(
         ssl: &[SslRecord],
         x509: &[X509Record],
@@ -89,146 +100,84 @@ pub mod interception {
         candidate_share: f64,
         interner: &mut Interner,
     ) -> (FxHashSet<Symbol>, Vec<String>) {
-        aggregate(ssl, x509, meta, min_certs, candidate_share, interner, |c| {
-            is_candidate(c, ct)
-        })
-    }
-
-    /// The issuer-aggregation half, generic over the per-certificate
-    /// candidate predicate so the legacy (bare [`CtLog`]) and verified
-    /// ([`super::ctverify`]) paths share one body and can never drift.
-    pub(crate) fn aggregate(
-        ssl: &[SslRecord],
-        x509: &[X509Record],
-        meta: &MetaKnowledge,
-        min_certs: usize,
-        candidate_share: f64,
-        interner: &mut Interner,
-        is_cand: impl Fn(&X509Record) -> bool,
-    ) -> (FxHashSet<Symbol>, Vec<String>) {
-        // Which fingerprints are used as server leaves?
-        let server_fps = server_leaf_fps(ssl);
-
-        // Per private issuer: total server certs and candidate certs.
-        let mut per_issuer: FxHashMap<&str, (usize, usize, Vec<Symbol>)> = FxHashMap::default();
-        for cert in x509 {
-            if !server_fps.contains(cert.fingerprint.as_str()) {
-                continue;
-            }
-            if meta.issuer_is_public(cert.issuer_org.as_deref()) {
-                continue;
-            }
-            let Some(org) = cert.issuer_org.as_deref() else {
-                continue; // empty issuers are a different pathology
-            };
-            let candidate = is_cand(cert);
-            let fp_sym = if candidate {
-                Some(interner.intern(&cert.fingerprint))
-            } else {
-                None
-            };
-            let entry = per_issuer.entry(org).or_insert((0, 0, Vec::new()));
-            entry.0 += 1;
-            if let Some(sym) = fp_sym {
-                entry.1 += 1;
-                entry.2.push(sym);
-            }
-        }
-
-        let mut excluded = FxHashSet::default();
-        let mut issuers = Vec::new();
-        for (org, (total, candidates, fps)) in per_issuer {
-            if total >= min_certs && (candidates as f64) / (total as f64) >= candidate_share {
-                issuers.push(org.to_string());
-                excluded.extend(fps);
-            }
-        }
-        issuers.sort();
+        let no_gossip = GossipBundle::default();
+        let (excluded, issuers, _) = run(
+            ssl,
+            x509,
+            ct,
+            &no_gossip,
+            meta,
+            min_certs,
+            candidate_share,
+            interner,
+        );
         (excluded, issuers)
     }
 
-    /// Fingerprints presented as server leaves anywhere in the capture.
-    pub(crate) fn server_leaf_fps(ssl: &[SslRecord]) -> FxHashSet<&str> {
-        let mut server_fps: FxHashSet<&str> = FxHashSet::default();
-        for rec in ssl {
-            if let Some(fp) = rec.cert_chain_fps.first() {
-                server_fps.insert(fp);
-            }
-        }
-        server_fps
-    }
-}
-
-/// The proof-carrying §3.2 preprocessing stage. Instead of comparing the
-/// observed issuer against whatever the (possibly equivocating) CT log
-/// *claims*, it first audits the gossip evidence
-/// ([`mtls_pki::SplitViewDetector`]), narrows the log to entries the
-/// evidence supports ([`mtls_pki::VerifiedCt`]), runs the interception
-/// filter over that verified view, and finally flags SCT-stripped twins of
-/// logged certificates.
-pub mod ctverify {
-    use super::*;
-    use mtls_pki::{SplitViewDetector, VerifiedCt};
-
-    /// Is this certificate's domain known to *verified* CT under a
-    /// different issuer? The verified twin of
-    /// [`interception::is_candidate`].
-    pub fn is_candidate_verified(cert: &X509Record, ct: &VerifiedCt) -> bool {
-        cert.san_dns
-            .iter()
-            .chain(cert.subject_cn.iter())
-            .any(|domain| ct.contains_domain(domain) && !ct.domain_has_issuer(domain, &cert.issuer))
-    }
-
-    /// Run the full verified filter: gossip audit → entry verification →
-    /// issuer aggregation → SCT-strip detection. Returns the combined
-    /// exclusion set (interception + stripped), the interception issuer
-    /// list, and the [`CtSummary`] for the `ct1` report.
-    pub fn filter(
+    /// The one filter body: gossip audit (when evidence is present), one
+    /// pass over the server leaves against the trusted index, issuer
+    /// aggregation. Returns the combined exclusion set (interception +
+    /// stripped), the interception issuer list, and the [`CtSummary`] for
+    /// the `ct1` report.
+    #[allow(clippy::too_many_arguments)] // the filter's inputs plus its two thresholds
+    pub(crate) fn run(
         ssl: &[SslRecord],
         x509: &[X509Record],
         ct: &CtLog,
         gossip: &GossipBundle,
         meta: &MetaKnowledge,
+        min_certs: usize,
+        candidate_share: f64,
         interner: &mut Interner,
     ) -> (FxHashSet<Symbol>, Vec<String>, CtSummary) {
-        let audit = SplitViewDetector::audit(gossip);
-        let (verified, stats) = VerifiedCt::build(ct, &audit, gossip);
+        let server_fps = server_leaf_fps(ssl);
+        let audit = (!gossip.is_empty()).then(|| SplitViewDetector::audit(gossip));
+        let (trusted, stats) = match &audit {
+            Some(audit) => audit.trusted_index(ct, gossip),
+            None => (Cow::Borrowed(ct.index()), Default::default()),
+        };
 
-        let (mut excluded, issuers) = interception::aggregate(
-            ssl,
-            x509,
-            meta,
-            interception::MIN_CERTS,
-            interception::CANDIDATE_SHARE,
-            interner,
-            |cert| is_candidate_verified(cert, &verified),
-        );
-
-        // SCT-strip detection: a middlebox that strips SCTs forwards a
-        // certificate whose *exact* FQDN verified CT knows under the same
-        // (public) issuer — yet the precise fingerprint was never logged.
-        // Exact-domain matching only: wildcard/SLD matches would flag
-        // unrelated unlogged renewals sharing a registered domain.
-        let server_fps = interception::server_leaf_fps(ssl);
-        let mut stripped_syms: FxHashSet<Symbol> = FxHashSet::default();
-        let mut stripped_fps: FxHashSet<&str> = FxHashSet::default();
+        // Private issuers: each issuer's server leaves and the candidates
+        // among them. Public issuers, with gossip evidence only: SCT-strip
+        // detection — a middlebox that strips SCTs forwards a certificate
+        // whose *exact* FQDN trusted CT knows under the same issuer, yet
+        // the precise fingerprint was never logged. Exact-domain matching
+        // only: wildcard/SLD matches would flag unrelated unlogged
+        // renewals sharing a registered domain.
+        let mut per_issuer: FxHashMap<&str, (usize, Vec<Symbol>)> = FxHashMap::default();
+        let mut stripped: Vec<&str> = Vec::new();
         for cert in x509 {
             if !server_fps.contains(cert.fingerprint.as_str()) {
                 continue;
             }
-            if !meta.issuer_is_public(cert.issuer_org.as_deref()) {
+            if meta.issuer_is_public(cert.issuer_org.as_deref()) {
+                if audit.is_some()
+                    && cert.san_dns.iter().chain(cert.subject_cn.iter()).any(|d| {
+                        trusted.exact_domain_has_issuer(d, &cert.issuer)
+                            && !trusted.exact_domain_has_fingerprint(d, &cert.fingerprint)
+                    })
+                {
+                    stripped.push(&cert.fingerprint);
+                }
                 continue;
             }
-            let is_stripped = cert.san_dns.iter().chain(cert.subject_cn.iter()).any(|d| {
-                verified.exact_domain_has_issuer(d, &cert.issuer)
-                    && !verified.exact_domain_has_fingerprint(d, &cert.fingerprint)
-            });
-            if is_stripped {
-                stripped_syms.insert(interner.intern(&cert.fingerprint));
-                stripped_fps.insert(cert.fingerprint.as_str());
+            let Some(org) = cert.issuer_org.as_deref() else {
+                continue; // empty issuers are a different pathology
+            };
+            let (total, candidates) = per_issuer.entry(org).or_default();
+            *total += 1;
+            if is_candidate(cert, &trusted) {
+                candidates.push(interner.intern(&cert.fingerprint));
             }
         }
+        let (mut excluded, issuers) = aggregate(per_issuer, min_certs, candidate_share);
+        let Some(audit) = audit else {
+            return (excluded, issuers, CtSummary::default());
+        };
+
+        let stripped_syms: FxHashSet<Symbol> =
+            stripped.iter().map(|fp| interner.intern(fp)).collect();
+        let stripped_fps: FxHashSet<&str> = stripped.into_iter().collect();
         let stripped_conns = ssl
             .iter()
             .filter(|rec| {
@@ -258,6 +207,37 @@ pub mod ctverify {
             stripped_conns,
         };
         (excluded, issuers, summary)
+    }
+
+    /// The issuer decision: an issuer with ≥ `min_certs` server leaves of
+    /// which ≥ `candidate_share` are candidates is interception, and its
+    /// candidates are excluded.
+    fn aggregate(
+        per_issuer: FxHashMap<&str, (usize, Vec<Symbol>)>,
+        min_certs: usize,
+        candidate_share: f64,
+    ) -> (FxHashSet<Symbol>, Vec<String>) {
+        let mut excluded = FxHashSet::default();
+        let mut issuers = Vec::new();
+        for (org, (total, candidates)) in per_issuer {
+            if total >= min_certs && (candidates.len() as f64) / (total as f64) >= candidate_share {
+                issuers.push(org.to_string());
+                excluded.extend(candidates);
+            }
+        }
+        issuers.sort();
+        (excluded, issuers)
+    }
+
+    /// Fingerprints presented as server leaves anywhere in the capture.
+    fn server_leaf_fps(ssl: &[SslRecord]) -> FxHashSet<&str> {
+        let mut server_fps: FxHashSet<&str> = FxHashSet::default();
+        for rec in ssl {
+            if let Some(fp) = rec.cert_chain_fps.first() {
+                server_fps.insert(fp);
+            }
+        }
+        server_fps
     }
 }
 
@@ -357,7 +337,16 @@ fn build_corpus_from(
 ) -> Corpus {
     let mut interner = Interner::with_capacity(x509.len());
     let (excluded, issuers, ct_summary) = obs.time(parent, "interception_filter", || {
-        run_ct_filter(&ssl, &x509, ct, gossip, &meta, &mut interner)
+        interception::run(
+            &ssl,
+            &x509,
+            ct,
+            gossip,
+            &meta,
+            interception::MIN_CERTS,
+            interception::CANDIDATE_SHARE,
+            &mut interner,
+        )
     });
     let mut corpus = obs.time(parent, "corpus_build", || {
         Corpus::build(ssl, x509, meta, &excluded, issuers, interner)
@@ -365,26 +354,6 @@ fn build_corpus_from(
     corpus.ct = ct_summary;
     record_corpus_metrics(obs, &corpus);
     corpus
-}
-
-/// Filter dispatch for [`build_corpus_from`]: with
-/// gossip evidence the proof-carrying [`ctverify`] stage runs, without it
-/// the legacy bare-issuer comparison (so file sets and captures that carry
-/// no `ct_gossip.log` behave exactly as before).
-fn run_ct_filter(
-    ssl: &[SslRecord],
-    x509: &[X509Record],
-    ct: &CtLog,
-    gossip: &GossipBundle,
-    meta: &MetaKnowledge,
-    interner: &mut Interner,
-) -> (FxHashSet<Symbol>, Vec<String>, CtSummary) {
-    if gossip.is_empty() {
-        let (excluded, issuers) = interception::filter(ssl, x509, ct, meta, interner);
-        (excluded, issuers, CtSummary::default())
-    } else {
-        ctverify::filter(ssl, x509, ct, gossip, meta, interner)
-    }
 }
 
 /// The corpus-level counters and gauges (one metric schema regardless of

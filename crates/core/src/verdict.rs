@@ -69,7 +69,7 @@ pub fn record_verdict(rec: &X509Record, ctx: &VerdictContext) -> String {
         .is_none()
     {
         "not-applicable (missing issuer)"
-    } else if is_candidate(rec, &ctx.ct) {
+    } else if is_candidate(rec, ctx.ct.index()) {
         "candidate"
     } else {
         "clear"
@@ -228,6 +228,50 @@ mod tests {
     fn malformed_shard_is_a_parse_error_verdict() {
         let v = shard_verdict(b"#separator nonsense\ngarbage", &ctx());
         assert!(v.contains("parse: error: "), "{v}");
+    }
+
+    /// A context whose CT log holds `logged` (a DER certificate).
+    fn ctx_with_ct(logged: &[u8]) -> VerdictContext {
+        let mut c = ctx();
+        c.ct.submit(&mtls_x509::Certificate::from_der(logged).unwrap());
+        c
+    }
+
+    /// The verdict for `der` and the pipeline's own call on its record.
+    fn interception_line(der: &[u8], c: &VerdictContext) -> (String, bool) {
+        let v = cert_verdict_der(der, c);
+        let cert = mtls_x509::Certificate::from_der(der).unwrap();
+        let rec = mtls_netsim::to_x509_record(&cert, &hex::encode(&sha256(der)), c.at);
+        let line = v
+            .lines()
+            .find_map(|l| l.strip_prefix("interception: "))
+            .expect("interception line")
+            .to_string();
+        (line, is_candidate(&rec, c.ct.index()))
+    }
+
+    #[test]
+    fn ct_logged_under_another_issuer_is_a_candidate() {
+        // CT knows the name under a public CA; a private issuer presents it.
+        let c = ctx_with_ct(&mint("popular.example.org", "DigiCert Inc"));
+        let der = mint("popular.example.org", "ProxyGuard CA");
+        let (line, candidate) = interception_line(&der, &c);
+        assert_eq!(line, "candidate");
+        assert!(candidate, "the verdict agrees with the offline filter");
+    }
+
+    #[test]
+    fn ct_logged_under_the_same_issuer_is_clear() {
+        let der = mint("intranet.example.org", "ProxyGuard CA");
+        let c = ctx_with_ct(&der);
+        let (line, candidate) = interception_line(&der, &c);
+        assert_eq!(line, "clear");
+        assert!(!candidate, "the verdict agrees with the offline filter");
+        // A name CT never saw is clear too.
+        let (line, candidate) =
+            interception_line(&mint("unlogged.example.org", "ProxyGuard CA"), &c);
+        assert_eq!(line, "clear");
+        assert!(!candidate);
     }
 
     #[test]

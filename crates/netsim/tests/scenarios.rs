@@ -171,7 +171,7 @@ fn interception_issuers_never_appear_in_ct() {
     for cert in &out.x509 {
         for domain in &cert.san_dns {
             assert!(
-                !out.ct.domain_has_issuer(domain, &cert.issuer),
+                !out.ct.index().domain_has_issuer(domain, &cert.issuer),
                 "interception issuer leaked into CT: {}",
                 cert.issuer
             );

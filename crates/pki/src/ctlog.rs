@@ -18,7 +18,7 @@
 //!   [`CtLog::prove_consistency`]) let vantage points that only hold tree
 //!   heads audit it (see [`crate::gossip`]).
 //!
-//! Lookup semantics (the bugfix sweep this rework rode in on):
+//! Lookup semantics, all answered by one per-domain summary ([`CtIndex`]):
 //!
 //! * DNS names are ASCII-lowercased at submit *and* lookup time, so
 //!   `Example.COM` and `example.com` meet;
@@ -26,7 +26,10 @@
 //!   certificate is a no-op, and [`CtLog::from_entries`] round-trips;
 //! * a logged wildcard `*.example.com` satisfies lookups for exactly one
 //!   extra label (`www.example.com` matches; `a.b.example.com`, the bare
-//!   apex `example.com`, and partial labels do not), mirroring RFC 6125.
+//!   apex `example.com`, and partial labels do not), mirroring RFC 6125;
+//! * every lookup is at most two hash probes — the exact name, then its
+//!   single-label wildcard — however many entries a domain holds, and
+//!   allocates nothing for a lowercase name.
 
 use crate::merkle::MerkleTree;
 use crate::sth::{ConsistencyProof, InclusionProof, SignedTreeHead};
@@ -47,14 +50,12 @@ pub struct CtEntry {
     pub fingerprint_hex: String,
 }
 
-/// Append-only CT log: a domain index over the entries plus the Merkle
-/// tree the entries are leaves of.
+/// Append-only CT log: the entries, the [`CtIndex`] over them, and the
+/// Merkle tree the entries are leaves of.
 #[derive(Debug, Clone)]
 pub struct CtLog {
     entries: Vec<CtEntry>,
-    by_domain: FxHashMap<String, Vec<usize>>,
-    /// `(domain, fingerprint)` pairs already logged.
-    seen: FxHashSet<(String, String)>,
+    index: CtIndex,
     tree: MerkleTree,
     keypair: Keypair,
 }
@@ -74,16 +75,119 @@ fn normalize(domain: &str) -> Cow<'_, str> {
     }
 }
 
-/// The wildcard key a lookup for `domain` may also match: replace the
-/// first label with `*`, but only when that leaves a registrable suffix
-/// (at least two labels), the first label is a real single label, and the
-/// name isn't itself a wildcard or partial-wildcard pattern.
-fn wildcard_key(domain: &str) -> Option<String> {
+/// The suffix whose logged wildcard `*.{suffix}` a lookup for `domain`
+/// may also match: everything after the first label, but only when that
+/// leaves a registrable suffix (at least two labels), the first label is
+/// a real single label, and the name isn't itself a wildcard or
+/// partial-wildcard pattern.
+fn wildcard_suffix(domain: &str) -> Option<&str> {
     let (first, rest) = domain.split_once('.')?;
     if first.is_empty() || first.contains('*') || !rest.contains('.') {
         return None;
     }
-    Some(format!("*.{rest}"))
+    Some(rest)
+}
+
+/// What the log holds under one domain name.
+#[derive(Debug, Clone, Default)]
+struct Logged {
+    issuers: FxHashSet<Box<str>>,
+    fingerprints: FxHashSet<Box<str>>,
+}
+
+/// The per-domain summary every CT lookup runs against: for each logged
+/// name, the set of issuers and the set of fingerprints logged under it.
+/// A [`CtLog`] keeps one over all its entries ([`CtLog::index`]); the
+/// gossip audit narrows it to the trusted entries
+/// ([`crate::gossip::CtAudit::trusted_index`]).
+#[derive(Debug, Clone, Default)]
+pub struct CtIndex {
+    /// Logged names without a leading `*.`.
+    names: FxHashMap<Box<str>, Logged>,
+    /// Logged wildcards `*.{suffix}`, keyed by `suffix`, so a lookup finds
+    /// its single-label wildcard without building the `*.` key.
+    wildcards: FxHashMap<Box<str>, Logged>,
+}
+
+impl CtIndex {
+    /// Index `entries` (domains are lowercased, duplicates skipped).
+    pub fn from_entries<'e>(entries: impl IntoIterator<Item = &'e CtEntry>) -> CtIndex {
+        let mut index = CtIndex::default();
+        for entry in entries {
+            index.insert(entry);
+        }
+        index
+    }
+
+    /// Record one entry. Returns whether its `(domain, fingerprint)` pair
+    /// was new — the log's deduplication rule.
+    fn insert(&mut self, entry: &CtEntry) -> bool {
+        let domain = normalize(&entry.domain);
+        let (map, key) = match domain.strip_prefix("*.") {
+            Some(suffix) => (&mut self.wildcards, suffix),
+            None => (&mut self.names, domain.as_ref()),
+        };
+        if !map.contains_key(key) {
+            map.insert(key.into(), Logged::default());
+        }
+        let logged = map.get_mut(key).expect("inserted above");
+        if logged.fingerprints.contains(entry.fingerprint_hex.as_str()) {
+            return false;
+        }
+        logged
+            .fingerprints
+            .insert(entry.fingerprint_hex.as_str().into());
+        if !logged.issuers.contains(entry.issuer_display.as_str()) {
+            logged.issuers.insert(entry.issuer_display.as_str().into());
+        }
+        true
+    }
+
+    /// The summary logged under exactly this (lowercased) name.
+    fn exact(&self, domain: &str) -> Option<&Logged> {
+        match domain.strip_prefix("*.") {
+            Some(suffix) => self.wildcards.get(suffix),
+            None => self.names.get(domain),
+        }
+    }
+
+    /// The exact summary, then the single-label wildcard one.
+    fn matching(&self, domain: &str) -> [Option<&Logged>; 2] {
+        let d = normalize(domain);
+        let wild = wildcard_suffix(&d).and_then(|suffix| self.wildcards.get(suffix));
+        [self.exact(&d), wild]
+    }
+
+    /// Whether the domain appears in the index at all (directly or through
+    /// a single-label wildcard entry).
+    pub fn contains_domain(&self, domain: &str) -> bool {
+        self.matching(domain).iter().any(Option::is_some)
+    }
+
+    /// Whether a certificate for `domain` is logged with the given issuer —
+    /// the interception filter's comparison.
+    pub fn domain_has_issuer(&self, domain: &str, issuer_display: &str) -> bool {
+        self.matching(domain)
+            .iter()
+            .flatten()
+            .any(|logged| logged.issuers.contains(issuer_display))
+    }
+
+    /// Whether this *exact* domain (no wildcard expansion) is logged under
+    /// the given issuer — the SCT-strip check's premise: "CT vouches for
+    /// this very FQDN under this very issuer". Wildcard matches would drag
+    /// in unrelated renewals sharing a registered domain.
+    pub fn exact_domain_has_issuer(&self, domain: &str, issuer_display: &str) -> bool {
+        self.exact(&normalize(domain))
+            .is_some_and(|logged| logged.issuers.contains(issuer_display))
+    }
+
+    /// Whether this precise certificate is logged for this *exact* domain —
+    /// what an SCT would attest.
+    pub fn exact_domain_has_fingerprint(&self, domain: &str, fingerprint_hex: &str) -> bool {
+        self.exact(&normalize(domain))
+            .is_some_and(|logged| logged.fingerprints.contains(fingerprint_hex))
+    }
 }
 
 impl CtLog {
@@ -98,8 +202,7 @@ impl CtLog {
     pub fn with_key_seed(seed: &[u8]) -> CtLog {
         CtLog {
             entries: Vec::new(),
-            by_domain: FxHashMap::default(),
-            seen: FxHashSet::default(),
+            index: CtIndex::default(),
             tree: MerkleTree::new(),
             keypair: Keypair::from_seed(seed),
         }
@@ -132,16 +235,10 @@ impl CtLog {
         if let Cow::Owned(lower) = normalize(&entry.domain) {
             entry.domain = lower;
         }
-        let key = (entry.domain.clone(), entry.fingerprint_hex.clone());
-        if !self.seen.insert(key) {
+        if !self.index.insert(&entry) {
             return false;
         }
-        let idx = self.entries.len();
         self.tree.push(&Self::leaf_bytes(&entry));
-        self.by_domain
-            .entry(entry.domain.clone())
-            .or_default()
-            .push(idx);
         self.entries.push(entry);
         true
     }
@@ -157,79 +254,9 @@ impl CtLog {
         .into_bytes()
     }
 
-    /// Entry indices a lookup for `domain` matches: exact entries plus
-    /// single-label wildcard entries, in submission order. Crate-visible
-    /// so [`crate::gossip::VerifiedCt`] can re-run lookups through its
-    /// trusted-entry mask.
-    pub(crate) fn matching_indices(&self, domain: &str) -> Vec<usize> {
-        let d = normalize(domain);
-        let exact = self.by_domain.get(d.as_ref()).map(Vec::as_slice);
-        let wild = wildcard_key(d.as_ref())
-            .and_then(|k| self.by_domain.get(&k))
-            .map(Vec::as_slice);
-        match (exact, wild) {
-            (Some(e), None) => e.to_vec(),
-            (None, Some(w)) => w.to_vec(),
-            (None, None) => Vec::new(),
-            (Some(e), Some(w)) => {
-                // Merge the two sorted index lists to keep submission order.
-                let mut out = Vec::with_capacity(e.len() + w.len());
-                let (mut i, mut j) = (0, 0);
-                while i < e.len() && j < w.len() {
-                    if e[i] < w[j] {
-                        out.push(e[i]);
-                        i += 1;
-                    } else {
-                        out.push(w[j]);
-                        j += 1;
-                    }
-                }
-                out.extend_from_slice(&e[i..]);
-                out.extend_from_slice(&w[j..]);
-                out
-            }
-        }
-    }
-
-    /// Entry indices for `domain` *exactly* — no wildcard expansion. The
-    /// SCT-strip check uses this: a stripped twin shares the precise FQDN
-    /// with the logged original, and wildcard/SLD matches would drag in
-    /// unrelated renewals.
-    pub(crate) fn exact_indices(&self, domain: &str) -> &[usize] {
-        let d = normalize(domain);
-        self.by_domain.get(d.as_ref()).map_or(&[], Vec::as_slice)
-    }
-
-    /// All logged issuer strings for a domain, in submission order.
-    pub fn issuers_for_domain(&self, domain: &str) -> Vec<&str> {
-        self.matching_indices(domain)
-            .into_iter()
-            .map(|i| self.entries[i].issuer_display.as_str())
-            .collect()
-    }
-
-    /// Whether any logged certificate for `domain` has the given issuer —
-    /// the interception filter's comparison.
-    pub fn domain_has_issuer(&self, domain: &str, issuer_display: &str) -> bool {
-        self.matching_indices(domain)
-            .into_iter()
-            .any(|i| self.entries[i].issuer_display == issuer_display)
-    }
-
-    /// Whether the precise certificate (by fingerprint) is logged for
-    /// `domain` — what an SCT would attest.
-    pub fn domain_has_fingerprint(&self, domain: &str, fingerprint_hex: &str) -> bool {
-        self.matching_indices(domain)
-            .into_iter()
-            .any(|i| self.entries[i].fingerprint_hex == fingerprint_hex)
-    }
-
-    /// Whether the domain appears in the log at all (directly or through a
-    /// single-label wildcard entry).
-    pub fn contains_domain(&self, domain: &str) -> bool {
-        let d = normalize(domain);
-        self.by_domain.contains_key(d.as_ref())
-            || wildcard_key(d.as_ref()).is_some_and(|k| self.by_domain.contains_key(&k))
+    /// The per-domain summary of every entry, for lookups.
+    pub fn index(&self) -> &CtIndex {
+        &self.index
     }
 
     /// All entries, in submission order.
@@ -369,10 +396,11 @@ mod tests {
         let mut log = CtLog::new();
         let cert = cert_for("www.example.org", "Let's Encrypt");
         log.submit(&cert);
-        assert!(log.contains_domain("www.example.org"));
-        assert!(log.domain_has_issuer("www.example.org", "O=Let's Encrypt"));
-        assert!(!log.domain_has_issuer("www.example.org", "O=Proxy Corp"));
-        assert!(!log.contains_domain("other.example.org"));
+        let index = log.index();
+        assert!(index.contains_domain("www.example.org"));
+        assert!(index.domain_has_issuer("www.example.org", "O=Let's Encrypt"));
+        assert!(!index.domain_has_issuer("www.example.org", "O=Proxy Corp"));
+        assert!(!index.contains_domain("other.example.org"));
     }
 
     #[test]
@@ -380,10 +408,11 @@ mod tests {
         let mut log = CtLog::new();
         log.submit(&cert_for("dual.example.org", "DigiCert Inc"));
         log.submit(&cert_for("dual.example.org", "Sectigo Limited"));
-        let issuers = log.issuers_for_domain("dual.example.org");
-        assert_eq!(issuers.len(), 2);
-        assert!(log.domain_has_issuer("dual.example.org", "O=DigiCert Inc"));
-        assert!(log.domain_has_issuer("dual.example.org", "O=Sectigo Limited"));
+        assert_eq!(log.len(), 2);
+        let index = log.index();
+        assert!(index.domain_has_issuer("dual.example.org", "O=DigiCert Inc"));
+        assert!(index.domain_has_issuer("dual.example.org", "O=Sectigo Limited"));
+        assert!(index.exact_domain_has_issuer("dual.example.org", "O=Sectigo Limited"));
     }
 
     #[test]
@@ -397,7 +426,8 @@ mod tests {
     fn empty_log() {
         let log = CtLog::new();
         assert!(log.is_empty());
-        assert!(log.issuers_for_domain("nope").is_empty());
+        assert!(!log.index().contains_domain("nope"));
+        assert!(!log.index().domain_has_issuer("nope", "O=CA"));
     }
 
     #[test]
@@ -406,10 +436,13 @@ mod tests {
         log.submit(&cert_for("Example.COM", "DigiCert Inc"));
         // Stored lowercased; any case matches at lookup time.
         assert_eq!(log.entries()[0].domain, "example.com");
-        assert!(log.contains_domain("example.com"));
-        assert!(log.contains_domain("EXAMPLE.com"));
-        assert!(log.domain_has_issuer("eXaMpLe.CoM", "O=DigiCert Inc"));
-        assert_eq!(log.issuers_for_domain("EXAMPLE.COM").len(), 1);
+        let index = log.index();
+        assert!(index.contains_domain("example.com"));
+        assert!(index.contains_domain("EXAMPLE.com"));
+        assert!(index.domain_has_issuer("eXaMpLe.CoM", "O=DigiCert Inc"));
+        assert!(index.exact_domain_has_issuer("EXAMPLE.COM", "O=DigiCert Inc"));
+        let fp = &log.entries()[0].fingerprint_hex;
+        assert!(index.exact_domain_has_fingerprint("Example.Com", fp));
     }
 
     #[test]
@@ -421,6 +454,14 @@ mod tests {
         assert_eq!(log.len(), 1);
         // A different certificate for the same domain still appends.
         log.submit(&cert_for("dup.example.org", "Sectigo Limited"));
+        assert_eq!(log.len(), 2);
+        // Deduplication is by lowercased domain: a case variant of a
+        // logged (domain, fingerprint) pair is a no-op too.
+        assert!(!log.submit_entry(entry(
+            "DUP.example.org",
+            "O=CA",
+            &cert.fingerprint().to_hex()
+        )));
         assert_eq!(log.len(), 2);
     }
 
@@ -440,35 +481,41 @@ mod tests {
     fn wildcard_matches_exactly_one_label() {
         let mut log = CtLog::new();
         log.submit_entry(entry("*.example.com", "O=DigiCert Inc", "aa"));
-        assert!(log.contains_domain("www.example.com"));
-        assert!(log.domain_has_issuer("www.example.com", "O=DigiCert Inc"));
-        assert_eq!(log.issuers_for_domain("WWW.Example.Com").len(), 1);
+        let index = log.index();
+        assert!(index.contains_domain("www.example.com"));
+        assert!(index.domain_has_issuer("www.example.com", "O=DigiCert Inc"));
+        assert!(index.domain_has_issuer("WWW.Example.Com", "O=DigiCert Inc"));
         // No partial-label, multi-label, or bare-apex matches.
-        assert!(!log.contains_domain("example.com"));
-        assert!(!log.contains_domain("a.b.example.com"));
-        assert!(!log.domain_has_issuer("example.com", "O=DigiCert Inc"));
+        assert!(!index.contains_domain("example.com"));
+        assert!(!index.contains_domain("a.b.example.com"));
+        assert!(!index.domain_has_issuer("example.com", "O=DigiCert Inc"));
         // A wildcard lookup matches the wildcard entry itself, and a
         // partial-wildcard name never matches through the wildcard.
-        assert!(log.contains_domain("*.example.com"));
-        assert!(!log.contains_domain("w*.example.com"));
+        assert!(index.contains_domain("*.example.com"));
+        assert!(!index.contains_domain("w*.example.com"));
+        // The exact lookups never expand the wildcard.
+        assert!(!index.exact_domain_has_issuer("www.example.com", "O=DigiCert Inc"));
+        assert!(index.exact_domain_has_issuer("*.example.com", "O=DigiCert Inc"));
         // `*.com` would be an effective-TLD wildcard; never consulted.
         let mut tld = CtLog::new();
         tld.submit_entry(entry("*.com", "O=Evil", "bb"));
-        assert!(!tld.contains_domain("example.com"));
+        assert!(!tld.index().contains_domain("example.com"));
     }
 
     #[test]
-    fn wildcard_and_exact_entries_merge_in_submission_order() {
+    fn wildcard_and_exact_entries_both_answer() {
         let mut log = CtLog::new();
         log.submit_entry(entry("www.example.com", "O=First", "01"));
         log.submit_entry(entry("*.example.com", "O=Second", "02"));
         log.submit_entry(entry("www.example.com", "O=Third", "03"));
-        assert_eq!(
-            log.issuers_for_domain("www.example.com"),
-            vec!["O=First", "O=Second", "O=Third"]
-        );
-        assert!(log.domain_has_fingerprint("www.example.com", "02"));
-        assert!(!log.domain_has_fingerprint("example.com", "02"));
+        let index = log.index();
+        for issuer in ["O=First", "O=Second", "O=Third"] {
+            assert!(index.domain_has_issuer("www.example.com", issuer));
+        }
+        assert!(index.exact_domain_has_fingerprint("www.example.com", "03"));
+        assert!(index.exact_domain_has_fingerprint("*.example.com", "02"));
+        assert!(!index.exact_domain_has_fingerprint("www.example.com", "02"));
+        assert!(!index.exact_domain_has_fingerprint("example.com", "02"));
     }
 
     #[test]

@@ -17,16 +17,18 @@
 //! as a **split view** by [`SplitViewDetector::audit`] — the equivocation
 //! CT's gossip is designed to make detectable, not preventable.
 //!
-//! [`VerifiedCt`] then narrows a [`CtLog`] to the entries the gossip
-//! evidence actually supports: everything below the agreed tree head when
-//! the log is consistent, and only entries with a verifying inclusion
-//! proof against the external reference head when it equivocates.
+//! [`CtAudit::trusted_index`] then narrows a [`CtLog`]'s [`CtIndex`] to
+//! the entries the gossip evidence actually supports: everything below the
+//! agreed tree head when the log is consistent, and only entries with a
+//! verifying inclusion proof against the external reference head when it
+//! equivocates.
 
-use crate::ctlog::{CtEntry, CtLog};
+use crate::ctlog::{CtIndex, CtLog};
 use crate::merkle::leaf_hash;
 use crate::sth::{ConsistencyProof, InclusionProof, SignedTreeHead};
 use mtls_crypto::{hex, KeyId, KeyRegistry, Keypair};
 use mtls_intern::FxHashMap;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Where an STH was observed.
@@ -209,6 +211,73 @@ impl CtAudit {
     pub fn for_log(&self, log_id: KeyId) -> Option<&LogAudit> {
         self.logs.iter().find(|l| l.log_id == log_id)
     }
+
+    /// The index over the entries of `log` this audit trusts.
+    ///
+    /// * Consistent log: every entry below the reference head is trusted —
+    ///   one consistency proof vouches for the whole prefix.
+    /// * Split view: an entry is trusted only if the bundle carries an
+    ///   inclusion proof for its leaf that verifies against the reference
+    ///   (external) head. Entries fabricated for the campus view have no
+    ///   such proof and fall out.
+    /// * Log absent from the audit: nothing is trusted — the gossip layer
+    ///   never saw it.
+    ///
+    /// With no entry rejected this is the log's own index, borrowed;
+    /// otherwise one narrowed copy built from the trusted entries.
+    pub fn trusted_index<'a>(
+        &self,
+        log: &'a CtLog,
+        bundle: &GossipBundle,
+    ) -> (Cow<'a, CtIndex>, VerifyStats) {
+        let mut stats = VerifyStats::default();
+        let verdict = self.for_log(log.log_id());
+        let trusted: Vec<bool> = match verdict.and_then(|v| v.reference.as_ref().map(|r| (v, r))) {
+            None => vec![false; log.len()],
+            Some((verdict, reference)) if !verdict.split_view => {
+                let head = reference.tree_size;
+                (0..log.len() as u64).map(|i| i < head).collect()
+            }
+            Some((_, reference)) => {
+                let proofs: FxHashMap<&[u8; 32], &InclusionProof> = bundle
+                    .entry_proofs
+                    .iter()
+                    .filter(|(_, p)| {
+                        p.log_id == reference.log_id && p.tree_size == reference.tree_size
+                    })
+                    .map(|(leaf, p)| (leaf, p))
+                    .collect();
+                log.entries()
+                    .iter()
+                    .map(|entry| {
+                        let leaf = CtLog::leaf_bytes(entry);
+                        match proofs.get(&leaf_hash(&leaf)) {
+                            Some(proof) if proof.verify(&leaf, reference) => {
+                                stats.inclusion_proofs_verified += 1;
+                                true
+                            }
+                            Some(_) => {
+                                stats.inclusion_proofs_failed += 1;
+                                false
+                            }
+                            None => false,
+                        }
+                    })
+                    .collect()
+            }
+        };
+        stats.entries_verified = trusted.iter().filter(|t| **t).count();
+        stats.entries_rejected = log.len() - stats.entries_verified;
+        let index = if stats.entries_rejected == 0 {
+            Cow::Borrowed(log.index())
+        } else {
+            let entries = log.entries().iter().zip(&trusted);
+            Cow::Owned(CtIndex::from_entries(
+                entries.filter(|(_, t)| **t).map(|(e, _)| e),
+            ))
+        };
+        (index, stats)
+    }
 }
 
 /// Replays gossip evidence and flags logs that cannot prove consistency
@@ -289,134 +358,13 @@ impl SplitViewDetector {
     }
 }
 
-/// Per-entry verification tallies from [`VerifiedCt::build`].
+/// Per-entry verification tallies from [`CtAudit::trusted_index`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VerifyStats {
     pub entries_verified: usize,
     pub entries_rejected: usize,
     pub inclusion_proofs_verified: usize,
     pub inclusion_proofs_failed: usize,
-}
-
-/// A [`CtLog`] narrowed to the entries the gossip evidence supports. The
-/// lookup API mirrors the log's own, so the interception filter can run
-/// unchanged over the trusted subset.
-pub struct VerifiedCt<'a> {
-    log: &'a CtLog,
-    trusted: Vec<bool>,
-}
-
-impl<'a> VerifiedCt<'a> {
-    /// Decide which entries of `log` to trust under `audit`.
-    ///
-    /// * Consistent log: every entry below the reference head is trusted —
-    ///   one consistency proof vouches for the whole prefix.
-    /// * Split view: an entry is trusted only if the bundle carries an
-    ///   inclusion proof for its leaf that verifies against the reference
-    ///   (external) head. Entries fabricated for the campus view have no
-    ///   such proof and fall out.
-    /// * Log absent from the audit: nothing is trusted — the gossip layer
-    ///   never saw it.
-    pub fn build(
-        log: &'a CtLog,
-        audit: &CtAudit,
-        bundle: &GossipBundle,
-    ) -> (VerifiedCt<'a>, VerifyStats) {
-        let mut stats = VerifyStats::default();
-        let verdict = audit.for_log(log.log_id());
-        let trusted = match verdict.and_then(|v| v.reference.as_ref().map(|r| (v, r))) {
-            None => vec![false; log.len()],
-            Some((verdict, reference)) if !verdict.split_view => {
-                let head = reference.tree_size;
-                (0..log.len() as u64).map(|i| i < head).collect()
-            }
-            Some((_, reference)) => {
-                let proofs: FxHashMap<&[u8; 32], &InclusionProof> = bundle
-                    .entry_proofs
-                    .iter()
-                    .filter(|(_, p)| {
-                        p.log_id == reference.log_id && p.tree_size == reference.tree_size
-                    })
-                    .map(|(leaf, p)| (leaf, p))
-                    .collect();
-                log.entries()
-                    .iter()
-                    .map(|entry| {
-                        let leaf = CtLog::leaf_bytes(entry);
-                        match proofs.get(&leaf_hash(&leaf)) {
-                            Some(proof) if proof.verify(&leaf, reference) => {
-                                stats.inclusion_proofs_verified += 1;
-                                true
-                            }
-                            Some(_) => {
-                                stats.inclusion_proofs_failed += 1;
-                                false
-                            }
-                            None => false,
-                        }
-                    })
-                    .collect()
-            }
-        };
-        stats.entries_verified = trusted.iter().filter(|t| **t).count();
-        stats.entries_rejected = log.len() - stats.entries_verified;
-        (VerifiedCt { log, trusted }, stats)
-    }
-
-    fn trusted_indices(&self, domain: &str) -> Vec<usize> {
-        self.log
-            .matching_indices(domain)
-            .into_iter()
-            .filter(|&i| self.trusted[i])
-            .collect()
-    }
-
-    /// Whether any *trusted* entry covers the domain.
-    pub fn contains_domain(&self, domain: &str) -> bool {
-        !self.trusted_indices(domain).is_empty()
-    }
-
-    /// Whether a trusted entry for `domain` has the given issuer.
-    pub fn domain_has_issuer(&self, domain: &str, issuer_display: &str) -> bool {
-        self.trusted_indices(domain)
-            .into_iter()
-            .any(|i| self.log.entries()[i].issuer_display == issuer_display)
-    }
-
-    /// Whether the precise certificate is covered by a trusted entry.
-    pub fn domain_has_fingerprint(&self, domain: &str, fingerprint_hex: &str) -> bool {
-        self.trusted_indices(domain)
-            .into_iter()
-            .any(|i| self.log.entries()[i].fingerprint_hex == fingerprint_hex)
-    }
-
-    /// Number of trusted entries.
-    pub fn trusted_len(&self) -> usize {
-        self.trusted.iter().filter(|t| **t).count()
-    }
-
-    fn trusted_exact(&self, domain: &str) -> impl Iterator<Item = &CtEntry> {
-        self.log
-            .exact_indices(domain)
-            .iter()
-            .filter(|&&i| self.trusted[i])
-            .map(|&i| &self.log.entries()[i])
-    }
-
-    /// Whether a trusted entry names this *exact* domain (no wildcard
-    /// expansion) under the given issuer — the SCT-strip check's premise:
-    /// "CT vouches for this very FQDN under this very issuer".
-    pub fn exact_domain_has_issuer(&self, domain: &str, issuer_display: &str) -> bool {
-        self.trusted_exact(domain)
-            .any(|e| e.issuer_display == issuer_display)
-    }
-
-    /// Whether a trusted entry logs this precise certificate for this
-    /// *exact* domain.
-    pub fn exact_domain_has_fingerprint(&self, domain: &str, fingerprint_hex: &str) -> bool {
-        self.trusted_exact(domain)
-            .any(|e| e.fingerprint_hex == fingerprint_hex)
-    }
 }
 
 #[cfg(test)]
@@ -498,12 +446,16 @@ mod tests {
         assert_eq!(verdict.consistency_failed, 0);
         assert_eq!(verdict.reference.as_ref().unwrap().tree_size, 12);
 
-        let (view, stats) = VerifiedCt::build(&log, &audit, &bundle);
+        let (view, stats) = audit.trusted_index(&log, &bundle);
         assert_eq!(stats.entries_verified, 12);
         assert_eq!(stats.entries_rejected, 0);
+        assert!(
+            matches!(view, Cow::Borrowed(_)),
+            "nothing rejected, no copy"
+        );
         assert!(view.contains_domain("site-3.example.org"));
         assert!(view.domain_has_issuer("site-3.example.org", "O=DigiCert Inc"));
-        assert!(view.domain_has_fingerprint("site-3.example.org", "0003"));
+        assert!(view.exact_domain_has_fingerprint("site-3.example.org", "0003"));
     }
 
     #[test]
@@ -544,12 +496,16 @@ mod tests {
         let verdict = &audit.logs[0];
         assert_eq!(verdict.reference.as_ref().unwrap().tree_size, n);
 
-        let (view, stats) = VerifiedCt::build(&campus, &audit, &bundle);
+        let (view, stats) = audit.trusted_index(&campus, &bundle);
         assert_eq!(stats.entries_verified, 10, "honest entries keep proofs");
         assert_eq!(stats.entries_rejected, 2, "fabricated entries fall out");
         assert_eq!(stats.inclusion_proofs_verified, 10);
+        assert!(matches!(view, Cow::Owned(_)), "narrowed copy");
         assert!(!view.contains_domain("victim-0.example.org"));
+        assert!(!view.domain_has_issuer("victim-0.example.org", "O=Evil Proxy"));
         assert!(view.contains_domain("site-9.example.org"));
+        // The campus log's own index still holds the fabricated entries.
+        assert!(campus.index().contains_domain("victim-0.example.org"));
     }
 
     #[test]
@@ -562,9 +518,10 @@ mod tests {
         assert_eq!(verdict.signature_failures, 2);
         assert!(!verdict.split_view, "no surviving pair to contradict");
         assert!(verdict.reference.is_none());
-        let (_, stats) = VerifiedCt::build(&log, &audit, &bundle);
+        let (view, stats) = audit.trusted_index(&log, &bundle);
         assert_eq!(stats.entries_verified, 0);
         assert_eq!(stats.entries_rejected, 4);
+        assert!(!view.contains_domain("site-0.example.org"));
     }
 
     #[test]

@@ -77,8 +77,8 @@ pub use authz::{Authorizer, AuthzError, Tenant, OPS_ORGANIZATIONAL_UNIT};
 pub use ca::CertificateAuthority;
 pub use chain::{validate_chain, ChainError, ValidatedChain};
 pub use crl::{CertificateRevocationList, CrlBuilder, RevocationReason};
-pub use ctlog::CtLog;
-pub use gossip::{CtAudit, CtObservation, GossipBundle, SplitViewDetector, Vantage, VerifiedCt};
+pub use ctlog::{CtIndex, CtLog};
+pub use gossip::{CtAudit, CtObservation, GossipBundle, SplitViewDetector, Vantage};
 pub use issuercat::{classify_issuer_org, IssuerCategory};
 pub use policy::{ValidationPolicy, Violation};
 pub use sth::{ConsistencyProof, InclusionProof, SignedTreeHead};

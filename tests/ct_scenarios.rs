@@ -42,25 +42,44 @@ fn clean_corpus_detects_no_split_views_and_no_strips() {
     assert_eq!(out.ct1.precision(), None, "nothing detected");
 }
 
+/// The whole report, every section but `ct1` (which names the filter
+/// mode and so differs between the paths by design).
+fn render_without_ct1(out: &mtlscope::core::PipelineOutput) -> String {
+    let ct1 = out.ct1.render();
+    let all = out.render_all();
+    assert!(all.contains(&ct1));
+    all.replacen(&ct1, "", 1)
+}
+
 #[test]
 fn legacy_flag_matches_verified_filter_on_clean_corpus() {
-    let sim = generate(&small(4802));
-    let verified = run_pipeline(AnalysisInputs::from_sim(sim.clone()));
+    for (seed, scale) in [(4802, 0.01), (42, 0.05)] {
+        let sim = generate(&SimConfig {
+            seed,
+            scale,
+            ..Default::default()
+        });
+        let verified = run_pipeline(AnalysisInputs::from_sim(sim.clone()));
 
-    let mut legacy_inputs = AnalysisInputs::from_sim(sim);
-    legacy_inputs.gossip = GossipBundle::default(); // the --ct-legacy path
-    let legacy = run_pipeline(legacy_inputs);
+        let mut legacy_inputs = AnalysisInputs::from_sim(sim);
+        legacy_inputs.gossip = GossipBundle::default(); // the --ct-legacy path
+        let legacy = run_pipeline(legacy_inputs);
 
-    assert!(!legacy.ct1.summary.proofs_mode);
-    assert!(verified.ct1.summary.proofs_mode);
-    // Same interception verdicts: issuers, certificate exclusions, and
-    // per-connection exclusions are identical when the evidence is clean.
-    assert_eq!(legacy.pre1.issuers, verified.pre1.issuers);
-    assert_eq!(legacy.pre1.excluded_certs, verified.pre1.excluded_certs);
-    assert_eq!(excluded_conns(&legacy), excluded_conns(&verified));
-    // And so is everything downstream of the filter.
-    assert_eq!(legacy.tab1.all.total, verified.tab1.all.total);
-    assert_eq!(legacy.tab1.all.mtls, verified.tab1.all.mtls);
+        assert!(!legacy.ct1.summary.proofs_mode);
+        assert!(verified.ct1.summary.proofs_mode);
+        // Same interception verdicts: issuers, certificate exclusions, and
+        // per-connection exclusions are identical when the evidence is clean.
+        assert_eq!(legacy.pre1.issuers, verified.pre1.issuers);
+        assert_eq!(legacy.pre1.excluded_certs, verified.pre1.excluded_certs);
+        assert_eq!(excluded_conns(&legacy), excluded_conns(&verified));
+        // And so is everything downstream of the filter, byte for byte.
+        assert_eq!(legacy.tab1.all.total, verified.tab1.all.total);
+        assert_eq!(legacy.tab1.all.mtls, verified.tab1.all.mtls);
+        assert!(
+            render_without_ct1(&legacy) == render_without_ct1(&verified),
+            "seed {seed} scale {scale}: the two filter paths rendered different reports"
+        );
+    }
 }
 
 #[test]
