@@ -6,8 +6,11 @@ Two layers of gating:
 
 1. **Environment-independent ratios** — each fast path is measured against
    its in-tree reference twin in the same process (SWAR vs scalar scan,
-   columnar vs row fold), so the ratio must hold on any box. A fast path
-   dropping below its floor means the optimization stopped working.
+   columnar vs row fold, dispatched vs scalar SHA-256 core), so the ratio
+   must hold on any box. A fast path dropping below its floor means the
+   optimization stopped working. A floor may also be tied to a flag the
+   report records under `environment` (`sha_ni`): it gates only on hosts
+   that have the feature.
 2. **Absolute medians vs baseline** — only when the fresh report's
    cpu_cores matches the committed baseline's (same class of box), with a
    generous noise band: this container shows +/-10-40% run-to-run noise,
@@ -32,25 +35,26 @@ NOISE_BAND = 0.50
 # Ratio floors: fast path vs its in-process reference twin. These are far
 # below the observed speedups (count ~3x, split ~1.5x, columnar ~1.1-2.7x)
 # but above 1/noise, so a genuinely undone optimization trips them.
-# batch_speedup_vs_oneshot is ~1.0 by construction on non-AVX2 builds
-# (sha256_batch serial-loops the one-shot there) but the two arms are
-# timed separately, so quick runs have shown 0.62-1.07; the 0.45 floor
-# only catches a collapse (e.g. batch recomputing work). The subtler
-# "dispatch wrongly routes through the scalar-codegen 4-lane path"
-# case is pinned at compile time (BATCH_INTERLEAVES) and its cost is
-# surfaced by the separately-reported interleaved_x4 arm.
+# dispatch_speedup_vs_scalar is the dispatched SHA-256 one-shot over the
+# scalar core's: ~1.0 by construction on a host without SHA-NI (the
+# dispatcher runs the same scalar core), so 0.9 there only catches a
+# dispatcher that costs more than it routes; on a SHA-NI host it
+# measures 4-5x, so the 2.0 floor trips if the NI core stops being taken.
 RATIO_FLOORS = {
     ("scan_mb_per_s", "speedup_count"): 1.5,
     ("scan_mb_per_s", "speedup_split"): 1.1,
     ("analyzer_scan_us", "columnar_speedup"): 0.9,
-    ("sha256_mb_per_s", "batch_speedup_vs_oneshot"): 0.45,
+    ("sha256_mb_per_s", "dispatch_speedup_vs_scalar"): 0.9,
+}
+# Floors that hold only where the report's environment flag is true.
+FEATURE_RATIO_FLOORS = {
+    ("sha256_mb_per_s", "dispatch_speedup_vs_scalar"): ("sha_ni", 2.0),
 }
 # Absolute medians compared against baseline (higher is better).
 THROUGHPUT_KEYS = [
     ("scan_mb_per_s", "swar_count_newlines"),
     ("scan_mb_per_s", "swar_split_tabs"),
-    ("sha256_mb_per_s", "oneshot"),
-    ("sha256_mb_per_s", "batch_dispatch"),
+    ("sha256_mb_per_s", "dispatched"),
     ("hex_mb_per_s", "encode"),
     ("hex_mb_per_s", "decode"),
 ]
@@ -112,6 +116,16 @@ def main(fresh_path, baseline_path):
         if val < floor:
             fail(f"{section}.{key} = {val:.2f} below floor {floor} — the "
                  f"fast path lost to its in-process reference twin")
+    ratio_gates = len(RATIO_FLOORS)
+    for (section, key), (flag, floor) in FEATURE_RATIO_FLOORS.items():
+        if fresh["environment"].get(flag) is not True:
+            continue
+        ratio_gates += 1
+        val = get(fresh, section, key, fresh_path)
+        if val < floor:
+            fail(f"{section}.{key} = {val:.2f} below floor {floor} on a "
+                 f"host with environment.{flag} — the accelerated core is "
+                 f"not being taken")
 
     # Layer 2: absolute medians, same-environment only.
     fresh_cores = fresh["environment"].get("cpu_cores")
@@ -137,7 +151,7 @@ def main(fresh_path, baseline_path):
                  f"baseline {want:.2f} ms")
         compared += 1
 
-    print(f"check_bench: ok — {len(RATIO_FLOORS)} ratio gates, "
+    print(f"check_bench: ok — {ratio_gates} ratio gates, "
           f"{compared} absolute medians within the {NOISE_BAND:.0%} noise "
           f"band of {os.path.basename(baseline_path)}")
 

@@ -1,11 +1,12 @@
 //! Hot-path throughput smoke: stable medians for the byte-level fast
-//! paths (SWAR TSV scanning, block-batched SHA-256, table-driven hex, the
-//! columnar analyzer scan) plus end-to-end ingest, written as JSON for
-//! `ci/check_bench.py` to gate.
+//! paths (SWAR TSV scanning, run-time dispatched SHA-256, table-driven
+//! hex, the columnar analyzer scan) plus end-to-end ingest, written as JSON
+//! for `ci/check_bench.py` to gate.
 //!
 //! Every fast path is measured against its in-tree reference twin in the
-//! same process (SWAR vs scalar module, one-shot vs streaming SHA, column
-//! vs row scan), so the *ratios* are meaningful even on a noisy box; the
+//! same process (SWAR vs scalar module, dispatched vs scalar SHA core,
+//! one-shot vs streaming SHA, column vs row scan), so the *ratios* are
+//! meaningful even on a noisy box; the
 //! absolute MB/s only gate when the committed baseline was captured on a
 //! machine with the same core count.
 //!
@@ -15,7 +16,7 @@ use mtls_bench::{corpus, sim_output};
 use mtls_core::columns::conn_flag;
 use mtls_core::ingest::load_dir;
 use mtls_core::{build_corpus_obs, Direction, IngestMode};
-use mtls_crypto::{hex, sha256, sha256_batch, sha256_x4, Sha256};
+use mtls_crypto::{hex, sha256, sha256_scalar, sha_ni_available, Sha256};
 use mtls_obs::Obs;
 use mtls_zeek::{read_dir_obs, swar, write_ssl_log};
 use std::hint::black_box;
@@ -73,6 +74,7 @@ fn main() {
     }
     let rounds = if quick { QUICK } else { FULL };
     let cpu_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let sha_ni = sha_ni_available();
 
     // ---- fixture: a real serialized ssl.log shard (authentic delimiter
     // density) and the shared bench corpus.
@@ -114,14 +116,20 @@ fn main() {
         }
     });
 
-    // ---- SHA-256: one-shot vs streaming (the pre-rewrite path shape) vs
-    // 4-way batch, on certificate-blob-sized messages.
+    // ---- SHA-256: the dispatched one-shot (SHA-NI where the CPU has it)
+    // vs the scalar core's one-shot vs streaming (the pre-rewrite path
+    // shape), on certificate-blob-sized messages.
     let blob = vec![0xA5u8; 4096];
     let sha_iters = if quick { 64 } else { 256 };
     let sha_bytes = blob.len() * sha_iters;
-    let sha_oneshot = median_micros(&rounds, || {
+    let sha_dispatched = median_micros(&rounds, || {
         for _ in 0..sha_iters {
             black_box(sha256(black_box(&blob)));
+        }
+    });
+    let sha_scalar = median_micros(&rounds, || {
+        for _ in 0..sha_iters {
+            black_box(sha256_scalar(black_box(&blob)));
         }
     });
     let sha_streaming = median_micros(&rounds, || {
@@ -134,17 +142,6 @@ fn main() {
                 h.update(chunk);
             }
             black_box(h.finalize());
-        }
-    });
-    let quads: Vec<&[u8]> = (0..4).map(|_| blob.as_slice()).collect();
-    let sha_batch = median_micros(&rounds, || {
-        for _ in 0..sha_iters / 4 {
-            black_box(sha256_batch(black_box(&quads)));
-        }
-    });
-    let sha_x4 = median_micros(&rounds, || {
-        for _ in 0..sha_iters / 4 {
-            black_box(sha256_x4([black_box(&blob), &blob, &blob, &blob]));
         }
     });
 
@@ -209,16 +206,15 @@ fn main() {
     // ---- report.
     let scan_speedup_count = ratio(scalar_count as f64, swar_count as f64);
     let scan_speedup_split = ratio(scalar_split as f64, swar_split as f64);
-    let sha_speedup_oneshot = ratio(sha_streaming as f64, sha_oneshot as f64);
-    let sha_speedup_batch = ratio(sha_oneshot as f64, sha_batch as f64);
-    let sha_speedup_x4 = ratio(sha_oneshot as f64, sha_x4 as f64);
+    let sha_speedup_oneshot = ratio(sha_streaming as f64, sha_dispatched as f64);
+    let sha_speedup_dispatch = ratio(sha_scalar as f64, sha_dispatched as f64);
     let columnar_speedup = ratio(row_scan as f64, columnar_scan as f64);
 
     let json = format!(
         "{{\n  \"bench\": \"crates/bench/src/bin/perf_smoke.rs\",\n  \
          \"command\": \"cargo run --release -p mtls-bench --bin perf_smoke\",\n  \
          \"quick\": {quick},\n  \
-         \"environment\": {{\"cpu_cores\": {cpu_cores}, \"variance_note\": \"this box shows +/-10-40% run-to-run noise; ci/check_bench.py gates medians with a matching noise band and only when cpu_cores matches\"}},\n  \
+         \"environment\": {{\"cpu_cores\": {cpu_cores}, \"sha_ni\": {sha_ni}, \"variance_note\": \"shared-host runs show +/-10-40% run-to-run noise; ci/check_bench.py gates medians with a matching noise band and only when cpu_cores matches\"}},\n  \
          \"rounds\": {{\"warmup\": {}, \"measured\": {}}},\n  \
          \"scan_mb_per_s\": {{\n    \
          \"swar_count_newlines\": {:.1},\n    \
@@ -228,13 +224,11 @@ fn main() {
          \"speedup_count\": {scan_speedup_count:.2},\n    \
          \"speedup_split\": {scan_speedup_split:.2}\n  }},\n  \
          \"sha256_mb_per_s\": {{\n    \
-         \"oneshot\": {:.1},\n    \
+         \"dispatched\": {:.1},\n    \
+         \"scalar\": {:.1},\n    \
          \"streaming_64b_chunks\": {:.1},\n    \
-         \"batch_dispatch\": {:.1},\n    \
-         \"interleaved_x4\": {:.1},\n    \
          \"oneshot_speedup_vs_streaming\": {sha_speedup_oneshot:.2},\n    \
-         \"batch_speedup_vs_oneshot\": {sha_speedup_batch:.2},\n    \
-         \"x4_speedup_vs_oneshot\": {sha_speedup_x4:.2}\n  }},\n  \
+         \"dispatch_speedup_vs_scalar\": {sha_speedup_dispatch:.2}\n  }},\n  \
          \"hex_mb_per_s\": {{\"encode\": {:.1}, \"decode\": {:.1}}},\n  \
          \"analyzer_scan_us\": {{\n    \
          \"columnar_ports_fold\": {columnar_scan},\n    \
@@ -243,17 +237,16 @@ fn main() {
          \"ingest_ms\": {{\n    \
          \"end_to_end_median\": {:.2},\n    \
          \"parse_component_median\": {:.2}\n  }},\n  \
-         \"note\": \"MB/s medians of {} rounds. Reference twins run in-process: scalar_* is the byte-at-a-time module the SWAR scanners must match bit-for-bit, streaming SHA is the partial-block-buffer path, row scan strides ConnInfo structs. interleaved_x4 is the 4-lane variant measured explicitly; on baseline x86-64 LLVM keeps the lanes scalar so batch_dispatch falls back to the one-shot loop there (it only routes quads through x4 when the build targets AVX2).\"\n}}\n",
+         \"note\": \"MB/s medians of {} rounds. Reference twins run in-process: scalar_* is the byte-at-a-time module the SWAR scanners must match bit-for-bit, scalar SHA is the portable core's one-shot, dispatched SHA is sha256() (the SHA-NI core when environment.sha_ni is true, else the same portable core), streaming SHA is the partial-block-buffer path, row scan strides ConnInfo structs.\"\n}}\n",
         rounds.warmup,
         rounds.measured,
         mb_per_s(scan_bytes, swar_count),
         mb_per_s(scan_bytes, scalar_count),
         mb_per_s(scan_bytes, swar_split),
         mb_per_s(scan_bytes, scalar_split),
-        mb_per_s(sha_bytes, sha_oneshot),
+        mb_per_s(sha_bytes, sha_dispatched),
+        mb_per_s(sha_bytes, sha_scalar),
         mb_per_s(sha_bytes, sha_streaming),
-        mb_per_s(sha_bytes, sha_batch),
-        mb_per_s(sha_bytes, sha_x4),
         mb_per_s(raw.len(), hex_encode),
         mb_per_s(encoded.len(), hex_decode),
         ingest_e2e as f64 / 1000.0,
@@ -263,7 +256,8 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write BENCH_speed.json");
     println!(
         "perf smoke: swar-count x{scan_speedup_count:.2}, swar-split x{scan_speedup_split:.2}, \
-         sha-oneshot x{sha_speedup_oneshot:.2}, columnar x{columnar_speedup:.2}, \
+         sha-oneshot x{sha_speedup_oneshot:.2}, sha-dispatch x{sha_speedup_dispatch:.2} \
+         (sha_ni {sha_ni}), columnar x{columnar_speedup:.2}, \
          ingest {:.1}ms",
         ingest_e2e as f64 / 1000.0
     );

@@ -1,7 +1,8 @@
 //! Cryptographic primitives for the mtlscope stack, implemented from scratch.
 //!
 //! * [`mod@sha256`] — FIPS 180-4 SHA-256, validated against the NIST test vectors
-//!   in this crate's tests.
+//!   in this crate's tests. A SHA-NI core runs where the CPU has the
+//!   extensions (detected at run time); the portable core runs elsewhere.
 //! * [`hmac`] — RFC 2104 HMAC-SHA256, validated against RFC 4231 vectors.
 //! * [`simsig`] — the *simulated signature* scheme ("simsig") that stands in
 //!   for RSA/ECDSA when minting millions of synthetic certificates. A simsig
@@ -40,5 +41,5 @@ pub mod sha256;
 pub mod simsig;
 
 pub use hmac::hmac_sha256;
-pub use sha256::{sha256, sha256_batch, sha256_x4, Sha256};
+pub use sha256::{sha256, sha256_scalar, sha_ni_available, Sha256};
 pub use simsig::{KeyId, KeyRegistry, Keypair, Signature};

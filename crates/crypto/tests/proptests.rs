@@ -1,9 +1,9 @@
-//! Property tests: the batched/one-shot SHA-256 paths and the table-driven
-//! hex codec must be byte-identical to their reference counterparts on
-//! adversarial input — message lengths straddling the 55/56/64-byte
-//! padding boundaries, empty blobs, ragged batches.
+//! Property tests: the one-shot SHA-256 path, the run-time dispatched core
+//! and the table-driven hex codec must be byte-identical to their reference
+//! counterparts on adversarial input — message lengths straddling the
+//! 55/56/64-byte padding boundaries and empty blobs.
 
-use mtls_crypto::{hex, sha256, sha256_batch, sha256_x4, Sha256};
+use mtls_crypto::{hex, sha256, sha256_scalar, Sha256};
 use proptest::prelude::*;
 
 // Lengths biased toward the padding decision points (55 fits one block,
@@ -51,27 +51,8 @@ proptest! {
     }
 
     #[test]
-    fn x4_matches_oneshot(
-        a in arb_msg(),
-        b in arb_msg(),
-        c in arb_msg(),
-        d in arb_msg(),
-    ) {
-        let out = sha256_x4([&a, &b, &c, &d]);
-        prop_assert_eq!(out[0], sha256(&a));
-        prop_assert_eq!(out[1], sha256(&b));
-        prop_assert_eq!(out[2], sha256(&c));
-        prop_assert_eq!(out[3], sha256(&d));
-    }
-
-    #[test]
-    fn batch_matches_oneshot(msgs in proptest::collection::vec(arb_msg(), 0..11)) {
-        let refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();
-        let out = sha256_batch(&refs);
-        prop_assert_eq!(out.len(), msgs.len());
-        for (i, m) in refs.iter().enumerate() {
-            prop_assert_eq!(out[i], sha256(m), "message {}", i);
-        }
+    fn dispatched_matches_scalar_core(msg in arb_msg()) {
+        prop_assert_eq!(sha256(&msg), sha256_scalar(&msg));
     }
 
     #[test]

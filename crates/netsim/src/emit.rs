@@ -8,7 +8,7 @@ use crate::config::SimConfig;
 use crate::scenarios::ContentQuotas;
 use crate::targets;
 use crate::world::World;
-use mtls_crypto::{hex, sha256_batch};
+use mtls_crypto::{hex, sha256};
 use mtls_pki::ctlog::CtEntry;
 use mtls_pki::gossip::{CtObservation, GossipBundle, Vantage};
 use mtls_pki::merkle::leaf_hash;
@@ -233,13 +233,9 @@ impl Emitter {
     }
 
     fn intern_chain(&mut self, ders: &[Vec<u8>], ts: f64) -> Vec<String> {
-        // Fingerprint the whole chain as one batch: quads of blobs go
-        // through the 4-way interleaved compressor, the tail through the
-        // one-shot path.
-        let der_refs: Vec<&[u8]> = ders.iter().map(|d| d.as_slice()).collect();
-        let digests = sha256_batch(&der_refs);
         let mut fps = Vec::with_capacity(ders.len());
-        for (der, digest) in ders.iter().zip(digests) {
+        for der in ders {
+            let digest = sha256(der);
             let fp = hex::encode(&digest);
             if self.seen.insert(digest, ()).is_none() {
                 // Zeek's parse-failure path: the connection log keeps the

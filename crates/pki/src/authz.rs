@@ -69,6 +69,17 @@ pub struct Tenant {
     pub ops: bool,
 }
 
+/// What an accepted client chain yields: the tenant, and the leaf as the
+/// authorizer parsed it, so a caller (the server's privacy meter) reads
+/// its fields without parsing the DER again.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Authorized {
+    /// The identity the chain maps to.
+    pub tenant: Tenant,
+    /// The presented leaf, parsed.
+    pub leaf: Certificate,
+}
+
 /// Chain-validation + policy gate, configured once at server startup.
 pub struct Authorizer {
     /// Root programs the server recognizes.
@@ -88,7 +99,11 @@ pub struct Authorizer {
 impl Authorizer {
     /// Validate a presented chain (leaf first, DER blobs) and derive the
     /// tenant. `now` is the validation time.
-    pub fn authorize(&self, chain_der: &[Vec<u8>], now: Asn1Time) -> Result<Tenant, AuthzError> {
+    pub fn authorize(
+        &self,
+        chain_der: &[Vec<u8>],
+        now: Asn1Time,
+    ) -> Result<Authorized, AuthzError> {
         let leaf_der = chain_der.first().ok_or(AuthzError::NoCertificate)?;
         let leaf = Certificate::from_der(leaf_der).map_err(|_| AuthzError::Malformed)?;
         let candidates: Vec<Certificate> = chain_der[1..]
@@ -115,7 +130,7 @@ impl Authorizer {
             Some(cn) if !cn.trim().is_empty() => cn.to_string(),
             _ => format!("fp:{}", &hex::encode(&sha256(leaf_der))[..16]),
         };
-        Ok(Tenant {
+        let tenant = Tenant {
             name,
             issuer_org: leaf.issuer().organization().map(str::to_owned),
             publicly_trusted,
@@ -125,7 +140,8 @@ impl Authorizer {
                 self.quota_private
             },
             ops: leaf.subject().organizational_unit() == Some(OPS_ORGANIZATIONAL_UNIT),
-        })
+        };
+        Ok(Authorized { tenant, leaf })
     }
 }
 
@@ -184,8 +200,9 @@ mod tests {
         let root = ca(b"corp-root", "Acme Corp CA");
         let auth = authorizer(&root, false);
         let chain = vec![leaf_der(&root, "builder-7"), root.certificate().to_der()];
-        let t = auth.authorize(&chain, now()).unwrap();
+        let Authorized { tenant: t, leaf } = auth.authorize(&chain, now()).unwrap();
         assert_eq!(t.name, "builder-7");
+        assert_eq!(leaf.to_der(), chain[0], "the parsed leaf comes back");
         assert!(!t.publicly_trusted);
         assert_eq!(t.quota_per_sec, 100);
         assert_eq!(t.issuer_org.as_deref(), Some("Acme Corp CA"));
@@ -199,7 +216,7 @@ mod tests {
             leaf_der(&root, "svc.example.com"),
             root.certificate().to_der(),
         ];
-        let t = auth.authorize(&chain, now()).unwrap();
+        let t = auth.authorize(&chain, now()).unwrap().tenant;
         assert!(t.publicly_trusted);
         assert_eq!(t.quota_per_sec, 500);
     }
@@ -277,7 +294,8 @@ mod tests {
             .to_der();
         let t = auth
             .authorize(&[ops_der, root.certificate().to_der()], now())
-            .unwrap();
+            .unwrap()
+            .tenant;
         assert!(t.ops, "OU {OPS_ORGANIZATIONAL_UNIT} grants ops class");
 
         // A plain tenant (no OU, or a different one) is not ops.
@@ -286,7 +304,8 @@ mod tests {
                 &[leaf_der(&root, "plain"), root.certificate().to_der()],
                 now(),
             )
-            .unwrap();
+            .unwrap()
+            .tenant;
         assert!(!plain.ops);
     }
 
@@ -311,7 +330,8 @@ mod tests {
             .to_der();
         let t = authorizer(&root, false)
             .authorize(&[der, root.certificate().to_der()], now())
-            .unwrap();
+            .unwrap()
+            .tenant;
         assert!(t.name.starts_with("fp:"), "{}", t.name);
         assert_eq!(t.name.len(), 3 + 16);
     }

@@ -73,7 +73,7 @@ pub mod policy;
 pub mod sth;
 pub mod truststore;
 
-pub use authz::{Authorizer, AuthzError, Tenant, OPS_ORGANIZATIONAL_UNIT};
+pub use authz::{Authorized, Authorizer, AuthzError, Tenant, OPS_ORGANIZATIONAL_UNIT};
 pub use ca::CertificateAuthority;
 pub use chain::{validate_chain, ChainError, ValidatedChain};
 pub use crl::{CertificateRevocationList, CrlBuilder, RevocationReason};

@@ -225,3 +225,42 @@ pub fn demo_server_config(
         flight_capacity: crate::server::DEFAULT_FLIGHT_CAPACITY,
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mtls_tlssim::{identity_exposure, identity_exposure_parsed};
+    use mtls_x509::Certificate;
+
+    #[test]
+    fn parsed_leaf_exposure_equals_der_exposure_on_every_demo_chain() {
+        let world = demo_world();
+        let authorizer = demo_authorizer(&world, 500, 100);
+        let chains = [
+            ("tenant", &world.tenant_endpoint.chain, true),
+            ("ops", &world.ops_endpoint.chain, true),
+            ("expired", &world.expired_endpoint.chain, false),
+            ("rogue", &world.rogue_endpoint.chain, false),
+        ];
+        for (name, chain, admitted) in chains {
+            // The server meters admitted chains off the authorizer's leaf;
+            // for refused ones, parse it here.
+            let authorized = authorizer.authorize(chain, demo_now());
+            assert_eq!(authorized.is_ok(), admitted, "{name}");
+            let leaf = match authorized {
+                Ok(authorized) => authorized.leaf,
+                Err(_) => Certificate::from_der(&chain[0]).expect("demo leaf parses"),
+            };
+            for version in [TlsVersion::Tls12, TlsVersion::Tls13] {
+                let from_der = identity_exposure(Some(version), chain);
+                let parsed = identity_exposure_parsed(Some(version), chain, Some(&leaf));
+                assert_eq!(parsed, from_der, "{name} {version:?}");
+                assert_eq!(from_der.cleartext, version == TlsVersion::Tls12);
+            }
+            assert!(
+                identity_exposure(Some(TlsVersion::Tls12), chain).identity_bytes() > 0,
+                "{name}: the leaf's identity fields count"
+            );
+        }
+    }
+}

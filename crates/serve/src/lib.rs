@@ -45,4 +45,4 @@ pub use client::{ClientPool, ClientSession, Response};
 pub use frame::{encode_frame, Frame, FrameAssembler};
 pub use quota::{QuotaClock, QuotaTable, TokenBucket};
 pub use server::{Server, ServerConfig, METRICS_SCHEMA};
-pub use tls::{accept, connect, Accepted, EndpointConfig, Session, SessionError};
+pub use tls::{accept, connect, Accepted, EndpointConfig, ServerFlight, Session, SessionError};

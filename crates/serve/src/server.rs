@@ -26,7 +26,7 @@ use crate::frame::{
 };
 use crate::quota::QuotaClock;
 use crate::taxonomy;
-use crate::tls::{self, EndpointConfig, SessionError};
+use crate::tls::{self, EndpointConfig, ServerFlight, SessionError};
 use mtls_asn1::Asn1Time;
 use mtls_core::verdict::{cert_verdict_der, shard_verdict, VerdictContext};
 use mtls_obs::flight::{close, FlightEvent, FlightRecorder};
@@ -144,7 +144,9 @@ impl ConnLatency {
 }
 
 struct Shared {
-    endpoint: EndpointConfig,
+    /// The handshake bytes every connection sends, encoded once from the
+    /// configured [`EndpointConfig`].
+    server_flight: ServerFlight,
     authorizer: Authorizer,
     verdict: VerdictContext,
     now: Asn1Time,
@@ -172,7 +174,7 @@ impl Server {
         let local_addr = listener.local_addr()?;
         let hot = HotMetrics::new(&cfg.obs);
         let shared = Arc::new(Shared {
-            endpoint: cfg.endpoint,
+            server_flight: ServerFlight::new(&cfg.endpoint),
             authorizer: cfg.authorizer,
             verdict: cfg.verdict,
             now: cfg.now,
@@ -303,7 +305,7 @@ fn handle_connection(stream: TcpStream, accepted_at: Instant, shared: &Shared) {
     let accepted = match tls::accept(
         read,
         stream,
-        &shared.endpoint,
+        &shared.server_flight,
         &shared.authorizer,
         shared.now,
     ) {
@@ -331,9 +333,13 @@ fn handle_connection(stream: TcpStream, accepted_at: Instant, shared: &Shared) {
         .histogram_record("serve.handshake_us", handshake_us);
 
     // The privacy meter: what a passive observer on the path just
-    // harvested from this client's cleartext Certificate message.
-    let exposure =
-        mtls_tlssim::identity_exposure(Some(shared.endpoint.version), &accepted.client_chain);
+    // harvested from this client's cleartext Certificate message, read
+    // off the leaf the authorizer already parsed.
+    let exposure = mtls_tlssim::identity_exposure_parsed(
+        Some(shared.server_flight.version()),
+        &accepted.client_chain,
+        Some(&accepted.leaf),
+    );
     if exposure.cleartext {
         let idb = exposure.identity_bytes();
         shared

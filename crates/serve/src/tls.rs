@@ -9,6 +9,12 @@
 //! the 2^14 record limit and reassemble on the far side — the exact paths
 //! the record-layer bugfix sweep hardened.
 //!
+//! Each flight goes to the socket as one write
+//! ([`RecordWriter::write_flight`]): a full handshake costs the client two
+//! writes and the server two, and the record bytes are the same as one
+//! write per record. The server's first flight depends only on its
+//! [`EndpointConfig`], so [`ServerFlight`] encodes it once per server.
+//!
 //! The simulation stack has no key schedule (a passive-measurement
 //! reproduction never needed one), so `application_data` payloads are
 //! structurally framed but not encrypted; DESIGN.md §11 spells out this
@@ -16,7 +22,7 @@
 //! identity derivation — is the real protocol shape.
 
 use crate::frame::{encode_frame, Frame, FrameAssembler};
-use mtls_pki::{Authorizer, AuthzError, Tenant};
+use mtls_pki::{Authorized, Authorizer, AuthzError, Tenant};
 use mtls_tlssim::msgs::{
     encode_certificate_body, encode_certificate_request_body, handshake_envelope,
     parse_certificate_body, ClientHello, ServerHello, HS_CERTIFICATE, HS_CERTIFICATE_REQUEST,
@@ -25,6 +31,7 @@ use mtls_tlssim::msgs::{
 use mtls_tlssim::stream::{HandshakeAssembler, RecordReader, RecordWriter, StreamError};
 use mtls_tlssim::wire::{legacy_version_bytes, ContentType};
 use mtls_tlssim::TlsVersion;
+use mtls_x509::Certificate;
 use std::io::{Read, Write};
 
 /// Fatal alert payload: `handshake_failure` (RFC 5246 §7.2.2).
@@ -76,6 +83,56 @@ pub struct EndpointConfig {
     pub chain: Vec<Vec<u8>>,
     /// Deterministic seed for hello randoms.
     pub random_seed: u64,
+}
+
+/// The Finished message both sides send. The simulation has no key
+/// schedule, so its verify_data is 12 zero bytes.
+fn finished_message() -> Vec<u8> {
+    handshake_envelope(HS_FINISHED, &[0u8; 12])
+}
+
+/// The ChangeCipherSpec payload.
+const CHANGE_CIPHER_SPEC: [u8; 1] = [1];
+
+/// A server's constant handshake bytes, encoded once from its
+/// [`EndpointConfig`]: the first flight (ServerHello + Certificate +
+/// CertificateRequest + ServerHelloDone) and the closing Finished.
+pub struct ServerFlight {
+    version: TlsVersion,
+    hello: Vec<u8>,
+    finished: Vec<u8>,
+}
+
+impl ServerFlight {
+    /// Encode the flights `cfg` implies.
+    pub fn new(cfg: &EndpointConfig) -> ServerFlight {
+        let sh = ServerHello {
+            version: cfg.version,
+        };
+        let mut hello = handshake_envelope(
+            HS_SERVER_HELLO,
+            &sh.encode(&seeded_random(cfg.random_seed, 2)),
+        );
+        hello.extend(handshake_envelope(
+            HS_CERTIFICATE,
+            &encode_certificate_body(&cfg.chain),
+        ));
+        hello.extend(handshake_envelope(
+            HS_CERTIFICATE_REQUEST,
+            &encode_certificate_request_body(),
+        ));
+        hello.extend(handshake_envelope(HS_SERVER_HELLO_DONE, &[]));
+        ServerFlight {
+            version: cfg.version,
+            hello,
+            finished: finished_message(),
+        }
+    }
+
+    /// The version the server negotiates.
+    pub fn version(&self) -> TlsVersion {
+        self.version
+    }
 }
 
 fn seeded_random(seed: u64, label: u8) -> [u8; 32] {
@@ -133,8 +190,10 @@ pub struct Accepted<R: Read, W: Write> {
     /// The DER chain the client presented (leaf first) — the same
     /// cleartext bytes a passive on-path observer captured, handed up
     /// so the server can account the privacy exposure
-    /// ([`mtls_tlssim::identity_exposure`]).
+    /// ([`mtls_tlssim::identity_exposure_parsed`]).
     pub client_chain: Vec<Vec<u8>>,
+    /// `client_chain[0]` as the authorizer parsed it.
+    pub leaf: Certificate,
 }
 
 /// Server side: run the handshake, authorize the client chain, return the
@@ -143,11 +202,11 @@ pub struct Accepted<R: Read, W: Write> {
 pub fn accept<R: Read, W: Write>(
     read: R,
     write: W,
-    cfg: &EndpointConfig,
+    server: &ServerFlight,
     authorizer: &Authorizer,
     now: mtls_asn1::Asn1Time,
 ) -> Result<Accepted<R, W>, SessionError> {
-    let version = legacy_version_bytes(cfg.version);
+    let version = legacy_version_bytes(server.version);
     let mut reader = RecordReader::new(read);
     let mut writer = RecordWriter::new(write, version);
     let mut assembler = HandshakeAssembler::new();
@@ -160,23 +219,7 @@ pub fn accept<R: Read, W: Write>(
 
     // ServerHello + Certificate + CertificateRequest + ServerHelloDone,
     // one fragmented flight.
-    let sh = ServerHello {
-        version: cfg.version,
-    };
-    let mut flight = handshake_envelope(
-        HS_SERVER_HELLO,
-        &sh.encode(&seeded_random(cfg.random_seed, 2)),
-    );
-    flight.extend(handshake_envelope(
-        HS_CERTIFICATE,
-        &encode_certificate_body(&cfg.chain),
-    ));
-    flight.extend(handshake_envelope(
-        HS_CERTIFICATE_REQUEST,
-        &encode_certificate_request_body(),
-    ));
-    flight.extend(handshake_envelope(HS_SERVER_HELLO_DONE, &[]));
-    writer.write(ContentType::Handshake, &flight)?;
+    writer.write(ContentType::Handshake, &server.hello)?;
 
     // Client Certificate.
     let (msg_type, body) = next_handshake(&mut reader, &mut assembler)?;
@@ -195,23 +238,22 @@ pub fn accept<R: Read, W: Write>(
     }
 
     // The authorization gate: refuse the chain → fatal alert.
-    let tenant = match authorizer.authorize(&chain, now) {
-        Ok(t) => t,
+    let Authorized { tenant, leaf } = match authorizer.authorize(&chain, now) {
+        Ok(a) => a,
         Err(e) => {
             let alert = match &e {
                 AuthzError::NoCertificate => ALERT_HANDSHAKE_FAILURE,
                 _ => ALERT_BAD_CERTIFICATE,
             };
-            let _ = writer.write_single(ContentType::Alert, &alert);
+            let _ = writer.write(ContentType::Alert, &alert);
             return Err(SessionError::Authz(e));
         }
     };
 
-    writer.write_single(ContentType::ChangeCipherSpec, &[1])?;
-    writer.write(
-        ContentType::Handshake,
-        &handshake_envelope(HS_FINISHED, &[0u8; 12]),
-    )?;
+    writer.write_flight(&[
+        (ContentType::ChangeCipherSpec, &CHANGE_CIPHER_SPEC),
+        (ContentType::Handshake, &server.finished),
+    ])?;
 
     Ok(Accepted {
         session: Session {
@@ -222,6 +264,7 @@ pub fn accept<R: Read, W: Write>(
         },
         tenant,
         client_chain: chain,
+        leaf,
     })
 }
 
@@ -271,16 +314,15 @@ pub fn connect<R: Read, W: Write>(
         ));
     }
 
-    // Client Certificate + CCS + Finished.
-    writer.write(
-        ContentType::Handshake,
-        &handshake_envelope(HS_CERTIFICATE, &encode_certificate_body(&cfg.chain)),
-    )?;
-    writer.write_single(ContentType::ChangeCipherSpec, &[1])?;
-    writer.write(
-        ContentType::Handshake,
-        &handshake_envelope(HS_FINISHED, &[0u8; 12]),
-    )?;
+    // Client Certificate + CCS + Finished, one write.
+    writer.write_flight(&[
+        (
+            ContentType::Handshake,
+            &handshake_envelope(HS_CERTIFICATE, &encode_certificate_body(&cfg.chain)),
+        ),
+        (ContentType::ChangeCipherSpec, &CHANGE_CIPHER_SPEC),
+        (ContentType::Handshake, &finished_message()),
+    ])?;
 
     // Server CCS + Finished — or the authorization alert.
     let (msg_type, _) = next_handshake(&mut reader, &mut assembler)?;
@@ -346,6 +388,7 @@ mod tests {
     use mtls_asn1::Asn1Time;
     use mtls_crypto::{KeyRegistry, Keypair};
     use mtls_pki::{CertificateAuthority, TrustAnchors, ValidationPolicy};
+    use mtls_tlssim::{identity_exposure, observe, Direction, TranscriptRecord};
     use mtls_x509::{CertificateBuilder, DistinguishedName};
 
     fn now() -> Asn1Time {
@@ -384,6 +427,159 @@ mod tests {
                 .subject_key(key.key_id()),
         )
         .to_der()
+    }
+
+    type Writes = std::sync::Arc<std::sync::Mutex<Vec<Vec<u8>>>>;
+
+    /// A `Write` that forwards to `inner` and keeps the bytes of every
+    /// `write` call, one entry per call — on a socket, one per syscall.
+    struct Recorder<W> {
+        inner: W,
+        writes: Writes,
+    }
+
+    impl<W> Recorder<W> {
+        fn new(inner: W) -> (Recorder<W>, Writes) {
+            let writes = Writes::default();
+            let recorder = Recorder {
+                inner,
+                writes: writes.clone(),
+            };
+            (recorder, writes)
+        }
+    }
+
+    impl<W: Write> Write for Recorder<W> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = self.inner.write(buf)?;
+            self.writes.lock().unwrap().push(buf[..n].to_vec());
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    /// The bytes `records` make when each goes out in its own write: the
+    /// reference segmentation a flight write must match byte for byte.
+    fn one_write_per_record(records: &[(ContentType, &[u8])]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut writer = RecordWriter::new(&mut out, [3, 3]);
+        for &(ct, payload) in records {
+            writer.write(ct, payload).unwrap();
+        }
+        out
+    }
+
+    fn transcript(chunks: &[(Direction, &[u8])]) -> Vec<TranscriptRecord> {
+        chunks
+            .iter()
+            .map(|&(direction, bytes)| TranscriptRecord {
+                direction,
+                bytes: bytes.to_vec(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn each_flight_is_one_write_with_unchanged_bytes() {
+        let (root, authorizer) = world();
+        let server_cfg = EndpointConfig {
+            version: TlsVersion::Tls12,
+            chain: vec![leaf(&root, "serve.example"), root.certificate().to_der()],
+            random_seed: 7,
+        };
+        let client_cfg = EndpointConfig {
+            version: TlsVersion::Tls12,
+            chain: vec![leaf(&root, "tenant-a"), root.certificate().to_der()],
+            random_seed: 8,
+        };
+        let client_chain = client_cfg.chain.clone();
+
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client_thread = std::thread::spawn(move || {
+            let stream = std::net::TcpStream::connect(addr).unwrap();
+            let (write, writes) = Recorder::new(stream.try_clone().unwrap());
+            let mut session = connect(stream, write, &client_cfg, Some("serve.example")).unwrap();
+            let handshake_writes = writes.lock().unwrap().clone();
+            session.send_frame(crate::frame::REQ_PING, b"").unwrap();
+            let resp = session.recv_frame().unwrap().unwrap();
+            assert_eq!(resp.kind, crate::frame::RESP_PONG);
+            handshake_writes
+        });
+        let (stream, _) = listener.accept().unwrap();
+        let server_flight = ServerFlight::new(&server_cfg);
+        let (write, writes) = Recorder::new(stream.try_clone().unwrap());
+        let accepted = accept(stream, write, &server_flight, &authorizer, now()).unwrap();
+        let server_writes = writes.lock().unwrap().clone();
+        let mut session = accepted.session;
+        let req = session.recv_frame().unwrap().unwrap();
+        assert_eq!(req.kind, crate::frame::REQ_PING);
+        session.send_frame(crate::frame::RESP_PONG, b"").unwrap();
+        let client_writes = client_thread.join().unwrap();
+
+        // Before the first frame: the client wrote its hello and one
+        // Certificate + CCS + Finished flight; the server its hello flight
+        // and one CCS + Finished flight.
+        assert_eq!(client_writes.len(), 2, "client handshake writes");
+        assert_eq!(server_writes.len(), 2, "server handshake writes");
+
+        // The same records, one write each, as before coalescing.
+        let ch = ClientHello {
+            legacy_version: TlsVersion::Tls12,
+            sni: Some("serve.example".to_owned()),
+            supported_versions: Vec::new(),
+        };
+        let client_hello = handshake_envelope(HS_CLIENT_HELLO, &ch.encode(&seeded_random(8, 1)));
+        let certificate =
+            handshake_envelope(HS_CERTIFICATE, &encode_certificate_body(&client_chain));
+        let finished = finished_message();
+        let old_client = [
+            one_write_per_record(&[(ContentType::Handshake, &client_hello)]),
+            one_write_per_record(&[(ContentType::Handshake, &certificate)]),
+            one_write_per_record(&[(ContentType::ChangeCipherSpec, &CHANGE_CIPHER_SPEC)]),
+            one_write_per_record(&[(ContentType::Handshake, &finished)]),
+        ];
+        let old_server = [
+            one_write_per_record(&[(ContentType::Handshake, &server_flight.hello)]),
+            one_write_per_record(&[(ContentType::ChangeCipherSpec, &CHANGE_CIPHER_SPEC)]),
+            one_write_per_record(&[(ContentType::Handshake, &finished)]),
+        ];
+        assert_eq!(client_writes.concat(), old_client.concat());
+        assert_eq!(server_writes.concat(), old_server.concat());
+
+        // A passive observer learns the same from either segmentation —
+        // the cleartext client-certificate exposure does not depend on how
+        // the flights were cut into writes.
+        use Direction::{ClientToServer as C, ServerToClient as S};
+        let new_seg = transcript(&[
+            (C, &client_writes[0]),
+            (S, &server_writes[0]),
+            (C, &client_writes[1]),
+            (S, &server_writes[1]),
+        ]);
+        let old_seg = transcript(&[
+            (C, &old_client[0]),
+            (S, &old_server[0]),
+            (C, &old_client[1]),
+            (C, &old_client[2]),
+            (C, &old_client[3]),
+            (S, &old_server[1]),
+            (S, &old_server[2]),
+        ]);
+        let new_obs = observe(&new_seg).unwrap();
+        let old_obs = observe(&old_seg).unwrap();
+        assert_eq!(new_obs, old_obs);
+        let exposure = new_obs.identity_exposure();
+        assert_eq!(exposure, old_obs.identity_exposure());
+        assert!(exposure.cleartext);
+        assert_eq!(exposure.chain_len, 2);
+        assert_eq!(
+            exposure,
+            identity_exposure(Some(TlsVersion::Tls12), &client_chain)
+        );
     }
 
     /// Drive client and server through in-memory pipes without threads:
@@ -425,7 +621,7 @@ mod tests {
         let accepted = accept(
             stream.try_clone().unwrap(),
             stream,
-            &server_cfg,
+            &ServerFlight::new(&server_cfg),
             &authorizer,
             now(),
         )
@@ -481,18 +677,25 @@ mod tests {
             }
         });
         let (stream, _) = listener.accept().unwrap();
-        match accept(
-            stream.try_clone().unwrap(),
-            stream,
-            &server_cfg,
-            &authorizer,
-            now(),
-        ) {
+        let server_flight = ServerFlight::new(&server_cfg);
+        let (write, server_writes) = Recorder::new(stream.try_clone().unwrap());
+        match accept(stream, write, &server_flight, &authorizer, now()) {
             Err(SessionError::Authz(_)) => {}
             Err(e) => panic!("expected Authz error, got {e}"),
             Ok(_) => panic!("accept unexpectedly succeeded"),
         }
         client_thread.join().unwrap();
+
+        // The refusal sends the alert and nothing else: no CCS, no
+        // Finished.
+        let server_writes = server_writes.lock().unwrap().clone();
+        assert_eq!(
+            server_writes,
+            vec![
+                one_write_per_record(&[(ContentType::Handshake, &server_flight.hello)]),
+                one_write_per_record(&[(ContentType::Alert, &ALERT_BAD_CERTIFICATE)]),
+            ]
+        );
     }
 
     #[test]
@@ -540,7 +743,7 @@ mod tests {
         let accepted = accept(
             stream.try_clone().unwrap(),
             stream,
-            &server_cfg,
+            &ServerFlight::new(&server_cfg),
             &authorizer,
             now(),
         )

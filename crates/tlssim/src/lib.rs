@@ -67,7 +67,9 @@ pub mod stream;
 pub mod wire;
 
 pub use handshake::{simulate_handshake, Direction, HandshakeConfig, TranscriptRecord};
-pub use monitor::{identity_exposure, observe, ConnectionObservation, IdentityExposure};
+pub use monitor::{
+    identity_exposure, identity_exposure_parsed, observe, ConnectionObservation, IdentityExposure,
+};
 pub use msgs::{ClientHello, ServerHello};
 pub use stream::{HandshakeAssembler, RecordDeframer, RecordReader, RecordWriter, StreamError};
 pub use wire::{ContentType, RecordHeader, WireError};

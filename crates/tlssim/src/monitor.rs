@@ -102,6 +102,21 @@ pub fn identity_exposure(
     version: Option<TlsVersion>,
     client_chain: &[Vec<u8>],
 ) -> IdentityExposure {
+    let leaf = client_chain
+        .first()
+        .and_then(|der| mtls_x509::Certificate::from_der(der).ok());
+    identity_exposure_parsed(version, client_chain, leaf.as_ref())
+}
+
+/// [`identity_exposure`] for a caller that already holds `client_chain[0]`
+/// parsed (`None` when it did not parse) — the server's privacy meter,
+/// handed the leaf by its authorizer, so the leaf is parsed once per
+/// connection.
+pub fn identity_exposure_parsed(
+    version: Option<TlsVersion>,
+    client_chain: &[Vec<u8>],
+    leaf: Option<&mtls_x509::Certificate>,
+) -> IdentityExposure {
     if version == Some(TlsVersion::Tls13) || client_chain.is_empty() {
         return IdentityExposure::default();
     }
@@ -111,7 +126,7 @@ pub fn identity_exposure(
         chain_bytes: client_chain.iter().map(|der| der.len() as u64).sum(),
         ..IdentityExposure::default()
     };
-    if let Ok(leaf) = mtls_x509::Certificate::from_der(&client_chain[0]) {
+    if let Some(leaf) = leaf {
         exp.leaf_cn_bytes = leaf
             .subject()
             .common_name()

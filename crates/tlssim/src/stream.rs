@@ -20,7 +20,7 @@
 //! under re-chunking of the captured bytes.
 
 use crate::wire::{
-    read_record, write_fragmented, write_record, ContentType, RecordHeader, WireError, MAX_FRAGMENT,
+    read_record, write_fragmented, ContentType, RecordHeader, WireError, MAX_FRAGMENT,
 };
 use bytes::BytesMut;
 use std::io::{Read, Write};
@@ -233,6 +233,10 @@ impl<R: Read> RecordReader<R> {
 /// Record writer over any `io::Write`: fragments big payloads at the 2^14
 /// limit and never emits the silent-wrap corruption the old
 /// `write_record` allowed.
+///
+/// The writer holds no queue: every call frames its records and hands them
+/// to the stream in one `write_all`, so nothing is left unsent when a
+/// caller bails out on an error path.
 pub struct RecordWriter<W: Write> {
     inner: W,
     version: [u8; 2],
@@ -246,17 +250,22 @@ impl<W: Write> RecordWriter<W> {
 
     /// Write one payload, fragmenting across records as needed, and flush.
     pub fn write(&mut self, ct: ContentType, payload: &[u8]) -> Result<(), StreamError> {
-        let mut buf = BytesMut::with_capacity(payload.len() + 5 + payload.len() / MAX_FRAGMENT * 5);
-        write_fragmented(&mut buf, ct, self.version, payload);
-        self.inner.write_all(&buf)?;
-        self.inner.flush()?;
-        Ok(())
+        self.write_flight(&[(ct, payload)])
     }
 
-    /// Write one payload that must fit a single record (control messages).
-    pub fn write_single(&mut self, ct: ContentType, payload: &[u8]) -> Result<(), StreamError> {
-        let mut buf = BytesMut::with_capacity(payload.len() + 5);
-        write_record(&mut buf, ct, self.version, payload)?;
+    /// Write a flight — several payloads, each framed (and fragmented) as
+    /// its own record run, in order — with one `write_all`, and flush. The
+    /// bytes equal one [`write`](Self::write) per payload; only the
+    /// segmentation handed to the stream differs.
+    pub fn write_flight(&mut self, flight: &[(ContentType, &[u8])]) -> Result<(), StreamError> {
+        let framed: usize = flight
+            .iter()
+            .map(|(_, payload)| payload.len() + 5 * (1 + payload.len() / MAX_FRAGMENT))
+            .sum();
+        let mut buf = BytesMut::with_capacity(framed);
+        for &(ct, payload) in flight {
+            write_fragmented(&mut buf, ct, self.version, payload);
+        }
         self.inner.write_all(&buf)?;
         self.inner.flush()?;
         Ok(())
@@ -374,6 +383,31 @@ mod tests {
             }
         }
         assert_eq!(total_hs, 40_000);
+    }
+
+    #[test]
+    fn flight_bytes_equal_one_write_per_record() {
+        let big = vec![7u8; 20_000];
+        let flight: [(ContentType, &[u8]); 4] = [
+            (ContentType::Handshake, &big),
+            (ContentType::ChangeCipherSpec, &[1]),
+            (ContentType::Handshake, b""),
+            (ContentType::Handshake, b"fin"),
+        ];
+        let mut one_by_one = Vec::new();
+        {
+            let mut w = RecordWriter::new(&mut one_by_one, [3, 3]);
+            for (ct, payload) in flight {
+                w.write(ct, payload).unwrap();
+            }
+        }
+        let mut whole = Vec::new();
+        RecordWriter::new(&mut whole, [3, 3])
+            .write_flight(&flight)
+            .unwrap();
+        assert_eq!(whole, one_by_one);
+        // 20,000 bytes fragment into two records; the rest are one each.
+        assert_eq!(whole.len(), 20_000 + 1 + 3 + 5 * 5);
     }
 
     #[test]
