@@ -43,17 +43,30 @@ pub fn is_mac(s: &str) -> bool {
     } else {
         return false;
     };
-    let parts: Vec<&str> = s.split(sep).collect();
-    parts.len() == 6
-        && parts
-            .iter()
-            .all(|p| p.len() == 2 && p.bytes().all(|b| b.is_ascii_hexdigit()))
+    let mut parts = 0;
+    for p in s.split(sep) {
+        parts += 1;
+        if parts > 6 || p.len() != 2 || !p.bytes().all(|b| b.is_ascii_hexdigit()) {
+            return false;
+        }
+    }
+    parts == 6
+}
+
+/// Whether `s` starts with the lowercase ASCII `prefix`, ignoring ASCII case.
+fn starts_with_ci(s: &str, prefix: &str) -> bool {
+    s.len() >= prefix.len() && s.as_bytes()[..prefix.len()].eq_ignore_ascii_case(prefix.as_bytes())
+}
+
+/// Whether `s` ends with the lowercase ASCII `suffix`, ignoring ASCII case.
+fn ends_with_ci(s: &str, suffix: &str) -> bool {
+    s.len() >= suffix.len()
+        && s.as_bytes()[s.len() - suffix.len()..].eq_ignore_ascii_case(suffix.as_bytes())
 }
 
 /// SIP address: `sip:` or `sips:` scheme prefix.
 pub fn is_sip(s: &str) -> bool {
-    let lower = s.to_ascii_lowercase();
-    (lower.starts_with("sip:") || lower.starts_with("sips:")) && s.len() > 4
+    (starts_with_ci(s, "sip:") || starts_with_ci(s, "sips:")) && s.len() > 4
 }
 
 /// Email address: local@domain with a plausible domain.
@@ -98,12 +111,11 @@ pub fn is_user_account(s: &str) -> bool {
 
 /// Localhost / localdomain markers.
 pub fn is_localhost(s: &str) -> bool {
-    let lower = s.to_ascii_lowercase();
-    lower == "localhost"
-        || lower.starts_with("localhost.")
-        || lower.ends_with(".localdomain")
-        || lower.ends_with(".localhost")
-        || lower == "localdomain"
+    s.eq_ignore_ascii_case("localhost")
+        || starts_with_ci(s, "localhost.")
+        || ends_with_ci(s, ".localdomain")
+        || ends_with_ci(s, ".localhost")
+        || s.eq_ignore_ascii_case("localdomain")
 }
 
 #[cfg(test)]

@@ -7,6 +7,8 @@
 //! product and organization labels are merged into one *Org/Product* bucket.
 
 use crate::gazetteer::{contains_ci, GIVEN_NAMES, ORGANIZATIONS, ORG_SUFFIXES, PRODUCTS, SURNAMES};
+use mtls_intern::contains_short;
+use std::sync::OnceLock;
 
 /// NER verdicts (already merged the way Table 8 reports them).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,10 +23,6 @@ fn is_title_case(token: &str) -> bool {
         Some(c) if c.is_ascii_uppercase() => chars.all(|c| c.is_ascii_lowercase() || c == '\''),
         _ => false,
     }
-}
-
-fn alpha_tokens(text: &str) -> Vec<&str> {
-    text.split([' ', '\t']).filter(|t| !t.is_empty()).collect()
 }
 
 /// Personal-name detector.
@@ -42,19 +40,36 @@ pub fn is_personal_name(text: &str) -> bool {
             return true;
         }
     }
-    let tokens = alpha_tokens(t);
-    if !(2..=4).contains(&tokens.len()) {
-        return false;
+    // "Given [Q.] Surname": 2–4 title-case tokens (or middle initials).
+    let (mut tokens, mut first, mut last) = (0, "", "");
+    for tok in t.split([' ', '\t']).filter(|t| !t.is_empty()) {
+        tokens += 1;
+        if tokens > 4 || !(is_title_case(tok) || (tok.len() == 2 && tok.ends_with('.'))) {
+            return false;
+        }
+        if tokens == 1 {
+            first = tok;
+        }
+        last = tok;
     }
-    if !tokens.iter().all(|tok| {
-        is_title_case(tok) || (tok.len() == 2 && tok.ends_with('.')) // middle initial "Q."
-    }) {
-        return false;
-    }
-    let first = tokens[0];
-    let last = tokens[tokens.len() - 1];
-    contains_ci(GIVEN_NAMES, first) && contains_ci(SURNAMES, last)
+    tokens >= 2 && contains_ci(GIVEN_NAMES, first) && contains_ci(SURNAMES, last)
 }
+
+/// The multi-word gazetteer entries, picked out once per process.
+fn phrases() -> &'static [&'static str] {
+    static PHRASES: OnceLock<Vec<&'static str>> = OnceLock::new();
+    PHRASES.get_or_init(|| {
+        PRODUCTS
+            .iter()
+            .chain(ORGANIZATIONS)
+            .copied()
+            .filter(|e| e.contains(' '))
+            .collect()
+    })
+}
+
+/// Inputs up to this many bytes are normalized in a stack buffer.
+const STACK_NORM: usize = 128;
 
 /// Organization/product detector.
 pub fn is_org_or_product(text: &str) -> bool {
@@ -62,40 +77,47 @@ pub fn is_org_or_product(text: &str) -> bool {
     if t.is_empty() {
         return false;
     }
-    let lower = t.to_ascii_lowercase();
     // Whole-string gazetteer hits (products can be multi-word).
-    if PRODUCTS.contains(&lower.as_str()) || ORGANIZATIONS.contains(&lower.as_str()) {
+    if contains_ci(PRODUCTS, t) || contains_ci(ORGANIZATIONS, t) {
         return true;
     }
+    // Lowercase ASCII letters, digits and `&`; every other character
+    // (a multi-byte one included) becomes one space. UTF-8 continuation
+    // bytes are skipped so a character maps to exactly one byte.
+    let mut stack = [0u8; STACK_NORM];
+    let mut heap = Vec::new();
+    let buf: &mut [u8] = if t.len() <= STACK_NORM {
+        &mut stack
+    } else {
+        heap.resize(t.len(), 0);
+        &mut heap
+    };
+    let mut len = 0;
+    for &b in t.as_bytes() {
+        if b & 0xC0 == 0x80 {
+            continue;
+        }
+        buf[len] = if b.is_ascii_alphanumeric() || b == b'&' {
+            b.to_ascii_lowercase()
+        } else {
+            b' '
+        };
+        len += 1;
+    }
+    let norm = std::str::from_utf8(&buf[..len]).expect("normalized text is ASCII");
     // Any token is a known org/product name ("Lenovo ThinkPad X1",
     // "twilio:gateway-7", "Apple iPhone Device").
-    let norm: String = lower
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '&' {
-                c
-            } else {
-                ' '
-            }
-        })
-        .collect();
-    let tokens: Vec<&str> = norm.split(' ').filter(|x| !x.is_empty()).collect();
-    if tokens
-        .iter()
-        .any(|tok| PRODUCTS.contains(tok) || ORGANIZATIONS.contains(tok))
-    {
+    let tokens = || norm.split(' ').filter(|x| !x.is_empty());
+    if tokens().any(|tok| PRODUCTS.contains(&tok) || ORGANIZATIONS.contains(&tok)) {
         return true;
     }
     // Multi-word phrase hits ("hybrid runbook worker" inside a longer CN).
-    if PRODUCTS
-        .iter()
-        .chain(ORGANIZATIONS.iter())
-        .any(|e| e.contains(' ') && norm.contains(e))
-    {
+    if phrases().iter().any(|e| contains_short(norm, e)) {
         return true;
     }
     // Legal-suffix heuristic: >= 2 tokens ending in a corporate suffix.
-    tokens.len() >= 2 && ORG_SUFFIXES.contains(tokens.last().expect("non-empty"))
+    let mut rev = tokens().rev();
+    rev.next().is_some_and(|last| ORG_SUFFIXES.contains(&last)) && rev.next().is_some()
 }
 
 /// Run NER; `None` means unidentified.

@@ -3,7 +3,7 @@
 //!
 //! The SWAR rewrite of `mtls_zeek::tsv` made the log scanners the fastest
 //! — and therefore the least-read — code in the ingest path, so this
-//! module drives them with mutated shard bytes and four oracles:
+//! module drives them with mutated shard bytes and five oracles:
 //!
 //! 1. **No-panic**: `read_ssl_log` / `read_x509_log` must return `Ok` or
 //!    `Err` on arbitrary mutants, never panic, in both ingest modes.
@@ -15,8 +15,18 @@
 //! 4. **SWAR≡scalar**: the u64-at-a-time delimiter scanners agree with
 //!    their byte-at-a-time twins on the mutant bytes — the exact buffers
 //!    the readers just scanned.
+//! 5. **Classifier no-panic**: every string field of every `x509.log` row
+//!    strict mode accepts goes through `mtls_classify::classify`,
+//!    `extract_domain` and `is_domain_name` without a panic, so the
+//!    byte-offset domain scan sees arbitrary UTF-8 from the mutator. It
+//!    also checks `is_domain_name == extract_domain(..).is_some()`, which
+//!    holds by construction while both are built on `domain::split`; the
+//!    differential test of that scan is the label-vector twin inside
+//!    `mtls-classify`, not this oracle.
 
 use crate::mutate::Rng64;
+use mtls_classify::domain::is_domain_name;
+use mtls_classify::{classify, extract_domain, ClassifyContext};
 use mtls_zeek::swar;
 use mtls_zeek::{
     read_ssl_log_with, read_x509_log_with, write_ssl_log, write_x509_log, IngestMode, Ipv4,
@@ -34,7 +44,8 @@ pub struct TsvSummary {
     pub accepted: u64,
     /// Panics caught (bug).
     pub panics: u64,
-    /// Determinism / strict-vs-lenient / SWAR-vs-scalar divergences (bug).
+    /// Determinism / strict-vs-lenient / SWAR-vs-scalar / classifier
+    /// divergences (bug).
     pub divergences: u64,
 }
 
@@ -187,12 +198,48 @@ fn swar_agrees(bytes: &[u8]) -> bool {
     ours == std
 }
 
-/// Evaluate one shard (possibly mutated) against all four oracles.
+/// Classifier oracle over the rows strict mode accepted: no panic on any
+/// string field (and the domain predicate still agrees with the
+/// extractor, their shared contract).
+fn classifier_agrees(records: &[X509Record]) -> bool {
+    std::panic::catch_unwind(|| {
+        records.iter().all(|rec| {
+            let fields = [
+                &rec.fingerprint,
+                &rec.serial,
+                &rec.subject,
+                &rec.issuer,
+                &rec.key_alg,
+                &rec.sig_alg,
+            ];
+            let ctx = ClassifyContext {
+                issuer_org: rec.issuer_org.as_deref(),
+                issuer_is_campus: true,
+            };
+            fields
+                .into_iter()
+                .chain(&rec.issuer_org)
+                .chain(&rec.subject_cn)
+                .chain(&rec.san_dns)
+                .chain(&rec.san_email)
+                .chain(&rec.san_uri)
+                .chain(&rec.san_ip)
+                .all(|s| {
+                    let _ = classify(s, ctx);
+                    is_domain_name(s) == extract_domain(s).is_some()
+                })
+        })
+    })
+    .unwrap_or(false)
+}
+
+/// Evaluate one shard (possibly mutated) against the reader oracles;
+/// returns the records strict mode accepted, if it did.
 fn run_shard<T: PartialEq>(
     bytes: &[u8],
     parse: impl Fn(&[u8], IngestMode) -> ParseResult<T>,
     summary: &mut TsvSummary,
-) {
+) -> Option<Vec<T>> {
     let mut any_ok = false;
     let mut results = Vec::new();
     for mode in [IngestMode::Strict, IngestMode::Lenient] {
@@ -223,6 +270,17 @@ fn run_shard<T: PartialEq>(
     if any_ok {
         summary.accepted += 1;
     }
+    results.swap_remove(0).ok()?.ok()
+}
+
+/// [`run_shard`] for an `x509.log` shard, plus the classifier oracle on
+/// what strict mode accepted.
+fn run_x509_shard(bytes: &[u8], summary: &mut TsvSummary) {
+    if let Some(records) = run_shard(bytes, x509_parse, summary) {
+        if !classifier_agrees(&records) {
+            summary.divergences += 1;
+        }
+    }
 }
 
 /// Run the TSV campaign: golden shards first (must be accepted), then
@@ -242,7 +300,7 @@ pub fn run_tsv_campaign(seed: u64, mutants: u64) -> TsvSummary {
         if i == 0 {
             run_shard(shard, ssl_parse, &mut summary);
         } else {
-            run_shard(shard, x509_parse, &mut summary);
+            run_x509_shard(shard, &mut summary);
         }
         if summary.accepted != i as u64 + 1 || summary.divergences != before {
             summary.divergences += 1; // golden shard rejected: flag it
@@ -255,7 +313,7 @@ pub fn run_tsv_campaign(seed: u64, mutants: u64) -> TsvSummary {
         if which == 0 {
             run_shard(&mutant, ssl_parse, &mut summary);
         } else {
-            run_shard(&mutant, x509_parse, &mut summary);
+            run_x509_shard(&mutant, &mut summary);
         }
     }
     summary
@@ -280,6 +338,14 @@ mod tests {
         assert_eq!(a.accepted, b.accepted);
         assert!(!a.has_bugs(), "{a:?}");
         assert!(a.evaluations >= 600);
+    }
+
+    #[test]
+    fn classifier_oracle_accepts_the_golden_rows() {
+        let x509 = &golden_shards()[1];
+        let records = x509_parse(x509, IngestMode::Strict).unwrap().unwrap();
+        assert!(!records.is_empty());
+        assert!(classifier_agrees(&records));
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! in `tests/adversarial.rs`), and reports how many connections each
 //! violation class would have refused.
 
-use crate::corpus::{CertInfo, Corpus};
+use crate::corpus::{CertInfo, Corpus, IssuerFacts};
 use crate::report::{count, pct, Table};
 use mtls_pki::policy::Violation;
-use mtls_pki::{issuercat::is_dummy_org, ValidationPolicy};
+use mtls_pki::ValidationPolicy;
 use std::collections::HashMap;
 
 /// The audit result.
@@ -31,24 +31,24 @@ pub struct Report {
 
 /// Apply the policy's rule set to a logged certificate record. Mirrors
 /// `ValidationPolicy::evaluate` on the fields the logs preserve (trust-store
-/// membership comes from the corpus's public verdict).
+/// membership and the dummy test come from the corpus's issuer facts).
 pub fn evaluate_record(
     policy: &ValidationPolicy,
     cert: &CertInfo,
     at: f64,
     peer_same_cert: bool,
 ) -> Vec<Violation> {
-    evaluate_fields(policy, &cert.rec, cert.public, at, peer_same_cert)
+    evaluate_fields(policy, &cert.rec, &cert.issuer, at, peer_same_cert)
 }
 
 /// The record-level rule set on bare `x509.log` fields — shared between
 /// the corpus audit above and the per-request verdict path in
 /// [`crate::verdict`], so a served verdict can never drift from the
-/// offline analysis.
+/// offline analysis. `issuer` is [`crate::corpus::issuer_facts`] of `rec`.
 pub fn evaluate_fields(
     policy: &ValidationPolicy,
     rec: &mtls_zeek::X509Record,
-    public: bool,
+    issuer: &IssuerFacts,
     at: f64,
     peer_same_cert: bool,
 ) -> Vec<Violation> {
@@ -72,10 +72,10 @@ pub fn evaluate_fields(
     if policy.require_issuer && org.is_none() {
         v.push(Violation::MissingIssuer);
     }
-    if policy.reject_dummy_issuers && org.map(is_dummy_org).unwrap_or(false) {
+    if policy.reject_dummy_issuers && issuer.dummy {
         v.push(Violation::DummyIssuer);
     }
-    if policy.require_trusted_issuer && !public {
+    if policy.require_trusted_issuer && !issuer.public {
         v.push(Violation::UntrustedIssuer);
     }
     if policy.min_rsa_bits > 0 && rec.key_alg == "rsa" && rec.key_length < policy.min_rsa_bits {

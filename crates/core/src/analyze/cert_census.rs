@@ -48,7 +48,7 @@ pub fn run(corpus: &Corpus) -> Report {
         r.all.add(cert.in_mtls);
         if cert.seen_as_server {
             r.server.add(cert.in_mtls);
-            if cert.public {
+            if cert.issuer.public {
                 r.server_public.add(cert.in_mtls);
             } else {
                 r.server_private.add(cert.in_mtls);
@@ -56,7 +56,7 @@ pub fn run(corpus: &Corpus) -> Report {
         }
         if cert.seen_as_client {
             r.client.add(cert.in_mtls);
-            if cert.public {
+            if cert.issuer.public {
                 r.client_public.add(cert.in_mtls);
             } else {
                 r.client_private.add(cert.in_mtls);

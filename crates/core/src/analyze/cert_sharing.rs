@@ -63,7 +63,7 @@ pub fn run(corpus: &Corpus) -> Report {
             cert.rec.issuer_org.clone().unwrap_or_default(),
         );
         let entry = acc.entry(key).or_insert(Acc {
-            public: cert.public,
+            public: cert.issuer.public,
             clients: HashSet::new(),
             conns: 0,
             first: f64::INFINITY,

@@ -70,7 +70,7 @@ pub fn run(corpus: &Corpus) -> Report {
         let san = !cert.rec.san_dns.is_empty();
         if cert.seen_as_server {
             r.server.add(cn, san);
-            if cert.public {
+            if cert.issuer.public {
                 r.server_public.add(cn, san);
             } else {
                 r.server_private.add(cn, san);
@@ -78,7 +78,7 @@ pub fn run(corpus: &Corpus) -> Report {
         }
         if cert.seen_as_client {
             r.client.add(cn, san);
-            if cert.public {
+            if cert.issuer.public {
                 r.client_public.add(cn, san);
             } else {
                 r.client_private.add(cn, san);

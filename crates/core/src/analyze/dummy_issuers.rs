@@ -53,11 +53,11 @@ pub fn run(corpus: &Corpus) -> Report {
         let inbound = conn.direction == Direction::Inbound;
         let server_dummy = conn
             .server_leaf
-            .map(|id| corpus.cert(id).category == IssuerCategory::Dummy)
+            .map(|id| corpus.cert(id).issuer.category == IssuerCategory::Dummy)
             .unwrap_or(false);
         let client_dummy = conn
             .client_leaf
-            .map(|id| corpus.cert(id).category == IssuerCategory::Dummy)
+            .map(|id| corpus.cert(id).issuer.category == IssuerCategory::Dummy)
             .unwrap_or(false);
 
         if client_dummy {
@@ -128,7 +128,7 @@ pub fn run(corpus: &Corpus) -> Report {
     let mut v1 = 0usize;
     let mut weak = 0usize;
     for cert in corpus.live_certs() {
-        if cert.category == IssuerCategory::Dummy && cert.seen_as_client && cert.in_mtls {
+        if cert.issuer.category == IssuerCategory::Dummy && cert.seen_as_client && cert.in_mtls {
             if cert.rec.version == 1 {
                 v1 += 1;
             }

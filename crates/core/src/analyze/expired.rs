@@ -88,7 +88,7 @@ pub fn run(corpus: &Corpus) -> Report {
         points.push(Point {
             days_expired,
             activity_days: cert.activity_days(),
-            public: cert.public,
+            public: cert.issuer.public,
             issuer_org,
             inbound,
         });

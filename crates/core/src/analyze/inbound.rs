@@ -51,7 +51,7 @@ pub fn run(corpus: &Corpus) -> Report {
         acc.clients.insert(conn.rec.orig_h);
         if let Some(cid) = conn.client_leaf {
             acc.issuer_clients
-                .entry(corpus.cert(cid).category)
+                .entry(corpus.cert(cid).issuer.category)
                 .or_default()
                 .insert(conn.rec.orig_h);
         }

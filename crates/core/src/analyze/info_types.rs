@@ -8,7 +8,7 @@
 
 use crate::corpus::{CertInfo, Corpus};
 use crate::report::{count, pct, Table};
-use mtls_classify::{classify, ClassifyContext, InfoType};
+use mtls_classify::{classify, InfoType};
 use std::collections::HashMap;
 
 /// Which certificate population to analyze.
@@ -86,13 +86,10 @@ pub fn run(corpus: &Corpus, slice: Slice) -> Report {
         if !in_slice(slice, cert) {
             continue;
         }
-        let ctx = ClassifyContext {
-            issuer_org: cert.rec.issuer_org.as_deref(),
-            issuer_is_campus: corpus.meta.issuer_is_campus(cert.rec.issuer_org.as_deref()),
-        };
+        let ctx = cert.issuer.classify_context(cert.rec.issuer_org.as_deref());
         let mut cells: Vec<Cell> = Vec::with_capacity(2);
         match slice {
-            Slice::NonMtlsServers => cells.push(if cert.public {
+            Slice::NonMtlsServers => cells.push(if cert.issuer.public {
                 Cell::ServerPublic
             } else {
                 Cell::ServerPrivate
@@ -100,7 +97,7 @@ pub fn run(corpus: &Corpus, slice: Slice) -> Report {
             Slice::SharedCerts => {
                 // Table 13 groups only by issuer class (shared certs are by
                 // definition both roles); reuse the server cells.
-                cells.push(if cert.public {
+                cells.push(if cert.issuer.public {
                     Cell::ServerPublic
                 } else {
                     Cell::ServerPrivate
@@ -108,14 +105,14 @@ pub fn run(corpus: &Corpus, slice: Slice) -> Report {
             }
             Slice::Mtls => {
                 if cert.seen_as_server {
-                    cells.push(if cert.public {
+                    cells.push(if cert.issuer.public {
                         Cell::ServerPublic
                     } else {
                         Cell::ServerPrivate
                     });
                 }
                 if cert.seen_as_client {
-                    cells.push(if cert.public {
+                    cells.push(if cert.issuer.public {
                         Cell::ClientPublic
                     } else {
                         Cell::ClientPrivate

@@ -51,8 +51,8 @@ pub fn run(corpus: &Corpus) -> Report {
         let (Some(sid), Some(cid)) = (conn.server_leaf, conn.client_leaf) else {
             continue;
         };
-        let server_public = corpus.cert(sid).public;
-        let client_cat = corpus.cert(cid).category;
+        let server_public = corpus.cert(sid).issuer.public;
+        let client_cat = corpus.cert(cid).issuer.category;
         with_client += 1;
         if client_cat == IssuerCategory::MissingIssuer {
             missing += 1;

@@ -13,7 +13,7 @@
 use crate::analyze::quantile;
 use crate::corpus::Corpus;
 use crate::report::{count, pct, Table};
-use mtls_classify::{classify, ClassifyContext, InfoType};
+use mtls_classify::{classify, InfoType};
 
 /// One trackable certificate.
 #[derive(Debug, Clone)]
@@ -53,10 +53,7 @@ pub fn run(corpus: &Corpus) -> Report {
         if !cert.seen_as_client || !cert.in_mtls || cert.conns < 2 {
             continue;
         }
-        let ctx = ClassifyContext {
-            issuer_org: cert.rec.issuer_org.as_deref(),
-            issuer_is_campus: corpus.meta.issuer_is_campus(cert.rec.issuer_org.as_deref()),
-        };
+        let ctx = cert.issuer.classify_context(cert.rec.issuer_org.as_deref());
         let identifies_user = cert
             .rec
             .subject_cn

@@ -4,7 +4,7 @@
 
 use crate::corpus::Corpus;
 use crate::report::{pct, Table};
-use mtls_classify::{classify, classify_random, ClassifyContext, InfoType, RandomClass};
+use mtls_classify::{classify, classify_random, InfoType, RandomClass};
 use std::collections::HashMap;
 
 /// Which Table 9 column a certificate falls into.
@@ -54,30 +54,27 @@ pub fn run(corpus: &Corpus) -> Report {
         if !cert.in_mtls || cert.dual_role() {
             continue;
         }
-        let ctx = ClassifyContext {
-            issuer_org: cert.rec.issuer_org.as_deref(),
-            issuer_is_campus: corpus.meta.issuer_is_campus(cert.rec.issuer_org.as_deref()),
-        };
+        let ctx = cert.issuer.classify_context(cert.rec.issuer_org.as_deref());
         let mut tally = |col: Col, text: &str| {
             if classify(text, ctx) != InfoType::Unidentified {
                 return;
             }
-            let class = classify_random(text, cert.issuer_recognizable);
+            let class = classify_random(text, cert.issuer.recognizable);
             *counts.entry((col, class)).or_insert(0) += 1;
             *totals.entry(col).or_insert(0) += 1;
         };
         if let Some(cn) = cert.rec.subject_cn.as_deref() {
-            if cert.seen_as_server && !cert.public {
+            if cert.seen_as_server && !cert.issuer.public {
                 tally(Col::ServerPrivateCn, cn);
             }
-            if cert.seen_as_client && cert.public {
+            if cert.seen_as_client && cert.issuer.public {
                 tally(Col::ClientPublicCn, cn);
             }
-            if cert.seen_as_client && !cert.public {
+            if cert.seen_as_client && !cert.issuer.public {
                 tally(Col::ClientPrivateCn, cn);
             }
         }
-        if cert.seen_as_client && !cert.public {
+        if cert.seen_as_client && !cert.issuer.public {
             for san in &cert.rec.san_dns {
                 tally(Col::ClientPrivateSan, san);
             }

@@ -1,9 +1,9 @@
 //! The analysis corpus: the joined, enriched view of one log collection.
 
 use crate::columns::{cert_flag, conn_flag, CertColumns, ConnColumns, NO_CERT};
-use mtls_classify::extract_domain;
-use mtls_intern::{FxBuildHasher, FxHashMap, FxHashSet, Interner, Symbol};
-use mtls_pki::{classify_issuer_org, IssuerCategory};
+use mtls_classify::{extract_domain, ClassifyContext};
+use mtls_intern::{contains_short, FxBuildHasher, FxHashMap, FxHashSet, Interner, Symbol};
+use mtls_pki::{classify_org, IssuerCategory, OrgClass};
 use mtls_zeek::{Ipv4, SslRecord, X509Record};
 
 /// Traffic direction relative to the university border.
@@ -63,13 +63,9 @@ pub type CertId = usize;
 #[derive(Debug, Clone)]
 pub struct CertInfo {
     pub rec: X509Record,
-    /// Public-CA verdict (root-store membership of the issuer).
-    pub public: bool,
-    /// Issuer category per §4.2.
-    pub category: IssuerCategory,
-    /// Whether the issuer string names a recognizable generator (campus
-    /// CAs, Azure Sphere, Apple device CA) — Table 9's "by Issuer".
-    pub issuer_recognizable: bool,
+    /// What the issuer fields say: public verdict, §4.2 category, Table
+    /// 9's "by Issuer" flag, campus CA, dummy default.
+    pub issuer: IssuerFacts,
     /// Roles observed across all connections.
     pub seen_as_server: bool,
     pub seen_as_client: bool,
@@ -295,32 +291,69 @@ pub struct CtSummary {
     pub stripped_conns: usize,
 }
 
-/// Static (connection-independent) classification of one `x509.log` row:
-/// the public-CA verdict, the issuer category, and the recognizable-
-/// generator flag. One implementation shared by [`Corpus::build`] and the
-/// serve verdict path ([`crate::verdict`]), so the two can never drift.
-pub fn classify_cert(meta: &MetaKnowledge, rec: &X509Record) -> (bool, IssuerCategory, bool) {
-    let public = meta.issuer_is_public(rec.issuer_org.as_deref())
+/// Issuer organizations whose certificates carry generated CN/SAN strings
+/// the issuer makes recognizable (Table 9's "Random - by Issuer").
+const RECOGNIZABLE_GENERATORS: &[&str] = &[
+    "Azure Sphere",
+    "Apple iPhone Device",
+    "AT&T",
+    "Red Hat",
+    "Samsung",
+];
+
+/// Static (connection-independent) facts about one `x509.log` row's
+/// issuer. One implementation, [`issuer_facts`], shared by
+/// [`Corpus::build`] and the serve verdict path ([`crate::verdict`]), so
+/// the two can never drift.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IssuerFacts {
+    /// Public-CA verdict (root-store membership of the issuer).
+    pub public: bool,
+    /// Issuer category per §4.2.
+    pub category: IssuerCategory,
+    /// Whether the issuer string names a recognizable generator (campus
+    /// CAs, Azure Sphere, Apple device CA) — Table 9's "by Issuer".
+    pub recognizable: bool,
+    /// Issued by a campus CA (user accounts count only then, §6.1.1).
+    pub campus: bool,
+    /// The issuer organization fuzzily matches a software default
+    /// ([`mtls_pki::issuercat::is_dummy_org`]), public issuers included.
+    pub dummy: bool,
+}
+
+impl IssuerFacts {
+    /// The classifier context for the CN/SAN strings of a row whose issuer
+    /// organization is `issuer_org`.
+    pub fn classify_context<'a>(&self, issuer_org: Option<&'a str>) -> ClassifyContext<'a> {
+        ClassifyContext {
+            issuer_org,
+            issuer_is_campus: self.campus,
+        }
+    }
+}
+
+/// Classify one `x509.log` row's issuer fields, normalizing the issuer
+/// organization once.
+pub fn issuer_facts(meta: &MetaKnowledge, rec: &X509Record) -> IssuerFacts {
+    let org = rec.issuer_org.as_deref();
+    let public = meta.issuer_is_public(org)
         // The paper also accepts issuers whose *own* chain is
         // anchored; the display-string membership stands in for it.
         || meta
             .public_ca_orgs
             .iter()
-            .any(|p| rec.issuer.contains(p.as_str()));
-    let category = classify_issuer_org(rec.issuer_org.as_deref(), public);
-    let issuer_recognizable = meta.issuer_is_campus(rec.issuer_org.as_deref())
-        || rec
-            .issuer_org
-            .as_deref()
-            .map(|o| {
-                o.contains("Azure Sphere")
-                    || o.contains("Apple iPhone Device")
-                    || o.contains("AT&T")
-                    || o.contains("Red Hat")
-                    || o.contains("Samsung")
-            })
-            .unwrap_or(false);
-    (public, category, issuer_recognizable)
+            .any(|p| contains_short(&rec.issuer, p));
+    let OrgClass { category, dummy } = classify_org(org, public);
+    let campus = meta.issuer_is_campus(org);
+    let recognizable =
+        campus || org.is_some_and(|o| RECOGNIZABLE_GENERATORS.iter().any(|g| contains_short(o, g)));
+    IssuerFacts {
+        public,
+        category,
+        recognizable,
+        campus,
+        dummy,
+    }
 }
 
 /// The fully joined corpus.
@@ -379,15 +412,13 @@ impl Corpus {
             FxHashMap::with_capacity_and_hasher(x509.len(), FxBuildHasher);
         let mut certs: Vec<CertInfo> = Vec::with_capacity(x509.len());
         for rec in x509 {
-            let (public, category, issuer_recognizable) = classify_cert(&meta, &rec);
+            let issuer = issuer_facts(&meta, &rec);
             let fp_sym = interner.intern(&rec.fingerprint);
             let excluded = excluded_fps.contains(&fp_sym);
             fp_index.insert(fp_sym, certs.len());
             certs.push(CertInfo {
                 rec,
-                public,
-                category,
-                issuer_recognizable,
+                issuer,
                 seen_as_server: false,
                 seen_as_client: false,
                 in_mtls: false,
@@ -501,9 +532,9 @@ impl Corpus {
         for c in &certs {
             cert_cols.validity_days.push(c.rec.validity_days());
             cert_cols.not_valid_after.push(c.rec.not_valid_after);
-            cert_cols.category.push(c.category);
+            cert_cols.category.push(c.issuer.category);
             let mut flags = 0u8;
-            if c.public {
+            if c.issuer.public {
                 flags |= cert_flag::PUBLIC;
             }
             if c.excluded {
@@ -717,12 +748,110 @@ mod tests {
             x509("dd", Some("Internet Widgits Pty Ltd")),
         ];
         let corpus = build_unfiltered(&[], &certs, meta());
-        assert!(corpus.certs[0].public);
-        assert_eq!(corpus.certs[0].category, IssuerCategory::Public);
-        assert_eq!(corpus.certs[1].category, IssuerCategory::Education);
-        assert!(corpus.certs[1].issuer_recognizable);
-        assert_eq!(corpus.certs[2].category, IssuerCategory::MissingIssuer);
-        assert_eq!(corpus.certs[3].category, IssuerCategory::Dummy);
+        assert!(corpus.certs[0].issuer.public);
+        assert_eq!(corpus.certs[0].issuer.category, IssuerCategory::Public);
+        assert_eq!(corpus.certs[1].issuer.category, IssuerCategory::Education);
+        assert!(corpus.certs[1].issuer.recognizable);
+        assert_eq!(
+            corpus.certs[2].issuer.category,
+            IssuerCategory::MissingIssuer
+        );
+        assert_eq!(corpus.certs[3].issuer.category, IssuerCategory::Dummy);
+    }
+
+    /// `issuer_facts` as the separate passes it replaced computed it:
+    /// `str::contains` scans, `classify_org`'s category, and `is_dummy_org`
+    /// on the trimmed organization (what the audit's dummy rule ran).
+    fn reference_facts(meta: &MetaKnowledge, rec: &X509Record) -> IssuerFacts {
+        let org = rec.issuer_org.as_deref();
+        let public = meta.issuer_is_public(org)
+            || meta
+                .public_ca_orgs
+                .iter()
+                .any(|p| rec.issuer.contains(p.as_str()));
+        let campus = meta.issuer_is_campus(org);
+        IssuerFacts {
+            public,
+            category: mtls_pki::classify_org(org, public).category,
+            recognizable: campus
+                || org.is_some_and(|o| {
+                    [
+                        "Azure Sphere",
+                        "Apple iPhone Device",
+                        "AT&T",
+                        "Red Hat",
+                        "Samsung",
+                    ]
+                    .iter()
+                    .any(|g| o.contains(g))
+                }),
+            campus,
+            dummy: org
+                .map(str::trim)
+                .filter(|s| !s.is_empty())
+                .is_some_and(mtls_pki::issuercat::is_dummy_org),
+        }
+    }
+
+    /// `org` with `edits` pseudo-random single-byte edits drawn from `seed`.
+    fn edited(org: &str, edits: usize, mut seed: u64) -> String {
+        let mut b: Vec<u8> = org.bytes().collect();
+        for _ in 0..edits {
+            seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let pos = (seed >> 33) as usize % (b.len() + 1);
+            let ch = b"xQ .-7"[(seed >> 13) as usize % 6];
+            match seed % 3 {
+                0 => b.insert(pos, ch),
+                1 if pos < b.len() => {
+                    b.remove(pos);
+                }
+                _ if pos < b.len() => b[pos] = ch,
+                _ => b.push(ch),
+            }
+        }
+        String::from_utf8(b).expect("ASCII edits of ASCII")
+    }
+
+    use proptest::{prop_assert, prop_assert_eq};
+
+    proptest::proptest! {
+        #[test]
+        fn facts_equal_the_separate_passes_near_every_dummy_default(
+            which in proptest::prelude::any::<usize>(),
+            edits in 0usize..4,
+            seed in proptest::prelude::any::<u64>(),
+            public in proptest::prelude::any::<bool>(),
+            pad in "[ ,.]{0,2}",
+        ) {
+            let dummies = mtls_pki::issuercat::DUMMY_ORGS;
+            let org = format!("{pad}{}{pad}", edited(dummies[which % dummies.len()], edits, seed));
+            let mut rec = x509("aa", Some(&org));
+            if public {
+                // The DN names a public CA, so the issuer is public while
+                // its organization is a default string.
+                rec.issuer = format!("O={org}, OU=DigiCert Inc");
+            }
+            let m = meta();
+            let facts = issuer_facts(&m, &rec);
+            prop_assert_eq!(facts.public, public);
+            prop_assert_eq!(facts.dummy, mtls_pki::issuercat::is_dummy_org(org.trim()), "{:?}", org);
+            prop_assert_eq!(facts, reference_facts(&m, &rec), "{:?}", org);
+            if edits == 0 {
+                prop_assert!(facts.dummy, "{:?}", org);
+            }
+        }
+
+        #[test]
+        fn facts_equal_the_separate_passes_on_any_issuer(
+            org in "\\PC{0,30}",
+            issuer in "\\PC{0,30}",
+            present in proptest::prelude::any::<bool>(),
+        ) {
+            let mut rec = x509("aa", present.then_some(org.as_str()));
+            rec.issuer = issuer;
+            let m = meta();
+            prop_assert_eq!(issuer_facts(&m, &rec), reference_facts(&m, &rec));
+        }
     }
 
     #[test]
@@ -858,8 +987,8 @@ mod tests {
         for (id, c) in corpus.certs.iter().enumerate() {
             assert_eq!(corpus.cert_cols.validity_days[id], c.rec.validity_days());
             assert_eq!(corpus.cert_cols.not_valid_after[id], c.rec.not_valid_after);
-            assert_eq!(corpus.cert_cols.category[id], c.category);
-            assert_eq!(corpus.cert_cols.has(id, cert_flag::PUBLIC), c.public);
+            assert_eq!(corpus.cert_cols.category[id], c.issuer.category);
+            assert_eq!(corpus.cert_cols.has(id, cert_flag::PUBLIC), c.issuer.public);
             assert_eq!(corpus.cert_cols.has(id, cert_flag::EXCLUDED), c.excluded);
             assert_eq!(
                 corpus.cert_cols.has(id, cert_flag::SEEN_AS_CLIENT),

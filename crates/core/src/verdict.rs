@@ -6,21 +6,25 @@
 //! parse result, issuer classification, the policy audit, the
 //! interception-candidate call, and the CN/SAN privacy classification.
 //! Every piece is computed by the *same* functions the offline pipeline
-//! runs ([`crate::corpus::classify_cert`],
+//! runs ([`crate::corpus::issuer_facts`],
 //! [`crate::analyze::audit::evaluate_fields`],
 //! [`crate::pipeline::interception::is_candidate`],
 //! [`mtls_classify::classify`]), so a verdict served over mutual TLS is
 //! byte-identical to what the batch analysis would say about the same
-//! record — pinned by the serve smoke test in CI.
+//! record — pinned by the serve smoke test in CI, and the bytes themselves
+//! by `tests/verdict_pin.rs`.
+//!
+//! Each row's issuer facts are computed once and feed the audit and the
+//! classifier alike. Every row renders straight into the one output
+//! buffer with `push_str`.
 
 use crate::analyze::audit::evaluate_fields;
-use crate::corpus::{classify_cert, MetaKnowledge};
+use crate::corpus::{issuer_facts, MetaKnowledge};
 use crate::pipeline::interception::is_candidate;
-use mtls_classify::{classify, ClassifyContext};
+use mtls_classify::classify;
 use mtls_crypto::{hex, sha256};
 use mtls_pki::{CtLog, ValidationPolicy};
 use mtls_zeek::{read_x509_log, X509Record};
-use std::fmt::Write as _;
 
 /// Everything a verdict needs besides the input itself. The server builds
 /// one of these at startup; tests build one for the offline twin.
@@ -37,29 +41,46 @@ pub struct VerdictContext {
     pub at: f64,
 }
 
+/// A one-row verdict's starting capacity: its fixed lines plus typical
+/// names and SAN lists.
+const RECORD_CAPACITY: usize = 512;
+
 /// Render the verdict for one already-parsed `x509.log` record.
 pub fn record_verdict(rec: &X509Record, ctx: &VerdictContext) -> String {
-    let (public, category, _) = classify_cert(&ctx.meta, rec);
-    let mut out = String::new();
-    out.push_str("verdict: cert\n");
-    let _ = writeln!(out, "fingerprint: {}", rec.fingerprint);
-    out.push_str("parse: ok\n");
-    let _ = writeln!(out, "subject: {}", rec.subject);
-    let _ = writeln!(out, "issuer: {}", rec.issuer);
-    let _ = writeln!(out, "issuer_class: {}", category.label());
+    let mut out = String::with_capacity(RECORD_CAPACITY);
+    render_record(&mut out, rec, ctx);
+    out
+}
 
-    let violations = evaluate_fields(&ctx.policy, rec, public, ctx.at, false);
+/// Append `rec`'s verdict block to `out`.
+fn render_record(out: &mut String, rec: &X509Record, ctx: &VerdictContext) {
+    let issuer = issuer_facts(&ctx.meta, rec);
+    for (head, value) in [
+        ("verdict: cert\nfingerprint: ", rec.fingerprint.as_str()),
+        ("\nparse: ok\nsubject: ", &rec.subject),
+        ("\nissuer: ", &rec.issuer),
+        ("\nissuer_class: ", issuer.category.label()),
+    ] {
+        out.push_str(head);
+        out.push_str(value);
+    }
+    out.push_str("\naudit: ");
+    let violations = evaluate_fields(&ctx.policy, rec, &issuer, ctx.at, false);
     if violations.is_empty() {
-        out.push_str("audit: (clean)\n");
-    } else {
-        let labels: Vec<&str> = violations.iter().map(|v| v.label()).collect();
-        let _ = writeln!(out, "audit: {}", labels.join(", "));
+        out.push_str("(clean)");
+    }
+    for (i, v) in violations.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push_str(v.label());
     }
 
     // The interception filter only ever considers private issuers with a
     // named org; mirror its gating here so the per-cert call matches what
     // the corpus-level filter would feed the issuer aggregation.
-    let interception = if public {
+    out.push_str("\ninterception: ");
+    out.push_str(if issuer.public {
         "not-applicable (public issuer)"
     } else if rec
         .issuer_org
@@ -73,29 +94,35 @@ pub fn record_verdict(rec: &X509Record, ctx: &VerdictContext) -> String {
         "candidate"
     } else {
         "clear"
-    };
-    let _ = writeln!(out, "interception: {interception}");
+    });
+    out.push('\n');
 
-    let cctx = ClassifyContext {
-        issuer_org: rec.issuer_org.as_deref(),
-        issuer_is_campus: ctx.meta.issuer_is_campus(rec.issuer_org.as_deref()),
-    };
-    if let Some(cn) = rec.subject_cn.as_deref() {
-        let _ = writeln!(out, "privacy.cn: {} => {}", cn, classify(cn, cctx));
-    } else {
+    let cctx = issuer.classify_context(rec.issuer_org.as_deref());
+    let fields = [
+        ("cn", rec.subject_cn.as_slice()),
+        ("san_dns", &rec.san_dns[..]),
+        ("san_email", &rec.san_email[..]),
+        ("san_uri", &rec.san_uri[..]),
+        ("san_ip", &rec.san_ip[..]),
+    ];
+    if rec.subject_cn.is_none() {
         out.push_str("privacy.cn: (absent)\n");
     }
-    for (field, values) in [
-        ("san_dns", &rec.san_dns),
-        ("san_email", &rec.san_email),
-        ("san_uri", &rec.san_uri),
-        ("san_ip", &rec.san_ip),
-    ] {
+    for (field, values) in fields {
         for v in values {
-            let _ = writeln!(out, "privacy.{}: {} => {}", field, v, classify(v, cctx));
+            for part in [
+                "privacy.",
+                field,
+                ": ",
+                v,
+                " => ",
+                classify(v, cctx).label(),
+                "\n",
+            ] {
+                out.push_str(part);
+            }
         }
     }
-    out
 }
 
 /// Render the verdict for a raw DER certificate blob. The DER is mapped
@@ -105,16 +132,10 @@ pub fn record_verdict(rec: &X509Record, ctx: &VerdictContext) -> String {
 /// verdict instead of an error channel: a malformed certificate is an
 /// analysis *result* here, not a failure.
 pub fn cert_verdict_der(der: &[u8], ctx: &VerdictContext) -> String {
+    let fp = hex::encode(&sha256(der));
     match mtls_x509::Certificate::from_der(der) {
-        Ok(cert) => {
-            let fp = hex::encode(&sha256(der));
-            let rec = mtls_netsim::to_x509_record(&cert, &fp, ctx.at);
-            record_verdict(&rec, ctx)
-        }
-        Err(e) => {
-            let fp = hex::encode(&sha256(der));
-            format!("verdict: cert\nfingerprint: {fp}\nparse: error: {e}\n")
-        }
+        Ok(cert) => record_verdict(&mtls_netsim::to_x509_record(&cert, &fp, ctx.at), ctx),
+        Err(e) => format!("verdict: cert\nfingerprint: {fp}\nparse: error: {e}\n"),
     }
 }
 
@@ -123,11 +144,14 @@ pub fn cert_verdict_der(der: &[u8], ctx: &VerdictContext) -> String {
 pub fn shard_verdict(tsv: &[u8], ctx: &VerdictContext) -> String {
     match read_x509_log(tsv) {
         Ok(records) => {
-            let mut out = String::new();
-            let _ = writeln!(out, "verdict: shard\nrecords: {}", records.len());
+            // A shard's verdict runs about as long as the shard itself.
+            let mut out = String::with_capacity(tsv.len() + tsv.len() / 4);
+            out.push_str("verdict: shard\nrecords: ");
+            out.push_str(&records.len().to_string());
+            out.push('\n');
             for rec in &records {
                 out.push('\n');
-                out.push_str(&record_verdict(rec, ctx));
+                render_record(&mut out, rec, ctx);
             }
             out
         }

@@ -5,7 +5,9 @@
 //! recur across every certificate a CA mints. Joining `ssl.log` against
 //! `x509.log` with `HashMap<String, _>` therefore re-hashes long strings
 //! with SipHash over and over and keeps one owned allocation per key.
-//! This crate collapses that cost in two independent pieces:
+//! This crate collapses that cost in two independent pieces (plus
+//! [`contains_short`], the substring test the issuer and CN/SAN
+//! classifiers share):
 //!
 //! * [`FxHasher`] — the FxHash multiply-xor hasher (rustc's internal table
 //!   hasher), hand-rolled here in keeping with this workspace's
@@ -23,8 +25,10 @@
 //! be shared freely across scoped analyzer threads.
 
 pub mod hash;
+pub mod text;
 
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use text::contains_short;
 
 use std::hash::BuildHasher;
 

@@ -79,7 +79,7 @@ pub use chain::{validate_chain, ChainError, ValidatedChain};
 pub use crl::{CertificateRevocationList, CrlBuilder, RevocationReason};
 pub use ctlog::{CtIndex, CtLog};
 pub use gossip::{CtAudit, CtObservation, GossipBundle, SplitViewDetector, Vantage};
-pub use issuercat::{classify_issuer_org, IssuerCategory};
+pub use issuercat::{classify_org, IssuerCategory, OrgClass};
 pub use policy::{ValidationPolicy, Violation};
 pub use sth::{ConsistencyProof, InclusionProof, SignedTreeHead};
 pub use truststore::{RootProgram, TrustAnchors, TrustStore};

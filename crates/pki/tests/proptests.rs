@@ -6,7 +6,7 @@
 use mtls_asn1::Asn1Time;
 use mtls_crypto::Keypair;
 use mtls_pki::crl::{CertificateRevocationList, CrlBuilder, RevocationReason};
-use mtls_pki::{classify_issuer_org, CertificateAuthority, ValidationPolicy};
+use mtls_pki::{classify_org, CertificateAuthority, ValidationPolicy};
 use mtls_x509::{CertificateBuilder, DistinguishedName, KeyAlgorithm, SerialNumber, Version};
 use proptest::prelude::*;
 
@@ -170,12 +170,12 @@ proptest! {
 
     #[test]
     fn issuer_classification_is_total_and_stable(org in "\\PC{0,60}") {
-        let a = classify_issuer_org(Some(&org), false);
-        let b = classify_issuer_org(Some(&org), false);
+        let a = classify_org(Some(&org), false).category;
+        let b = classify_org(Some(&org), false).category;
         prop_assert_eq!(a, b);
         // Public verdict always wins.
         prop_assert_eq!(
-            classify_issuer_org(Some(&org), true),
+            classify_org(Some(&org), true).category,
             mtls_pki::IssuerCategory::Public
         );
     }

@@ -89,7 +89,7 @@ fn main() {
         seen_client.subject().common_name(),
         seen_client.issuer().organization(),
         anchors.is_public_issuer(seen_client.issuer()),
-        mtlscope::pki::classify_issuer_org(seen_client.issuer().organization(), false),
+        mtlscope::pki::classify_org(seen_client.issuer().organization(), false).category,
     );
 
     // 5. And under TLS 1.3, the same connection goes dark.
