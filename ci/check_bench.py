@@ -6,9 +6,9 @@ Two layers of gating:
 
 1. **Environment-independent ratios** — each fast path is measured against
    its in-tree reference twin in the same process (SWAR vs scalar scan,
-   columnar vs row fold, dispatched vs scalar SHA-256 core), so the ratio
-   must hold on any box. A fast path dropping below its floor means the
-   optimization stopped working. A floor may also be tied to a flag the
+   dispatched vs scalar SHA-256 core), so the ratio must hold on any
+   box. A fast path dropping below its floor means the optimization
+   stopped working. A floor may also be tied to a flag the
    report records under `environment` (`sha_ni`): it gates only on hosts
    that have the feature.
 2. **Absolute medians vs baseline** — only when the fresh report's
@@ -33,7 +33,7 @@ import sys
 # (covers the box's documented +/-40% noise with margin).
 NOISE_BAND = 0.50
 # Ratio floors: fast path vs its in-process reference twin. These are far
-# below the observed speedups (count ~3x, split ~1.5x, columnar ~1.1-2.7x)
+# below the observed speedups (count ~3x, split ~1.5x)
 # but above 1/noise, so a genuinely undone optimization trips them.
 # dispatch_speedup_vs_scalar is the dispatched SHA-256 one-shot over the
 # scalar core's: ~1.0 by construction on a host without SHA-NI (the
@@ -43,7 +43,6 @@ NOISE_BAND = 0.50
 RATIO_FLOORS = {
     ("scan_mb_per_s", "speedup_count"): 1.5,
     ("scan_mb_per_s", "speedup_split"): 1.1,
-    ("analyzer_scan_us", "columnar_speedup"): 0.9,
     ("sha256_mb_per_s", "dispatch_speedup_vs_scalar"): 0.9,
 }
 # Floors that hold only where the report's environment flag is true.
@@ -106,7 +105,7 @@ def main(fresh_path, baseline_path):
 
     for report, path in [(fresh, fresh_path), (baseline, baseline_path)]:
         for section in ("environment", "scan_mb_per_s", "sha256_mb_per_s",
-                        "hex_mb_per_s", "analyzer_scan_us", "ingest_ms"):
+                        "hex_mb_per_s", "ingest_ms"):
             if section not in report:
                 fail(f"{path}: missing section {section!r}")
 

@@ -1,21 +1,19 @@
 //! Hot-path throughput smoke: stable medians for the byte-level fast
 //! paths (SWAR TSV scanning, run-time dispatched SHA-256, table-driven
-//! hex, the columnar analyzer scan) plus end-to-end ingest, written as JSON
-//! for `ci/check_bench.py` to gate.
+//! hex) plus end-to-end ingest, written as JSON for `ci/check_bench.py` to
+//! gate.
 //!
 //! Every fast path is measured against its in-tree reference twin in the
 //! same process (SWAR vs scalar module, dispatched vs scalar SHA core,
-//! one-shot vs streaming SHA, column vs row scan), so the *ratios* are
-//! meaningful even on a noisy box; the
-//! absolute MB/s only gate when the committed baseline was captured on a
-//! machine with the same core count.
+//! one-shot vs streaming SHA), so the *ratios* are meaningful even on a
+//! noisy box; the absolute MB/s only gate when the committed baseline was
+//! captured on a machine with the same core count.
 //!
 //! Usage: `cargo run --release -p mtls-bench --bin perf_smoke [--quick] [OUT.json]`
 
-use mtls_bench::{corpus, sim_output};
-use mtls_core::columns::conn_flag;
+use mtls_bench::sim_output;
 use mtls_core::ingest::load_dir;
-use mtls_core::{build_corpus_obs, Direction, IngestMode};
+use mtls_core::{build_corpus_obs, IngestMode};
 use mtls_crypto::{hex, sha256, sha256_scalar, sha_ni_available, Sha256};
 use mtls_obs::Obs;
 use mtls_zeek::{read_dir_obs, swar, write_ssl_log};
@@ -77,12 +75,11 @@ fn main() {
     let sha_ni = sha_ni_available();
 
     // ---- fixture: a real serialized ssl.log shard (authentic delimiter
-    // density) and the shared bench corpus.
+    // density).
     let sim = sim_output();
     let mut tsv_buf = Vec::new();
     write_ssl_log(&mut tsv_buf, sim.ssl.iter()).expect("write to vec");
     let tsv = &tsv_buf[..];
-    let corpus = corpus();
 
     // ---- SWAR vs scalar scanning over the shard bytes.
     let scan_iters = if quick { 4 } else { 16 };
@@ -155,36 +152,6 @@ fn main() {
         black_box(hex::decode(black_box(&encoded)).expect("valid hex"));
     });
 
-    // ---- columnar vs row analyzer scan (the Table 2 inner loop shape):
-    // count live mTLS inbound connections and fold their ports.
-    let scan_rounds = if quick { 8 } else { 32 };
-    let columnar_scan = median_micros(&rounds, || {
-        for _ in 0..scan_rounds {
-            let cols = &corpus.conn_cols;
-            let mut acc = 0u64;
-            for ((&flags, &dir), &port) in cols.flags.iter().zip(&cols.direction).zip(&cols.resp_p)
-            {
-                if flags & (conn_flag::EXCLUDED | conn_flag::MTLS) == conn_flag::MTLS
-                    && dir == Direction::Inbound
-                {
-                    acc = acc.wrapping_add(port as u64);
-                }
-            }
-            black_box(acc);
-        }
-    });
-    let row_scan = median_micros(&rounds, || {
-        for _ in 0..scan_rounds {
-            let mut acc = 0u64;
-            for conn in &corpus.conns {
-                if !conn.excluded && conn.mtls && conn.direction == Direction::Inbound {
-                    acc = acc.wrapping_add(conn.rec.resp_p as u64);
-                }
-            }
-            black_box(acc);
-        }
-    });
-
     // ---- end-to-end ingest + parse component over the rotated fixture
     // directory.
     let dir = std::env::temp_dir().join(format!("mtlscope-perf-smoke-{}", std::process::id()));
@@ -208,7 +175,6 @@ fn main() {
     let scan_speedup_split = ratio(scalar_split as f64, swar_split as f64);
     let sha_speedup_oneshot = ratio(sha_streaming as f64, sha_dispatched as f64);
     let sha_speedup_dispatch = ratio(sha_scalar as f64, sha_dispatched as f64);
-    let columnar_speedup = ratio(row_scan as f64, columnar_scan as f64);
 
     let json = format!(
         "{{\n  \"bench\": \"crates/bench/src/bin/perf_smoke.rs\",\n  \
@@ -230,14 +196,10 @@ fn main() {
          \"oneshot_speedup_vs_streaming\": {sha_speedup_oneshot:.2},\n    \
          \"dispatch_speedup_vs_scalar\": {sha_speedup_dispatch:.2}\n  }},\n  \
          \"hex_mb_per_s\": {{\"encode\": {:.1}, \"decode\": {:.1}}},\n  \
-         \"analyzer_scan_us\": {{\n    \
-         \"columnar_ports_fold\": {columnar_scan},\n    \
-         \"row_ports_fold\": {row_scan},\n    \
-         \"columnar_speedup\": {columnar_speedup:.2}\n  }},\n  \
          \"ingest_ms\": {{\n    \
          \"end_to_end_median\": {:.2},\n    \
          \"parse_component_median\": {:.2}\n  }},\n  \
-         \"note\": \"MB/s medians of {} rounds. Reference twins run in-process: scalar_* is the byte-at-a-time module the SWAR scanners must match bit-for-bit, scalar SHA is the portable core's one-shot, dispatched SHA is sha256() (the SHA-NI core when environment.sha_ni is true, else the same portable core), streaming SHA is the partial-block-buffer path, row scan strides ConnInfo structs.\"\n}}\n",
+         \"note\": \"MB/s medians of {} rounds. Reference twins run in-process: scalar_* is the byte-at-a-time module the SWAR scanners must match bit-for-bit, scalar SHA is the portable core's one-shot, dispatched SHA is sha256() (the SHA-NI core when environment.sha_ni is true, else the same portable core), streaming SHA is the partial-block-buffer path.\"\n}}\n",
         rounds.warmup,
         rounds.measured,
         mb_per_s(scan_bytes, swar_count),
@@ -257,8 +219,7 @@ fn main() {
     println!(
         "perf smoke: swar-count x{scan_speedup_count:.2}, swar-split x{scan_speedup_split:.2}, \
          sha-oneshot x{sha_speedup_oneshot:.2}, sha-dispatch x{sha_speedup_dispatch:.2} \
-         (sha_ni {sha_ni}), columnar x{columnar_speedup:.2}, \
-         ingest {:.1}ms",
+         (sha_ni {sha_ni}), ingest {:.1}ms",
         ingest_e2e as f64 / 1000.0
     );
     println!("written to {out_path}");

@@ -1,7 +1,6 @@
 //! Experiment `fig5` — §5.3.3: expired client certificates in successfully
 //! established mutual-TLS connections.
 
-use crate::columns::{cert_flag, NO_CERT};
 use crate::corpus::{Corpus, Direction, ServerAssociation};
 use crate::report::{count, pct, Table};
 use std::collections::{HashMap, HashSet};
@@ -38,24 +37,17 @@ pub fn run(corpus: &Corpus) -> Report {
     let mut assoc_counts: HashMap<ServerAssociation, usize> = HashMap::new();
     let mut seen: HashSet<usize> = HashSet::new();
 
-    // Columnar filter: live-mTLS bit, client leaf, timestamp, and the
-    // cert's expiry all come from dense arrays; the `ConnInfo` row is
-    // only read for the association of a matching inbound connection.
-    let conn_cols = &corpus.conn_cols;
-    let cert_cols = &corpus.cert_cols;
-    for (i, &leaf) in conn_cols.client_leaf.iter().enumerate() {
-        if leaf == NO_CERT || !conn_cols.is_live_mtls(i) {
+    for conn in corpus.mtls_conns() {
+        let Some(cid) = conn.client_leaf else {
+            continue;
+        };
+        let rec = &corpus.cert(cid).rec;
+        if conn.rec.ts <= rec.not_valid_after as f64 || rec.has_incorrect_dates() {
             continue;
         }
-        let cid = leaf as usize;
-        if conn_cols.ts[i] <= cert_cols.not_valid_after[cid] as f64
-            || cert_cols.has(cid, cert_flag::INCORRECT_DATES)
-        {
-            continue;
-        }
-        match conn_cols.direction[i] {
+        match conn.direction {
             Direction::Inbound => {
-                *assoc_counts.entry(corpus.conns[i].association).or_insert(0) += 1;
+                *assoc_counts.entry(conn.association).or_insert(0) += 1;
                 expired_dir.entry(cid).or_insert(true);
             }
             Direction::Outbound => {

@@ -2,8 +2,7 @@
 //! does not precede `notAfter`, all observed in successfully established
 //! connections.
 
-use crate::columns::cert_flag;
-use crate::corpus::Corpus;
+use crate::corpus::{CertId, Corpus};
 use crate::report::{count, Table};
 use mtls_zeek::Ipv4;
 use std::collections::{BTreeMap, HashSet};
@@ -37,18 +36,10 @@ fn year_of(unix: i64) -> i32 {
 
 /// Run the analyzer.
 pub fn run(corpus: &Corpus) -> Report {
-    // Which incorrect-dated certs exist (one dense flag scan), and which
-    // connections carry them.
-    let bad: HashSet<usize> = corpus
-        .cert_cols
-        .flags
-        .iter()
-        .enumerate()
-        .filter(|(_, &f)| {
-            f & (cert_flag::EXCLUDED | cert_flag::INCORRECT_DATES) == cert_flag::INCORRECT_DATES
-        })
-        .map(|(i, _)| i)
-        .collect();
+    let bad = |id: &CertId| {
+        let cert = corpus.cert(*id);
+        !cert.excluded && cert.rec.has_incorrect_dates()
+    };
 
     struct Acc {
         certs: HashSet<usize>,
@@ -64,8 +55,8 @@ pub fn run(corpus: &Corpus) -> Report {
     let mut both_acc: BothAcc = BTreeMap::new();
 
     for conn in corpus.mtls_conns() {
-        let s_bad = conn.server_leaf.filter(|id| bad.contains(id));
-        let c_bad = conn.client_leaf.filter(|id| bad.contains(id));
+        let s_bad = conn.server_leaf.filter(bad);
+        let c_bad = conn.client_leaf.filter(bad);
         for (id, client_side) in [(s_bad, false), (c_bad, true)] {
             let Some(id) = id else { continue };
             let cert = corpus.cert(id);
@@ -141,7 +132,10 @@ pub fn run(corpus: &Corpus) -> Report {
     Report {
         rows,
         both_ends,
-        total_certs: bad.len(),
+        total_certs: corpus
+            .live_certs()
+            .filter(|c| c.rec.has_incorrect_dates())
+            .count(),
     }
 }
 

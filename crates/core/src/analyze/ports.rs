@@ -1,7 +1,6 @@
 //! Experiment `tab2` — Table 2: prominent server ports / services, split
 //! by direction and by mutual-vs-plain TLS.
 
-use crate::columns::conn_flag;
 use crate::corpus::{Corpus, Direction};
 use crate::report::{pct, Table};
 use std::collections::HashMap;
@@ -101,22 +100,17 @@ pub fn run(corpus: &Corpus) -> Report {
         HashMap::new(),
         HashMap::new(),
     ];
-    // Fully columnar: direction, mTLS bit, and port all live in dense
-    // arrays, so this pass never touches the `ConnInfo` rows.
-    let cols = &corpus.conn_cols;
-    for (i, &flags) in cols.flags.iter().enumerate() {
-        if flags & conn_flag::EXCLUDED != 0 {
-            continue;
-        }
-        let mtls = flags & conn_flag::MTLS != 0;
-        let idx = match (cols.direction[i], mtls) {
+    for conn in corpus.live_conns() {
+        let idx = match (conn.direction, conn.mtls) {
             (Direction::Inbound, true) => 0,
             (Direction::Outbound, true) => 1,
             (Direction::Inbound, false) => 2,
             (Direction::Outbound, false) => 3,
             (Direction::Transit, _) => continue,
         };
-        *cells[idx].entry(PortGroup::of(cols.resp_p[i])).or_insert(0) += 1;
+        *cells[idx]
+            .entry(PortGroup::of(conn.rec.resp_p))
+            .or_insert(0) += 1;
     }
     let [a, b, c, d] = cells;
     Report {

@@ -48,8 +48,8 @@ pub fn run(corpus: &Corpus) -> Report {
     let mut issuers: HashMap<String, usize> = HashMap::new();
     for &id in &qualifying {
         let cert = corpus.cert(id);
-        server_counts.push(cert.server_subnets.len());
-        client_counts.push(cert.client_subnets.len());
+        server_counts.push(cert.server_subnets);
+        client_counts.push(cert.client_subnets);
         *issuers
             .entry(cert.rec.issuer_org.clone().unwrap_or_default())
             .or_insert(0) += 1;

@@ -68,8 +68,8 @@ pub fn run(corpus: &Corpus) -> Report {
         tracked.push(TrackedCert {
             fingerprint: cert.rec.fingerprint.clone(),
             window_days: cert.activity_days(),
-            source_ips: cert.client_ips.len(),
-            source_subnets: cert.client_subnets.len(),
+            source_ips: cert.client_ips,
+            source_subnets: cert.client_subnets,
             identifies_user,
         });
     }

@@ -1,7 +1,6 @@
 //! Experiment `fig4` — §5.3.2: validity periods of client certificates in
 //! mutual TLS, by issuer category, including the extreme tail.
 
-use crate::columns::cert_flag;
 use crate::corpus::Corpus;
 use crate::report::{count, Table};
 use mtls_pki::IssuerCategory;
@@ -44,20 +43,14 @@ pub fn run(corpus: &Corpus) -> Report {
     let mut max_days = 0i64;
     let mut max_issuer = String::new();
 
-    // Columnar scan: the filter and the histogram read only the dense
-    // flag/day/category arrays; the row store is dereferenced solely on a
-    // new maximum (a handful of times per corpus).
-    let cols = &corpus.cert_cols;
-    const IN_SCOPE: u8 = cert_flag::SEEN_AS_CLIENT | cert_flag::IN_MTLS;
-    const OUT_OF_SCOPE: u8 = cert_flag::EXCLUDED | cert_flag::INCORRECT_DATES;
-    for (id, &flags) in cols.flags.iter().enumerate() {
-        if flags & IN_SCOPE != IN_SCOPE || flags & OUT_OF_SCOPE != 0 {
+    for cert in corpus.live_certs() {
+        if !cert.seen_as_client || !cert.in_mtls || cert.rec.has_incorrect_dates() {
             continue;
         }
-        let days = cols.validity_days[id];
+        let days = cert.rec.validity_days();
         for (i, (lo, hi, _)) in BUCKETS.iter().enumerate() {
             if days >= *lo && days <= *hi {
-                if flags & cert_flag::PUBLIC != 0 {
+                if cert.issuer.public {
                     hist[i].1 += 1;
                 } else {
                     hist[i].2 += 1;
@@ -67,11 +60,11 @@ pub fn run(corpus: &Corpus) -> Report {
         }
         if (10_000..=40_000).contains(&days) {
             very_long += 1;
-            *cats.entry(cols.category[id]).or_insert(0) += 1;
+            *cats.entry(cert.issuer.category).or_insert(0) += 1;
         }
         if days > max_days {
             max_days = days;
-            max_issuer = corpus.certs[id].rec.issuer_org.clone().unwrap_or_default();
+            max_issuer = cert.rec.issuer_org.clone().unwrap_or_default();
         }
     }
 

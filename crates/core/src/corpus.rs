@@ -1,6 +1,5 @@
 //! The analysis corpus: the joined, enriched view of one log collection.
 
-use crate::columns::{cert_flag, conn_flag, CertColumns, ConnColumns, NO_CERT};
 use mtls_classify::{extract_domain, ClassifyContext};
 use mtls_intern::{contains_short, FxBuildHasher, FxHashMap, FxHashSet, Interner, Symbol};
 use mtls_pki::{classify_org, IssuerCategory, OrgClass};
@@ -71,8 +70,6 @@ pub struct CertInfo {
     pub seen_as_client: bool,
     /// Used in at least one mutual-TLS connection.
     pub in_mtls: bool,
-    /// Present in a client-only connection (no server chain).
-    pub in_client_only: bool,
     /// Present in at least one non-mutual connection as server cert.
     pub in_non_mtls_server: bool,
     /// First/last connection timestamps (duration of activity).
@@ -80,11 +77,13 @@ pub struct CertInfo {
     pub last_seen: f64,
     /// Connection count.
     pub conns: usize,
-    /// Distinct client IPs that presented or received this certificate.
-    pub client_ips: FxHashSet<Ipv4>,
-    /// Distinct /24s where the cert appeared as a server / as a client.
-    pub server_subnets: FxHashSet<Ipv4>,
-    pub client_subnets: FxHashSet<Ipv4>,
+    /// Number of distinct client IPs that presented or received this
+    /// certificate.
+    pub client_ips: usize,
+    /// Number of distinct /24s where the cert appeared as a server / as a
+    /// client.
+    pub server_subnets: usize,
+    pub client_subnets: usize,
     /// Excluded as TLS interception in preprocessing.
     pub excluded: bool,
 }
@@ -113,31 +112,32 @@ impl CertInfo {
         self.conns > 0
     }
 
-    /// Fold in one chain reference from `rec` (`as_server` says which
-    /// chain the fingerprint sat in). Every field is an OR, a min/max, a
-    /// sum or a set union, so the result does not depend on row order.
-    fn observe(&mut self, rec: &SslRecord, as_server: bool) {
+    /// Fold in one chain reference from `rec` to certificate `id`
+    /// (`as_server` says which chain the fingerprint sat in). Every field
+    /// is an OR, a min/max, a sum or a distinct count, so the result does
+    /// not depend on row order. `seen` holds the (certificate, role,
+    /// address) keys already counted.
+    fn observe(&mut self, id: CertId, rec: &SslRecord, as_server: bool, seen: &mut SeenAddrs) {
         let mtls = rec.is_mutual_tls();
         if as_server {
             self.seen_as_server = true;
-            self.server_subnets.insert(rec.resp_h.subnet24());
+            self.server_subnets +=
+                usize::from(seen.insert((id, AddrRole::ServerSubnet, rec.resp_h.subnet24())));
             if !mtls {
                 self.in_non_mtls_server = true;
             }
         } else {
             self.seen_as_client = true;
-            self.client_subnets.insert(rec.orig_h.subnet24());
+            self.client_subnets +=
+                usize::from(seen.insert((id, AddrRole::ClientSubnet, rec.orig_h.subnet24())));
         }
         if mtls {
             self.in_mtls = true;
         }
-        if rec.is_client_only() && !as_server {
-            self.in_client_only = true;
-        }
         self.first_seen = self.first_seen.min(rec.ts);
         self.last_seen = self.last_seen.max(rec.ts);
         self.conns += 1;
-        self.client_ips.insert(rec.orig_h);
+        self.client_ips += usize::from(seen.insert((id, AddrRole::ClientIp, rec.orig_h)));
     }
 
     /// Shared by server and client endpoints (in any connections).
@@ -145,6 +145,17 @@ impl CertInfo {
         self.seen_as_server && self.seen_as_client
     }
 }
+
+/// Which distinct count of [`CertInfo`] an address key counts toward.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum AddrRole {
+    ClientIp,
+    ServerSubnet,
+    ClientSubnet,
+}
+
+/// The (certificate, role, address) keys [`Corpus::build`] has counted.
+type SeenAddrs = FxHashSet<(CertId, AddrRole, Ipv4)>;
 
 /// One connection with derived attributes.
 #[derive(Debug, Clone)]
@@ -383,13 +394,6 @@ pub struct Corpus {
     pub dangling_fps: usize,
     /// Up to eight sample dangling fingerprints for diagnostics.
     pub dangling_samples: Vec<String>,
-    /// Columnar projection of the hot per-certificate fields, indexed by
-    /// [`CertId`]. Built once after the join; the analyzers scan these
-    /// instead of striding through [`CertInfo`] rows.
-    pub cert_cols: CertColumns,
-    /// Columnar projection of the hot per-connection fields, parallel to
-    /// [`Corpus::conns`].
-    pub conn_cols: ConnColumns,
 }
 
 impl Corpus {
@@ -422,14 +426,13 @@ impl Corpus {
                 seen_as_server: false,
                 seen_as_client: false,
                 in_mtls: false,
-                in_client_only: false,
                 in_non_mtls_server: false,
                 first_seen: f64::INFINITY,
                 last_seen: f64::NEG_INFINITY,
                 conns: 0,
-                client_ips: FxHashSet::default(),
-                server_subnets: FxHashSet::default(),
-                client_subnets: FxHashSet::default(),
+                client_ips: 0,
+                server_subnets: 0,
+                client_subnets: 0,
                 excluded,
             });
         }
@@ -443,6 +446,9 @@ impl Corpus {
         let mut dangling_fp_refs = 0u64;
         let mut dangling_seen: FxHashSet<String> = FxHashSet::default();
         let mut dangling_samples: Vec<String> = Vec::new();
+        // The distinct-address keys behind the `CertInfo` counts; dropped
+        // when the build returns.
+        let mut seen_addrs = SeenAddrs::default();
         for rec in ssl {
             let direction = meta.direction_of(&rec);
             let mtls = rec.is_mutual_tls();
@@ -495,7 +501,7 @@ impl Corpus {
                     if certs[cid].excluded {
                         excluded = true;
                     }
-                    certs[cid].observe(&rec, as_server);
+                    certs[cid].observe(cid, &rec, as_server, &mut seen_addrs);
                 } else {
                     dangling_fp_refs += 1;
                     if dangling_seen.insert(fp.clone()) && dangling_samples.len() < 8 {
@@ -520,61 +526,6 @@ impl Corpus {
 
         let excluded_certs = certs.iter().filter(|c| c.excluded).count();
 
-        // Project the hot fields into dense columns. The cert flags are
-        // only final after the connection loop above (roles and mTLS
-        // participation accumulate per connection), so this runs last.
-        let mut cert_cols = CertColumns {
-            validity_days: Vec::with_capacity(certs.len()),
-            not_valid_after: Vec::with_capacity(certs.len()),
-            category: Vec::with_capacity(certs.len()),
-            flags: Vec::with_capacity(certs.len()),
-        };
-        for c in &certs {
-            cert_cols.validity_days.push(c.rec.validity_days());
-            cert_cols.not_valid_after.push(c.rec.not_valid_after);
-            cert_cols.category.push(c.issuer.category);
-            let mut flags = 0u8;
-            if c.issuer.public {
-                flags |= cert_flag::PUBLIC;
-            }
-            if c.excluded {
-                flags |= cert_flag::EXCLUDED;
-            }
-            if c.seen_as_client {
-                flags |= cert_flag::SEEN_AS_CLIENT;
-            }
-            if c.in_mtls {
-                flags |= cert_flag::IN_MTLS;
-            }
-            if c.rec.has_incorrect_dates() {
-                flags |= cert_flag::INCORRECT_DATES;
-            }
-            cert_cols.flags.push(flags);
-        }
-        let mut conn_cols = ConnColumns {
-            direction: Vec::with_capacity(conns.len()),
-            resp_p: Vec::with_capacity(conns.len()),
-            ts: Vec::with_capacity(conns.len()),
-            client_leaf: Vec::with_capacity(conns.len()),
-            flags: Vec::with_capacity(conns.len()),
-        };
-        for c in &conns {
-            conn_cols.direction.push(c.direction);
-            conn_cols.resp_p.push(c.rec.resp_p);
-            conn_cols.ts.push(c.rec.ts);
-            conn_cols
-                .client_leaf
-                .push(c.client_leaf.map_or(NO_CERT, |id| id as u32));
-            let mut flags = 0u8;
-            if c.excluded {
-                flags |= conn_flag::EXCLUDED;
-            }
-            if c.mtls {
-                flags |= conn_flag::MTLS;
-            }
-            conn_cols.flags.push(flags);
-        }
-
         Corpus {
             certs,
             conns,
@@ -587,8 +538,6 @@ impl Corpus {
             dangling_fp_refs,
             dangling_fps: dangling_seen.len(),
             dangling_samples,
-            cert_cols,
-            conn_cols,
         }
     }
 
@@ -957,61 +906,75 @@ mod tests {
         assert_eq!(corpus.excluded_certs, 1);
         assert_eq!(corpus.live_conns().count(), 0);
         assert_eq!(corpus.live_certs().count(), 1);
-        // The exclusion also lands in the dense columns.
-        assert!(corpus.cert_cols.has(0, cert_flag::EXCLUDED));
-        assert!(corpus.conn_cols.has(0, conn_flag::EXCLUDED));
     }
 
     #[test]
-    fn columns_mirror_row_structs() {
+    fn distinct_counts_equal_sets_over_the_raw_rows() {
+        let a = Ipv4::new(98, 100, 1, 1);
+        let a_neighbour = Ipv4::new(98, 100, 1, 2); // same /24 as `a`
+        let b = Ipv4::new(203, 0, 113, 9);
         let internal = Ipv4::new(172, 29, 10, 5);
-        let external = Ipv4::new(98, 100, 1, 1);
-        let mut inverted = x509("cc", Some("IDrive Inc"));
-        inverted.not_valid_before = 1_000_000;
-        inverted.not_valid_after = 999_999;
-        let certs = vec![x509("aa", Some("DigiCert Inc")), x509("bb", None), inverted];
-        let ssl = vec![
-            conn(
-                external,
-                internal,
-                Some("a.campus-health.org"),
-                "aa",
-                Some("bb"),
-            ),
-            conn(internal, external, None, "aa", None),
-            conn(external, internal, None, "aa", Some("cc")),
+        let internal2 = Ipv4::new(172, 29, 11, 5);
+        let certs = vec![
+            x509("srv", Some("DigiCert Inc")),
+            x509("cli", None),
+            x509("dual", None),
+            x509("mitm", Some("NetGuard Inspection CA 1")),
+            x509("int", None),
         ];
-        let corpus = build_unfiltered(&ssl, &certs, meta());
+        let mut chained = conn(a, internal, None, "srv", Some("cli"));
+        chained.cert_chain_fps.push("int".into());
+        let ssl = vec![
+            chained,
+            // `a` again, then its /24 neighbour.
+            conn(a, internal, None, "srv", Some("cli")),
+            conn(a_neighbour, internal2, None, "srv", Some("cli")),
+            // "dual" serves here and is a client below.
+            conn(b, internal, None, "dual", Some("cli")),
+            conn(internal, b, None, "srv", Some("dual")),
+            // "gone" has no x509 row.
+            conn(b, internal, None, "gone", Some("dual")),
+            // "mitm" is excluded; its counts still fold.
+            conn(internal, b, None, "mitm", None),
+            conn(internal2, b, None, "mitm", None),
+        ];
+        let mut interner = Interner::new();
+        let excluded: FxHashSet<Symbol> = [interner.intern("mitm")].into_iter().collect();
+        let corpus = Corpus::build(ssl.clone(), certs, meta(), &excluded, vec![], interner);
+        assert_eq!(corpus.dangling_fps, 1);
+        assert!(corpus.certs[2].dual_role());
+        assert!(corpus.certs[3].excluded);
 
-        assert_eq!(corpus.cert_cols.len(), corpus.certs.len());
-        for (id, c) in corpus.certs.iter().enumerate() {
-            assert_eq!(corpus.cert_cols.validity_days[id], c.rec.validity_days());
-            assert_eq!(corpus.cert_cols.not_valid_after[id], c.rec.not_valid_after);
-            assert_eq!(corpus.cert_cols.category[id], c.issuer.category);
-            assert_eq!(corpus.cert_cols.has(id, cert_flag::PUBLIC), c.issuer.public);
-            assert_eq!(corpus.cert_cols.has(id, cert_flag::EXCLUDED), c.excluded);
+        for cert in &corpus.certs {
+            let fp = &cert.rec.fingerprint;
+            let as_server = |r: &&SslRecord| r.cert_chain_fps.contains(fp);
+            let as_client = |r: &&SslRecord| r.client_cert_chain_fps.contains(fp);
+            let ips: FxHashSet<Ipv4> = ssl
+                .iter()
+                .filter(|r| as_server(r) || as_client(r))
+                .map(|r| r.orig_h)
+                .collect();
+            let server: FxHashSet<Ipv4> = ssl
+                .iter()
+                .filter(as_server)
+                .map(|r| r.resp_h.subnet24())
+                .collect();
+            let client: FxHashSet<Ipv4> = ssl
+                .iter()
+                .filter(as_client)
+                .map(|r| r.orig_h.subnet24())
+                .collect();
             assert_eq!(
-                corpus.cert_cols.has(id, cert_flag::SEEN_AS_CLIENT),
-                c.seen_as_client
-            );
-            assert_eq!(corpus.cert_cols.has(id, cert_flag::IN_MTLS), c.in_mtls);
-            assert_eq!(
-                corpus.cert_cols.has(id, cert_flag::INCORRECT_DATES),
-                c.rec.has_incorrect_dates()
+                (cert.client_ips, cert.server_subnets, cert.client_subnets),
+                (ips.len(), server.len(), client.len()),
+                "{fp}"
             );
         }
-        assert_eq!(corpus.conn_cols.len(), corpus.conns.len());
-        for (i, c) in corpus.conns.iter().enumerate() {
-            assert_eq!(corpus.conn_cols.direction[i], c.direction);
-            assert_eq!(corpus.conn_cols.resp_p[i], c.rec.resp_p);
-            assert_eq!(corpus.conn_cols.ts[i], c.rec.ts);
-            assert_eq!(corpus.conn_cols.has(i, conn_flag::MTLS), c.mtls);
-            assert_eq!(corpus.conn_cols.has(i, conn_flag::EXCLUDED), c.excluded);
-            match c.client_leaf {
-                Some(id) => assert_eq!(corpus.conn_cols.client_leaf[i], id as u32),
-                None => assert_eq!(corpus.conn_cols.client_leaf[i], NO_CERT),
-            }
-            assert_eq!(corpus.conn_cols.is_live_mtls(i), !c.excluded && c.mtls);
-        }
+        // Four rows carry "cli" from three addresses in two /24s.
+        let cli = &corpus.certs[1];
+        assert_eq!(cli.conns, 4);
+        assert_eq!((cli.client_ips, cli.client_subnets), (3, 2));
+        let dual = &corpus.certs[2];
+        assert_eq!((dual.server_subnets, dual.client_subnets), (1, 2));
     }
 }

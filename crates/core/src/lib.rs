@@ -35,7 +35,6 @@
 //! ```
 
 pub mod analyze;
-pub mod columns;
 pub mod corpus;
 pub mod export;
 pub mod ingest;
@@ -47,7 +46,6 @@ pub mod verdict;
 
 pub mod testutil;
 
-pub use columns::{CertColumns, ConnColumns};
 pub use corpus::{Corpus, Direction, ServerAssociation};
 pub use ingest::{
     load_dir, load_dir_obs, load_dir_streaming_obs, IngestDiagnostics, IngestError, StreamOptions,
