@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """CI gate for the `conform` binary: asserts the TSV report schema, the
-campaign size floor, and the never-panic / never-diverge policy.
+campaign size floors, and the never-panic / never-diverge policy, for the
+DER campaign and for the Zeek-TSV shard campaign's `tsv.*` rows (one
+divergence count per oracle).
 
 Usage: check_conform.py conform-report.tsv
 """
@@ -14,6 +16,18 @@ SUMMARY_KEYS = {
 }
 
 ENTRY_COLUMNS = 5  # rejected identical canonicalized panics divergences
+
+MIN_TSV_MUTANTS = 2_000
+
+# The TSV campaign's comparing oracles (`TsvDivergences::rows`), the
+# reused-row oracle among them; `golden` counts golden shards rejected.
+TSV_ORACLES = [
+    "determinism", "strict_lenient", "swar_scalar", "classifier",
+    "reused_row", "golden",
+]
+TSV_KEYS = {"tsv.mutants", "tsv.evaluations", "tsv.accepted", "tsv.panics"} | {
+    f"tsv.divergences.{o}" for o in TSV_ORACLES
+}
 
 
 def fail(msg):
@@ -80,11 +94,34 @@ def main(path):
         fail(f"entry tallies sum to {total} != evaluations "
              f"{summary['evaluations']}")
 
+    # The TSV shard campaign: every oracle reported, none diverged.
+    missing = TSV_KEYS - set(summary)
+    if missing:
+        fail(f"missing TSV campaign rows: {sorted(missing)}")
+    unknown = {k for k in summary if k.startswith("tsv.")} - TSV_KEYS
+    if unknown:
+        fail(f"unknown TSV campaign rows: {sorted(unknown)}")
+    if summary["tsv.mutants"] < MIN_TSV_MUTANTS:
+        fail(f"TSV campaign too small: {summary['tsv.mutants']} mutants "
+             f"< {MIN_TSV_MUTANTS}")
+    if summary["tsv.evaluations"] < 2 * summary["tsv.mutants"]:
+        fail("TSV evaluations should cover both ingest modes per mutant")
+    if summary["tsv.accepted"] <= 0:
+        fail("no TSV mutant was ever accepted")
+    if summary["tsv.panics"] != 0:
+        fail(f"{summary['tsv.panics']} TSV reader panics")
+    tsv_divergences = {o: summary[f"tsv.divergences.{o}"] for o in TSV_ORACLES}
+    diverged = {o: n for o, n in tsv_divergences.items() if n}
+    if diverged:
+        fail(f"TSV oracle divergences: {diverged}")
+
     print(f"check_conform: ok — {summary['mutants']} mutants, "
           f"{summary['entry_points']} entry points, "
           f"{summary['evaluations']} evaluations, "
           f"{summary['accepted']} accepted / {summary['rejected']} rejected, "
-          f"0 panics, 0 divergences")
+          f"0 panics, 0 divergences; TSV: {summary['tsv.mutants']} mutants, "
+          f"{summary['tsv.accepted']} accepted, 0 panics, 0 divergences "
+          f"over {len(TSV_ORACLES)} oracle rows")
 
 
 if __name__ == "__main__":

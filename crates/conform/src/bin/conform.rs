@@ -9,9 +9,9 @@
 //! ```
 //!
 //! `--tsv-mutants` additionally runs the Zeek-TSV shard campaign (mutated
-//! ssl.log/x509.log bytes through the SWAR readers); its summary goes to
-//! stderr and failures flip the exit code, leaving the DER report format
-//! unchanged.
+//! ssl.log/x509.log bytes through the SWAR readers); its counts follow the
+//! DER report as `tsv.`-prefixed summary rows, with one divergence row per
+//! oracle, and failures flip the exit code.
 
 use std::process::ExitCode;
 
@@ -56,7 +56,10 @@ fn main() -> ExitCode {
     let tsv_summary = (tsv_mutants > 0).then(|| mtls_conform::run_tsv_campaign(seed, tsv_mutants));
     std::panic::set_hook(hook);
 
-    let tsv = report.to_tsv();
+    let mut tsv = report.to_tsv();
+    if let Some(s) = &tsv_summary {
+        tsv.push_str(&s.to_tsv());
+    }
     if let Some(path) = &report_path {
         if let Err(e) = std::fs::write(path, &tsv) {
             eprintln!("conform: cannot write {path}: {e}");
@@ -80,7 +83,12 @@ fn main() -> ExitCode {
     if let Some(s) = &tsv_summary {
         eprintln!(
             "conform: tsv seed={} mutants={} evaluations={} accepted={} panics={} divergences={}",
-            s.seed, s.mutants, s.evaluations, s.accepted, s.panics, s.divergences,
+            s.seed,
+            s.mutants,
+            s.evaluations,
+            s.accepted,
+            s.panics,
+            s.divergences.total(),
         );
         tsv_bugs = s.has_bugs();
     }

@@ -31,7 +31,7 @@ pub mod tsv;
 pub use mutate::{mutate, scan_tlvs, Rng64, TlvNode, MUTATION_KINDS};
 pub use oracle::{run_case, EntryPoint, Outcome, ENTRY_POINTS};
 pub use report::{EntryTally, Finding, Report};
-pub use tsv::{run_tsv_campaign, TsvSummary};
+pub use tsv::{run_tsv_campaign, TsvDivergences, TsvSummary};
 
 /// Run a full campaign: every golden seed through every oracle once, then
 /// `mutants` seeded mutants (round-robin over the corpus) through every

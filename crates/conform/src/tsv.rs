@@ -3,7 +3,7 @@
 //!
 //! The SWAR rewrite of `mtls_zeek::tsv` made the log scanners the fastest
 //! — and therefore the least-read — code in the ingest path, so this
-//! module drives them with mutated shard bytes and five oracles:
+//! module drives them with mutated shard bytes and six oracles:
 //!
 //! 1. **No-panic**: `read_ssl_log` / `read_x509_log` must return `Ok` or
 //!    `Err` on arbitrary mutants, never panic, in both ingest modes.
@@ -23,6 +23,11 @@
 //!    holds by construction while both are built on `domain::split`; the
 //!    differential test of that scan is the label-vector twin inside
 //!    `mtls-classify`, not this oracle.
+//! 6. **Reused row≡fresh records**: on every mutant, parsing through
+//!    [`X509Rows`] into one record refilled row after row (the served
+//!    shard verdict's path) gives the records `read_x509_log` builds, or
+//!    the same first error — a field that kept bytes, list entries or a
+//!    `Some` from the row before would show here.
 
 use crate::mutate::Rng64;
 use mtls_classify::domain::is_domain_name;
@@ -30,7 +35,7 @@ use mtls_classify::{classify, extract_domain, ClassifyContext};
 use mtls_zeek::swar;
 use mtls_zeek::{
     read_ssl_log_with, read_x509_log_with, write_ssl_log, write_x509_log, IngestMode, Ipv4,
-    ShardDiag, SslRecord, TlsVersion, X509Record,
+    ShardDiag, SslRecord, TlsVersion, X509Record, X509Rows,
 };
 
 /// Outcome counts of one TSV campaign.
@@ -44,15 +49,58 @@ pub struct TsvSummary {
     pub accepted: u64,
     /// Panics caught (bug).
     pub panics: u64,
-    /// Determinism / strict-vs-lenient / SWAR-vs-scalar / classifier
-    /// divergences (bug).
-    pub divergences: u64,
+    /// Divergences per comparing oracle (bug).
+    pub divergences: TsvDivergences,
+}
+
+/// Divergence counts of oracles 2–6, plus golden shards rejected.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TsvDivergences {
+    pub determinism: u64,
+    pub strict_lenient: u64,
+    pub swar_scalar: u64,
+    pub classifier: u64,
+    pub reused_row: u64,
+    pub golden: u64,
+}
+
+impl TsvDivergences {
+    /// Each count under its report name.
+    pub fn rows(&self) -> [(&'static str, u64); 6] {
+        [
+            ("determinism", self.determinism),
+            ("strict_lenient", self.strict_lenient),
+            ("swar_scalar", self.swar_scalar),
+            ("classifier", self.classifier),
+            ("reused_row", self.reused_row),
+            ("golden", self.golden),
+        ]
+    }
+
+    /// All divergences.
+    pub fn total(&self) -> u64 {
+        self.rows().iter().map(|(_, n)| n).sum()
+    }
 }
 
 impl TsvSummary {
     /// Whether the campaign found a parser bug.
     pub fn has_bugs(&self) -> bool {
-        self.panics > 0 || self.divergences > 0
+        self.panics > 0 || self.divergences.total() > 0
+    }
+
+    /// The campaign's rows for the conformance report: `tsv.`-prefixed
+    /// `key<TAB>value` lines, one per count and one per oracle's
+    /// divergences (`ci/check_conform.py` gates on them).
+    pub fn to_tsv(&self) -> String {
+        let mut out = format!(
+            "tsv.mutants\t{}\ntsv.evaluations\t{}\ntsv.accepted\t{}\ntsv.panics\t{}\n",
+            self.mutants, self.evaluations, self.accepted, self.panics
+        );
+        for (oracle, n) in self.divergences.rows() {
+            out.push_str(&format!("tsv.divergences.{oracle}\t{n}\n"));
+        }
+        out
     }
 }
 
@@ -87,7 +135,10 @@ fn golden_shards() -> Vec<Vec<u8>> {
             client_cert_chain_fps: vec![],
         },
     ];
-    let x509 = [X509Record {
+    // Rows of different shapes back to back — SAN lists shrinking and
+    // growing, optional fields toggling — so the reused-row oracle sees a
+    // record refilled across shapes, not only a row parsed once.
+    let first = X509Record {
         ts: 1_651_363_200.5,
         fingerprint: "aa11".into(),
         version: 3,
@@ -106,7 +157,26 @@ fn golden_shards() -> Vec<Vec<u8>> {
         san_uri: vec![],
         san_ip: vec![],
         basic_constraints_ca: false,
-    }];
+    };
+    let bare = X509Record {
+        fingerprint: "dd44".into(),
+        subject: "CN=x".into(),
+        issuer_org: None,
+        subject_cn: None,
+        san_dns: vec![],
+        ..first.clone()
+    };
+    let wide = X509Record {
+        fingerprint: "ee55".into(),
+        subject: "CN=wide, O=Escaped\tOrg".into(),
+        issuer_org: Some("Wide, Inc.".into()),
+        subject_cn: Some("wide.example".into()),
+        san_dns: vec!["c.example".into(), "d,e.example".into(), "f.example".into()],
+        san_email: vec!["ops@example.org".into()],
+        basic_constraints_ca: true,
+        ..first.clone()
+    };
+    let x509 = [first, bare, wide];
     let mut ssl_buf = Vec::new();
     write_ssl_log(&mut ssl_buf, ssl.iter()).expect("write to vec");
     let mut x509_buf = Vec::new();
@@ -252,7 +322,7 @@ fn run_shard<T: PartialEq>(
         }
         // Determinism: same bytes, same mode, same answer.
         if parse(bytes, mode) != first {
-            summary.divergences += 1;
+            summary.divergences.determinism += 1;
         }
         results.push(first);
     }
@@ -261,11 +331,11 @@ fn run_shard<T: PartialEq>(
     if let (Ok(Ok(strict)), Ok(lenient)) = (&results[0], &results[1]) {
         match lenient {
             Ok(recs) if recs == strict => {}
-            _ => summary.divergences += 1,
+            _ => summary.divergences.strict_lenient += 1,
         }
     }
     if !swar_agrees(bytes) {
-        summary.divergences += 1;
+        summary.divergences.swar_scalar += 1;
     }
     if any_ok {
         summary.accepted += 1;
@@ -278,8 +348,38 @@ fn run_shard<T: PartialEq>(
 fn run_x509_shard(bytes: &[u8], summary: &mut TsvSummary) {
     if let Some(records) = run_shard(bytes, x509_parse, summary) {
         if !classifier_agrees(&records) {
-            summary.divergences += 1;
+            summary.divergences.classifier += 1;
         }
+    }
+}
+
+/// Reused-row oracle: the bytes parsed as an `x509.log` through one
+/// record refilled by [`X509Rows::next_into`] give what strict
+/// `read_x509_log` gives — the same records, or the same first error.
+fn reused_row_agrees(bytes: &[u8]) -> bool {
+    let reused = catch(move || {
+        let mut rows = X509Rows::new(bytes)?;
+        let mut row = X509Record::default();
+        let mut records = Vec::with_capacity(rows.len());
+        while let Some(parsed) = rows.next_into(&mut row) {
+            parsed?;
+            records.push(row.clone());
+        }
+        Ok(records)
+    });
+    reused == x509_parse(bytes, IngestMode::Strict)
+}
+
+/// Run one shard through the oracles of its kind, then the reused-row
+/// oracle.
+fn run_any_shard(bytes: &[u8], x509: bool, summary: &mut TsvSummary) {
+    if x509 {
+        run_x509_shard(bytes, summary);
+    } else {
+        run_shard(bytes, ssl_parse, summary);
+    }
+    if !reused_row_agrees(bytes) {
+        summary.divergences.reused_row += 1;
     }
 }
 
@@ -296,25 +396,17 @@ pub fn run_tsv_campaign(seed: u64, mutants: u64) -> TsvSummary {
     let mut rng = Rng64::new(seed);
     // Golden shards must parse cleanly in both modes.
     for (i, shard) in shards.iter().enumerate() {
-        let before = summary.divergences;
-        if i == 0 {
-            run_shard(shard, ssl_parse, &mut summary);
-        } else {
-            run_x509_shard(shard, &mut summary);
-        }
-        if summary.accepted != i as u64 + 1 || summary.divergences != before {
-            summary.divergences += 1; // golden shard rejected: flag it
+        let before = summary.divergences.total();
+        run_any_shard(shard, i == 1, &mut summary);
+        if summary.accepted != i as u64 + 1 || summary.divergences.total() != before {
+            summary.divergences.golden += 1;
         }
     }
     summary.accepted = 0; // golden acceptance checked above; count mutants only
     for n in 0..mutants {
         let which = (n % shards.len() as u64) as usize;
         let mutant = mutate_shard(&shards[which], &mut rng);
-        if which == 0 {
-            run_shard(&mutant, ssl_parse, &mut summary);
-        } else {
-            run_x509_shard(&mutant, &mut summary);
-        }
+        run_any_shard(&mutant, which == 1, &mut summary);
     }
     summary
 }
@@ -346,6 +438,27 @@ mod tests {
         let records = x509_parse(x509, IngestMode::Strict).unwrap().unwrap();
         assert!(!records.is_empty());
         assert!(classifier_agrees(&records));
+    }
+
+    #[test]
+    fn reused_row_oracle_runs_on_every_shard() {
+        let golden = golden_shards();
+        assert!(reused_row_agrees(&golden[1]));
+        // On the ssl.log shard both sides reject the header alike.
+        assert!(reused_row_agrees(&golden[0]));
+        let mut rng = Rng64::new(3);
+        for _ in 0..200 {
+            assert!(reused_row_agrees(&mutate_shard(&golden[1], &mut rng)));
+        }
+        let s = run_tsv_campaign(5, 40);
+        let rows = s.to_tsv();
+        for (oracle, _) in s.divergences.rows() {
+            assert!(
+                rows.contains(&format!("tsv.divergences.{oracle}\t0\n")),
+                "{rows}"
+            );
+        }
+        assert!(rows.starts_with("tsv.mutants\t40\n"), "{rows}");
     }
 
     #[test]

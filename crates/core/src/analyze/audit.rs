@@ -29,6 +29,53 @@ pub struct Report {
     pub flagged_certs: usize,
 }
 
+/// The violations one record raises: a fixed-size set, `Copy` and
+/// heap-free, that iterates in the order [`evaluate_fields`] checks its
+/// rules ([`Violations::ORDER`]), which is the order the verdict's audit
+/// line lists them in.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Violations(u16);
+
+impl Violations {
+    /// The rule order of [`evaluate_fields`].
+    pub const ORDER: [Violation; 11] = [
+        Violation::IncorrectDates,
+        Violation::Expired,
+        Violation::NotYetValid,
+        Violation::MissingIssuer,
+        Violation::DummyIssuer,
+        Violation::UntrustedIssuer,
+        Violation::WeakKey,
+        Violation::ObsoleteVersion,
+        Violation::ExcessiveValidity,
+        Violation::SharedWithPeer,
+        Violation::DeprecatedSignatureAlgorithm,
+    ];
+
+    fn bit(v: Violation) -> u16 {
+        1 << v as u16
+    }
+
+    fn insert(&mut self, v: Violation) {
+        self.0 |= Self::bit(v);
+    }
+
+    /// Whether the record raised `v`.
+    pub fn contains(self, v: Violation) -> bool {
+        self.0 & Self::bit(v) != 0
+    }
+
+    /// Whether the record is clean.
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// The raised violations, in [`Violations::ORDER`].
+    pub fn iter(self) -> impl Iterator<Item = Violation> {
+        Self::ORDER.into_iter().filter(move |&v| self.contains(v))
+    }
+}
+
 /// Apply the policy's rule set to a logged certificate record. Mirrors
 /// `ValidationPolicy::evaluate` on the fields the logs preserve (trust-store
 /// membership and the dummy test come from the corpus's issuer facts).
@@ -37,7 +84,7 @@ pub fn evaluate_record(
     cert: &CertInfo,
     at: f64,
     peer_same_cert: bool,
-) -> Vec<Violation> {
+) -> Violations {
     evaluate_fields(policy, &cert.rec, &cert.issuer, at, peer_same_cert)
 }
 
@@ -51,17 +98,17 @@ pub fn evaluate_fields(
     issuer: &IssuerFacts,
     at: f64,
     peer_same_cert: bool,
-) -> Vec<Violation> {
-    let mut v = Vec::new();
+) -> Violations {
+    let mut v = Violations::default();
     let inverted = rec.has_incorrect_dates();
     if policy.check_date_sanity && inverted {
-        v.push(Violation::IncorrectDates);
+        v.insert(Violation::IncorrectDates);
     }
     if policy.check_validity_window && !inverted {
         if at > rec.not_valid_after as f64 {
-            v.push(Violation::Expired);
+            v.insert(Violation::Expired);
         } else if at < rec.not_valid_before as f64 {
-            v.push(Violation::NotYetValid);
+            v.insert(Violation::NotYetValid);
         }
     }
     let org = rec
@@ -70,30 +117,30 @@ pub fn evaluate_fields(
         .map(str::trim)
         .filter(|s| !s.is_empty());
     if policy.require_issuer && org.is_none() {
-        v.push(Violation::MissingIssuer);
+        v.insert(Violation::MissingIssuer);
     }
     if policy.reject_dummy_issuers && issuer.dummy {
-        v.push(Violation::DummyIssuer);
+        v.insert(Violation::DummyIssuer);
     }
     if policy.require_trusted_issuer && !issuer.public {
-        v.push(Violation::UntrustedIssuer);
+        v.insert(Violation::UntrustedIssuer);
     }
     if policy.min_rsa_bits > 0 && rec.key_alg == "rsa" && rec.key_length < policy.min_rsa_bits {
-        v.push(Violation::WeakKey);
+        v.insert(Violation::WeakKey);
     }
     if policy.reject_v1 && rec.version == 1 {
-        v.push(Violation::ObsoleteVersion);
+        v.insert(Violation::ObsoleteVersion);
     }
     if policy.max_validity_days > 0 && !inverted && rec.validity_days() > policy.max_validity_days {
-        v.push(Violation::ExcessiveValidity);
+        v.insert(Violation::ExcessiveValidity);
     }
     if policy.reject_shared_with_peer && peer_same_cert {
-        v.push(Violation::SharedWithPeer);
+        v.insert(Violation::SharedWithPeer);
     }
     if policy.reject_deprecated_signatures
         && (rec.sig_alg.contains("sha1") || rec.sig_alg.contains("md5"))
     {
-        v.push(Violation::DeprecatedSignatureAlgorithm);
+        v.insert(Violation::DeprecatedSignatureAlgorithm);
     }
     v
 }
@@ -130,7 +177,7 @@ pub fn run_with(corpus: &Corpus, policy: &ValidationPolicy) -> Report {
         }
         flagged += 1;
         flagged_cert_ids.insert(cid);
-        for v in violations {
+        for v in violations.iter() {
             *by_violation.entry(v).or_insert(0) += 1;
         }
     }
@@ -181,6 +228,29 @@ impl Report {
 mod tests {
     use super::*;
     use crate::testutil::{CertOpts, CorpusBuilder, DAY, T0};
+
+    #[test]
+    fn violation_set_iterates_in_rule_order() {
+        // ORDER names every violation once, and each fits a bit.
+        let mut sorted = Violations::ORDER;
+        sorted.sort();
+        assert_eq!(sorted, Violation::ALL);
+        assert!(Violation::ALL.iter().all(|&v| (v as u16) < 16));
+        let mut all = Violations::default();
+        assert!(all.is_empty());
+        // Inserted in reverse, listed in rule order.
+        for v in Violations::ORDER.into_iter().rev() {
+            all.insert(v);
+        }
+        assert!(all.iter().eq(Violations::ORDER));
+        let mut two = Violations::default();
+        two.insert(Violation::UntrustedIssuer);
+        two.insert(Violation::IncorrectDates);
+        assert!(two
+            .iter()
+            .eq([Violation::IncorrectDates, Violation::UntrustedIssuer]));
+        assert!(two.contains(Violation::UntrustedIssuer) && !two.contains(Violation::Expired));
+    }
 
     #[test]
     fn flags_every_pathology_class() {

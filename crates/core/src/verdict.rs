@@ -14,7 +14,8 @@
 //! record — pinned by the serve smoke test in CI, and the bytes themselves
 //! by `tests/verdict_pin.rs`.
 //!
-//! Each row's issuer facts are computed once and feed the audit and the
+//! A shard's rows are parsed one at a time into one reused record, and each
+//! row's issuer facts are computed once and feed the audit and the
 //! classifier alike. Every row renders straight into the one output
 //! buffer with `push_str`.
 
@@ -24,7 +25,8 @@ use crate::pipeline::interception::is_candidate;
 use mtls_classify::classify;
 use mtls_crypto::{hex, sha256};
 use mtls_pki::{CtLog, ValidationPolicy};
-use mtls_zeek::{read_x509_log, X509Record};
+use mtls_zeek::{TsvError, X509Record, X509Rows};
+use std::fmt::Write;
 
 /// Everything a verdict needs besides the input itself. The server builds
 /// one of these at startup; tests build one for the offline twin.
@@ -140,23 +142,31 @@ pub fn cert_verdict_der(der: &[u8], ctx: &VerdictContext) -> String {
 }
 
 /// Render the verdict for a Zeek `x509.log` shard: a header with the row
-/// count, then one [`record_verdict`] block per row in shard order.
+/// count, then one [`record_verdict`] block per row in shard order. Each
+/// row is parsed into one record reused across the shard and rendered
+/// before the next is parsed; the first bad row (or a bad header, checked
+/// before any row) turns the whole answer into a parse-error verdict, as
+/// [`mtls_zeek::read_x509_log`] would.
 pub fn shard_verdict(tsv: &[u8], ctx: &VerdictContext) -> String {
-    match read_x509_log(tsv) {
-        Ok(records) => {
-            // A shard's verdict runs about as long as the shard itself.
-            let mut out = String::with_capacity(tsv.len() + tsv.len() / 4);
-            out.push_str("verdict: shard\nrecords: ");
-            out.push_str(&records.len().to_string());
-            out.push('\n');
-            for rec in &records {
-                out.push('\n');
-                render_record(&mut out, rec, ctx);
-            }
-            out
+    let error = |e: TsvError| format!("verdict: shard\nparse: error: {e}\n");
+    let mut rows = match X509Rows::new(tsv) {
+        Ok(rows) => rows,
+        Err(e) => return error(e),
+    };
+    // A shard's verdict runs about as long as the shard itself.
+    let mut out = String::with_capacity(tsv.len() + tsv.len() / 4);
+    out.push_str("verdict: shard\nrecords: ");
+    write!(out, "{}", rows.len()).expect("writing to a String cannot fail");
+    out.push('\n');
+    let mut rec = X509Record::default();
+    while let Some(parsed) = rows.next_into(&mut rec) {
+        if let Err(e) = parsed {
+            return error(e);
         }
-        Err(e) => format!("verdict: shard\nparse: error: {e}\n"),
+        out.push('\n');
+        render_record(&mut out, &rec, ctx);
     }
+    out
 }
 
 #[cfg(test)]

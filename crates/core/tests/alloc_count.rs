@@ -1,0 +1,130 @@
+//! Pins how many heap allocations one served verdict makes: one 16-row
+//! `shard_verdict` and one `cert_verdict_der`, on the seed-7 corpus at
+//! scale 0.02 that `verdict_pin.rs` hashes. The server answers every
+//! `REQ_SHARD` and `REQ_DER` with these calls, so a count here is paid per
+//! request, and unlike a timing no host noise can move it. A budget may
+//! go down in any change; it goes up only with the reason recorded in
+//! CHANGES.md. This binary counts through its own global allocator (one
+//! counter per thread), so it holds a single test.
+
+use mtls_asn1::Asn1Time;
+use mtls_core::corpus::MetaKnowledge;
+use mtls_core::verdict::{cert_verdict_der, shard_verdict, VerdictContext};
+use mtls_crypto::Keypair;
+use mtls_netsim::{generate, SimConfig};
+use mtls_pki::{CertificateAuthority, ValidationPolicy};
+use mtls_x509::{CertificateBuilder, DistinguishedName, GeneralName};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Allocations of one 16-row `shard_verdict`: the reused row's first
+/// fills and its growth on later rows, the line and column slices, and
+/// the output buffer. (170 when every row was parsed into a fresh record.)
+const SHARD_ALLOCS: usize = 20;
+/// Allocations of one `cert_verdict_der`: the DER parse and its mapping
+/// to an `x509.log` row dominate.
+const DER_ALLOCS: usize = 46;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a const-initialized
+// thread-local `Cell` without a destructor, so bumping it never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's guarantees for `layout` pass through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        // SAFETY: `ptr` came from `System` through this allocator, and the
+        // caller's guarantees for `layout` and `new_size` pass through.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations made by `f`, and its answer.
+fn allocations(f: impl FnOnce() -> String) -> (usize, String) {
+    let before = ALLOCS.with(Cell::get);
+    let out = std::hint::black_box(f());
+    (ALLOCS.with(Cell::get) - before, out)
+}
+
+/// A leaf with a mixed-case CN and SANs under a private issuer, so the
+/// verdict runs the CT lookups, the issuer rules and the classifier.
+fn leaf_der() -> Vec<u8> {
+    let ca = CertificateAuthority::new_root(
+        b"alloc-pin-ca",
+        DistinguishedName::builder()
+            .organization("ProxyGuard Systems, Inc.")
+            .build(),
+        Asn1Time::from_ymd(2022, 1, 1),
+    );
+    let key = Keypair::from_seed(b"alloc-pin-leaf");
+    ca.issue(
+        CertificateBuilder::new()
+            .subject(
+                DistinguishedName::builder()
+                    .common_name("Portal.Example.edu")
+                    .build(),
+            )
+            .san(vec![
+                GeneralName::Dns("Portal.Example.edu".into()),
+                GeneralName::Dns("www.example.edu".into()),
+            ])
+            .validity(
+                Asn1Time::from_ymd(2022, 1, 1),
+                Asn1Time::from_ymd(2023, 1, 1),
+            )
+            .subject_key(key.key_id()),
+    )
+    .to_der()
+}
+
+#[test]
+fn verdict_allocation_counts_are_pinned() {
+    let sim = generate(&SimConfig {
+        seed: 7,
+        scale: 0.02,
+        ..SimConfig::default()
+    });
+    let ctx = VerdictContext {
+        policy: ValidationPolicy::enterprise(),
+        meta: MetaKnowledge::from_sim(&sim.meta),
+        ct: sim.ct.clone(),
+        at: Asn1Time::from_ymd(2022, 6, 1).unix() as f64,
+    };
+    let mut tsv = Vec::new();
+    mtls_zeek::write_x509_log(&mut tsv, &sim.x509[..16]).unwrap();
+    let der = leaf_der();
+    // Warm up anything a first call initializes.
+    let _ = shard_verdict(&tsv, &ctx);
+    let _ = cert_verdict_der(&der, &ctx);
+
+    let (shard, verdict) = allocations(|| shard_verdict(&tsv, &ctx));
+    assert!(
+        verdict.starts_with("verdict: shard\nrecords: 16\n"),
+        "{verdict}"
+    );
+    let (der_allocs, verdict) = allocations(|| cert_verdict_der(&der, &ctx));
+    assert!(verdict.contains("parse: ok"), "{verdict}");
+    assert_eq!(
+        (shard, der_allocs),
+        (SHARD_ALLOCS, DER_ALLOCS),
+        "(shard_verdict, cert_verdict_der) allocations"
+    );
+}

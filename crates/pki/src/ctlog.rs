@@ -29,14 +29,14 @@
 //!   apex `example.com`, and partial labels do not), mirroring RFC 6125;
 //! * every lookup is at most two hash probes — the exact name, then its
 //!   single-label wildcard — however many entries a domain holds, and
-//!   allocates nothing for a lowercase name.
+//!   allocates nothing for any name up to 253 bytes (a mixed-case name is
+//!   lowered into a stack buffer).
 
 use crate::merkle::MerkleTree;
 use crate::sth::{ConsistencyProof, InclusionProof, SignedTreeHead};
 use mtls_crypto::{KeyId, Keypair};
 use mtls_intern::{FxHashMap, FxHashSet};
 use mtls_x509::Certificate;
-use std::borrow::Cow;
 
 /// Seed for the default (honest) log identity. Fixed so a log rebuilt from
 /// exported entries signs with the same key as the one that produced them.
@@ -66,13 +66,24 @@ impl Default for CtLog {
     }
 }
 
-/// Lowercase a DNS name without allocating when it already is.
-fn normalize(domain: &str) -> Cow<'_, str> {
-    if domain.bytes().any(|b| b.is_ascii_uppercase()) {
-        Cow::Owned(domain.to_ascii_lowercase())
-    } else {
-        Cow::Borrowed(domain)
+/// The longest DNS name (RFC 1035) a lookup lowercases on the stack.
+const STACK_NAME: usize = 253;
+
+/// Run `f` on `domain` ASCII-lowercased without a heap copy: borrowed
+/// when it already is lowercase, lowered into a stack buffer up to
+/// [`STACK_NAME`] bytes, and into a `String` only past that.
+fn with_lowercase<R>(domain: &str, f: impl FnOnce(&str) -> R) -> R {
+    if !domain.bytes().any(|b| b.is_ascii_uppercase()) {
+        return f(domain);
     }
+    if domain.len() > STACK_NAME {
+        return f(&domain.to_ascii_lowercase());
+    }
+    let mut buf = [0u8; STACK_NAME];
+    let lower = &mut buf[..domain.len()];
+    lower.copy_from_slice(domain.as_bytes());
+    lower.make_ascii_lowercase();
+    f(std::str::from_utf8(lower).expect("ASCII lowercasing keeps UTF-8 valid"))
 }
 
 /// The suffix whose logged wildcard `*.{suffix}` a lookup for `domain`
@@ -122,25 +133,26 @@ impl CtIndex {
     /// Record one entry. Returns whether its `(domain, fingerprint)` pair
     /// was new — the log's deduplication rule.
     fn insert(&mut self, entry: &CtEntry) -> bool {
-        let domain = normalize(&entry.domain);
-        let (map, key) = match domain.strip_prefix("*.") {
-            Some(suffix) => (&mut self.wildcards, suffix),
-            None => (&mut self.names, domain.as_ref()),
-        };
-        if !map.contains_key(key) {
-            map.insert(key.into(), Logged::default());
-        }
-        let logged = map.get_mut(key).expect("inserted above");
-        if logged.fingerprints.contains(entry.fingerprint_hex.as_str()) {
-            return false;
-        }
-        logged
-            .fingerprints
-            .insert(entry.fingerprint_hex.as_str().into());
-        if !logged.issuers.contains(entry.issuer_display.as_str()) {
-            logged.issuers.insert(entry.issuer_display.as_str().into());
-        }
-        true
+        with_lowercase(&entry.domain, |domain| {
+            let (map, key) = match domain.strip_prefix("*.") {
+                Some(suffix) => (&mut self.wildcards, suffix),
+                None => (&mut self.names, domain),
+            };
+            if !map.contains_key(key) {
+                map.insert(key.into(), Logged::default());
+            }
+            let logged = map.get_mut(key).expect("inserted above");
+            if logged.fingerprints.contains(entry.fingerprint_hex.as_str()) {
+                return false;
+            }
+            logged
+                .fingerprints
+                .insert(entry.fingerprint_hex.as_str().into());
+            if !logged.issuers.contains(entry.issuer_display.as_str()) {
+                logged.issuers.insert(entry.issuer_display.as_str().into());
+            }
+            true
+        })
     }
 
     /// The summary logged under exactly this (lowercased) name.
@@ -153,9 +165,10 @@ impl CtIndex {
 
     /// The exact summary, then the single-label wildcard one.
     fn matching(&self, domain: &str) -> [Option<&Logged>; 2] {
-        let d = normalize(domain);
-        let wild = wildcard_suffix(&d).and_then(|suffix| self.wildcards.get(suffix));
-        [self.exact(&d), wild]
+        with_lowercase(domain, |d| {
+            let wild = wildcard_suffix(d).and_then(|suffix| self.wildcards.get(suffix));
+            [self.exact(d), wild]
+        })
     }
 
     /// Whether the domain appears in the index at all (directly or through
@@ -178,14 +191,14 @@ impl CtIndex {
     /// this very FQDN under this very issuer". Wildcard matches would drag
     /// in unrelated renewals sharing a registered domain.
     pub fn exact_domain_has_issuer(&self, domain: &str, issuer_display: &str) -> bool {
-        self.exact(&normalize(domain))
+        with_lowercase(domain, |d| self.exact(d))
             .is_some_and(|logged| logged.issuers.contains(issuer_display))
     }
 
     /// Whether this precise certificate is logged for this *exact* domain —
     /// what an SCT would attest.
     pub fn exact_domain_has_fingerprint(&self, domain: &str, fingerprint_hex: &str) -> bool {
-        self.exact(&normalize(domain))
+        with_lowercase(domain, |d| self.exact(d))
             .is_some_and(|logged| logged.fingerprints.contains(fingerprint_hex))
     }
 }
@@ -232,9 +245,7 @@ impl CtLog {
     /// Append one entry (normalizing and deduplicating). Returns whether
     /// the entry was new.
     pub fn submit_entry(&mut self, mut entry: CtEntry) -> bool {
-        if let Cow::Owned(lower) = normalize(&entry.domain) {
-            entry.domain = lower;
-        }
+        entry.domain.make_ascii_lowercase();
         if !self.index.insert(&entry) {
             return false;
         }
@@ -363,6 +374,27 @@ mod tests {
     use mtls_asn1::Asn1Time;
     use mtls_crypto::Keypair;
     use mtls_x509::{CertificateBuilder, DistinguishedName, GeneralName};
+
+    #[test]
+    fn mixed_case_lookups_on_both_sides_of_the_stack_buffer() {
+        // Names of 253 bytes lower on the stack; longer ones on the heap.
+        for len in [20, STACK_NAME - 1, STACK_NAME, STACK_NAME + 1, 600] {
+            let name = format!("{}.example.org", "h".repeat(len - ".example.org".len()));
+            let mut log = CtLog::new();
+            log.submit_entry(CtEntry {
+                domain: name.clone(),
+                issuer_display: "O=A".into(),
+                fingerprint_hex: "00".into(),
+            });
+            let upper = name.to_ascii_uppercase();
+            let index = log.index();
+            assert!(index.contains_domain(&upper), "{len}");
+            assert!(index.domain_has_issuer(&upper, "O=A"), "{len}");
+            assert!(index.exact_domain_has_issuer(&upper, "O=A"), "{len}");
+            assert!(index.exact_domain_has_fingerprint(&upper, "00"), "{len}");
+            assert!(!index.domain_has_issuer(&upper, "O=B"), "{len}");
+        }
+    }
 
     fn cert_for(domain: &str, org: &str) -> Certificate {
         let ca = CertificateAuthority::new_root(

@@ -10,7 +10,6 @@
 //! corporate-suffix rule ("Internet Widgits Pty Ltd" ends in "Ltd" but is an
 //! OpenSSL default, not a corporation).
 
-use mtls_intern::contains_short;
 use std::sync::OnceLock;
 
 /// The issuer categories of Table 3 / Figure 2.
@@ -159,7 +158,51 @@ pub fn normalize_org(org: &str) -> String {
     out
 }
 
-/// Byte-wise Levenshtein distance with an early-exit cap.
+/// Organizations up to this many bytes normalize on the stack.
+const STACK_NORM: usize = 128;
+
+/// [`normalize_org`] for ASCII input, byte by byte into `buf` (at least
+/// `org.len()` bytes); returns the normalized length, or `None` at the
+/// first non-ASCII byte, where only the char path knows which characters
+/// are alphanumeric.
+fn normalize_ascii(org: &[u8], buf: &mut [u8]) -> Option<usize> {
+    let mut len = 0;
+    let mut last_space = true;
+    for &b in org {
+        if !b.is_ascii() {
+            return None;
+        }
+        if b.is_ascii_alphanumeric() {
+            buf[len] = b.to_ascii_lowercase();
+            len += 1;
+            last_space = false;
+        } else if !last_space {
+            buf[len] = b' ';
+            len += 1;
+            last_space = true;
+        }
+    }
+    if last_space && len > 0 {
+        len -= 1;
+    }
+    Some(len)
+}
+
+/// Run `f` on [`normalize_org`] of `org`. ASCII input up to
+/// [`STACK_NORM`] bytes normalizes into a stack buffer; anything else
+/// takes the char path and its `String`.
+fn with_normalized_org<R>(org: &str, f: impl FnOnce(&str) -> R) -> R {
+    let mut stack = [0u8; STACK_NORM];
+    if org.len() <= STACK_NORM {
+        if let Some(len) = normalize_ascii(org.as_bytes(), &mut stack) {
+            return f(std::str::from_utf8(&stack[..len]).expect("normalized text is ASCII"));
+        }
+    }
+    f(&normalize_org(org))
+}
+
+/// Byte-wise Levenshtein distance with an early-exit cap: exact up to
+/// `cap`, and some value above `cap` past it.
 pub fn edit_distance_capped(a: &str, b: &str, cap: usize) -> usize {
     let a = a.as_bytes();
     let b = b.as_bytes();
@@ -183,7 +226,11 @@ pub fn edit_distance_capped(a: &str, b: &str, cap: usize) -> usize {
     }
 }
 
-/// The two-row Levenshtein DP over caller-provided rows of `b.len() + 1`.
+/// The two-row Levenshtein DP over caller-provided rows of `b.len() + 1`,
+/// computed only in the band `|i - j| <= cap`: a cell outside it is at
+/// least `|i - j|`, past the cap, so every cell is clamped to `cap + 1`
+/// and the band's edges read that value. The lengths differ by at most
+/// `cap`, so every row's band and the last cell lie inside `b`.
 fn levenshtein<'r>(
     a: &[u8],
     b: &[u8],
@@ -191,19 +238,30 @@ fn levenshtein<'r>(
     mut prev: &'r mut [usize],
     mut cur: &'r mut [usize],
 ) -> usize {
+    debug_assert!(a.len().abs_diff(b.len()) <= cap);
+    let over = cap + 1;
     for (j, p) in prev.iter_mut().enumerate() {
-        *p = j;
+        *p = j.min(over);
     }
     for (i, &ca) in a.iter().enumerate() {
-        cur[0] = i + 1;
-        let mut row_min = cur[0];
-        for (j, &cb) in b.iter().enumerate() {
-            let cost = usize::from(ca != cb);
-            cur[j + 1] = (prev[j] + cost).min(prev[j + 1] + 1).min(cur[j] + 1);
-            row_min = row_min.min(cur[j + 1]);
+        let row = i + 1;
+        let lo = row.saturating_sub(cap).max(1);
+        let hi = (row + cap).min(b.len());
+        cur[lo - 1] = if lo == 1 { row.min(over) } else { over };
+        let mut row_min = cur[lo - 1];
+        for j in lo..=hi {
+            let cost = usize::from(ca != b[j - 1]);
+            cur[j] = (prev[j - 1] + cost)
+                .min(prev[j] + 1)
+                .min(cur[j - 1] + 1)
+                .min(over);
+            row_min = row_min.min(cur[j]);
+        }
+        if hi < b.len() {
+            cur[hi + 1] = over;
         }
         if row_min > cap {
-            return cap + 1;
+            return over;
         }
         std::mem::swap(&mut prev, &mut cur);
     }
@@ -213,7 +271,7 @@ fn levenshtein<'r>(
 /// Whether the organization fuzzily matches a known dummy default
 /// (edit distance ≤ 2 after normalization).
 pub fn is_dummy_org(org: &str) -> bool {
-    is_dummy_norm(&normalize_org(org))
+    with_normalized_org(org, is_dummy_norm)
 }
 
 /// [`is_dummy_org`] on an already-normalized string. [`DUMMY_ORGS`] is
@@ -251,16 +309,53 @@ pub fn classify_org(org: Option<&str>, is_public: bool) -> OrgClass {
             dummy: false,
         };
     };
-    let norm = normalize_org(org);
-    let dummy = is_dummy_norm(&norm);
-    let category = if is_public {
-        IssuerCategory::Public
-    } else if dummy {
-        IssuerCategory::Dummy
-    } else {
-        private_category(&norm)
-    };
-    OrgClass { category, dummy }
+    with_normalized_org(org, |norm| {
+        let dummy = is_dummy_norm(norm);
+        let category = if is_public {
+            IssuerCategory::Public
+        } else if dummy {
+            IssuerCategory::Dummy
+        } else {
+            private_category(norm)
+        };
+        OrgClass { category, dummy }
+    })
+}
+
+/// The keyword rules' verdict on a normalized organization: Education if
+/// any [`EDUCATION_KEYWORDS`] entry occurs in it, else Government for
+/// [`GOVERNMENT_KEYWORDS`], else WebHosting for [`WEBHOSTING_NAMES`] or
+/// "hosting". One pass over `norm`: at each byte only the keywords that
+/// start with it are compared.
+fn keyword_category(norm: &str) -> Option<IssuerCategory> {
+    type Bucket = Vec<(&'static str, IssuerCategory)>;
+    static BY_FIRST_BYTE: OnceLock<Vec<Bucket>> = OnceLock::new();
+    let index = BY_FIRST_BYTE.get_or_init(|| {
+        let rules = [
+            (EDUCATION_KEYWORDS, IssuerCategory::Education),
+            (GOVERNMENT_KEYWORDS, IssuerCategory::Government),
+            (WEBHOSTING_NAMES, IssuerCategory::WebHosting),
+            (&["hosting"], IssuerCategory::WebHosting),
+        ];
+        let mut index = vec![Bucket::new(); 128];
+        for (keywords, category) in rules {
+            for k in keywords {
+                index[usize::from(k.as_bytes()[0])].push((k, category));
+            }
+        }
+        index
+    });
+    let bytes = norm.as_bytes();
+    let mut found = None;
+    for (i, &b) in bytes.iter().enumerate() {
+        for &(k, category) in index.get(usize::from(b)).into_iter().flatten() {
+            // Education < Government < WebHosting in the enum's order.
+            if bytes[i..].starts_with(k.as_bytes()) {
+                found = Some(found.map_or(category, |f: IssuerCategory| f.min(category)));
+            }
+        }
+    }
+    found
 }
 
 /// The private-issuer rules after the dummy test, on a normalized,
@@ -269,15 +364,8 @@ fn private_category(norm: &str) -> IssuerCategory {
     if norm.is_empty() {
         return IssuerCategory::MissingIssuer;
     }
-    let has = |keywords: &[&str]| keywords.iter().any(|k| contains_short(norm, k));
-    if has(EDUCATION_KEYWORDS) {
-        return IssuerCategory::Education;
-    }
-    if has(GOVERNMENT_KEYWORDS) {
-        return IssuerCategory::Government;
-    }
-    if has(WEBHOSTING_NAMES) || contains_short(norm, "hosting") {
-        return IssuerCategory::WebHosting;
+    if let Some(category) = keyword_category(norm) {
+        return category;
     }
     // Corporate-suffix heuristic: last token is a recognized legal suffix,
     // or the name has >= 2 tokens and any token is a strong suffix. The
@@ -382,6 +470,21 @@ mod tests {
         ) {
             let got = classify_org(Some(&org), public);
             prop_assert_eq!(got.category, reference_category(Some(&org), public));
+        }
+
+        #[test]
+        fn ascii_normalization_equals_the_char_path(org in "[ -~]{0,160}") {
+            // Lengths past STACK_NORM check the byte path itself, with a
+            // buffer of the input's length.
+            let mut buf = vec![0u8; org.len()];
+            let len = normalize_ascii(org.as_bytes(), &mut buf).expect("ASCII input");
+            prop_assert_eq!(std::str::from_utf8(&buf[..len]).unwrap(), normalize_org(&org));
+            prop_assert_eq!(with_normalized_org(&org, str::to_string), normalize_org(&org));
+        }
+
+        #[test]
+        fn stack_normalization_equals_the_char_path_on_any_text(org in "\\PC{0,40}") {
+            prop_assert_eq!(with_normalized_org(&org, str::to_string), normalize_org(&org));
         }
 
         #[test]
@@ -559,6 +662,12 @@ mod tests {
         assert_eq!(normalize_org("  GoDaddy.com,  Inc. "), "godaddy com inc");
         assert_eq!(normalize_org("A-B_C"), "a b c");
         assert_eq!(normalize_org("...."), "");
+        let norm = |org: &str| with_normalized_org(org, str::to_string);
+        assert_eq!(norm("  GoDaddy.com,  Inc. "), "godaddy com inc");
+        assert_eq!(norm("...."), "");
+        // Non-ASCII input leaves the byte path for the char path.
+        assert_eq!(normalize_ascii("ÉCOLE".as_bytes(), &mut [0; 8]), None);
+        assert_eq!(norm("École Normale, S.A."), "École normale s a");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! several warm connections (the shape the bench client measures).
 
 use crate::frame::{
-    encode_frame, Frame, MAX_FRAME_PAYLOAD, REQ_DER, REQ_METRICS, REQ_PING, REQ_SHARD,
+    frame_header, Frame, MAX_FRAME_PAYLOAD, REQ_DER, REQ_METRICS, REQ_PING, REQ_SHARD,
     RESP_METRICS, RESP_PONG, RESP_VERDICT,
 };
 use crate::tls::{self, EndpointConfig, Session, SessionError};
@@ -100,9 +100,8 @@ impl ClientSession {
     /// plant an oversize-frame violation. The server must reject it at
     /// the header (and close) without ever taking a quota token.
     pub fn send_oversize_header(&mut self) -> Result<(), SessionError> {
-        let mut header = encode_frame(REQ_DER, &[]);
-        header[1..5].copy_from_slice(&((MAX_FRAME_PAYLOAD as u32) + 1).to_be_bytes());
-        self.session.send_raw(&header)
+        self.session
+            .send_raw(&frame_header(REQ_DER, MAX_FRAME_PAYLOAD + 1))
     }
 
     /// Whether the server closed the connection (next read is EOF or an
@@ -115,12 +114,20 @@ impl ClientSession {
 
 fn decode_response(frame: Frame) -> Response {
     match frame.kind {
-        RESP_VERDICT => Response::Verdict(String::from_utf8_lossy(&frame.payload).into_owned()),
+        RESP_VERDICT => Response::Verdict(text(frame.payload)),
         RESP_PONG => Response::Pong,
         crate::frame::RESP_THROTTLED => Response::Throttled,
-        RESP_METRICS => Response::Metrics(String::from_utf8_lossy(&frame.payload).into_owned()),
-        _ => Response::Error(String::from_utf8_lossy(&frame.payload).into_owned()),
+        RESP_METRICS => Response::Metrics(text(frame.payload)),
+        _ => Response::Error(text(frame.payload)),
     }
+}
+
+/// A response payload as text: valid UTF-8 (every verdict the server
+/// renders) is validated in one pass and kept without a copy; anything
+/// else is decoded lossily.
+fn text(payload: Vec<u8>) -> String {
+    String::from_utf8(payload)
+        .unwrap_or_else(|invalid| String::from_utf8_lossy(invalid.as_bytes()).into_owned())
 }
 
 /// A fixed-size pool of keep-alive sessions, handed out round-robin.
@@ -170,5 +177,25 @@ impl ClientPool {
         let i = self.next;
         self.next = (self.next + 1) % self.sessions.len();
         &mut self.sessions[i]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn payload_text_equals_the_lossy_decode() {
+        for payload in [
+            &b""[..],
+            b"verdict: cert\nparse: ok\n",
+            "privacy.cn: Jos\u{e9} => PersonalName\n".as_bytes(),
+            b"bad \xFF\xFE bytes and a cut \xE2\x82",
+        ] {
+            assert_eq!(
+                text(payload.to_vec()),
+                String::from_utf8_lossy(payload).into_owned()
+            );
+        }
     }
 }

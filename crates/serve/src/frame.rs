@@ -53,10 +53,15 @@ impl std::error::Error for FrameTooLarge {}
 /// Encode one frame.
 pub fn encode_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(5 + payload.len());
-    out.push(kind);
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    out.extend_from_slice(&frame_header(kind, payload.len()));
     out.extend_from_slice(payload);
     out
+}
+
+/// The 5-byte header of a frame carrying `len` payload bytes.
+pub fn frame_header(kind: u8, len: usize) -> [u8; 5] {
+    let [a, b, c, d] = (len as u32).to_be_bytes();
+    [kind, a, b, c, d]
 }
 
 /// Incremental frame reassembler over record payloads.

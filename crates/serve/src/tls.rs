@@ -21,7 +21,7 @@
 //! boundary. Everything else — framing, fragmentation, chain validation,
 //! identity derivation — is the real protocol shape.
 
-use crate::frame::{encode_frame, Frame, FrameAssembler};
+use crate::frame::{frame_header, Frame, FrameAssembler};
 use mtls_pki::{Authorized, Authorizer, AuthzError, Tenant};
 use mtls_tlssim::msgs::{
     encode_certificate_body, encode_certificate_request_body, handshake_envelope,
@@ -339,10 +339,13 @@ pub fn connect<R: Read, W: Write>(
 }
 
 impl<R: Read, W: Write> Session<R, W> {
-    /// Send one frame inside `application_data` records.
+    /// Send one frame inside `application_data` records: the bytes of
+    /// [`crate::frame::encode_frame`] written whole, built without that copy — the
+    /// 5-byte header and the payload go straight into the record buffer.
     pub fn send_frame(&mut self, kind: u8, payload: &[u8]) -> Result<(), SessionError> {
-        let frame = encode_frame(kind, payload);
-        self.writer.write(ContentType::ApplicationData, &frame)?;
+        let header = frame_header(kind, payload.len());
+        self.writer
+            .write_parts(ContentType::ApplicationData, &[&header, payload])?;
         Ok(())
     }
 
@@ -580,6 +583,31 @@ mod tests {
             exposure,
             identity_exposure(Some(TlsVersion::Tls12), &client_chain)
         );
+    }
+
+    #[test]
+    fn send_frame_bytes_equal_encode_frame_then_write() {
+        use crate::frame::{encode_frame, RESP_VERDICT};
+        use mtls_tlssim::wire::MAX_FRAGMENT;
+        for len in [0, 7, MAX_FRAGMENT - 5, MAX_FRAGMENT, 2 * MAX_FRAGMENT + 3] {
+            let payload: Vec<u8> = (0..len as u32).map(|i| (i % 251) as u8).collect();
+            let (write, writes) = Recorder::new(Vec::new());
+            let mut session = Session {
+                reader: RecordReader::new(std::io::empty()),
+                writer: RecordWriter::new(write, [3, 3]),
+                assembler: HandshakeAssembler::new(),
+                frames: FrameAssembler::new(),
+            };
+            session.send_frame(RESP_VERDICT, &payload).unwrap();
+            let writes = writes.lock().unwrap();
+            assert_eq!(writes.len(), 1, "one write per frame ({len} bytes)");
+            let frame = encode_frame(RESP_VERDICT, &payload);
+            assert_eq!(
+                writes[0],
+                one_write_per_record(&[(ContentType::ApplicationData, &frame)]),
+                "{len} bytes"
+            );
+        }
     }
 
     /// Drive client and server through in-memory pipes without threads:

@@ -20,7 +20,8 @@
 //! under re-chunking of the captured bytes.
 
 use crate::wire::{
-    read_record, write_fragmented, ContentType, RecordHeader, WireError, MAX_FRAGMENT,
+    read_record, write_fragmented, write_fragmented_parts, ContentType, RecordHeader, WireError,
+    MAX_FRAGMENT,
 };
 use bytes::BytesMut;
 use std::io::{Read, Write};
@@ -266,6 +267,20 @@ impl<W: Write> RecordWriter<W> {
         for &(ct, payload) in flight {
             write_fragmented(&mut buf, ct, self.version, payload);
         }
+        self.inner.write_all(&buf)?;
+        self.inner.flush()?;
+        Ok(())
+    }
+
+    /// Write the concatenation of `parts` as one payload — the records
+    /// [`write`](Self::write) of the joined bytes makes — with one
+    /// `write_all`, and flush. Each byte is copied once, from its part
+    /// into the record buffer, so a caller with a header and a body never
+    /// joins them first.
+    pub fn write_parts(&mut self, ct: ContentType, parts: &[&[u8]]) -> Result<(), StreamError> {
+        let payload: usize = parts.iter().map(|p| p.len()).sum();
+        let mut buf = BytesMut::with_capacity(payload + 5 * (1 + payload / MAX_FRAGMENT));
+        write_fragmented_parts(&mut buf, ct, self.version, parts);
         self.inner.write_all(&buf)?;
         self.inner.flush()?;
         Ok(())

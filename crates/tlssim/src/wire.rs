@@ -148,12 +148,41 @@ pub fn write_record(
 /// records). An empty payload still emits one (empty) record so the
 /// message boundary stays observable.
 pub fn write_fragmented(out: &mut BytesMut, ct: ContentType, version: [u8; 2], payload: &[u8]) {
-    if payload.is_empty() {
-        write_record(out, ct, version, payload).expect("empty fits");
-        return;
-    }
-    for chunk in payload.chunks(MAX_FRAGMENT) {
-        write_record(out, ct, version, chunk).expect("chunk fits");
+    write_fragmented_parts(out, ct, version, &[payload]);
+}
+
+/// [`write_fragmented`] of the concatenation of `parts`, copied straight
+/// from the parts into `out`: a record may take its bytes from several
+/// parts, and the records are the ones the joined payload would make.
+pub fn write_fragmented_parts(
+    out: &mut BytesMut,
+    ct: ContentType,
+    version: [u8; 2],
+    parts: &[&[u8]],
+) {
+    let mut left: usize = parts.iter().map(|p| p.len()).sum();
+    let mut parts = parts.iter();
+    let mut part: &[u8] = &[];
+    loop {
+        let len = left.min(MAX_FRAGMENT);
+        out.put_u8(ct.byte());
+        out.put_slice(&version);
+        out.put_u16(len as u16);
+        let mut need = len;
+        while need > 0 {
+            if part.is_empty() {
+                part = parts.next().expect("the parts hold `left` more bytes");
+                continue;
+            }
+            let take = need.min(part.len());
+            out.put_slice(&part[..take]);
+            part = &part[take..];
+            need -= take;
+        }
+        left -= len;
+        if left == 0 {
+            return;
+        }
     }
 }
 
@@ -302,6 +331,48 @@ mod tests {
         let (h, got) = read_record(&mut cursor).unwrap();
         assert_eq!(h.length as usize, MAX_FRAGMENT);
         assert_eq!(got, payload);
+    }
+
+    #[test]
+    fn parts_frame_like_their_concatenation() {
+        // The records a joined payload makes: one per 2^14-byte chunk, one
+        // empty record for an empty payload.
+        fn reference(payload: &[u8]) -> Vec<u8> {
+            let mut buf = BytesMut::new();
+            if payload.is_empty() {
+                write_record(&mut buf, ContentType::ApplicationData, [3, 3], payload).unwrap();
+            }
+            for chunk in payload.chunks(MAX_FRAGMENT) {
+                write_record(&mut buf, ContentType::ApplicationData, [3, 3], chunk).unwrap();
+            }
+            buf.to_vec()
+        }
+        let body: Vec<u8> = (0..(2 * MAX_FRAGMENT + 9) as u32)
+            .map(|i| i as u8)
+            .collect();
+        for len in [
+            0,
+            1,
+            5,
+            MAX_FRAGMENT - 5,
+            MAX_FRAGMENT,
+            MAX_FRAGMENT + 1,
+            body.len(),
+        ] {
+            let joined = &body[..len];
+            for cut in [0, 1, len / 2, len.saturating_sub(1), len] {
+                let cut = cut.min(len);
+                let (a, b) = joined.split_at(cut);
+                let mut buf = BytesMut::new();
+                write_fragmented_parts(
+                    &mut buf,
+                    ContentType::ApplicationData,
+                    [3, 3],
+                    &[a, &[], b],
+                );
+                assert_eq!(buf.to_vec(), reference(joined), "len {len} cut {cut}");
+            }
+        }
     }
 
     #[test]

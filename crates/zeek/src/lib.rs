@@ -51,5 +51,5 @@ pub use rotate::{
 };
 pub use tsv::{
     read_ssl_log, read_ssl_log_with, read_x509_log, read_x509_log_with, write_ssl_log,
-    write_x509_log, TsvError,
+    write_x509_log, TsvError, X509Rows,
 };

@@ -88,7 +88,9 @@ impl SslRecord {
 }
 
 /// One `x509.log` record: a certificate observed in some TLS handshake.
-#[derive(Debug, Clone, PartialEq)]
+/// The default is an empty row, the starting point of a record that
+/// [`crate::X509Rows::next_into`] refills row after row.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct X509Record {
     /// First-seen timestamp, Unix seconds.
     pub ts: f64,

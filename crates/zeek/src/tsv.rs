@@ -101,29 +101,44 @@ pub fn unescape(s: &str) -> Cow<'_, str> {
     if !swar::contains_seq2(s.as_bytes(), b'\\', b'x') {
         return Cow::Borrowed(s);
     }
-    let bytes = s.as_bytes();
     let mut out = String::with_capacity(s.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'\\'
-            && i + 3 < bytes.len()
-            && bytes[i + 1] == b'x'
-            && bytes[i + 2].is_ascii_hexdigit()
-            && bytes[i + 3].is_ascii_hexdigit()
-        {
-            let hi = (bytes[i + 2] as char).to_digit(16).expect("hex");
-            let lo = (bytes[i + 3] as char).to_digit(16).expect("hex");
-            out.push(((hi * 16 + lo) as u8) as char);
-            i += 4;
-        } else {
-            // Safe because we walk char boundaries only for ASCII escapes;
-            // re-find the char at byte i.
-            let ch = s[i..].chars().next().expect("in range");
-            out.push(ch);
-            i += ch.len_utf8();
+    unescape_into(s, &mut out);
+    Cow::Owned(out)
+}
+
+/// [`unescape`] appended to `out`, so a reused field keeps its capacity.
+/// Each literal run between `\xNN` escapes goes in with one `push_str`,
+/// and each escape becomes the one char of its byte value; a field
+/// without a backslash is one scan and one copy. The output is never
+/// longer than `s`, so one reservation covers it.
+pub fn unescape_into(s: &str, out: &mut String) {
+    let bytes = s.as_bytes();
+    out.reserve(s.len());
+    let mut run = 0;
+    let mut from = 0;
+    while let Some(i) = swar::find_byte_from(bytes, from, b'\\') {
+        match bytes.get(i + 1..i + 4) {
+            Some(&[b'x', hi, lo]) if hi.is_ascii_hexdigit() && lo.is_ascii_hexdigit() => {
+                // `i` holds an ASCII byte, so both slice edges are char
+                // boundaries.
+                out.push_str(&s[run..i]);
+                out.push(char::from(hex_value(hi) << 4 | hex_value(lo)));
+                run = i + 4;
+                from = run;
+            }
+            _ => from = i + 1,
         }
     }
-    Cow::Owned(out)
+    out.push_str(&s[run..]);
+}
+
+/// The value of one ASCII hex digit.
+fn hex_value(b: u8) -> u8 {
+    match b {
+        b'0'..=b'9' => b - b'0',
+        b'a'..=b'f' => b - b'a' + 10,
+        _ => b - b'A' + 10,
+    }
 }
 
 fn opt_str(v: &Option<String>) -> Cow<'_, str> {
@@ -171,21 +186,46 @@ fn vec_str(v: &[String]) -> Cow<'_, str> {
 }
 
 fn parse_opt(s: &str) -> Option<String> {
-    if s == UNSET || s.is_empty() {
-        None
-    } else {
-        Some(unescape(s).into_owned())
-    }
+    let mut out = None;
+    set_opt(&mut out, s);
+    out
 }
 
 fn parse_vec(s: &str) -> Vec<String> {
-    if s == EMPTY || s == UNSET || s.is_empty() {
-        Vec::new()
+    let mut out = Vec::new();
+    set_vec(&mut out, s);
+    out
+}
+
+/// Overwrite `dst` with the unescaped field, keeping its capacity.
+fn set_str(dst: &mut String, s: &str) {
+    dst.clear();
+    unescape_into(s, dst);
+}
+
+/// Overwrite an optional field: unset and empty read as `None`.
+fn set_opt(dst: &mut Option<String>, s: &str) {
+    if s == UNSET || s.is_empty() {
+        *dst = None;
     } else {
-        swar::split_str(s, b',')
-            .map(|p| unescape(p).into_owned())
-            .collect()
+        set_str(dst.get_or_insert_with(String::new), s);
     }
+}
+
+/// Overwrite a vector field, refilling the strings already in `dst` before
+/// pushing new ones and dropping any left over.
+fn set_vec(dst: &mut Vec<String>, s: &str) {
+    let mut n = 0;
+    if !(s == EMPTY || s == UNSET || s.is_empty()) {
+        for part in swar::split_str(s, b',') {
+            if n == dst.len() {
+                dst.push(String::new());
+            }
+            set_str(&mut dst[n], part);
+            n += 1;
+        }
+    }
+    dst.truncate(n);
 }
 
 const SSL_FIELDS: &[&str] = &[
@@ -497,31 +537,84 @@ fn parse_ssl_line<'a>(cols: &mut Vec<&'a str>, raw: &RawLine<'a>) -> Result<SslR
 }
 
 fn parse_x509_line<'a>(cols: &mut Vec<&'a str>, raw: &RawLine<'a>) -> Result<X509Record, TsvError> {
+    let mut rec = X509Record::default();
+    parse_x509_into(cols, raw, &mut rec)?;
+    Ok(rec)
+}
+
+/// The one `x509.log` line parser: overwrite every field of `rec` from one
+/// data line, keeping the capacity of its strings and SAN lists. Fields
+/// are read in column order, so the first bad one is the one reported; on
+/// an error `rec` holds a partly overwritten row.
+fn parse_x509_into<'a>(
+    cols: &mut Vec<&'a str>,
+    raw: &RawLine<'a>,
+    rec: &mut X509Record,
+) -> Result<(), TsvError> {
     decode_line(cols, raw, X509_FIELDS.len())?;
     let p = LineParser {
         cols,
         line_no: raw.no,
     };
-    Ok(X509Record {
-        ts: p.parse(0, "ts")?,
-        fingerprint: unescape(p.col(1)).into_owned(),
-        version: p.parse(2, "certificate.version")?,
-        serial: unescape(p.col(3)).into_owned(),
-        subject: unescape(p.col(4)).into_owned(),
-        issuer: unescape(p.col(5)).into_owned(),
-        issuer_org: parse_opt(p.col(6)),
-        subject_cn: parse_opt(p.col(7)),
-        not_valid_before: p.parse(8, "certificate.not_valid_before")?,
-        not_valid_after: p.parse(9, "certificate.not_valid_after")?,
-        key_alg: unescape(p.col(10)).into_owned(),
-        key_length: p.parse(11, "certificate.key_length")?,
-        sig_alg: unescape(p.col(12)).into_owned(),
-        san_dns: parse_vec(p.col(13)),
-        san_email: parse_vec(p.col(14)),
-        san_uri: parse_vec(p.col(15)),
-        san_ip: parse_vec(p.col(16)),
-        basic_constraints_ca: p.boolean(17, "basic_constraints.ca")?,
-    })
+    rec.ts = p.parse(0, "ts")?;
+    set_str(&mut rec.fingerprint, p.col(1));
+    rec.version = p.parse(2, "certificate.version")?;
+    set_str(&mut rec.serial, p.col(3));
+    set_str(&mut rec.subject, p.col(4));
+    set_str(&mut rec.issuer, p.col(5));
+    set_opt(&mut rec.issuer_org, p.col(6));
+    set_opt(&mut rec.subject_cn, p.col(7));
+    rec.not_valid_before = p.parse(8, "certificate.not_valid_before")?;
+    rec.not_valid_after = p.parse(9, "certificate.not_valid_after")?;
+    set_str(&mut rec.key_alg, p.col(10));
+    rec.key_length = p.parse(11, "certificate.key_length")?;
+    set_str(&mut rec.sig_alg, p.col(12));
+    set_vec(&mut rec.san_dns, p.col(13));
+    set_vec(&mut rec.san_email, p.col(14));
+    set_vec(&mut rec.san_uri, p.col(15));
+    set_vec(&mut rec.san_ip, p.col(16));
+    rec.basic_constraints_ca = p.boolean(17, "basic_constraints.ca")?;
+    Ok(())
+}
+
+/// An `x509.log` buffer read one row at a time into a record the caller
+/// owns and reuses — the served shard verdict's path, which renders each
+/// row as soon as it is parsed. [`X509Rows::new`] checks the `#fields`
+/// header over the whole buffer before any row is parsed, so a bad header
+/// wins over a bad row exactly as in [`read_x509_log`], and the rows parse
+/// through the same line parser, so each one equals that reader's record
+/// or its first error.
+pub struct X509Rows<'a> {
+    lines: std::vec::IntoIter<RawLine<'a>>,
+    cols: Vec<&'a str>,
+}
+
+impl<'a> X509Rows<'a> {
+    /// Check the header and slice the data lines of `buf`.
+    pub fn new(buf: &'a [u8]) -> Result<X509Rows<'a>, TsvError> {
+        Ok(X509Rows {
+            lines: raw_data_lines(buf, X509_FIELDS)?.into_iter(),
+            cols: Vec::with_capacity(X509_FIELDS.len()),
+        })
+    }
+
+    /// Data rows not yet parsed.
+    pub fn len(&self) -> usize {
+        self.lines.len()
+    }
+
+    /// Whether every data row has been parsed.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Parse the next data row into `rec`, overwriting every field and
+    /// keeping the capacity of its strings and SAN lists; `None` after the
+    /// last row. A strict reader stops at the first `Err`.
+    pub fn next_into(&mut self, rec: &mut X509Record) -> Option<Result<(), TsvError>> {
+        let raw = self.lines.next()?;
+        Some(parse_x509_into(&mut self.cols, &raw, rec))
+    }
 }
 
 /// The mode-dispatching read loop shared by both log readers. Strict mode

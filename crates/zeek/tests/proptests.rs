@@ -1,8 +1,8 @@
 //! Property tests: arbitrary records must round-trip through Zeek-TSV.
 
-use mtls_zeek::tsv::{escape, unescape};
+use mtls_zeek::tsv::{escape, unescape, unescape_into};
 use mtls_zeek::{read_ssl_log, read_x509_log, write_ssl_log, write_x509_log};
-use mtls_zeek::{Ipv4, SslRecord, TlsVersion, X509Record};
+use mtls_zeek::{Ipv4, SslRecord, TlsVersion, X509Record, X509Rows};
 use proptest::prelude::*;
 use std::io::Cursor;
 
@@ -110,6 +110,122 @@ proptest! {
     }
 }
 
+// One reused row: `X509Rows::next_into` refills the same record row after
+// row, so a field must never keep bytes, list entries or a `Some` from the
+// row before. Rows of different shapes back to back — SAN lists growing
+// and shrinking, optional fields toggling, escaped and plain text — must
+// each equal the record `read_x509_log` builds fresh.
+fn arb_shape_field() -> impl Strategy<Value = String> {
+    "[ -~\té中]{0,30}"
+}
+
+fn arb_san() -> impl Strategy<Value = Vec<String>> {
+    proptest::collection::vec("[ -~é]{0,12}", 0..5)
+}
+
+fn arb_row() -> impl Strategy<Value = X509Record> {
+    (
+        (
+            "[a-f0-9]{1,16}",
+            arb_shape_field(),
+            arb_shape_field(),
+            proptest::option::of(arb_shape_field()),
+            proptest::option::of(arb_shape_field()),
+            prop_oneof![Just("rsa"), Just("ecdsa"), Just("x,y\\z")],
+        ),
+        (arb_san(), arb_san(), arb_san(), arb_san()),
+        (
+            -10_000_000_000i64..10_000_000_000,
+            -10_000_000_000i64..10_000_000_000,
+            any::<bool>(),
+            0f64..3e9,
+        ),
+    )
+        .prop_map(
+            |(
+                (fingerprint, subject, issuer, issuer_org, subject_cn, key_alg),
+                (san_dns, san_email, san_uri, san_ip),
+                (not_valid_before, not_valid_after, ca, ts),
+            )| X509Record {
+                ts,
+                fingerprint,
+                version: if ca { 3 } else { 1 },
+                serial: "0A".into(),
+                subject,
+                issuer,
+                issuer_org,
+                subject_cn,
+                not_valid_before,
+                not_valid_after,
+                key_alg: key_alg.into(),
+                key_length: 2048,
+                sig_alg: "sha256WithRSAEncryption".into(),
+                san_dns,
+                san_email,
+                san_uri,
+                san_ip,
+                basic_constraints_ca: ca,
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn one_reused_row_equals_fresh_records(rows in proptest::collection::vec(arb_row(), 1..10)) {
+        let mut buf = Vec::new();
+        write_x509_log(&mut buf, &rows).unwrap();
+        let fresh = read_x509_log(Cursor::new(&buf)).unwrap();
+        let mut reader = X509Rows::new(&buf).unwrap();
+        prop_assert_eq!(reader.len(), fresh.len());
+        let mut row = X509Record::default();
+        let mut reused = Vec::new();
+        while let Some(parsed) = reader.next_into(&mut row) {
+            parsed.unwrap();
+            reused.push(row.clone());
+        }
+        prop_assert!(reader.is_empty());
+        prop_assert_eq!(reused, fresh);
+    }
+}
+
+#[test]
+fn reused_row_reports_the_first_error_of_the_fresh_reader() {
+    let good = X509Record {
+        fingerprint: "aa".into(),
+        subject: "CN=a\\,b".into(),
+        issuer_org: Some("Org".into()),
+        san_dns: vec!["a.example".into(), "b.example".into()],
+        ..X509Record::default()
+    };
+    let mut buf = Vec::new();
+    write_x509_log(&mut buf, [&good, &good]).unwrap();
+    let text = String::from_utf8(buf).unwrap();
+    // Break the second row's `certificate.version`, then the header too.
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    let second = lines.iter().rposition(|l| !l.starts_with('#')).unwrap();
+    let mut cols: Vec<&str> = lines[second].split('\t').collect();
+    cols[2] = "X";
+    lines[second] = cols.join("\t");
+    let bad_row = lines.join("\n");
+    let bad_header = bad_row.replace("certificate.serial", "certificate.cereal");
+    for shard in [bad_row, bad_header] {
+        let want = read_x509_log(Cursor::new(shard.as_bytes()))
+            .unwrap_err()
+            .to_string();
+        let got = match X509Rows::new(shard.as_bytes()) {
+            Err(e) => e.to_string(),
+            Ok(mut reader) => {
+                let mut row = X509Record::default();
+                reader.next_into(&mut row).unwrap().unwrap();
+                reader.next_into(&mut row).unwrap().unwrap_err().to_string()
+            }
+        };
+        assert_eq!(got, want);
+    }
+}
+
 // Failure injection: the readers accept whatever a disk hands them —
 // arbitrary text and mutated valid logs must yield Ok or Err, never panic.
 proptest! {
@@ -194,6 +310,60 @@ proptest! {
     }
 }
 
+/// The char-at-a-time walk that `unescape`'s run copy replaced, kept as
+/// its reference: one `push` per char or escape.
+fn unescape_by_char(s: &str) -> String {
+    let bytes = s.as_bytes();
+    let mut out = String::with_capacity(s.len());
+    let mut i = 0;
+    while i < bytes.len() {
+        if bytes[i] == b'\\'
+            && i + 3 < bytes.len()
+            && bytes[i + 1] == b'x'
+            && bytes[i + 2].is_ascii_hexdigit()
+            && bytes[i + 3].is_ascii_hexdigit()
+        {
+            let hi = (bytes[i + 2] as char).to_digit(16).expect("hex");
+            let lo = (bytes[i + 3] as char).to_digit(16).expect("hex");
+            out.push(((hi * 16 + lo) as u8) as char);
+            i += 4;
+        } else {
+            let ch = s[i..].chars().next().expect("in range");
+            out.push(ch);
+            i += ch.len_utf8();
+        }
+    }
+    out
+}
+
+/// `unescape` and `unescape_into` (onto a field that already holds text)
+/// against the char walk.
+fn unescape_matches_reference(s: &str) {
+    let want = unescape_by_char(s);
+    assert_eq!(unescape(s).as_ref(), want.as_str(), "{s:?}");
+    let mut out = String::from("kept:");
+    unescape_into(s, &mut out);
+    assert_eq!(out, format!("kept:{want}"), "{s:?}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn run_copy_unescape_equals_the_char_walk(s in SOUP) {
+        unescape_matches_reference(&s);
+    }
+
+    #[test]
+    fn run_copy_unescape_equals_the_char_walk_on_escape_lookalikes(
+        s in "[\\\\x0-9a-fA-Fé中]{0,24}",
+    ) {
+        // Dense {\, x, hex} runs make well-formed, malformed and cut-off
+        // escapes next to multi-byte chars.
+        unescape_matches_reference(&s);
+    }
+}
+
 #[test]
 fn unescape_passes_truncated_escapes_through() {
     // Malformed or cut-off escape sequences — including at the very end of
@@ -206,6 +376,16 @@ fn unescape_passes_truncated_escapes_through() {
     }
     assert_eq!(unescape("\\x41\\x4").as_ref(), "A\\x4");
     assert_eq!(unescape("\\x09end\\x").as_ref(), "\tend\\x");
+    for s in [
+        "\\",
+        "\\x4",
+        "é\\xe9\\",
+        "\\\\x41",
+        "\\xC3\\xA9",
+        "中\\x2c中\\x2",
+    ] {
+        unescape_matches_reference(s);
+    }
 }
 
 // SWAR equivalence: every u64-at-a-time scanner must be byte-identical to
