@@ -1,14 +1,10 @@
-//! Shared fixtures for the benchmark suite: one corpus, built once, reused
-//! by every per-experiment bench so Criterion measures analysis cost, not
-//! generation cost.
+//! The shared fixture of the CI guard bins: one simulator output,
+//! generated once per process.
 
-use mtls_core::corpus::MetaKnowledge;
-use mtls_core::Corpus;
-use mtls_intern::Interner;
 use mtls_netsim::{generate, SimConfig, SimOutput};
 use std::sync::OnceLock;
 
-/// The benchmark corpus scale (≈ 13 k connections, ≈ 5 k certificates).
+/// The fixture scale (≈ 13 k connections, ≈ 5 k certificates).
 pub const BENCH_SCALE: f64 = 0.05;
 
 /// The simulator output, generated once.
@@ -21,42 +17,4 @@ pub fn sim_output() -> &'static SimOutput {
             ..Default::default()
         })
     })
-}
-
-/// The built corpus (interception filter applied), built once.
-pub fn corpus() -> &'static Corpus {
-    static CELL: OnceLock<Corpus> = OnceLock::new();
-    CELL.get_or_init(|| {
-        let sim = sim_output();
-        let meta = MetaKnowledge::from_sim(&sim.meta);
-        let mut interner = Interner::with_capacity(sim.x509.len());
-        let (excluded, issuers) = mtls_core::pipeline::interception::filter(
-            &sim.ssl,
-            &sim.x509,
-            &sim.ct,
-            &meta,
-            &mut interner,
-        );
-        Corpus::build(
-            sim.ssl.clone(),
-            sim.x509.clone(),
-            meta,
-            &excluded,
-            issuers,
-            interner,
-        )
-    })
-}
-
-/// An unfiltered corpus build (for the ablation benches).
-pub fn build_corpus_unfiltered() -> Corpus {
-    let sim = sim_output();
-    Corpus::build(
-        sim.ssl.clone(),
-        sim.x509.clone(),
-        MetaKnowledge::from_sim(&sim.meta),
-        &Default::default(),
-        vec![],
-        Interner::new(),
-    )
 }

@@ -1,13 +1,18 @@
-//! Pins how many heap allocations one served verdict makes: one 16-row
-//! `shard_verdict` and one `cert_verdict_der`, on the seed-7 corpus at
-//! scale 0.02 that `verdict_pin.rs` hashes. The server answers every
-//! `REQ_SHARD` and `REQ_DER` with these calls, so a count here is paid per
-//! request, and unlike a timing no host noise can move it. A budget may
-//! go down in any change; it goes up only with the reason recorded in
-//! CHANGES.md. This binary counts through its own global allocator (one
-//! counter per thread), so it holds a single test.
+//! Pins how many heap allocations the served verdict's hot units make.
+//! One 16-row `shard_verdict` and one `cert_verdict_der`, on the seed-7
+//! corpus at scale 0.02 that `verdict_pin.rs` hashes: the server answers
+//! every `REQ_SHARD` and `REQ_DER` with these calls, so a count here is
+//! paid per request. And one `classify` call per information type: the
+//! verdict classifies every CN and SAN string of every row, so an
+//! allocation there is paid per string per request. Unlike a timing, no
+//! host noise can move these counts. A budget may go down in any change;
+//! it goes up only with the reason recorded in CHANGES.md. This binary
+//! counts through its own global allocator with one counter per thread,
+//! so each test counts only its own thread's allocations and the tests
+//! may run in parallel.
 
 use mtls_asn1::Asn1Time;
+use mtls_classify::{classify, ClassifyContext, InfoType};
 use mtls_core::corpus::MetaKnowledge;
 use mtls_core::verdict::{cert_verdict_der, shard_verdict, VerdictContext};
 use mtls_crypto::Keypair;
@@ -58,7 +63,7 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Allocations made by `f`, and its answer.
-fn allocations(f: impl FnOnce() -> String) -> (usize, String) {
+fn allocations<T>(f: impl FnOnce() -> T) -> (usize, T) {
     let before = ALLOCS.with(Cell::get);
     let out = std::hint::black_box(f());
     (ALLOCS.with(Cell::get) - before, out)
@@ -127,4 +132,41 @@ fn verdict_allocation_counts_are_pinned() {
         (SHARD_ALLOCS, DER_ALLOCS),
         "(shard_verdict, cert_verdict_der) allocations"
     );
+}
+
+#[test]
+fn classify_allocation_counts_are_pinned() {
+    let plain = ClassifyContext::default();
+    let campus = ClassifyContext {
+        issuer_org: Some("Commonwealth University"),
+        issuer_is_campus: true,
+    };
+    let long_text = "quux ".repeat(40);
+    // (input, context, expected type, expected allocations)
+    let cases: &[(&str, ClassifyContext<'_>, InfoType, usize)] = &[
+        ("www.Example.org", plain, InfoType::Domain, 0),
+        ("192.168.1.10", plain, InfoType::Ip, 0),
+        ("2001:db8::1", plain, InfoType::Ip, 0),
+        ("12:34:56:AB:CD:EF", plain, InfoType::Mac, 0),
+        ("SIP:4434@voip.example.edu", plain, InfoType::Sip, 0),
+        ("someone@example.org", plain, InfoType::Email, 0),
+        ("hd7gr", campus, InfoType::UserAccount, 0),
+        ("LOCALHOST.localdomain", plain, InfoType::Localhost, 0),
+        ("John Smith", plain, InfoType::PersonalName, 0),
+        ("Smith, John", plain, InfoType::PersonalName, 0),
+        ("Lenovo ThinkPad X1 Carbon", plain, InfoType::OrgProduct, 0),
+        ("Acme Widgets Inc", plain, InfoType::OrgProduct, 0),
+        ("f3a9c2d17b604e5d", plain, InfoType::Unidentified, 0),
+        // Past the NER's stack buffer the normalized copy goes to the heap.
+        (&long_text, plain, InfoType::Unidentified, 1),
+    ];
+    // Warm up anything a first call initializes.
+    for (text, ctx, _, _) in cases {
+        let _ = classify(text, *ctx);
+    }
+    for (text, ctx, want_type, want_allocs) in cases {
+        let (n, t) = allocations(|| classify(std::hint::black_box(text), *ctx));
+        assert_eq!(t, *want_type, "{text:?}");
+        assert_eq!(n, *want_allocs, "{text:?} ({t:?}) allocated {n} times");
+    }
 }
