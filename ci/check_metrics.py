@@ -193,8 +193,9 @@ def main_stream(path):
 # --- serve envelope mode (`--serve`) ----------------------------------
 # Mirror of crates/serve/src/taxonomy.rs. A name drifting between the
 # Rust taxonomy and this list fails CI, which is the point: the taxonomy
-# is the single source of truth and this mirror is asserted against
-# live snapshots.
+# is the single source of truth, and
+# crates/serve/tests/e2e.rs::check_metrics_serve_mirror_equals_the_taxonomy
+# holds this mirror equal to it.
 SERVE_SCHEMA = "mtlscope-serve-metrics-1"
 SERVE_COUNTERS = {
     "serve.connections",

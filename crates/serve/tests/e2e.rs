@@ -1,10 +1,11 @@
 //! End-to-end tests: a real [`mtls_serve::Server`] on a loopback socket,
-//! real clients, and the acceptance claims from the serve issue —
-//! byte-identical verdicts, quota throttling, authorization rejection,
-//! and keep-alive reuse.
+//! real clients, and the service's acceptance claims — byte-identical
+//! verdicts, quota throttling, authorization rejection, keep-alive reuse,
+//! the planted-failure counter vector and the ops-gated metrics frame.
 
 use mtls_core::verdict::{cert_verdict_der, shard_verdict};
 use mtls_obs::Obs;
+use mtls_pki::ctlog::CtEntry;
 use mtls_serve::client::{ClientSession, Response};
 use mtls_serve::demo::{demo_server_config, demo_verdict_context, demo_world, DemoWorld};
 use mtls_serve::server::Server;
@@ -59,6 +60,37 @@ fn served_shard_verdict_is_byte_identical_to_offline() {
         served.starts_with("verdict: shard\nrecords: 2\n"),
         "{served}"
     );
+
+    drop(client);
+    server.shutdown();
+}
+
+#[test]
+fn served_shard_verdict_matches_offline_against_a_populated_ct_log() {
+    // CT logs one sample-shard name under a public CA; the shard's row for
+    // it comes from the private campus root, so the row is a candidate.
+    let world = demo_world();
+    let mut cfg = demo_server_config(&world, "127.0.0.1:0", 1, 1000, Obs::noop());
+    cfg.verdict.ct.submit_entry(CtEntry {
+        domain: "vpn.campus.example".into(),
+        issuer_display: "CN=DigiCert Global Root G2, O=DigiCert Inc".into(),
+        fingerprint_hex: "ab".repeat(32),
+    });
+    let mut ctx = demo_verdict_context();
+    ctx.ct = cfg.verdict.ct.clone();
+    let server = Server::start(cfg).expect("bind demo server");
+    let mut client = connect_tenant(&server, &world);
+
+    let served = match client.request_shard(&world.sample_shard).unwrap() {
+        Response::Verdict(v) => v,
+        other => panic!("expected verdict, got {other:?}"),
+    };
+    assert_eq!(served, shard_verdict(&world.sample_shard, &ctx));
+    let lines: Vec<&str> = served
+        .lines()
+        .filter(|l| l.starts_with("interception: "))
+        .collect();
+    assert_eq!(lines, ["interception: candidate", "interception: clear"]);
 
     drop(client);
     server.shutdown();
@@ -433,4 +465,157 @@ fn concurrent_tenants_are_served_by_the_pool() {
         h.join().unwrap();
     }
     server.shutdown();
+}
+
+/// Render a counter list the way the planted-vector claim compares it:
+/// one sorted JSON object, no whitespace variance.
+fn counter_vector_json(counters: &[(String, u64)]) -> String {
+    let mut out = String::from("{");
+    for (i, (name, v)) in counters.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push_str(&format!("\"{name}\": {v}"));
+    }
+    out.push('}');
+    out
+}
+
+/// Drive the four planted failures against a fresh low-quota deployment
+/// and return the resulting counter vector as canonical JSON.
+fn planted_counter_vector(world: &DemoWorld) -> String {
+    let obs = Obs::new();
+    let cfg = demo_server_config(world, "127.0.0.1:0", 2, 1, obs.clone());
+    let server = Server::start(cfg).expect("bind planted-failure server");
+    let addr = server.local_addr().to_string();
+
+    // Planted failure 1: expired chain → authz.err.chain.expired.
+    assert!(
+        ClientSession::connect(&addr, &world.expired_endpoint, None).is_err(),
+        "expired chain must be refused"
+    );
+    // Planted failure 2: rogue CA ("unknown tenant") — the chain's
+    // issuer key is not registered, so signature verification fails.
+    assert!(
+        ClientSession::connect(&addr, &world.rogue_endpoint, None).is_err(),
+        "rogue chain must be refused"
+    );
+    // Planted failure 3: oversize frame, refused at the header without
+    // taking a quota token.
+    let mut c = ClientSession::connect(&addr, &world.tenant_endpoint, None)
+        .expect("tenant connect (oversize probe)");
+    c.send_oversize_header().expect("send oversize header");
+    assert!(c.expect_close(), "oversize frame must close the connection");
+    drop(c);
+    // Planted failure 4: throttle — the 1/s bucket covers one DER
+    // verdict, not two back-to-back.
+    let mut c = ClientSession::connect(&addr, &world.tenant_endpoint, None)
+        .expect("tenant connect (throttle)");
+    assert!(matches!(
+        c.request_der(&world.sample_der).unwrap(),
+        Response::Verdict(_)
+    ));
+    assert!(matches!(
+        c.request_der(&world.sample_der).unwrap(),
+        Response::Throttled
+    ));
+    drop(c);
+    server.shutdown();
+
+    counter_vector_json(&obs.snapshot().counters)
+}
+
+/// The exact vector the planted failures must produce — derived from the
+/// scenario, with the privacy byte count computed from the demo tenant
+/// chain the same way the server computes it.
+fn expected_planted_vector(world: &DemoWorld) -> String {
+    let idb = mtls_tlssim::identity_exposure(
+        Some(world.tenant_endpoint.version),
+        &world.tenant_endpoint.chain,
+    )
+    .identity_bytes();
+    let expected: &[(&str, u64)] = &[
+        ("serve.authz.err.chain.bad_signature", 1),
+        ("serve.authz.err.chain.expired", 1),
+        ("serve.conn.closed_clean", 1),
+        ("serve.conn.closed_error", 1),
+        ("serve.connections", 4),
+        ("serve.handshake.ok", 2),
+        ("serve.privacy.cleartext_connections", 2),
+        ("serve.privacy.identity_bytes_total", 2 * idb),
+        ("serve.request.err.oversize_frame", 1),
+        ("serve.request.err.unknown_kind", 0),
+        ("serve.requests", 2),
+        ("serve.requests.der", 2),
+        ("serve.requests.metrics", 0),
+        ("serve.requests.ping", 0),
+        ("serve.requests.shard", 0),
+        ("serve.throttled", 1),
+    ];
+    let owned: Vec<(String, u64)> = expected.iter().map(|(n, v)| (n.to_string(), *v)).collect();
+    counter_vector_json(&owned)
+}
+
+#[test]
+fn planted_failures_land_in_the_exact_counter_vector_on_every_run() {
+    let world = demo_world();
+    let first = planted_counter_vector(&world);
+    let second = planted_counter_vector(&world);
+    assert_eq!(first, second, "two independent runs disagree");
+    assert_eq!(first, expected_planted_vector(&world));
+}
+
+/// The quoted names of the Python set literal `NAME = {...}` in `script`.
+fn python_set(script: &str, name: &str) -> Vec<String> {
+    let start = script
+        .find(&format!("\n{name} = {{"))
+        .unwrap_or_else(|| panic!("ci/check_metrics.py defines {name}"));
+    let body = &script[start..];
+    let body = &body[..body.find('}').expect("closing brace")];
+    let mut names: Vec<String> = body
+        .split('"')
+        .skip(1)
+        .step_by(2)
+        .map(String::from)
+        .collect();
+    names.sort();
+    names
+}
+
+fn sorted(names: &[&str]) -> Vec<String> {
+    let mut names: Vec<String> = names.iter().map(|n| n.to_string()).collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn check_metrics_serve_mirror_equals_the_taxonomy() {
+    // CI validates served envelopes against this mirror; the tests above
+    // hold every emitted name to the taxonomy, so the two together check
+    // every name a server can emit, whichever requests a CI run drives.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../ci/check_metrics.py");
+    let script = std::fs::read_to_string(path).expect("read ci/check_metrics.py");
+    use mtls_serve::taxonomy;
+    assert_eq!(
+        python_set(&script, "SERVE_COUNTERS"),
+        sorted(taxonomy::ALL_COUNTERS)
+    );
+    assert_eq!(
+        python_set(&script, "SERVE_HISTOGRAMS"),
+        sorted(taxonomy::HISTOGRAMS)
+    );
+    assert_eq!(
+        python_set(&script, "SERVE_GAUGES"),
+        sorted(taxonomy::GAUGES)
+    );
+    assert_eq!(
+        python_set(&script, "BENCH_COUNTERS"),
+        sorted(taxonomy::BENCH_COUNTERS)
+    );
+    assert!(script.contains(&format!(
+        "SERVE_LATENCY_PREFIX = \"{}\"",
+        taxonomy::LATENCY_PREFIX
+    )));
+    let closes: Vec<&str> = (0..6).map(mtls_obs::flight::close::label).collect();
+    assert_eq!(python_set(&script, "FLIGHT_CLOSES"), sorted(&closes));
 }

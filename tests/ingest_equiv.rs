@@ -486,6 +486,40 @@ fn rolling_window_equals_batch_over_the_window_months() {
 }
 
 #[test]
+fn one_month_window_holds_at_most_twice_the_largest_month() {
+    let sim = generate(&SimConfig {
+        seed: 9109,
+        scale: 0.005,
+        ..Default::default()
+    });
+    let dir = std::env::temp_dir().join(format!("mtlscope-equiv-one-month-{}", std::process::id()));
+    sim.write_to_dir_rotated(&dir).expect("write rotated logs");
+
+    let walk = |window| {
+        load_dir(&dir, IngestMode::Strict, window, &Obs::noop(), None)
+            .expect("ingest")
+            .1
+            .stream
+    };
+    let windowed = walk(Some(1));
+    assert!(windowed.max_epoch_footprint_bytes > 0);
+    assert!(
+        windowed.peak_footprint_bytes <= 2 * windowed.max_epoch_footprint_bytes,
+        "peak {} over 2x the largest month {}",
+        windowed.peak_footprint_bytes,
+        windowed.max_epoch_footprint_bytes
+    );
+    assert_eq!(windowed.epochs_pushed, 23);
+    assert_eq!(windowed.epochs_retired, 22);
+    // Without retirement the same walk breaks the ceiling, so the bound
+    // above is one only a retiring walk meets.
+    let full = walk(None);
+    assert!(full.peak_footprint_bytes > 2 * full.max_epoch_footprint_bytes);
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn rolling_window_retires_the_oldest_months_and_tracks_the_live_ones() {
     let sim = generate(&SimConfig {
         seed: 9108,
