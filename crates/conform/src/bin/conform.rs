@@ -1,8 +1,9 @@
 //! Bounded-time conformance smoke for CI.
 //!
 //! Runs a seeded mutation campaign over every parse entry point and writes
-//! the TSV report `ci/check_conform.py` gates on. Exit status is nonzero
-//! iff any panic or divergence was observed.
+//! its TSV report. Exit status is nonzero iff any panic or divergence was
+//! observed, which is the whole CI gate; the report's shape is checked by
+//! `tests/regressions.rs::bounded_campaign_is_clean`.
 //!
 //! ```text
 //! conform [--mutants N] [--tsv-mutants N] [--seed S] [--report PATH] [--quiet]

@@ -16,7 +16,7 @@
 //! * [`corpus`] — golden seeds minted through the simulator's own
 //!   `certgen`/`pki` paths.
 //! * [`run_campaign`] — the bounded-time campaign the `conform` binary
-//!   exposes to CI (`ci/check_conform.py` gates its TSV report).
+//!   exposes to CI (its exit status is the gate).
 //!
 //! The repository policy this enforces: **parse paths never panic** on
 //! attacker-controlled bytes; they reject. Every bug the harness has

@@ -124,7 +124,7 @@ impl Report {
         self.panics() + self.divergences() > 0
     }
 
-    /// The machine-readable report (`ci/check_conform.py` gates on it).
+    /// The machine-readable report the `conform` binary writes.
     /// Line-oriented TSV: a `schema` line, `key<TAB>value` summary rows,
     /// one `entry` row per entry point, one `finding` row per recorded bug.
     pub fn to_tsv(&self) -> String {

@@ -91,7 +91,7 @@ impl TsvSummary {
 
     /// The campaign's rows for the conformance report: `tsv.`-prefixed
     /// `key<TAB>value` lines, one per count and one per oracle's
-    /// divergences (`ci/check_conform.py` gates on them).
+    /// divergences (any nonzero one fails the `conform` binary).
     pub fn to_tsv(&self) -> String {
         let mut out = format!(
             "tsv.mutants\t{}\ntsv.evaluations\t{}\ntsv.accepted\t{}\ntsv.panics\t{}\n",

@@ -7,7 +7,7 @@
 //! fix has regressed.
 
 use mtls_asn1::{Asn1Time, DerReader, DerWriter, Oid};
-use mtls_conform::{run_campaign, run_case, Outcome};
+use mtls_conform::{run_campaign, run_case, run_tsv_campaign, Outcome};
 use mtls_x509::{BasicConstraints, PublicKeyInfo};
 
 /// Sign characters inside UTCTime content: `str::parse::<i64>` accepts a
@@ -114,14 +114,44 @@ fn oversized_and_indefinite_lengths_rejected() {
     }
 }
 
-/// Bounded campaign smoke mirroring the CI gate at debug-friendly size:
-/// zero panics, zero divergences, and real acceptance coverage.
+/// Bounded campaign smoke mirroring the CI `conform` run at debug-friendly
+/// size: zero panics, zero divergences, real acceptance coverage, and a
+/// report whose rows add up.
 #[test]
 fn bounded_campaign_is_clean() {
     let report = run_campaign(1, 500);
-    assert_eq!(report.panics(), 0, "{}", report.to_tsv());
-    assert_eq!(report.divergences(), 0, "{}", report.to_tsv());
+    let tsv = report.to_tsv();
+    assert_eq!(report.panics(), 0, "{tsv}");
+    assert_eq!(report.divergences(), 0, "{tsv}");
     assert!(report.accepted() > 0);
     assert!(report.rejected() > 0);
     assert_eq!(report.per_entry.len(), mtls_conform::ENTRY_POINTS.len());
+
+    // The rendered report: its `entry` rows sum to its `evaluations` row,
+    // and a clean campaign renders no `finding` row.
+    let evaluations: u64 = tsv
+        .lines()
+        .find_map(|l| l.strip_prefix("evaluations\t"))
+        .expect("evaluations row")
+        .parse()
+        .unwrap();
+    let entry_total: u64 = tsv
+        .lines()
+        .filter_map(|l| l.strip_prefix("entry\t"))
+        .flat_map(|l| l.split('\t').skip(1).map(|n| n.parse::<u64>().unwrap()))
+        .sum();
+    assert_eq!(entry_total, evaluations, "{tsv}");
+    assert_eq!(evaluations, report.evaluations());
+    assert!(
+        report.evaluations() > report.mutants,
+        "every mutant hits every entry point"
+    );
+    assert!(report.findings.is_empty());
+    assert!(!tsv.lines().any(|l| l.starts_with("finding\t")), "{tsv}");
+
+    // The TSV-shard campaign: every mutant runs through both ingest modes.
+    let shards = run_tsv_campaign(1, 200);
+    assert!(!shards.has_bugs(), "{shards:?}");
+    assert!(shards.accepted > 0);
+    assert!(shards.evaluations >= 2 * shards.mutants, "{shards:?}");
 }

@@ -4,13 +4,13 @@
 //!   repro [--seed N] [--scale F] [--logs DIR] [--out FILE] [--tsv DIR]
 //!         [--from-logs DIR] [--strict | --lenient]
 //!         [--max-error-rate FRACTION] [--window Nmo]
-//!         [--ct-legacy] [--metrics[=PATH]] [--progress] [--quiet]
+//!         [--metrics[=PATH]] [--progress] [--quiet]
 //!
 //! `--from-logs DIR` skips generation and analyzes an existing log
 //! directory (unrotated or monthly-rotated, with meta.tsv and ct.log).
-//! `--ct-legacy` discards the CT gossip evidence (ct_gossip.log) so the
-//! interception filter falls back to the legacy bare-issuer comparison —
-//! useful for A/B-ing the proof-carrying filter against the old one.
+//! A directory without `ct_gossip.log` carries no CT gossip evidence, so
+//! its interception filter runs the bare-issuer comparison over the log's
+//! own index instead of the proof-carrying path.
 //! `--strict` (default) aborts on the first malformed row; `--lenient`
 //! skips malformed rows and quarantines unreadable shards, printing the
 //! ingest diagnostics with the report. `--max-error-rate 0.01` aborts a
@@ -53,7 +53,6 @@ struct Args {
     mode: IngestMode,
     max_error_rate: Option<f64>,
     window: Option<usize>,
-    ct_legacy: bool,
     /// `None` = metrics off; `Some(None)` = on, default location;
     /// `Some(Some(path))` = on, explicit location.
     metrics: Option<Option<String>>,
@@ -70,7 +69,6 @@ fn parse_args() -> Args {
     let mut mode = IngestMode::Strict;
     let mut max_error_rate = None;
     let mut window = None;
-    let mut ct_legacy = false;
     let mut metrics = None;
     let mut progress = false;
     let mut quiet = false;
@@ -123,7 +121,6 @@ fn parse_args() -> Args {
                     .expect("--window needs a positive month count (e.g. 6mo)");
                 window = Some(months);
             }
-            "--ct-legacy" => ct_legacy = true,
             "--metrics" => metrics = Some(None),
             "--progress" => progress = true,
             "--quiet" => quiet = true,
@@ -131,7 +128,7 @@ fn parse_args() -> Args {
                 eprintln!(
                     "usage: repro [--seed N] [--scale F] [--logs DIR] [--out FILE] [--tsv DIR] \
                      [--from-logs DIR] [--strict | --lenient] [--max-error-rate FRACTION] \
-                     [--window Nmo] [--ct-legacy] [--metrics[=PATH]] \
+                     [--window Nmo] [--metrics[=PATH]] \
                      [--progress] [--quiet]"
                 );
                 std::process::exit(0);
@@ -155,7 +152,6 @@ fn parse_args() -> Args {
         mode,
         max_error_rate,
         window,
-        ct_legacy,
         metrics,
         progress,
         quiet,
@@ -216,7 +212,7 @@ fn main() {
         .then(|| heartbeat(obs.clone(), console, Duration::from_secs(2)));
 
     let mut ingest_diag = None;
-    let mut inputs = if let Some(dir) = &args.from_logs {
+    let inputs = if let Some(dir) = &args.from_logs {
         console.status(format!(
             "loading logs from {dir} ({} mode{})...",
             args.mode.label(),
@@ -291,12 +287,6 @@ fn main() {
             None => inputs,
         }
     };
-    // --ct-legacy: drop the gossip evidence so the pipeline takes the
-    // legacy bare-issuer interception path.
-    if args.ct_legacy {
-        inputs.gossip = mtls_pki::GossipBundle::default();
-    }
-
     let t1 = std::time::Instant::now();
     console.status("running analysis pipeline...");
     let output = run_pipeline_obs(inputs, &obs, run_id);

@@ -53,8 +53,8 @@ impl AnalysisInputs {
 /// index of the entries the evidence supports
 /// ([`mtls_pki::CtAudit::trusted_index`]) instead of whatever the
 /// (possibly equivocating) log *claims*, and finally flags SCT-stripped
-/// twins of logged certificates. Without it (`--ct-legacy`, or file sets
-/// with no `ct_gossip.log`) the same body runs over the log's own index.
+/// twins of logged certificates. Without it (a capture with no
+/// `ct_gossip.log`) the same body runs over the log's own index.
 pub mod interception {
     use super::*;
     use mtls_pki::{CtIndex, SplitViewDetector};
@@ -427,8 +427,8 @@ type Job = fn(&Corpus, &mut Slots);
 
 /// The analyzer schedule, in paper order: each job runs under the span
 /// `pipeline/analyze/<name>`. This is the only list of analyzers;
-/// `ci/check_metrics.py` keeps a copy of the names, and a test checks it
-/// against the spans a run records.
+/// `crates/core/tests/repro_cli.rs` takes the span paths `repro --metrics`
+/// must record from an in-process run, not from a copy of the names.
 static ANALYZERS: [(&str, Job); 20] = [
     ("prevalence", |c, s| {
         s.fig1 = Some(analyze::prevalence::run(c))
@@ -747,38 +747,5 @@ mod tests {
         let (excluded, issuers) = interception::filter(&ssl, &x509s, &ct, &meta(), &mut interner);
         assert!(excluded.is_empty(), "{excluded:?}");
         assert!(issuers.is_empty(), "{issuers:?}");
-    }
-
-    fn sim_inputs(seed: u64) -> AnalysisInputs {
-        AnalysisInputs::from_sim(mtls_netsim::generate(&mtls_netsim::SimConfig {
-            seed,
-            scale: 0.005,
-            ..Default::default()
-        }))
-    }
-
-    /// `ci/check_metrics.py` gates the `run/pipeline/analyze/<name>` span
-    /// paths from its own copy of the analyzer names (`ANALYZERS`). That
-    /// copy must name exactly the spans a run records.
-    #[test]
-    fn ci_analyzer_list_matches_the_recorded_spans() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../ci/check_metrics.py");
-        let script = std::fs::read_to_string(path).expect("read ci/check_metrics.py");
-        let (_, list) = script
-            .split_once("\nANALYZERS = [")
-            .expect("check_metrics.py defines ANALYZERS");
-        let (list, _) = list.split_once(']').expect("ANALYZERS list is closed");
-        let mut ci: Vec<&str> = list.split('"').skip(1).step_by(2).collect();
-        ci.sort_unstable();
-
-        let obs = Obs::new();
-        run_pipeline_obs(sim_inputs(1302), &obs, None);
-        let recorded: Vec<String> = obs
-            .snapshot()
-            .spans
-            .into_iter()
-            .filter_map(|row| Some(row.path.strip_prefix("pipeline/analyze/")?.to_string()))
-            .collect();
-        assert_eq!(recorded, ci, "ci/check_metrics.py ANALYZERS has drifted");
     }
 }

@@ -243,7 +243,9 @@ impl CorpusBuilder {
     /// epochs are live. Callers use this *before* reading the next
     /// month's shards, so the peak live set is `window` months — not
     /// `window + 1` — and a `--window 1mo` walk genuinely holds one
-    /// month's footprint (the RSS ceiling the bench gates).
+    /// month's footprint (the ceiling
+    /// `tests/ingest_equiv.rs::one_month_window_holds_at_most_twice_the_largest_month`
+    /// asserts).
     pub fn retire_for_incoming(&mut self, window: usize) -> Vec<String> {
         self.retire_down_to(window.max(1) - 1)
     }
@@ -273,8 +275,9 @@ impl CorpusBuilder {
     }
 
     /// Retained-heap estimate of every live epoch's rows. Deterministic
-    /// for given contents — this is the number the bench gates, with the
-    /// OS-reported RSS recorded alongside it.
+    /// for given contents — this is the number
+    /// `ingest_equiv::one_month_window_holds_at_most_twice_the_largest_month`
+    /// gates, with the OS-reported RSS recorded alongside it.
     pub fn footprint_bytes(&self) -> u64 {
         self.epochs.values().map(|e| e.footprint).sum()
     }

@@ -11,8 +11,9 @@
 //! [`crate::pipeline::interception::is_candidate`],
 //! [`mtls_classify::classify`]), so a verdict served over mutual TLS is
 //! byte-identical to what the batch analysis would say about the same
-//! record — pinned by the serve smoke test in CI, and the bytes themselves
-//! by `tests/verdict_pin.rs`.
+//! record — pinned over a real socket by the `served_*` tests in
+//! `crates/serve/tests/e2e.rs`, and the bytes themselves by
+//! `tests/verdict_pin.rs`.
 //!
 //! A shard's rows are parsed one at a time into one reused record, and each
 //! row's issuer facts are computed once and feed the audit and the

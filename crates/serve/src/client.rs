@@ -1,6 +1,5 @@
 //! Blocking client for the serve protocol: one mTLS session per TCP
-//! connection, plus a keep-alive pool that round-robins requests across
-//! several warm connections (the shape the bench client measures).
+//! connection, kept alive across requests.
 
 use crate::frame::{
     frame_header, Frame, MAX_FRAME_PAYLOAD, REQ_DER, REQ_METRICS, REQ_PING, REQ_SHARD,
@@ -43,8 +42,7 @@ impl ClientSession {
     }
 
     /// Like [`ClientSession::connect`] but preserving the
-    /// [`SessionError`] cause, so the bench client can mirror the
-    /// server's handshake-failure taxonomy (`bench.handshake.err.*`).
+    /// [`SessionError`] cause of a failed handshake.
     pub fn connect_tls(
         addr: &str,
         cfg: &EndpointConfig,
@@ -128,56 +126,6 @@ fn decode_response(frame: Frame) -> Response {
 fn text(payload: Vec<u8>) -> String {
     String::from_utf8(payload)
         .unwrap_or_else(|invalid| String::from_utf8_lossy(invalid.as_bytes()).into_owned())
-}
-
-/// A fixed-size pool of keep-alive sessions, handed out round-robin.
-/// Each session carries the same client identity; the point of the pool
-/// is amortizing handshakes across many requests, exactly what a real
-/// service client does.
-pub struct ClientPool {
-    sessions: Vec<ClientSession>,
-    next: usize,
-}
-
-impl ClientPool {
-    /// Open `size` connections up front (handshakes happen here, not on
-    /// the request path).
-    pub fn connect(
-        addr: &str,
-        cfg: &EndpointConfig,
-        sni: Option<&str>,
-        size: usize,
-    ) -> io::Result<ClientPool> {
-        let size = size.max(1);
-        let mut sessions = Vec::with_capacity(size);
-        for _ in 0..size {
-            sessions.push(ClientSession::connect(addr, cfg, sni)?);
-        }
-        Ok(ClientPool { sessions, next: 0 })
-    }
-
-    /// Wrap already-established sessions (the bench driver connects them
-    /// one at a time so it can account each handshake outcome).
-    pub fn from_sessions(sessions: Vec<ClientSession>) -> ClientPool {
-        ClientPool { sessions, next: 0 }
-    }
-
-    /// Number of pooled connections.
-    pub fn len(&self) -> usize {
-        self.sessions.len()
-    }
-
-    /// Whether the pool is empty (never true after `connect`).
-    pub fn is_empty(&self) -> bool {
-        self.sessions.is_empty()
-    }
-
-    /// The next session, round-robin.
-    pub fn checkout(&mut self) -> &mut ClientSession {
-        let i = self.next;
-        self.next = (self.next + 1) % self.sessions.len();
-        &mut self.sessions[i]
-    }
 }
 
 #[cfg(test)]

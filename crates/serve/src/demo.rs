@@ -1,8 +1,9 @@
 //! A self-contained demo world for the serve stack: a private CA, a
 //! server identity, tenant client chains (one valid, one expired), and a
-//! verdict context matching the offline campus analysis. The e2e tests,
-//! the CI serve smoke, and the `mtlscope serve --demo` binary all start
-//! from here so they exercise the same credentials.
+//! verdict context matching the offline campus analysis. The e2e tests
+//! (`crates/serve/tests/e2e.rs`, `served_*` among them), `mtlscope serve`
+//! and `mtlscope metrics` all start from here so they exercise the same
+//! credentials.
 
 use crate::server::ServerConfig;
 use crate::tls::EndpointConfig;

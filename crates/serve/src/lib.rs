@@ -1,5 +1,5 @@
-//! `mtls-serve` — the mTLS-terminated analysis service and its bench
-//! client, built entirely on the mtlscope stack.
+//! `mtls-serve` — the mTLS-terminated analysis service and its client,
+//! built entirely on the mtlscope stack.
 //!
 //! The offline pipeline reads Zeek logs from disk; this crate puts the
 //! same analysis behind a socket. A long-running TCP server terminates
@@ -21,17 +21,16 @@
 //!   flights at the 2^14 record boundary.
 //! - [`taxonomy`] — the single source of truth for every metric name
 //!   the serve path emits (per-cause handshake/authz counters, latency
-//!   and privacy histograms, the client-side `bench.*` mirror).
+//!   and privacy histograms).
 //! - [`server`] — `TcpListener` accept loop with a bounded worker pool,
 //!   request dispatch, per-cause `mtls-obs` instrumentation, a
 //!   connection flight recorder, and the cleartext-identity privacy
 //!   meter.
-//! - [`client`] — blocking client session plus a keep-alive connection
-//!   pool.
-//! - [`bench`] — the `bench-client` driver: pooled connections, latency
-//!   histograms, and a JSON report for CI gating.
+//! - [`client`] — blocking client session: one mTLS connection, many
+//!   request frames.
+//! - [`demo`] — the deterministic demo deployment (CA, server and tenant
+//!   chains) behind `mtlscope serve` and `mtlscope metrics`.
 
-pub mod bench;
 pub mod client;
 pub mod demo;
 pub mod frame;
@@ -40,8 +39,7 @@ pub mod server;
 pub mod taxonomy;
 pub mod tls;
 
-pub use bench::{run_bench, BenchConfig, BenchReport};
-pub use client::{ClientPool, ClientSession, Response};
+pub use client::{ClientSession, Response};
 pub use frame::{encode_frame, Frame, FrameAssembler};
 pub use quota::{QuotaClock, QuotaTable, TokenBucket};
 pub use server::{Server, ServerConfig, METRICS_SCHEMA};

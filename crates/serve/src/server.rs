@@ -17,8 +17,9 @@
 //! - **Cheap telemetry.** Hot-path metrics go through pre-registered
 //!   lock-free [`Counter`]/[`Histogram`] handles; the registry mutex is
 //!   touched once per name at startup (or once per tenant-kind pair per
-//!   connection), never per request. The observed-overhead guard in the
-//!   serve smoke holds the whole layer under 3%.
+//!   connection), never per request. The release guard
+//!   `tests/release_guards.rs::serve_telemetry_costs_under_budget` holds
+//!   the whole layer under 3%.
 
 use crate::frame::{
     Frame, REQ_DER, REQ_METRICS, REQ_PING, REQ_SHARD, RESP_ERROR, RESP_METRICS, RESP_PONG,

@@ -7,9 +7,9 @@
 //! replaces the lump with a per-cause taxonomy and is the **single
 //! source of truth** for the names: the server emits only names minted
 //! here, `Server::obs` documentation points here, DESIGN.md's metric
-//! table is asserted against [`ALL_COUNTERS`] by a test, and
-//! `ci/check_metrics.py --serve` carries a mirrored copy it validates
-//! snapshots against.
+//! table is asserted against [`ALL_COUNTERS`] by a test, and the
+//! `mtlscope metrics` binary test checks a live envelope's names with
+//! [`is_known_metric`].
 //!
 //! Name scheme: `serve.handshake.err.*` for pre-authorization protocol
 //! failures, `serve.authz.err.*` (with a `chain.` sub-tree mirroring
@@ -142,34 +142,6 @@ pub fn request_kind_label(kind: u8) -> &'static str {
     }
 }
 
-/// Client-side mirror of [`handshake_error_counter`] for `serve::bench`:
-/// the same taxonomy under the `bench.` prefix, so a bench run's view of
-/// connection failures lines up cause-for-cause with the server's.
-pub fn client_handshake_error_counter(err: &SessionError) -> &'static str {
-    match err {
-        // The client never sees the server's authz verdict directly —
-        // a refusal arrives as the fatal alert.
-        SessionError::Authz(_) | SessionError::PeerAlert => "bench.handshake.err.peer_alert",
-        SessionError::Stream(_) => "bench.handshake.err.bad_record",
-        SessionError::UnexpectedMessage(_) => "bench.handshake.err.unexpected_message",
-        SessionError::BadFrame => "bench.handshake.err.bad_frame",
-    }
-}
-
-/// Client-mirror counter names `serve::bench` emits.
-pub const BENCH_COUNTERS: &[&str] = &[
-    "bench.handshake.ok",
-    "bench.handshake.err.bad_record",
-    "bench.handshake.err.unexpected_message",
-    "bench.handshake.err.peer_alert",
-    "bench.handshake.err.bad_frame",
-    "bench.resp.verdict",
-    "bench.resp.pong",
-    "bench.resp.throttled",
-    "bench.resp.error",
-    "bench.err.transport",
-];
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,21 +179,6 @@ mod tests {
             if let Some(name) = request_kind_counter(kind) {
                 assert!(ALL_COUNTERS.contains(&name), "{name} missing");
             }
-        }
-    }
-
-    #[test]
-    fn client_mirror_names_are_registered() {
-        let session_errors = [
-            SessionError::Stream(StreamError::UnexpectedEof),
-            SessionError::UnexpectedMessage("x"),
-            SessionError::PeerAlert,
-            SessionError::BadFrame,
-            SessionError::Authz(AuthzError::NoCertificate),
-        ];
-        for e in &session_errors {
-            let name = client_handshake_error_counter(e);
-            assert!(BENCH_COUNTERS.contains(&name), "{name} missing");
         }
     }
 

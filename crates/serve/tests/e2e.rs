@@ -564,58 +564,3 @@ fn planted_failures_land_in_the_exact_counter_vector_on_every_run() {
     assert_eq!(first, second, "two independent runs disagree");
     assert_eq!(first, expected_planted_vector(&world));
 }
-
-/// The quoted names of the Python set literal `NAME = {...}` in `script`.
-fn python_set(script: &str, name: &str) -> Vec<String> {
-    let start = script
-        .find(&format!("\n{name} = {{"))
-        .unwrap_or_else(|| panic!("ci/check_metrics.py defines {name}"));
-    let body = &script[start..];
-    let body = &body[..body.find('}').expect("closing brace")];
-    let mut names: Vec<String> = body
-        .split('"')
-        .skip(1)
-        .step_by(2)
-        .map(String::from)
-        .collect();
-    names.sort();
-    names
-}
-
-fn sorted(names: &[&str]) -> Vec<String> {
-    let mut names: Vec<String> = names.iter().map(|n| n.to_string()).collect();
-    names.sort();
-    names
-}
-
-#[test]
-fn check_metrics_serve_mirror_equals_the_taxonomy() {
-    // CI validates served envelopes against this mirror; the tests above
-    // hold every emitted name to the taxonomy, so the two together check
-    // every name a server can emit, whichever requests a CI run drives.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../ci/check_metrics.py");
-    let script = std::fs::read_to_string(path).expect("read ci/check_metrics.py");
-    use mtls_serve::taxonomy;
-    assert_eq!(
-        python_set(&script, "SERVE_COUNTERS"),
-        sorted(taxonomy::ALL_COUNTERS)
-    );
-    assert_eq!(
-        python_set(&script, "SERVE_HISTOGRAMS"),
-        sorted(taxonomy::HISTOGRAMS)
-    );
-    assert_eq!(
-        python_set(&script, "SERVE_GAUGES"),
-        sorted(taxonomy::GAUGES)
-    );
-    assert_eq!(
-        python_set(&script, "BENCH_COUNTERS"),
-        sorted(taxonomy::BENCH_COUNTERS)
-    );
-    assert!(script.contains(&format!(
-        "SERVE_LATENCY_PREFIX = \"{}\"",
-        taxonomy::LATENCY_PREFIX
-    )));
-    let closes: Vec<&str> = (0..6).map(mtls_obs::flight::close::label).collect();
-    assert_eq!(python_set(&script, "FLIGHT_CLOSES"), sorted(&closes));
-}

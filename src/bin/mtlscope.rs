@@ -2,9 +2,7 @@
 //!
 //! Usage:
 //!   mtlscope serve [--addr HOST:PORT] [--workers N] [--quota N] [--quiet]
-//!   mtlscope bench-client --addr HOST:PORT [--threads N] [--connections N]
-//!                         [--requests N] [--ping-only] [--out FILE]
-//!                         [--metrics] [--metrics-out FILE]
+//!   mtlscope metrics --addr HOST:PORT
 //!
 //! `serve` starts the demo deployment: a private campus CA is minted
 //! deterministically, the server presents its chain, and any client
@@ -13,20 +11,15 @@
 //! Zeek x509 shards; responses are the offline pipeline's verdicts,
 //! byte-identical (DESIGN.md §11).
 //!
-//! `bench-client` connects with the demo tenant chain, hammers the
-//! server with pooled keep-alive connections, and prints a latency/
-//! throughput report (optionally as JSON to `--out`). With `--metrics`
-//! it additionally connects as the demo ops-class tenant and pulls the
-//! server's live metrics + flight-recorder snapshot over the
-//! `REQ_METRICS` admin frame (printed, or saved with `--metrics-out`;
-//! `ci/check_metrics.py --serve` validates the envelope).
+//! `metrics` connects as the demo ops-class tenant and prints the
+//! server's live metrics + flight-recorder envelope, pulled over the
+//! `REQ_METRICS` admin frame, to stdout. `tests/mtlscope_cli.rs` checks
+//! that envelope against `mtls_serve::taxonomy`.
 
 use mtls_obs::Obs;
-use mtls_serve::bench::{run_bench, BenchConfig};
 use mtls_serve::client::{ClientSession, Response};
 use mtls_serve::demo::{demo_server_config, demo_world};
 use mtls_serve::server::Server;
-use std::io::Write as _;
 
 fn die(msg: &str) -> ! {
     eprintln!("mtlscope: {msg}");
@@ -79,119 +72,32 @@ fn cmd_serve(mut args: std::env::Args) {
     }
 }
 
-fn cmd_bench(mut args: std::env::Args) {
+fn cmd_metrics(mut args: std::env::Args) {
     let mut addr: Option<String> = None;
-    let mut threads = 2usize;
-    let mut connections = 4usize;
-    let mut requests = 5000usize;
-    let mut ping_only = false;
-    let mut out: Option<String> = None;
-    let mut metrics = false;
-    let mut metrics_out: Option<String> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--addr" => addr = Some(parse_flag(&mut args, "--addr")),
-            "--threads" => threads = parse_flag(&mut args, "--threads"),
-            "--connections" => connections = parse_flag(&mut args, "--connections"),
-            "--requests" => requests = parse_flag(&mut args, "--requests"),
-            "--ping-only" => ping_only = true,
-            "--out" => out = Some(parse_flag(&mut args, "--out")),
-            "--metrics" => metrics = true,
-            "--metrics-out" => {
-                metrics = true;
-                metrics_out = Some(parse_flag(&mut args, "--metrics-out"));
-            }
-            other => die(&format!("unknown bench-client flag {other}")),
+            other => die(&format!("unknown metrics flag {other}")),
         }
     }
     let Some(addr) = addr else {
-        die("bench-client needs --addr HOST:PORT");
+        die("metrics needs --addr HOST:PORT");
     };
 
+    // The admin frame needs an ops-class identity; the demo world mints
+    // one (leaf OU `mtlscope-ops`) alongside the tenant chain.
     let world = demo_world();
-    let obs = Obs::new();
-    let cfg = BenchConfig {
-        addr,
-        client: world.tenant_endpoint,
-        sni: Some("mtlscope-serve.campus.example".to_string()),
-        threads,
-        connections_per_thread: connections,
-        requests_per_thread: requests,
-        der: if ping_only {
-            Vec::new()
-        } else {
-            world.sample_der.clone()
-        },
-        obs,
-    };
-    let report = run_bench(&cfg);
-    println!(
-        "bench-client: {} requests in {:.2}s = {:.0} req/s ({} verdicts, {} throttled, {} errors)",
-        report.requests,
-        report.elapsed_secs,
-        report.req_per_sec,
-        report.verdicts,
-        report.throttled,
-        report.errors
-    );
-    println!(
-        "latency us: p50={} p90={} p99={} max={} (pool: {} conns in {:.2}s)",
-        report.latency.p50,
-        report.latency.p90,
-        report.latency.p99,
-        report.latency.max,
-        report.connections,
-        report.connect_secs
-    );
-    if let Some(path) = out {
-        let json = format!(
-            "{{\n  \"requests\": {},\n  \"elapsed_secs\": {:.4},\n  \"req_per_sec\": {:.1},\n  \
-             \"verdicts\": {},\n  \"throttled\": {},\n  \"errors\": {},\n  \
-             \"latency_us\": {{\"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}},\n  \
-             \"connections\": {},\n  \"connect_secs\": {:.4}\n}}\n",
-            report.requests,
-            report.elapsed_secs,
-            report.req_per_sec,
-            report.verdicts,
-            report.throttled,
-            report.errors,
-            report.latency.p50,
-            report.latency.p90,
-            report.latency.p99,
-            report.latency.max,
-            report.connections,
-            report.connect_secs
-        );
-        let mut f =
-            std::fs::File::create(&path).unwrap_or_else(|e| die(&format!("create {path}: {e}")));
-        f.write_all(json.as_bytes())
-            .unwrap_or_else(|e| die(&format!("write {path}: {e}")));
-        eprintln!("bench-client: wrote {path}");
-    }
-
-    if metrics {
-        // The admin frame needs an ops-class identity; the demo world
-        // mints one (leaf OU `mtlscope-ops`) alongside the tenant chain.
-        let mut ops = ClientSession::connect(
-            &cfg.addr,
-            &world.ops_endpoint,
-            Some("mtlscope-serve.campus.example"),
-        )
-        .unwrap_or_else(|e| die(&format!("metrics connect (ops chain): {e}")));
-        let envelope = match ops.request_metrics() {
-            Ok(Response::Metrics(json)) => json,
-            Ok(Response::Error(msg)) => die(&format!("metrics refused: {msg}")),
-            Ok(other) => die(&format!("metrics: unexpected response {other:?}")),
-            Err(e) => die(&format!("metrics round trip: {e}")),
-        };
-        match metrics_out {
-            Some(path) => {
-                std::fs::write(&path, &envelope)
-                    .unwrap_or_else(|e| die(&format!("write {path}: {e}")));
-                eprintln!("bench-client: wrote metrics snapshot to {path}");
-            }
-            None => print!("{envelope}"),
-        }
+    let mut ops = ClientSession::connect(
+        &addr,
+        &world.ops_endpoint,
+        Some("mtlscope-serve.campus.example"),
+    )
+    .unwrap_or_else(|e| die(&format!("metrics connect (ops chain): {e}")));
+    match ops.request_metrics() {
+        Ok(Response::Metrics(envelope)) => print!("{envelope}"),
+        Ok(Response::Error(msg)) => die(&format!("metrics refused: {msg}")),
+        Ok(other) => die(&format!("metrics: unexpected response {other:?}")),
+        Err(e) => die(&format!("metrics round trip: {e}")),
     }
 }
 
@@ -200,13 +106,11 @@ fn main() {
     let _argv0 = args.next();
     match args.next().as_deref() {
         Some("serve") => cmd_serve(args),
-        Some("bench-client") => cmd_bench(args),
+        Some("metrics") => cmd_metrics(args),
         Some("--help") | Some("-h") | None => {
             eprintln!(
                 "usage: mtlscope serve [--addr HOST:PORT] [--workers N] [--quota N] [--quiet]\n\
-                        mtlscope bench-client --addr HOST:PORT [--threads N] [--connections N]\n\
-                 \x20                        [--requests N] [--ping-only] [--out FILE]\n\
-                 \x20                        [--metrics] [--metrics-out FILE]"
+                        mtlscope metrics --addr HOST:PORT"
             );
         }
         Some(other) => die(&format!("unknown subcommand {other}")),

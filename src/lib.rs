@@ -40,7 +40,7 @@
 //! | [`serve`] | `mtls-serve` | the mTLS-terminated analysis service |
 //!
 //! The workspace also ships the `mtlscope` binary (`src/bin/mtlscope.rs`)
-//! with `serve` and `bench-client` subcommands — the online face of the
+//! with `serve` and `metrics` subcommands — the online face of the
 //! same analysis (DESIGN.md §11).
 
 pub use mtls_asn1 as asn1;

@@ -3,9 +3,11 @@
 //! corpora must stay untouched, and the legacy bare-issuer path must agree
 //! with the proof-carrying path whenever the evidence is clean.
 
-use mtlscope::core::{run_pipeline, AnalysisInputs};
+use mtlscope::core::ingest::load_dir;
+use mtlscope::core::{run_pipeline, AnalysisInputs, IngestMode};
 use mtlscope::netsim::scenarios::{equivocating_log, sct_strip};
 use mtlscope::netsim::{generate, SimConfig};
+use mtlscope::obs::Obs;
 use mtlscope::pki::GossipBundle;
 
 fn small(seed: u64) -> SimConfig {
@@ -61,10 +63,28 @@ fn legacy_flag_matches_verified_filter_on_clean_corpus() {
         });
         let verified = run_pipeline(AnalysisInputs::from_sim(sim.clone()));
 
+        // The no-gossip path, reached the way a capture without gossip
+        // evidence reaches it: the same logs on disk minus `ct_gossip.log`.
+        let dir = std::env::temp_dir().join(format!(
+            "mtlscope-ct-nogossip-{}-{seed}",
+            std::process::id()
+        ));
+        sim.write_to_dir(&dir).expect("write logs");
+        std::fs::remove_file(dir.join("ct_gossip.log")).expect("gossip log written");
+        let loaded = load_dir(&dir, IngestMode::Strict, None, &Obs::noop(), None);
+        std::fs::remove_dir_all(&dir).ok();
+        let from_files = run_pipeline(loaded.expect("load logs without gossip").0);
+
         let mut legacy_inputs = AnalysisInputs::from_sim(sim);
-        legacy_inputs.gossip = GossipBundle::default(); // the --ct-legacy path
+        legacy_inputs.gossip = GossipBundle::default();
         let legacy = run_pipeline(legacy_inputs);
 
+        assert!(!from_files.ct1.summary.proofs_mode);
+        assert!(
+            from_files.render_all() == legacy.render_all(),
+            "seed {seed} scale {scale}: a load without ct_gossip.log rendered a \
+             different report than the in-memory no-gossip run"
+        );
         assert!(!legacy.ct1.summary.proofs_mode);
         assert!(verified.ct1.summary.proofs_mode);
         // Same interception verdicts: issuers, certificate exclusions, and

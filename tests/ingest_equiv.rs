@@ -9,8 +9,7 @@
 use mtlscope::core::ingest::{load_dir, IngestDiagnostics, IngestError};
 use mtlscope::core::testutil::faults;
 use mtlscope::core::{
-    run_pipeline, run_pipeline_obs, run_pipeline_parallel_obs, AnalysisInputs, Corpus,
-    CorpusBuilder, IngestMode,
+    run_pipeline, run_pipeline_obs, AnalysisInputs, Corpus, CorpusBuilder, IngestMode,
 };
 use mtlscope::intern::{FxHashSet, Interner};
 use mtlscope::netsim::{generate, SimConfig, SimOutput};
@@ -127,7 +126,7 @@ fn lenient_equals_strict_on_clean_corpus() {
 
     // …and the full analysis renders byte-identically from either mode.
     assert_eq!(
-        run_pipeline_parallel_obs(strict, &Obs::noop(), None).render_all(),
+        run_pipeline_obs(strict, &Obs::noop(), None).render_all(),
         run_pipeline(lenient).render_all()
     );
 
@@ -243,22 +242,25 @@ fn span_tree_is_deterministic_across_serial_and_parallel_pipeline() {
     });
     let dir = std::env::temp_dir().join(format!("mtlscope-equiv-pobs-{}", std::process::id()));
     sim.write_to_dir_rotated(&dir).expect("write rotated logs");
-    let for_parallel = inputs(&dir);
-    let for_serial = inputs(&dir);
+    // The analyzers run one at a time on the caller's thread (DESIGN §4
+    // decision 1), so two independent instrumented runs over the same
+    // inputs must record the same tree and the same metrics.
+    let first_inputs = inputs(&dir);
+    let second_inputs = inputs(&dir);
     std::fs::remove_dir_all(&dir).ok();
 
-    let obs_parallel = Obs::new();
-    let parallel_out = run_pipeline_parallel_obs(for_parallel, &obs_parallel, None);
-    let obs_serial = Obs::new();
-    let serial_out = run_pipeline_obs(for_serial, &obs_serial, None);
-    assert_eq!(parallel_out.render_all(), serial_out.render_all());
+    let obs_first = Obs::new();
+    let first_out = run_pipeline_obs(first_inputs, &obs_first, None);
+    let obs_second = Obs::new();
+    let second_out = run_pipeline_obs(second_inputs, &obs_second, None);
+    assert_eq!(first_out.render_all(), second_out.render_all());
 
-    let snap_parallel = obs_parallel.snapshot();
-    let snap_serial = obs_serial.snapshot();
+    let snap_first = obs_first.snapshot();
+    let snap_second = obs_second.snapshot();
 
-    // Identical tree shape: both entry points land every analyzer span on
-    // the same node.
-    assert_eq!(span_shape(&snap_parallel), span_shape(&snap_serial));
+    // Identical tree shape: both runs land every analyzer span on the
+    // same node.
+    assert_eq!(span_shape(&snap_first), span_shape(&snap_second));
     for path in [
         "pipeline",
         "pipeline/interception_filter",
@@ -269,15 +271,15 @@ fn span_tree_is_deterministic_across_serial_and_parallel_pipeline() {
         "pipeline/assemble",
     ] {
         assert!(
-            snap_parallel.span(path).is_some_and(|r| r.count == 1),
+            snap_first.span(path).is_some_and(|r| r.count == 1),
             "pipeline span {path} missing or miscounted"
         );
     }
 
     // Every metric the pipeline emits is a function of the corpus, not of
     // scheduling: full counter and gauge equality, no exclusions.
-    assert_eq!(snap_parallel.counters, snap_serial.counters);
-    assert_eq!(snap_parallel.gauges, snap_serial.gauges);
+    assert_eq!(snap_first.counters, snap_second.counters);
+    assert_eq!(snap_first.gauges, snap_second.gauges);
 }
 
 /// One month of partitioned records, cloned so the same corpus can be

@@ -6,7 +6,7 @@
 //! fingerprint references — all without a panic anywhere in the pipeline.
 
 use mtlscope::core::ingest::load_dir;
-use mtlscope::core::{build_corpus_obs, run_pipeline_parallel_obs, AnalysisInputs, IngestMode};
+use mtlscope::core::{build_corpus_obs, run_pipeline_obs, AnalysisInputs, IngestMode};
 use mtlscope::netsim::{generate, SimConfig};
 use mtlscope::obs::Obs;
 use mtlscope::x509::Certificate;
@@ -58,7 +58,7 @@ fn malformed_scenario_is_accounted_through_the_whole_pipeline() {
     }
 
     // And the full analysis runs to completion over the same inputs.
-    let out = run_pipeline_parallel_obs(AnalysisInputs::from_sim(sim), &Obs::noop(), None);
+    let out = run_pipeline_obs(AnalysisInputs::from_sim(sim), &Obs::noop(), None);
     assert!(out.tab1.all.total > 0);
 }
 

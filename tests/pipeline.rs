@@ -226,13 +226,17 @@ fn parallel_pipeline_matches_sequential() {
         scale: 0.01,
         ..Default::default()
     });
-    let sequential = run_pipeline(AnalysisInputs::from_sim(sim.clone()));
-    let parallel = mtlscope::core::run_pipeline_parallel_obs(
-        AnalysisInputs::from_sim(sim),
-        &mtlscope::obs::Obs::noop(),
-        None,
+    // The analyzers run one at a time on the caller's thread (DESIGN §4
+    // decision 1); what is left to check is that instrumenting a run
+    // changes no byte of its report.
+    let plain = run_pipeline(AnalysisInputs::from_sim(sim.clone()));
+    let obs = mtlscope::obs::Obs::new();
+    let instrumented = mtlscope::core::run_pipeline_obs(AnalysisInputs::from_sim(sim), &obs, None);
+    assert!(
+        obs.snapshot().span("pipeline/analyze").is_some(),
+        "the instrumented run recorded its spans"
     );
-    assert_eq!(sequential.render_all(), parallel.render_all());
+    assert_eq!(plain.render_all(), instrumented.render_all());
 }
 
 #[test]
