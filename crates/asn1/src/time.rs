@@ -137,12 +137,6 @@ impl Asn1Time {
         parse_tail(year, &s[4..14])
     }
 
-    /// ISO-8601 text (`YYYY-MM-DDTHH:MM:SSZ`), for reports.
-    pub fn to_iso8601(self) -> String {
-        let (y, mo, d, h, mi, s) = self.to_civil();
-        format!("{y:04}-{mo:02}-{d:02}T{h:02}:{mi:02}:{s:02}Z")
-    }
-
     /// Date-only text (`YYYY-MM-DD`), for reports.
     pub fn to_date_string(self) -> String {
         let (y, mo, d, ..) = self.to_civil();

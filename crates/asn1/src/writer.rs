@@ -158,12 +158,6 @@ impl DerWriter {
         self.tlv(Tag::PRINTABLE_STRING, s.as_bytes());
     }
 
-    /// Write an IA5String (ASCII; used for DNS names, email, URIs in SAN).
-    pub fn ia5_string(&mut self, s: &str) {
-        debug_assert!(s.is_ascii());
-        self.tlv(Tag::IA5_STRING, s.as_bytes());
-    }
-
     /// Write a context-specific *primitive* tag `[n]` with raw content
     /// (GeneralName alternatives in SAN).
     pub fn context_primitive(&mut self, n: u8, content: &[u8]) {

@@ -276,14 +276,14 @@ pub fn golden_seeds() -> Vec<(&'static str, Vec<u8>)> {
         .encode(&[0x42; 32]);
         seeds.push(("hs_client_hello_body", ch.clone()));
 
-        let mut buf = bytes::BytesMut::with_capacity(1 << 12);
+        let mut buf = Vec::with_capacity(1 << 12);
         write_fragmented(
             &mut buf,
             ContentType::Handshake,
             [3, 3],
             &handshake_envelope(HS_CLIENT_HELLO, &ch),
         );
-        seeds.push(("hs_client_flight_records", buf.freeze().to_vec()));
+        seeds.push(("hs_client_flight_records", buf));
 
         // The server flight: four messages in one fragmented record
         // stream, with a certificate chain spanning the 2^14 boundary
@@ -304,9 +304,9 @@ pub fn golden_seeds() -> Vec<(&'static str, Vec<u8>)> {
             &encode_certificate_request_body(),
         ));
         flight.extend(handshake_envelope(HS_SERVER_HELLO_DONE, &[]));
-        let mut buf = bytes::BytesMut::with_capacity(flight.len() + 64);
+        let mut buf = Vec::with_capacity(flight.len() + 64);
         write_fragmented(&mut buf, ContentType::Handshake, [3, 3], &flight);
-        seeds.push(("hs_server_flight_records", buf.freeze().to_vec()));
+        seeds.push(("hs_server_flight_records", buf));
 
         seeds.push((
             "hs_server_hello_body",

@@ -317,11 +317,6 @@ impl Console {
         Console { quiet }
     }
 
-    /// Whether status output is suppressed.
-    pub fn is_quiet(&self) -> bool {
-        self.quiet
-    }
-
     /// Operator status line (stderr); dropped when quiet.
     pub fn status(&self, msg: impl AsRef<str>) {
         if !self.quiet {

@@ -76,11 +76,6 @@ impl MerkleTree {
         self.leaves.push(leaf_hash(leaf));
     }
 
-    /// Append an already-computed leaf hash.
-    pub fn push_leaf_hash(&mut self, hash: [u8; 32]) {
-        self.leaves.push(hash);
-    }
-
     /// Number of leaves.
     pub fn size(&self) -> u64 {
         self.leaves.len() as u64

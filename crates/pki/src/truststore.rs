@@ -53,11 +53,6 @@ impl TrustStore {
         self.fingerprints.contains(&cert.fingerprint())
     }
 
-    /// Whether a DN names a member CA.
-    pub fn contains_issuer(&self, dn: &DistinguishedName) -> bool {
-        self.issuer_dns.contains(&dn.to_display_string())
-    }
-
     /// Number of anchors.
     pub fn len(&self) -> usize {
         self.fingerprints.len()

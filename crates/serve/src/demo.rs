@@ -13,7 +13,6 @@ use mtls_core::verdict::VerdictContext;
 use mtls_crypto::{hex, sha256, KeyRegistry, Keypair};
 use mtls_obs::Obs;
 use mtls_pki::{Authorizer, CertificateAuthority, CtLog, TrustAnchors, ValidationPolicy};
-use mtls_tlssim::TlsVersion;
 use mtls_x509::{CertificateBuilder, DistinguishedName, GeneralName};
 
 /// The demo epoch: validation happens mid-2022, inside every minted
@@ -75,7 +74,6 @@ pub fn demo_world() -> DemoWorld {
     let root_der = root.certificate().to_der();
 
     let server_endpoint = EndpointConfig {
-        version: TlsVersion::Tls12,
         chain: vec![
             issue_der(&root, "mtlscope-serve.campus.example", ok_from, ok_to),
             root_der.clone(),
@@ -83,7 +81,6 @@ pub fn demo_world() -> DemoWorld {
         random_seed: 0x5e12,
     };
     let tenant_endpoint = EndpointConfig {
-        version: TlsVersion::Tls12,
         chain: vec![
             issue_der(&root, "tenant-alpha", ok_from, ok_to),
             root_der.clone(),
@@ -91,7 +88,6 @@ pub fn demo_world() -> DemoWorld {
         random_seed: 0xa11a,
     };
     let expired_endpoint = EndpointConfig {
-        version: TlsVersion::Tls12,
         chain: vec![
             issue_der(
                 &root,
@@ -121,7 +117,6 @@ pub fn demo_world() -> DemoWorld {
         )
         .to_der();
     let ops_endpoint = EndpointConfig {
-        version: TlsVersion::Tls12,
         chain: vec![ops_leaf, root_der],
         random_seed: 0x0b5e,
     };
@@ -137,7 +132,6 @@ pub fn demo_world() -> DemoWorld {
         Asn1Time::from_ymd(2022, 1, 1),
     );
     let rogue_endpoint = EndpointConfig {
-        version: TlsVersion::Tls12,
         chain: vec![
             issue_der(&rogue_root, "tenant-rogue", ok_from, ok_to),
             rogue_root.certificate().to_der(),
@@ -215,7 +209,6 @@ pub fn demo_server_config(
         addr: addr.to_string(),
         workers,
         endpoint: EndpointConfig {
-            version: world.server_endpoint.version,
             chain: world.server_endpoint.chain.clone(),
             random_seed: world.server_endpoint.random_seed,
         },
@@ -230,7 +223,7 @@ pub fn demo_server_config(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mtls_tlssim::{identity_exposure, identity_exposure_parsed};
+    use mtls_tlssim::{identity_exposure, identity_exposure_parsed, TlsVersion};
     use mtls_x509::Certificate;
 
     #[test]

@@ -337,7 +337,7 @@ fn handle_connection(stream: TcpStream, accepted_at: Instant, shared: &Shared) {
     // harvested from this client's cleartext Certificate message, read
     // off the leaf the authorizer already parsed.
     let exposure = mtls_tlssim::identity_exposure_parsed(
-        Some(shared.server_flight.version()),
+        Some(tls::VERSION),
         &accepted.client_chain,
         Some(&accepted.leaf),
     );

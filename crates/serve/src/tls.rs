@@ -25,12 +25,12 @@ use crate::frame::{frame_header, Frame, FrameAssembler};
 use mtls_pki::{Authorized, Authorizer, AuthzError, Tenant};
 use mtls_tlssim::msgs::{
     encode_certificate_body, encode_certificate_request_body, handshake_envelope,
-    parse_certificate_body, ClientHello, ServerHello, HS_CERTIFICATE, HS_CERTIFICATE_REQUEST,
-    HS_CLIENT_HELLO, HS_FINISHED, HS_SERVER_HELLO, HS_SERVER_HELLO_DONE,
+    parse_certificate_body, HS_CERTIFICATE, HS_CERTIFICATE_REQUEST, HS_CLIENT_HELLO, HS_FINISHED,
+    HS_SERVER_HELLO, HS_SERVER_HELLO_DONE,
 };
 use mtls_tlssim::stream::{HandshakeAssembler, RecordReader, RecordWriter, StreamError};
 use mtls_tlssim::wire::{legacy_version_bytes, ContentType};
-use mtls_tlssim::TlsVersion;
+use mtls_tlssim::{client_hello, server_hello, TlsVersion, CHANGE_CIPHER_SPEC, FINISHED};
 use mtls_x509::Certificate;
 use std::io::{Read, Write};
 
@@ -74,45 +74,30 @@ impl From<StreamError> for SessionError {
     }
 }
 
+/// The one version the service speaks: TLS 1.2, so client chains stay
+/// visible to a passive monitor, as in the paper's main corpus
+/// (DESIGN.md §11).
+pub const VERSION: TlsVersion = TlsVersion::Tls12;
+
 /// What each endpoint brings to the handshake.
 pub struct EndpointConfig {
-    /// Version to negotiate (the service speaks TLS 1.2 so chains stay
-    /// visible to a passive monitor, matching the paper's main corpus).
-    pub version: TlsVersion,
     /// Certificate chain to present, leaf first, DER blobs.
     pub chain: Vec<Vec<u8>>,
     /// Deterministic seed for hello randoms.
     pub random_seed: u64,
 }
 
-/// The Finished message both sides send. The simulation has no key
-/// schedule, so its verify_data is 12 zero bytes.
-fn finished_message() -> Vec<u8> {
-    handshake_envelope(HS_FINISHED, &[0u8; 12])
-}
-
-/// The ChangeCipherSpec payload.
-const CHANGE_CIPHER_SPEC: [u8; 1] = [1];
-
-/// A server's constant handshake bytes, encoded once from its
-/// [`EndpointConfig`]: the first flight (ServerHello + Certificate +
-/// CertificateRequest + ServerHelloDone) and the closing Finished.
+/// A server's first flight (ServerHello + Certificate +
+/// CertificateRequest + ServerHelloDone), encoded once from its
+/// [`EndpointConfig`].
 pub struct ServerFlight {
-    version: TlsVersion,
     hello: Vec<u8>,
-    finished: Vec<u8>,
 }
 
 impl ServerFlight {
-    /// Encode the flights `cfg` implies.
+    /// Encode the flight `cfg` implies.
     pub fn new(cfg: &EndpointConfig) -> ServerFlight {
-        let sh = ServerHello {
-            version: cfg.version,
-        };
-        let mut hello = handshake_envelope(
-            HS_SERVER_HELLO,
-            &sh.encode(&seeded_random(cfg.random_seed, 2)),
-        );
+        let mut hello = server_hello(VERSION, cfg.random_seed);
         hello.extend(handshake_envelope(
             HS_CERTIFICATE,
             &encode_certificate_body(&cfg.chain),
@@ -122,27 +107,8 @@ impl ServerFlight {
             &encode_certificate_request_body(),
         ));
         hello.extend(handshake_envelope(HS_SERVER_HELLO_DONE, &[]));
-        ServerFlight {
-            version: cfg.version,
-            hello,
-            finished: finished_message(),
-        }
+        ServerFlight { hello }
     }
-
-    /// The version the server negotiates.
-    pub fn version(&self) -> TlsVersion {
-        self.version
-    }
-}
-
-fn seeded_random(seed: u64, label: u8) -> [u8; 32] {
-    let mut out = [0u8; 32];
-    let mut state = seed ^ (u64::from(label) << 56) ^ 0x9E37_79B9_7F4A_7C15;
-    for chunk in out.chunks_mut(8) {
-        state = state.wrapping_mul(0xBF58_476D_1CE4_E5B9).rotate_left(31);
-        chunk.copy_from_slice(&state.to_be_bytes());
-    }
-    out
 }
 
 /// An established session over a (read, write) stream pair — for a
@@ -206,9 +172,8 @@ pub fn accept<R: Read, W: Write>(
     authorizer: &Authorizer,
     now: mtls_asn1::Asn1Time,
 ) -> Result<Accepted<R, W>, SessionError> {
-    let version = legacy_version_bytes(server.version);
     let mut reader = RecordReader::new(read);
-    let mut writer = RecordWriter::new(write, version);
+    let mut writer = RecordWriter::new(write, legacy_version_bytes(VERSION));
     let mut assembler = HandshakeAssembler::new();
 
     // ClientHello.
@@ -252,7 +217,7 @@ pub fn accept<R: Read, W: Write>(
 
     writer.write_flight(&[
         (ContentType::ChangeCipherSpec, &CHANGE_CIPHER_SPEC),
-        (ContentType::Handshake, &server.finished),
+        (ContentType::Handshake, &FINISHED),
     ])?;
 
     Ok(Accepted {
@@ -275,22 +240,13 @@ pub fn connect<R: Read, W: Write>(
     cfg: &EndpointConfig,
     sni: Option<&str>,
 ) -> Result<Session<R, W>, SessionError> {
-    let version = legacy_version_bytes(cfg.version);
     let mut reader = RecordReader::new(read);
-    let mut writer = RecordWriter::new(write, version);
+    let mut writer = RecordWriter::new(write, legacy_version_bytes(VERSION));
     let mut assembler = HandshakeAssembler::new();
 
-    let ch = ClientHello {
-        legacy_version: cfg.version.min(TlsVersion::Tls12),
-        sni: sni.map(str::to_owned),
-        supported_versions: Vec::new(),
-    };
     writer.write(
         ContentType::Handshake,
-        &handshake_envelope(
-            HS_CLIENT_HELLO,
-            &ch.encode(&seeded_random(cfg.random_seed, 1)),
-        ),
+        &client_hello(VERSION, sni, cfg.random_seed),
     )?;
 
     // ServerHello, then the rest of the server flight.
@@ -321,7 +277,7 @@ pub fn connect<R: Read, W: Write>(
             &handshake_envelope(HS_CERTIFICATE, &encode_certificate_body(&cfg.chain)),
         ),
         (ContentType::ChangeCipherSpec, &CHANGE_CIPHER_SPEC),
-        (ContentType::Handshake, &finished_message()),
+        (ContentType::Handshake, &FINISHED),
     ])?;
 
     // Server CCS + Finished — or the authorization alert.
@@ -489,12 +445,10 @@ mod tests {
     fn each_flight_is_one_write_with_unchanged_bytes() {
         let (root, authorizer) = world();
         let server_cfg = EndpointConfig {
-            version: TlsVersion::Tls12,
             chain: vec![leaf(&root, "serve.example"), root.certificate().to_der()],
             random_seed: 7,
         };
         let client_cfg = EndpointConfig {
-            version: TlsVersion::Tls12,
             chain: vec![leaf(&root, "tenant-a"), root.certificate().to_der()],
             random_seed: 8,
         };
@@ -530,28 +484,37 @@ mod tests {
         assert_eq!(server_writes.len(), 2, "server handshake writes");
 
         // The same records, one write each, as before coalescing.
-        let ch = ClientHello {
-            legacy_version: TlsVersion::Tls12,
-            sni: Some("serve.example".to_owned()),
-            supported_versions: Vec::new(),
-        };
-        let client_hello = handshake_envelope(HS_CLIENT_HELLO, &ch.encode(&seeded_random(8, 1)));
+        let hello = client_hello(VERSION, Some("serve.example"), 8);
         let certificate =
             handshake_envelope(HS_CERTIFICATE, &encode_certificate_body(&client_chain));
-        let finished = finished_message();
         let old_client = [
-            one_write_per_record(&[(ContentType::Handshake, &client_hello)]),
+            one_write_per_record(&[(ContentType::Handshake, &hello)]),
             one_write_per_record(&[(ContentType::Handshake, &certificate)]),
             one_write_per_record(&[(ContentType::ChangeCipherSpec, &CHANGE_CIPHER_SPEC)]),
-            one_write_per_record(&[(ContentType::Handshake, &finished)]),
+            one_write_per_record(&[(ContentType::Handshake, &FINISHED)]),
         ];
         let old_server = [
             one_write_per_record(&[(ContentType::Handshake, &server_flight.hello)]),
             one_write_per_record(&[(ContentType::ChangeCipherSpec, &CHANGE_CIPHER_SPEC)]),
-            one_write_per_record(&[(ContentType::Handshake, &finished)]),
+            one_write_per_record(&[(ContentType::Handshake, &FINISHED)]),
         ];
         assert_eq!(client_writes.concat(), old_client.concat());
         assert_eq!(server_writes.concat(), old_server.concat());
+        // The bytes themselves, pinned as recorded: the reference above is
+        // built with the same message builders the session uses, so only
+        // these hashes show that a builder change left the wire alone.
+        let sha =
+            |writes: &[Vec<u8>]| mtls_crypto::hex::encode(&mtls_crypto::sha256(&writes.concat()));
+        assert_eq!(
+            sha(&client_writes),
+            "f73be00e86543f6845bc7f25613adf398c93c37b371f95c1326450f9a574e3bb",
+            "client handshake bytes"
+        );
+        assert_eq!(
+            sha(&server_writes),
+            "a26ee7f3bff36e094a502b73d6d22d223c682e326db08878e2d08ede76f734b3",
+            "server handshake bytes"
+        );
 
         // A passive observer learns the same from either segmentation —
         // the cleartext client-certificate exposure does not depend on how
@@ -617,12 +580,10 @@ mod tests {
     fn in_memory_handshake_establishes_and_frames_flow() {
         let (root, authorizer) = world();
         let server_cfg = EndpointConfig {
-            version: TlsVersion::Tls12,
             chain: vec![leaf(&root, "serve.example"), root.certificate().to_der()],
             random_seed: 7,
         };
         let client_cfg = EndpointConfig {
-            version: TlsVersion::Tls12,
             chain: vec![leaf(&root, "tenant-a"), root.certificate().to_der()],
             random_seed: 8,
         };
@@ -672,7 +633,6 @@ mod tests {
     fn expired_client_cert_gets_alert() {
         let (root, authorizer) = world();
         let server_cfg = EndpointConfig {
-            version: TlsVersion::Tls12,
             chain: vec![leaf(&root, "serve.example"), root.certificate().to_der()],
             random_seed: 7,
         };
@@ -689,7 +649,6 @@ mod tests {
             )
             .to_der();
         let client_cfg = EndpointConfig {
-            version: TlsVersion::Tls12,
             chain: vec![expired, root.certificate().to_der()],
             random_seed: 9,
         };
@@ -734,7 +693,6 @@ mod tests {
         let mut chain = vec![leaf(&root, "serve.example")];
         chain.push(root.certificate().to_der());
         let server_cfg = EndpointConfig {
-            version: TlsVersion::Tls12,
             chain,
             random_seed: 7,
         };
@@ -750,7 +708,6 @@ mod tests {
             "test needs a multi-record chain, got {total}"
         );
         let client_cfg = EndpointConfig {
-            version: TlsVersion::Tls12,
             chain: client_chain,
             random_seed: 10,
         };

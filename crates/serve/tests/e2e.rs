@@ -446,7 +446,6 @@ fn concurrent_tenants_are_served_by_the_pool() {
             let der = der.clone();
             let offline = offline.clone();
             let endpoint = mtls_serve::tls::EndpointConfig {
-                version: world.tenant_endpoint.version,
                 chain: world.tenant_endpoint.chain.clone(),
                 random_seed: world.tenant_endpoint.random_seed,
             };
@@ -530,7 +529,7 @@ fn planted_counter_vector(world: &DemoWorld) -> String {
 /// chain the same way the server computes it.
 fn expected_planted_vector(world: &DemoWorld) -> String {
     let idb = mtls_tlssim::identity_exposure(
-        Some(world.tenant_endpoint.version),
+        Some(mtls_serve::tls::VERSION),
         &world.tenant_endpoint.chain,
     )
     .identity_bytes();

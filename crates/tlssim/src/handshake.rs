@@ -13,7 +13,6 @@ use crate::msgs::{
     HS_SERVER_HELLO, HS_SERVER_HELLO_DONE,
 };
 use crate::wire::{legacy_version_bytes, write_fragmented, ContentType};
-use bytes::BytesMut;
 use mtls_zeek::TlsVersion;
 
 /// Who sent a record.
@@ -73,6 +72,35 @@ impl Default for HandshakeConfig {
     }
 }
 
+/// The ChangeCipherSpec payload.
+pub const CHANGE_CIPHER_SPEC: [u8; 1] = [1];
+
+/// The Finished message both sides send, envelope included
+/// (`msg_type | uint24 12 | verify_data`). The simulation has no key
+/// schedule, so its verify_data is 12 zero bytes.
+pub const FINISHED: [u8; 16] = [HS_FINISHED, 0, 0, 12, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0];
+
+/// The ClientHello message (envelope included) of a client that settles
+/// on `version`: a 1.3 client offers 1.3 and 1.2 in supported_versions.
+pub fn client_hello(version: TlsVersion, sni: Option<&str>, random_seed: u64) -> Vec<u8> {
+    let ch = ClientHello {
+        legacy_version: version.min(TlsVersion::Tls12),
+        sni: sni.map(str::to_owned),
+        supported_versions: if version == TlsVersion::Tls13 {
+            vec![TlsVersion::Tls13, TlsVersion::Tls12]
+        } else {
+            Vec::new()
+        },
+    };
+    handshake_envelope(HS_CLIENT_HELLO, &ch.encode(&seeded_random(random_seed, 1)))
+}
+
+/// The ServerHello message (envelope included) that negotiates `version`.
+pub fn server_hello(version: TlsVersion, random_seed: u64) -> Vec<u8> {
+    let sh = ServerHello { version };
+    handshake_envelope(HS_SERVER_HELLO, &sh.encode(&seeded_random(random_seed, 2)))
+}
+
 fn seeded_random(seed: u64, label: u8) -> [u8; 32] {
     // Cheap deterministic fill; not cryptographic, not meant to be.
     let mut out = [0u8; 32];
@@ -92,44 +120,21 @@ pub fn simulate_handshake(cfg: &HandshakeConfig) -> Vec<TranscriptRecord> {
         // A handshake message larger than 2^14 (a fat certificate chain)
         // must fragment across records — a single record would silently
         // wrap its u16 length field. RFC 5246 §6.2.1.
-        let mut buf = BytesMut::with_capacity(payload.len() + 5);
-        write_fragmented(&mut buf, ct, legacy, payload);
-        transcript.push(TranscriptRecord {
-            direction,
-            bytes: buf.to_vec(),
-        });
+        let mut bytes = Vec::with_capacity(payload.len() + 5);
+        write_fragmented(&mut bytes, ct, legacy, payload);
+        transcript.push(TranscriptRecord { direction, bytes });
     };
 
-    // ClientHello — always visible.
-    let ch = ClientHello {
-        legacy_version: cfg.version.min(TlsVersion::Tls12),
-        sni: cfg.sni.clone(),
-        supported_versions: if cfg.version == TlsVersion::Tls13 {
-            vec![TlsVersion::Tls13, TlsVersion::Tls12]
-        } else {
-            Vec::new()
-        },
-    };
+    // ClientHello and ServerHello — always visible.
     push(
         Direction::ClientToServer,
         ContentType::Handshake,
-        &handshake_envelope(
-            HS_CLIENT_HELLO,
-            &ch.encode(&seeded_random(cfg.random_seed, 1)),
-        ),
+        &client_hello(cfg.version, cfg.sni.as_deref(), cfg.random_seed),
     );
-
-    // ServerHello — always visible.
-    let sh = ServerHello {
-        version: cfg.version,
-    };
     push(
         Direction::ServerToClient,
         ContentType::Handshake,
-        &handshake_envelope(
-            HS_SERVER_HELLO,
-            &sh.encode(&seeded_random(cfg.random_seed, 2)),
-        ),
+        &server_hello(cfg.version, cfg.random_seed),
     );
 
     if cfg.resumed && cfg.version != TlsVersion::Tls13 {
@@ -138,23 +143,15 @@ pub fn simulate_handshake(cfg: &HandshakeConfig) -> Vec<TranscriptRecord> {
             push(
                 Direction::ServerToClient,
                 ContentType::ChangeCipherSpec,
-                &[1],
+                &CHANGE_CIPHER_SPEC,
             );
-            push(
-                Direction::ServerToClient,
-                ContentType::Handshake,
-                &handshake_envelope(HS_FINISHED, &[0u8; 12]),
-            );
+            push(Direction::ServerToClient, ContentType::Handshake, &FINISHED);
             push(
                 Direction::ClientToServer,
                 ContentType::ChangeCipherSpec,
-                &[1],
+                &CHANGE_CIPHER_SPEC,
             );
-            push(
-                Direction::ClientToServer,
-                ContentType::Handshake,
-                &handshake_envelope(HS_FINISHED, &[0u8; 12]),
-            );
+            push(Direction::ClientToServer, ContentType::Handshake, &FINISHED);
             push(
                 Direction::ClientToServer,
                 ContentType::ApplicationData,
@@ -226,23 +223,15 @@ pub fn simulate_handshake(cfg: &HandshakeConfig) -> Vec<TranscriptRecord> {
         push(
             Direction::ClientToServer,
             ContentType::ChangeCipherSpec,
-            &[1],
+            &CHANGE_CIPHER_SPEC,
         );
-        push(
-            Direction::ClientToServer,
-            ContentType::Handshake,
-            &handshake_envelope(HS_FINISHED, &[0u8; 12]),
-        );
+        push(Direction::ClientToServer, ContentType::Handshake, &FINISHED);
         push(
             Direction::ServerToClient,
             ContentType::ChangeCipherSpec,
-            &[1],
+            &CHANGE_CIPHER_SPEC,
         );
-        push(
-            Direction::ServerToClient,
-            ContentType::Handshake,
-            &handshake_envelope(HS_FINISHED, &[0u8; 12]),
-        );
+        push(Direction::ServerToClient, ContentType::Handshake, &FINISHED);
         push(
             Direction::ClientToServer,
             ContentType::ApplicationData,

@@ -66,7 +66,10 @@ pub mod msgs;
 pub mod stream;
 pub mod wire;
 
-pub use handshake::{simulate_handshake, Direction, HandshakeConfig, TranscriptRecord};
+pub use handshake::{
+    client_hello, server_hello, simulate_handshake, Direction, HandshakeConfig, TranscriptRecord,
+    CHANGE_CIPHER_SPEC, FINISHED,
+};
 pub use monitor::{
     identity_exposure, identity_exposure_parsed, observe, ConnectionObservation, IdentityExposure,
 };

@@ -1,7 +1,6 @@
 //! Handshake message encoding/decoding — the subset a passive monitor reads.
 
 use crate::wire::{version_bytes, version_from_bytes, WireError};
-use bytes::{BufMut, BytesMut};
 use mtls_zeek::TlsVersion;
 
 /// Handshake message types.
@@ -52,41 +51,36 @@ pub struct ClientHello {
 impl ClientHello {
     /// Encode the body (inside the handshake envelope).
     pub fn encode(&self, random: &[u8; 32]) -> Vec<u8> {
-        let mut b = BytesMut::with_capacity(128);
-        b.put_slice(&version_bytes(self.legacy_version.min(TlsVersion::Tls12)));
-        b.put_slice(random);
-        b.put_u8(0); // session_id length
-                     // One plausible cipher suite pair keeps real parsers happy.
-        b.put_u16(2);
-        b.put_u16(0xC02F); // ECDHE-RSA-AES128-GCM-SHA256
-        b.put_u8(1); // compression methods length
-        b.put_u8(0); // null compression
+        let mut b = Vec::with_capacity(128);
+        b.extend_from_slice(&version_bytes(self.legacy_version.min(TlsVersion::Tls12)));
+        b.extend_from_slice(random);
+        b.push(0); // session_id length
+                   // One plausible cipher suite pair keeps real parsers happy.
+        b.extend_from_slice(&2u16.to_be_bytes());
+        b.extend_from_slice(&0xC02Fu16.to_be_bytes()); // ECDHE-RSA-AES128-GCM-SHA256
+        b.push(1); // compression methods length
+        b.push(0); // null compression
 
-        let mut exts = BytesMut::new();
+        let mut exts = Vec::new();
         if let Some(sni) = &self.sni {
             let name = sni.as_bytes();
-            let mut ext = BytesMut::with_capacity(name.len() + 5);
-            ext.put_u16((name.len() + 3) as u16); // server_name_list length
-            ext.put_u8(0); // name_type host_name
-            ext.put_u16(name.len() as u16);
-            ext.put_slice(name);
-            exts.put_u16(EXT_SNI);
-            exts.put_u16(ext.len() as u16);
-            exts.put_slice(&ext);
+            let mut ext = Vec::with_capacity(name.len() + 5);
+            ext.extend_from_slice(&((name.len() + 3) as u16).to_be_bytes()); // server_name_list length
+            ext.push(0); // name_type host_name
+            ext.extend_from_slice(&(name.len() as u16).to_be_bytes());
+            ext.extend_from_slice(name);
+            put_extension(&mut exts, EXT_SNI, &ext);
         }
         if !self.supported_versions.is_empty() {
-            let mut ext = BytesMut::new();
-            ext.put_u8((self.supported_versions.len() * 2) as u8);
+            let mut ext = vec![(self.supported_versions.len() * 2) as u8];
             for v in &self.supported_versions {
-                ext.put_slice(&version_bytes(*v));
+                ext.extend_from_slice(&version_bytes(*v));
             }
-            exts.put_u16(EXT_SUPPORTED_VERSIONS);
-            exts.put_u16(ext.len() as u16);
-            exts.put_slice(&ext);
+            put_extension(&mut exts, EXT_SUPPORTED_VERSIONS, &ext);
         }
-        b.put_u16(exts.len() as u16);
-        b.put_slice(&exts);
-        b.to_vec()
+        b.extend_from_slice(&(exts.len() as u16).to_be_bytes());
+        b.extend_from_slice(&exts);
+        b
     }
 
     /// Parse a ClientHello body.
@@ -157,21 +151,23 @@ pub struct ServerHello {
 impl ServerHello {
     /// Encode the body.
     pub fn encode(&self, random: &[u8; 32]) -> Vec<u8> {
-        let mut b = BytesMut::with_capacity(80);
-        b.put_slice(&version_bytes(self.version.min(TlsVersion::Tls12)));
-        b.put_slice(random);
-        b.put_u8(0); // session_id
-        b.put_u16(0xC02F);
-        b.put_u8(0); // compression
-        let mut exts = BytesMut::new();
+        let mut b = Vec::with_capacity(80);
+        b.extend_from_slice(&version_bytes(self.version.min(TlsVersion::Tls12)));
+        b.extend_from_slice(random);
+        b.push(0); // session_id
+        b.extend_from_slice(&0xC02Fu16.to_be_bytes());
+        b.push(0); // compression
+        let mut exts = Vec::new();
         if self.version == TlsVersion::Tls13 {
-            exts.put_u16(EXT_SUPPORTED_VERSIONS);
-            exts.put_u16(2);
-            exts.put_slice(&version_bytes(TlsVersion::Tls13));
+            put_extension(
+                &mut exts,
+                EXT_SUPPORTED_VERSIONS,
+                &version_bytes(TlsVersion::Tls13),
+            );
         }
-        b.put_u16(exts.len() as u16);
-        b.put_slice(&exts);
-        b.to_vec()
+        b.extend_from_slice(&(exts.len() as u16).to_be_bytes());
+        b.extend_from_slice(&exts);
+        b
     }
 
     /// Parse a ServerHello body.
@@ -202,6 +198,13 @@ impl ServerHello {
         }
         Ok(ServerHello { version })
     }
+}
+
+/// Append one extension: `uint16 type | uint16 length | data`.
+fn put_extension(out: &mut Vec<u8>, ty: u16, data: &[u8]) {
+    out.extend_from_slice(&ty.to_be_bytes());
+    out.extend_from_slice(&(data.len() as u16).to_be_bytes());
+    out.extend_from_slice(data);
 }
 
 /// Encode a Certificate message body: `uint24 total | (uint24 len | DER)*`.

@@ -23,7 +23,6 @@ use crate::wire::{
     read_record, write_fragmented, write_fragmented_parts, ContentType, RecordHeader, WireError,
     MAX_FRAGMENT,
 };
-use bytes::BytesMut;
 use std::io::{Read, Write};
 
 /// Upper bound on a single reassembled handshake message. The u24 length
@@ -224,16 +223,10 @@ impl<R: Read> RecordReader<R> {
             }
         }
     }
-
-    /// The wrapped stream.
-    pub fn get_ref(&self) -> &R {
-        &self.inner
-    }
 }
 
 /// Record writer over any `io::Write`: fragments big payloads at the 2^14
-/// limit and never emits the silent-wrap corruption the old
-/// `write_record` allowed.
+/// limit, so no record's u16 length field can wrap.
 ///
 /// The writer holds no queue: every call frames its records and hands them
 /// to the stream in one `write_all`, so nothing is left unsent when a
@@ -263,7 +256,7 @@ impl<W: Write> RecordWriter<W> {
             .iter()
             .map(|(_, payload)| payload.len() + 5 * (1 + payload.len() / MAX_FRAGMENT))
             .sum();
-        let mut buf = BytesMut::with_capacity(framed);
+        let mut buf = Vec::with_capacity(framed);
         for &(ct, payload) in flight {
             write_fragmented(&mut buf, ct, self.version, payload);
         }
@@ -279,16 +272,11 @@ impl<W: Write> RecordWriter<W> {
     /// joins them first.
     pub fn write_parts(&mut self, ct: ContentType, parts: &[&[u8]]) -> Result<(), StreamError> {
         let payload: usize = parts.iter().map(|p| p.len()).sum();
-        let mut buf = BytesMut::with_capacity(payload + 5 * (1 + payload / MAX_FRAGMENT));
+        let mut buf = Vec::with_capacity(payload + 5 * (1 + payload / MAX_FRAGMENT));
         write_fragmented_parts(&mut buf, ct, self.version, parts);
         self.inner.write_all(&buf)?;
         self.inner.flush()?;
         Ok(())
-    }
-
-    /// The wrapped stream.
-    pub fn get_ref(&self) -> &W {
-        &self.inner
     }
 }
 
@@ -298,9 +286,9 @@ mod tests {
     use crate::msgs::handshake_envelope;
 
     fn framed(ct: ContentType, payload: &[u8]) -> Vec<u8> {
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         write_fragmented(&mut b, ct, [3, 3], payload);
-        b.to_vec()
+        b
     }
 
     #[test]

@@ -4,11 +4,9 @@
 //! opaque fragment[length]; }` — the five-byte header every TLS record
 //! starts with, and the first thing dynamic protocol detection looks at.
 
-use bytes::{Buf, BufMut, BytesMut};
-
-/// RFC 5246/8446 §5.1: a record fragment carries at most 2^14 bytes.
-/// [`write_record`] refuses anything larger; [`write_fragmented`] splits
-/// handshake payloads across records at this boundary instead.
+/// RFC 5246/8446 §5.1: a record fragment carries at most 2^14 bytes;
+/// [`write_fragmented`] splits longer payloads across records at this
+/// boundary.
 pub const MAX_FRAGMENT: usize = 1 << 14;
 
 /// TLS record content types.
@@ -100,10 +98,6 @@ pub enum WireError {
     BadLength,
     /// A handshake body failed structural parsing.
     Malformed,
-    /// A single-record write was asked to carry more than [`MAX_FRAGMENT`]
-    /// bytes. Before this was a hard error, `payload.len() as u16` silently
-    /// wrapped in release builds and emitted a corrupt record.
-    Oversize,
 }
 
 impl std::fmt::Display for WireError {
@@ -114,7 +108,6 @@ impl std::fmt::Display for WireError {
             WireError::BadVersion => "implausible TLS version",
             WireError::BadLength => "bad length field",
             WireError::Malformed => "malformed handshake body",
-            WireError::Oversize => "payload exceeds the 2^14 record limit",
         };
         f.write_str(s)
     }
@@ -122,32 +115,11 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Frame a payload into one record. Payloads above [`MAX_FRAGMENT`] are a
-/// hard error (`Oversize`): the old `payload.len() as u16` cast wrapped
-/// silently in release builds for payloads over 65535 bytes, corrupting
-/// every record that carried a large certificate chain. Callers with big
-/// handshake payloads use [`write_fragmented`].
-pub fn write_record(
-    out: &mut BytesMut,
-    ct: ContentType,
-    version: [u8; 2],
-    payload: &[u8],
-) -> Result<(), WireError> {
-    if payload.len() > MAX_FRAGMENT {
-        return Err(WireError::Oversize);
-    }
-    out.put_u8(ct.byte());
-    out.put_slice(&version);
-    out.put_u16(payload.len() as u16);
-    out.put_slice(payload);
-    Ok(())
-}
-
 /// Frame a payload across as many records as the 2^14 fragment limit
 /// demands (RFC 5246 §6.2.1: a handshake message may be split across
 /// records). An empty payload still emits one (empty) record so the
 /// message boundary stays observable.
-pub fn write_fragmented(out: &mut BytesMut, ct: ContentType, version: [u8; 2], payload: &[u8]) {
+pub fn write_fragmented(out: &mut Vec<u8>, ct: ContentType, version: [u8; 2], payload: &[u8]) {
     write_fragmented_parts(out, ct, version, &[payload]);
 }
 
@@ -155,7 +127,7 @@ pub fn write_fragmented(out: &mut BytesMut, ct: ContentType, version: [u8; 2], p
 /// from the parts into `out`: a record may take its bytes from several
 /// parts, and the records are the ones the joined payload would make.
 pub fn write_fragmented_parts(
-    out: &mut BytesMut,
+    out: &mut Vec<u8>,
     ct: ContentType,
     version: [u8; 2],
     parts: &[&[u8]],
@@ -165,9 +137,9 @@ pub fn write_fragmented_parts(
     let mut part: &[u8] = &[];
     loop {
         let len = left.min(MAX_FRAGMENT);
-        out.put_u8(ct.byte());
-        out.put_slice(&version);
-        out.put_u16(len as u16);
+        out.push(ct.byte());
+        out.extend_from_slice(&version);
+        out.extend_from_slice(&(len as u16).to_be_bytes());
         let mut need = len;
         while need > 0 {
             if part.is_empty() {
@@ -175,7 +147,7 @@ pub fn write_fragmented_parts(
                 continue;
             }
             let take = need.min(part.len());
-            out.put_slice(&part[..take]);
+            out.extend_from_slice(&part[..take]);
             part = &part[take..];
             need -= take;
         }
@@ -204,7 +176,7 @@ pub fn read_record(buf: &mut &[u8]) -> Result<(RecordHeader, Vec<u8>), WireError
         return Err(WireError::Truncated);
     }
     let payload = buf[5..5 + length].to_vec();
-    buf.advance(5 + length);
+    *buf = &buf[5 + length..];
     Ok((
         RecordHeader {
             content_type: ct,
@@ -236,10 +208,9 @@ mod tests {
 
     #[test]
     fn record_round_trip() {
-        let mut buf = BytesMut::new();
-        write_record(&mut buf, ContentType::Handshake, [3, 3], b"hello").unwrap();
-        let bytes = buf.freeze();
-        let mut cursor = &bytes[..];
+        let mut buf = Vec::new();
+        write_fragmented(&mut buf, ContentType::Handshake, [3, 3], b"hello");
+        let mut cursor = &buf[..];
         let (h, payload) = read_record(&mut cursor).unwrap();
         assert_eq!(h.content_type, ContentType::Handshake);
         assert_eq!(h.version, [3, 3]);
@@ -249,10 +220,9 @@ mod tests {
 
     #[test]
     fn truncated_detected() {
-        let mut buf = BytesMut::new();
-        write_record(&mut buf, ContentType::Handshake, [3, 3], b"hello").unwrap();
-        let bytes = buf.freeze();
-        let mut cursor = &bytes[..bytes.len() - 1];
+        let mut buf = Vec::new();
+        write_fragmented(&mut buf, ContentType::Handshake, [3, 3], b"hello");
+        let mut cursor = &buf[..buf.len() - 1];
         assert_eq!(read_record(&mut cursor), Err(WireError::Truncated));
     }
 
@@ -272,11 +242,11 @@ mod tests {
     #[test]
     fn dpd_requires_hello() {
         // A handshake record whose first payload byte is not 1/2.
-        let mut buf = BytesMut::new();
-        write_record(&mut buf, ContentType::Handshake, [3, 3], &[11, 0, 0, 0]).unwrap();
+        let mut buf = Vec::new();
+        write_fragmented(&mut buf, ContentType::Handshake, [3, 3], &[11, 0, 0, 0]);
         assert!(!looks_like_tls(&buf));
-        let mut buf2 = BytesMut::new();
-        write_record(&mut buf2, ContentType::Handshake, [3, 3], &[1, 0, 0, 0]).unwrap();
+        let mut buf2 = Vec::new();
+        write_fragmented(&mut buf2, ContentType::Handshake, [3, 3], &[1, 0, 0, 0]);
         assert!(looks_like_tls(&buf2));
     }
 
@@ -313,39 +283,21 @@ mod tests {
     }
 
     #[test]
-    fn oversized_single_record_write_is_hard_error() {
-        // The old code's `payload.len() as u16` wrapped for > 65535 bytes
-        // in release builds; both that case and 2^14..=65535 must error.
-        let mut buf = BytesMut::new();
-        for len in [MAX_FRAGMENT + 1, 70_000] {
-            let payload = vec![0u8; len];
-            assert_eq!(
-                write_record(&mut buf, ContentType::Handshake, [3, 3], &payload),
-                Err(WireError::Oversize)
-            );
-            assert!(buf.is_empty(), "failed write must emit nothing");
-        }
-        let payload = vec![7u8; MAX_FRAGMENT];
-        write_record(&mut buf, ContentType::Handshake, [3, 3], &payload).unwrap();
-        let mut cursor = &buf[..];
-        let (h, got) = read_record(&mut cursor).unwrap();
-        assert_eq!(h.length as usize, MAX_FRAGMENT);
-        assert_eq!(got, payload);
-    }
-
-    #[test]
     fn parts_frame_like_their_concatenation() {
-        // The records a joined payload makes: one per 2^14-byte chunk, one
-        // empty record for an empty payload.
+        // The records a joined payload makes, framed by hand: one per
+        // 2^14-byte chunk, one empty record for an empty payload.
         fn reference(payload: &[u8]) -> Vec<u8> {
-            let mut buf = BytesMut::new();
-            if payload.is_empty() {
-                write_record(&mut buf, ContentType::ApplicationData, [3, 3], payload).unwrap();
+            let mut chunks: Vec<&[u8]> = payload.chunks(MAX_FRAGMENT).collect();
+            if chunks.is_empty() {
+                chunks.push(&[]);
             }
-            for chunk in payload.chunks(MAX_FRAGMENT) {
-                write_record(&mut buf, ContentType::ApplicationData, [3, 3], chunk).unwrap();
+            let mut buf = Vec::new();
+            for chunk in chunks {
+                buf.extend_from_slice(&[23, 3, 3]);
+                buf.extend_from_slice(&(chunk.len() as u16).to_be_bytes());
+                buf.extend_from_slice(chunk);
             }
-            buf.to_vec()
+            buf
         }
         let body: Vec<u8> = (0..(2 * MAX_FRAGMENT + 9) as u32)
             .map(|i| i as u8)
@@ -363,14 +315,14 @@ mod tests {
             for cut in [0, 1, len / 2, len.saturating_sub(1), len] {
                 let cut = cut.min(len);
                 let (a, b) = joined.split_at(cut);
-                let mut buf = BytesMut::new();
+                let mut buf = Vec::new();
                 write_fragmented_parts(
                     &mut buf,
                     ContentType::ApplicationData,
                     [3, 3],
                     &[a, &[], b],
                 );
-                assert_eq!(buf.to_vec(), reference(joined), "len {len} cut {cut}");
+                assert_eq!(buf, reference(joined), "len {len} cut {cut}");
             }
         }
     }
@@ -378,7 +330,7 @@ mod tests {
     #[test]
     fn fragmented_write_splits_at_record_limit() {
         let payload: Vec<u8> = (0..70_000u32).map(|i| i as u8).collect();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         write_fragmented(&mut buf, ContentType::Handshake, [3, 3], &payload);
         let mut cursor = &buf[..];
         let mut reassembled = Vec::new();
@@ -396,7 +348,7 @@ mod tests {
 
     #[test]
     fn fragmented_empty_payload_emits_one_record() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         write_fragmented(&mut buf, ContentType::Handshake, [3, 3], &[]);
         let mut cursor = &buf[..];
         let (h, payload) = read_record(&mut cursor).unwrap();

@@ -75,6 +75,71 @@ fn tls13_blinds_the_monitor_to_real_certs() {
     assert!(obs.client_cert_ders.is_empty());
 }
 
+/// sha256 of a transcript, each record as `direction byte | u32 length |
+/// bytes`, so record boundaries and directions are part of the pin.
+fn transcript_sha256(cfg: &HandshakeConfig) -> String {
+    let mut joined = Vec::new();
+    for rec in simulate_handshake(cfg) {
+        joined.push(rec.direction as u8);
+        joined.extend_from_slice(&(rec.bytes.len() as u32).to_be_bytes());
+        joined.extend_from_slice(&rec.bytes);
+    }
+    mtls_crypto::hex::encode(&mtls_crypto::sha256(&joined))
+}
+
+/// The transcript bytes of four handshake shapes, pinned as recorded:
+/// a change to the message builders or the record layer that moves a
+/// single byte fails here, whatever the builders' own tests say.
+#[test]
+fn transcript_bytes_are_pinned() {
+    let server = mint("pin.campus.example", "Pin CA", b"pin-s").to_der();
+    let client = mint("pin-client", "Pin CA", b"pin-c").to_der();
+    let mutual = HandshakeConfig {
+        version: TlsVersion::Tls12,
+        sni: Some("pin.campus.example".into()),
+        server_chain: vec![server],
+        request_client_cert: true,
+        client_chain: vec![client],
+        established: true,
+        resumed: false,
+        random_seed: 25,
+    };
+    let cases = [
+        (
+            "tls12 mutual",
+            mutual.clone(),
+            "33677bd346c0a553cf42c1d8b5d3d14e23603345a09b83b60272f191798f939a",
+        ),
+        (
+            "tls12 resumed",
+            HandshakeConfig {
+                resumed: true,
+                ..mutual.clone()
+            },
+            "24514614890c165d3df42654b6896a5a78c378e2983b96aa56f92ce2fc4f965c",
+        ),
+        (
+            "tls12 failed",
+            HandshakeConfig {
+                established: false,
+                ..mutual.clone()
+            },
+            "ab52cd6a09b8762aeb721b635932d864a297b0459d144e3cc967472a9c318ad1",
+        ),
+        (
+            "tls13",
+            HandshakeConfig {
+                version: TlsVersion::Tls13,
+                ..mutual
+            },
+            "22f65b6262063d7f4fefb58b6252d3dd1cfd36dc5134dcf90146742e1a2e6f3a",
+        ),
+    ];
+    for (name, cfg, want) in cases {
+        assert_eq!(transcript_sha256(&cfg), want, "{name}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
