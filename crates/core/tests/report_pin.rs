@@ -12,7 +12,7 @@ use mtls_crypto::{hex, sha256};
 use mtls_netsim::{generate, SimConfig};
 
 /// sha256 of `render_all()`.
-const PINNED: &str = "30ef7ba0695084f6c217abc7fd607d997ba2e6863bc0225a88cc7507b21f920e";
+const PINNED: &str = "5c513689decb1ba85d29d03e5a7dba52be2ab6611650ed33f153d9b6731e8579";
 
 #[test]
 fn report_bytes_are_pinned() {

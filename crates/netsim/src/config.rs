@@ -5,10 +5,10 @@
 pub struct SimConfig {
     /// Master seed; everything derives from it.
     pub seed: u64,
-    /// Linear volume multiplier. `1.0` produces the default corpus
-    /// (~200–250 k connection records, ~20–40 k unique certificates —
-    /// roughly 1/10⁴ of the paper's connection volume and 1/250 of its
-    /// certificate volume; see DESIGN.md §1 on stratified scaling).
+    /// Linear volume multiplier. `1.0` produces the default corpus: about
+    /// 314 k connection records and 146 k unique certificates (`repro
+    /// --metrics` reports the exact `netsim.ssl_records` and
+    /// `netsim.x509_records`; see DESIGN.md §1 on stratified scaling).
     /// Integration tests use `0.01`–`0.05`.
     pub scale: f64,
     /// Whether to include the non-mTLS strata (Table 2's right half,

@@ -4,10 +4,12 @@
 //! SHA-256 fingerprint, exactly like Zeek's x509 dedup.
 
 use crate::calendar::Month;
+use crate::certgen::{MintSpec, Usage};
 use crate::config::SimConfig;
 use crate::scenarios::ContentQuotas;
 use crate::targets;
-use crate::world::World;
+use crate::world::{PublicCa, World};
+use mtls_asn1::Asn1Time;
 use mtls_crypto::{hex, sha256};
 use mtls_pki::ctlog::CtEntry;
 use mtls_pki::gossip::{CtObservation, GossipBundle, Vantage};
@@ -118,7 +120,8 @@ pub struct Emitter {
     ssl: Vec<SslRecord>,
     x509: Vec<X509Record>,
     seen: HashMap<[u8; 32], ()>,
-    pub ct: CtLog,
+    /// The honest CT log; only [`Emitter::public_server_leaf`] writes it.
+    ct: CtLog,
     /// Shared CN/SAN content quotas (Tables 8–9), drawn down by scenarios.
     pub quotas: ContentQuotas,
     /// Remaining public-CA client certificates that get a personal name
@@ -212,9 +215,42 @@ impl Emitter {
         });
     }
 
-    /// Submit a certificate to the simulated CT log (public issuance path).
-    pub fn submit_ct(&mut self, cert: &Certificate) {
-        self.ct.submit(cert);
+    /// Mint a server leaf from a public CA's issuing intermediate and log
+    /// it to CT. This is the only way into the honest log, and the rule it
+    /// carries is DESIGN §1's: publicly trusted CAs log the server leaves
+    /// they issue, so the interception filter's CT join sees every one.
+    /// Public-CA client-only leaves are minted through `MintSpec` and are
+    /// not logged. The leaf's CN is `names[0]` and its SAN dNSNames are
+    /// `names`; `usage` is `Server`, or `Both` for a shared certificate.
+    pub fn public_server_leaf(
+        &mut self,
+        ca: &PublicCa,
+        validity: (Asn1Time, Asn1Time),
+        names: &[&str],
+        usage: Usage,
+        rng: &mut impl Rng,
+    ) -> Certificate {
+        let leaf = self.unlogged_public_server_leaf(ca, validity, names, usage, rng);
+        self.ct.submit(&leaf);
+        leaf
+    }
+
+    /// [`Emitter::public_server_leaf`] without the CT submission: the one
+    /// public server leaf that breaks the logging rule on purpose, the
+    /// SCT-strip scenario's twin of a logged certificate.
+    pub fn unlogged_public_server_leaf(
+        &self,
+        ca: &PublicCa,
+        (not_before, not_after): (Asn1Time, Asn1Time),
+        names: &[&str],
+        usage: Usage,
+        rng: &mut impl Rng,
+    ) -> Certificate {
+        MintSpec::new(&ca.intermediate, not_before, not_after)
+            .cn(names[0])
+            .san_dns(names)
+            .usage(usage)
+            .mint(rng)
     }
 
     /// Record that the campus border monitor fetched an STH at this point
@@ -554,8 +590,6 @@ impl SimOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::certgen::MintSpec;
-    use mtls_asn1::Asn1Time;
     use mtls_pki::CertificateAuthority;
     use mtls_x509::DistinguishedName;
     use rand::rngs::StdRng;

@@ -34,18 +34,15 @@ fn expired_outbound_cluster(
     // dominate the two Microsoft certs at every scale.
     let n_apple = targets::EXPIRED_APPLE_CLIENTS;
     let _ = config;
-    let server_ca = &world.public_ca("Apple Inc.").intermediate;
-    let server_host = "gs.apple.com".to_string();
-    let server_cert = MintSpec::new(
-        server_ca,
-        world.start.add_days(-30),
-        world.start.add_days(760),
-    )
-    .cn(server_host.clone())
-    .san_dns(&[&server_host])
-    .usage(Usage::Server)
-    .mint(rng);
-    em.submit_ct(&server_cert);
+    let server_validity = (world.start.add_days(-30), world.start.add_days(760));
+    let server_host = "gs.apple.com";
+    let server_cert = em.public_server_leaf(
+        world.public_ca("Apple Inc."),
+        server_validity,
+        &[server_host],
+        Usage::Server,
+        rng,
+    );
     let server_ip = world.plan.apple.sample(rng);
 
     for _ in 0..n_apple {
@@ -65,7 +62,7 @@ fn expired_outbound_cluster(
                     resp: server_ip,
                     resp_port: 443,
                     version: mtls_version(rng),
-                    sni: Some(server_host.clone()),
+                    sni: Some(server_host.to_string()),
                     server_chain: vec![&server_cert],
                     client_chain: vec![&cert],
                     established: true,
@@ -77,25 +74,19 @@ fn expired_outbound_cluster(
     }
 
     // The two Microsoft certificates.
-    let ms_ca = &world.public_ca("Microsoft Corporation").intermediate;
+    let ms = world.public_ca("Microsoft Corporation");
     for (i, sld) in ["azure.com", "azure-automation.net"]
         .iter()
         .enumerate()
         .take(targets::EXPIRED_MICROSOFT_CLIENTS)
     {
         let expiry = world.start.add_days(-(1_000 + i as i64 * 13));
-        let cert = MintSpec::new(ms_ca, expiry.add_days(-365), expiry)
+        let cert = MintSpec::new(&ms.intermediate, expiry.add_days(-365), expiry)
             .cn("Hybrid Runbook Worker")
             .usage(Usage::Client)
             .mint(rng);
         let host = hostname(rng, sld);
-        let server_cert =
-            MintSpec::new(ms_ca, world.start.add_days(-30), world.start.add_days(760))
-                .cn(host.clone())
-                .san_dns(&[&host])
-                .usage(Usage::Server)
-                .mint(rng);
-        em.submit_ct(&server_cert);
+        let server_cert = em.public_server_leaf(ms, server_validity, &[&host], Usage::Server, rng);
         for _ in 0..5 {
             em.connection(
                 ConnSpec {
@@ -212,7 +203,8 @@ fn long_validity(config: &SimConfig, world: &World, em: &mut Emitter, rng: &mut 
     let n = config.scaled(targets::VERY_LONG_VALIDITY_CLIENTS);
     let issuer_weights = [0.4573, 0.3758, 0.0761, 0.0908];
 
-    let server_ca = &world.public_ca("Let's Encrypt").intermediate;
+    let server_ca = world.public_ca("Let's Encrypt");
+    let server_validity = (world.start.add_days(-30), world.start.add_days(760));
     // TLD mix of these certs: com 32.84 %, net 35.38 %, missing SNI 28.06 %.
     let slds = ["legacy-scada.com", "plant-metrics.net", ""];
     let sld_weights = [0.3284, 0.3538, 0.2806];
@@ -255,22 +247,13 @@ fn long_validity(config: &SimConfig, world: &World, em: &mut Emitter, rng: &mut 
             let ca = world.private_ca("NodeRunner");
             (
                 None,
-                MintSpec::new(&ca, world.start.add_days(-30), world.start.add_days(760))
+                MintSpec::new(&ca, server_validity.0, server_validity.1)
                     .cn(random_alnum(rng, 10))
                     .mint(rng),
             )
         } else {
             let host = hostname(rng, sld);
-            let c = MintSpec::new(
-                server_ca,
-                world.start.add_days(-30),
-                world.start.add_days(760),
-            )
-            .cn(host.clone())
-            .san_dns(&[&host])
-            .usage(Usage::Server)
-            .mint(rng);
-            em.submit_ct(&c);
+            let c = em.public_server_leaf(server_ca, server_validity, &[&host], Usage::Server, rng);
             (Some(host), c)
         };
         em.connection(
@@ -298,16 +281,13 @@ fn long_validity(config: &SimConfig, world: &World, em: &mut Emitter, rng: &mut 
         .usage(Usage::Client)
         .mint(rng);
     let host = hostname(rng, "tmdxdev.com");
-    let server = MintSpec::new(
-        &world.public_ca("DigiCert Inc").intermediate,
-        world.start.add_days(-30),
-        world.start.add_days(760),
-    )
-    .cn(host.clone())
-    .san_dns(&[&host])
-    .usage(Usage::Server)
-    .mint(rng);
-    em.submit_ct(&server);
+    let server = em.public_server_leaf(
+        world.public_ca("DigiCert Inc"),
+        server_validity,
+        &[&host],
+        Usage::Server,
+        rng,
+    );
     for _ in 0..3 {
         em.connection(
             ConnSpec {

@@ -53,60 +53,70 @@ fn association_sld(assoc: &str) -> Option<&'static str> {
     }
 }
 
-fn build_servers(assoc: &str, count: usize, world: &World, rng: &mut impl Rng) -> Vec<Server> {
+fn build_servers(
+    assoc: &str,
+    count: usize,
+    world: &World,
+    em: &mut Emitter,
+    rng: &mut impl Rng,
+) -> Vec<Server> {
     let validity = (world.start.add_days(-30), world.start.add_days(760));
     let block = match assoc {
         "health" => world.plan.health,
         "vpn" => world.plan.vpn,
-        "localorg" | "thirdparty" => world.plan.servers,
         _ => world.plan.servers,
     };
     (0..count)
-        .map(|i| {
+        .map(|_| {
             let ip = block.host(rng.gen_range(0..4000));
-            let (sni, cert) = match association_sld(assoc) {
-                Some(sld) => {
-                    let host = hostname(rng, sld);
+            let Some(sld) = association_sld(assoc) else {
+                // Unknown association: no SNI, unhelpful server cert.
+                let ca = world.private_ca("");
+                let cert = MintSpec::new(&ca, validity.0, validity.1)
+                    .cn(random_alnum(rng, 12))
+                    .issuer_override(DistinguishedName::empty())
+                    .mint(rng);
+                return Server {
+                    ip,
+                    sni: None,
+                    cert,
+                };
+            };
+            let host = hostname(rng, sld);
+            let names = [host.as_str()];
+            let cert = match assoc {
+                "localorg" => {
+                    let ca = world.public_ca("Let's Encrypt");
+                    em.public_server_leaf(ca, validity, &names, Usage::Server, rng)
+                }
+                "thirdparty" => {
+                    let ca = world.public_ca("DigiCert Inc");
+                    em.public_server_leaf(ca, validity, &names, Usage::Server, rng)
+                }
+                "globus" => {
+                    MintSpec::new(&world.private_ca("Globus Online"), validity.0, validity.1)
+                        .cn(&host)
+                        .usage(Usage::Server)
+                        .mint(rng)
+                }
+                _ => {
                     let ca = match assoc {
                         "health" => &world.campus_health_ca,
                         "vpn" => &world.campus_vpn_ca,
-                        "localorg" => &world.public_ca("Let's Encrypt").intermediate,
-                        "thirdparty" => &world.public_ca("DigiCert Inc").intermediate,
-                        "globus" => {
-                            return {
-                                let ca = world.private_ca("Globus Online");
-                                let cert = MintSpec::new(&ca, validity.0, validity.1)
-                                    .cn(host.clone())
-                                    .usage(Usage::Server)
-                                    .mint(rng);
-                                Server {
-                                    ip,
-                                    sni: Some(host),
-                                    cert,
-                                }
-                            }
-                        }
                         _ => &world.campus_server_ca,
                     };
-                    let cert = MintSpec::new(ca, validity.0, validity.1)
-                        .cn(host.clone())
-                        .san_dns(&[&host])
+                    MintSpec::new(ca, validity.0, validity.1)
+                        .cn(&host)
+                        .san_dns(&names)
                         .usage(Usage::Server)
-                        .mint(rng);
-                    (Some(host), cert)
-                }
-                None => {
-                    // Unknown association: no SNI, unhelpful server cert.
-                    let ca = world.private_ca("");
-                    let cert = MintSpec::new(&ca, validity.0, validity.1)
-                        .cn(random_alnum(rng, 12))
-                        .issuer_override(DistinguishedName::empty())
-                        .mint(rng);
-                    (None, cert)
+                        .mint(rng)
                 }
             };
-            let _ = i;
-            Server { ip, sni, cert }
+            Server {
+                ip,
+                sni: Some(host),
+                cert,
+            }
         })
         .collect()
 }
@@ -202,7 +212,7 @@ pub fn run(config: &SimConfig, world: &World, em: &mut Emitter, rng: &mut impl R
             _ => config.scaled(10),
         };
         assoc_names.push(assoc);
-        servers.push(build_servers(assoc, n_servers, world, rng));
+        servers.push(build_servers(assoc, n_servers, world, em, rng));
         clients.push(build_clients(assoc, n_clients, world, em, rng));
     }
 

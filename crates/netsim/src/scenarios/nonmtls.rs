@@ -133,19 +133,12 @@ fn build_sites(
                     "GoDaddy.com, Inc",
                     "Amazon Trust Services",
                 ];
-                let ca = &world
-                    .public_ca(orgs[rng.gen_range(0..orgs.len())])
-                    .intermediate;
+                let ca = world.public_ca(orgs[rng.gen_range(0..orgs.len())]);
                 (0..8)
                     .map(|e| {
                         let nb = world.start.add_days(e * 90 - 10);
-                        let c = MintSpec::new(ca, nb, nb.add_days(100))
-                            .cn(host.clone())
-                            .san_dns(&[&host, sld])
-                            .usage(Usage::Server)
-                            .mint(rng);
-                        em.submit_ct(&c);
-                        c
+                        let validity = (nb, nb.add_days(100));
+                        em.public_server_leaf(ca, validity, &[&host, sld], Usage::Server, rng)
                     })
                     .collect()
             } else {

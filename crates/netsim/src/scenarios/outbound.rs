@@ -58,14 +58,8 @@ fn build_servers(
             let ip = block.host(rng.gen_range(0..60_000));
             let host = hostname(rng, row.sld);
             let cert = if row.server_public {
-                let ca = &world.public_ca(pub_org).intermediate;
-                let cert = MintSpec::new(ca, validity.0, validity.1)
-                    .cn(host.clone())
-                    .san_dns(&[&host, row.sld])
-                    .usage(Usage::Server)
-                    .mint(rng);
-                em.submit_ct(&cert); // public CAs log to CT
-                cert
+                let ca = world.public_ca(pub_org);
+                em.public_server_leaf(ca, validity, &[&host, row.sld], Usage::Server, rng)
             } else {
                 let ca = world.private_ca(private_server_org(row.sld));
                 MintSpec::new(&ca, validity.0, validity.1)

@@ -11,7 +11,7 @@
 //! Counts are deliberately fixed (not scaled): they are planted ground
 //! truth that integration tests assert exactly.
 
-use crate::certgen::{MintSpec, Usage};
+use crate::certgen::Usage;
 use crate::config::SimConfig;
 use crate::emit::{ConnSpec, Emitter};
 use crate::scenarios::{plainish_version, ts_in_window};
@@ -29,23 +29,15 @@ pub fn run(config: &SimConfig, world: &World, em: &mut Emitter, rng: &mut impl R
     if !config.include_sct_strip {
         return;
     }
-    let ca = &world.public_ca("Let's Encrypt").intermediate;
+    let ca = world.public_ca("Let's Encrypt");
     let nb = world.start.add_days(-10);
-    let sld = "strip-target.com";
+    let validity = (nb, nb.add_days(100));
+    let names = [STRIP_HOST, "strip-target.com"];
     // The legitimate, CT-logged certificate. It is never presented on the
     // wire — the middlebox always swaps in the twin.
-    let logged = MintSpec::new(ca, nb, nb.add_days(100))
-        .cn(STRIP_HOST)
-        .san_dns(&[STRIP_HOST, sld])
-        .usage(Usage::Server)
-        .mint(rng);
-    em.submit_ct(&logged);
+    em.public_server_leaf(ca, validity, &names, Usage::Server, rng);
     // Same CA, same names, fresh key/serial — and never logged.
-    let twin = MintSpec::new(ca, nb, nb.add_days(100))
-        .cn(STRIP_HOST)
-        .san_dns(&[STRIP_HOST, sld])
-        .usage(Usage::Server)
-        .mint(rng);
+    let twin = em.unlogged_public_server_leaf(ca, validity, &names, Usage::Server, rng);
     for _ in 0..STRIP_CONNS {
         em.connection(
             ConnSpec {

@@ -27,26 +27,15 @@ fn same_connection(config: &SimConfig, world: &World, em: &mut Emitter, rng: &mu
         let n_clients = config.scaled(row.clients);
         // One shared certificate per population: this is the point.
         let validity = (world.start.add_days(-30), world.start.add_days(760));
-        let (host, sni) = if row.sld.is_empty() {
-            (None, None)
-        } else {
-            let h = hostname(rng, row.sld);
-            (Some(h.clone()), Some(h))
-        };
+        let sni = (!row.sld.is_empty()).then(|| hostname(rng, row.sld));
         let cert: Certificate = if row.public_issuer {
-            let ca = &world.public_ca(row.issuer).intermediate;
-            let h = host.clone().unwrap_or_else(|| "shared.example.com".into());
-            let c = MintSpec::new(ca, validity.0, validity.1)
-                .cn(h.clone())
-                .san_dns(&[&h])
-                .usage(Usage::Both)
-                .mint(rng);
-            em.submit_ct(&c);
-            c
+            let ca = world.public_ca(row.issuer);
+            let h = sni.as_deref().unwrap_or("shared.example.com");
+            em.public_server_leaf(ca, validity, &[h], Usage::Both, rng)
         } else {
             let ca = world.private_ca(row.issuer);
             MintSpec::new(&ca, validity.0, validity.1)
-                .cn(host.clone().unwrap_or_else(|| random_alnum(rng, 10)))
+                .cn(sni.clone().unwrap_or_else(|| random_alnum(rng, 10)))
                 .usage(Usage::Both)
                 .mint(rng)
         };
@@ -167,14 +156,7 @@ fn cross_connection(config: &SimConfig, world: &World, em: &mut Emitter, rng: &m
         let host = hostname(rng, "shared-svc.com");
         let cert = if which < 3 {
             let org = ["Let's Encrypt", "DigiCert Inc", "Sectigo Limited"][which];
-            let ca = &world.public_ca(org).intermediate;
-            let c = MintSpec::new(ca, validity.0, validity.1)
-                .cn(host.clone())
-                .san_dns(&[&host])
-                .usage(Usage::Both)
-                .mint(rng);
-            em.submit_ct(&c);
-            c
+            em.public_server_leaf(world.public_ca(org), validity, &[&host], Usage::Both, rng)
         } else {
             let ca = world.private_ca("MeshWorks");
             MintSpec::new(&ca, validity.0, validity.1)

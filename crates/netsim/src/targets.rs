@@ -167,8 +167,8 @@ pub struct OutboundRow {
     pub sld: &'static str,
     pub port: u16,
     pub frac: f64,
-    /// Index into `World::public_cas` for the server certificate, or
-    /// `None` for a private server issuer.
+    /// Whether the server certificate comes from a public CA (the row's
+    /// provider, logged to CT at issuance) rather than a private one.
     pub server_public: bool,
     /// Client issuer category mix: (MissingIssuer, Corporation, Others,
     /// Public) fractions; Education etc. do not appear outbound in bulk.

@@ -1,19 +1,21 @@
-//! Timed guards, run in release builds only:
+//! Timed and full-scale guards, run in release builds only:
 //!
 //! ```text
 //! cargo test --release -q --test release_guards -- --ignored --test-threads=1
 //! ```
 //!
-//! Every test here is `#[ignore]`: a debug build times nothing useful, so
-//! the plain `cargo test` suite skips them. Each guard compares a fast path
-//! with a reference twin measured in the same process (or, for the ABBA
-//! overhead guards, the same path with instrumentation off), so the floors
-//! and budgets hold on any host; absolute rates are left to mtlsbench's
-//! paired runs. `--test-threads=1` keeps the guards from timing each
-//! other.
+//! Every test here is `#[ignore]`: a debug build times nothing useful and
+//! is too slow for the full-scale corpus, so the plain `cargo test` suite
+//! skips them. Each timed guard compares a fast path with a reference twin
+//! measured in the same process (or, for the ABBA overhead guards, the
+//! same path with instrumentation off), so the floors and budgets hold on
+//! any host; absolute rates are left to mtlsbench's paired runs.
+//! `--test-threads=1` keeps the guards from timing each other. The
+//! heavy guards check what only a large corpus shows: the one-month
+//! window's memory ceiling, and a default corpus with no SCT strips.
 
 use mtlscope::core::ingest::load_dir;
-use mtlscope::core::{build_corpus_obs, IngestMode};
+use mtlscope::core::{build_corpus_obs, run_pipeline, AnalysisInputs, IngestMode};
 use mtlscope::crypto::{hex, sha256, sha256_scalar, sha_ni_available};
 use mtlscope::netsim::{generate, SimConfig, SimOutput};
 use mtlscope::obs::Obs;
@@ -308,4 +310,16 @@ fn one_month_window_holds_the_ceiling_at_ten_times_bench_scale() {
     assert!(walk.max_epoch_footprint_bytes > 0);
     assert!(walk.peak_footprint_bytes <= 2 * walk.max_epoch_footprint_bytes);
     assert_eq!(walk.epochs_retired + 1, walk.epochs_pushed);
+}
+
+/// A clean corpus obeys its own CT rule: every public-CA server leaf is
+/// logged at issuance, so the SCT-strip stage has nothing to exclude in
+/// `repro`'s default corpus. A strip here means a scenario presents a
+/// public server leaf that never reached the log.
+#[test]
+#[ignore = "heavy; run in release with --ignored"]
+fn default_corpus_has_no_sct_strips() {
+    let out = run_pipeline(AnalysisInputs::from_sim(generate(&SimConfig::default())));
+    let ct = &out.ct1.summary;
+    assert_eq!((ct.stripped_certs, ct.stripped_conns), (0, 0));
 }
