@@ -700,7 +700,7 @@ fn ep_certificate(input: &[u8]) -> Outcome {
             let c = Certificate::from_der(b).ok()?;
             // Exercise every derived accessor for panic coverage; their
             // values are either covered by the projection or pure queries.
-            let _ = c.fingerprint().to_hex();
+            let _ = c.fingerprint().to_fp();
             let _ = c.serial().to_hex();
             let _ = c.subject_alt_names();
             let _ = c.san_dns();

@@ -28,14 +28,20 @@
 //!    shard verdict's path) gives the records `read_x509_log` builds, or
 //!    the same first error — a field that kept bytes, list entries or a
 //!    `Some` from the row before would show here.
+//!
+//! The golden shards are also checked with each of four malformed
+//! fingerprints spliced into one row: a non-hex digit, 63 digits,
+//! uppercase, and unset (`-`). Strict mode must reject the shard with a
+//! `BadField` naming the fingerprint column, and lenient mode must skip
+//! exactly that row and count it under `bad_field`.
 
 use crate::mutate::Rng64;
 use mtls_classify::domain::is_domain_name;
 use mtls_classify::{classify, extract_domain, ClassifyContext};
 use mtls_zeek::swar;
 use mtls_zeek::{
-    read_ssl_log_with, read_x509_log_with, write_ssl_log, write_x509_log, IngestMode, Ipv4,
-    ShardDiag, SslRecord, TlsVersion, X509Record, X509Rows,
+    read_ssl_log_with, read_x509_log_with, write_ssl_log, write_x509_log, ErrorKind, Fp,
+    IngestMode, Ipv4, ShardDiag, SslRecord, TlsVersion, TsvError, X509Record, X509Rows,
 };
 
 /// Outcome counts of one TSV campaign.
@@ -53,7 +59,9 @@ pub struct TsvSummary {
     pub divergences: TsvDivergences,
 }
 
-/// Divergence counts of oracles 2–6, plus golden shards rejected.
+/// Divergence counts of oracles 2–6, plus golden shards misjudged (a
+/// clean one rejected, or one with a malformed fingerprint not rejected
+/// as the field error it is).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TsvDivergences {
     pub determinism: u64,
@@ -118,8 +126,8 @@ fn golden_shards() -> Vec<Vec<u8>> {
             version: TlsVersion::Tls12,
             server_name: Some("api.with\ttab.example".into()),
             established: true,
-            cert_chain_fps: vec!["aa11".into(), "bb22".into()],
-            client_cert_chain_fps: vec!["cc33".into()],
+            cert_chain_fps: vec![Fp::of(b"aa11"), Fp::of(b"bb22")],
+            client_cert_chain_fps: vec![Fp::of(b"cc33")],
         },
         SslRecord {
             ts: 1_651_363_201.0,
@@ -140,7 +148,7 @@ fn golden_shards() -> Vec<Vec<u8>> {
     // record refilled across shapes, not only a row parsed once.
     let first = X509Record {
         ts: 1_651_363_200.5,
-        fingerprint: "aa11".into(),
+        fingerprint: Fp::of(b"aa11"),
         version: 3,
         serial: "03E8".into(),
         subject: "CN=backslash\\and,comma".into(),
@@ -159,7 +167,7 @@ fn golden_shards() -> Vec<Vec<u8>> {
         basic_constraints_ca: false,
     };
     let bare = X509Record {
-        fingerprint: "dd44".into(),
+        fingerprint: Fp::of(b"dd44"),
         subject: "CN=x".into(),
         issuer_org: None,
         subject_cn: None,
@@ -167,7 +175,7 @@ fn golden_shards() -> Vec<Vec<u8>> {
         ..first.clone()
     };
     let wide = X509Record {
-        fingerprint: "ee55".into(),
+        fingerprint: Fp::of(b"ee55"),
         subject: "CN=wide, O=Escaped\tOrg".into(),
         issuer_org: Some("Wide, Inc.".into()),
         subject_cn: Some("wide.example".into()),
@@ -182,6 +190,81 @@ fn golden_shards() -> Vec<Vec<u8>> {
     let mut x509_buf = Vec::new();
     write_x509_log(&mut x509_buf, x509.iter()).expect("write to vec");
     vec![ssl_buf, x509_buf]
+}
+
+/// The four malformed fingerprints: a non-hex digit, 63 digits,
+/// uppercase, and unset.
+fn bad_fingerprints() -> [String; 4] {
+    let good = Fp::of(b"aa11").to_string();
+    [
+        format!("{}g", &good[1..]),
+        good[1..].to_string(),
+        good.to_ascii_uppercase(),
+        "-".to_string(),
+    ]
+}
+
+/// The golden shard with `bad` spliced into the fingerprint column of its
+/// first data row, and that column's name. In `ssl.log` the bad value is
+/// the second entry of the server chain, since a whole chain column of
+/// `-` is an unset vector (no certificates), not a bad fingerprint.
+fn with_bad_fingerprint(shard: &[u8], x509: bool, bad: &str) -> (Vec<u8>, &'static str) {
+    let (column, field) = if x509 {
+        (1, "fingerprint")
+    } else {
+        (9, "cert_chain_fps")
+    };
+    let text = std::str::from_utf8(shard).expect("golden shards are UTF-8");
+    let mut done = false;
+    let mut out = String::with_capacity(text.len() + 64);
+    for line in text.lines() {
+        if !done && !line.starts_with('#') {
+            let mut cols: Vec<String> = line.split('\t').map(str::to_string).collect();
+            cols[column] = if x509 {
+                bad.to_string()
+            } else {
+                format!("{},{bad}", cols[column])
+            };
+            out.push_str(&cols.join("\t"));
+            done = true;
+        } else {
+            out.push_str(line);
+        }
+        out.push('\n');
+    }
+    (out.into_bytes(), field)
+}
+
+/// Whether `bytes` (a golden shard with one malformed fingerprint in
+/// `field`) fails strict mode with a `BadField` naming `field`, and reads
+/// in lenient mode as the golden rows minus one, skipped as `bad_field`.
+fn bad_fingerprint_judged(golden: &[u8], bytes: &[u8], x509: bool, field: &str) -> bool {
+    let strict_names_field =
+        |e: TsvError| matches!(e, TsvError::BadField { field: f, .. } if f == field);
+    let mut diag = ShardDiag::default();
+    let (strict, rows, golden_rows) = if x509 {
+        let strict = read_x509_log_with(bytes, IngestMode::Strict, &mut ShardDiag::default());
+        let lenient = read_x509_log_with(bytes, IngestMode::Lenient, &mut diag);
+        let golden = x509_parse(golden, IngestMode::Strict);
+        (
+            strict.err(),
+            lenient.map(|r| r.len()),
+            golden.map(|g| g.map(|r| r.len())),
+        )
+    } else {
+        let strict = read_ssl_log_with(bytes, IngestMode::Strict, &mut ShardDiag::default());
+        let lenient = read_ssl_log_with(bytes, IngestMode::Lenient, &mut diag);
+        let golden = ssl_parse(golden, IngestMode::Strict);
+        (
+            strict.err(),
+            lenient.map(|r| r.len()),
+            golden.map(|g| g.map(|r| r.len())),
+        )
+    };
+    strict.is_some_and(strict_names_field)
+        && matches!((rows, golden_rows), (Ok(n), Ok(Ok(g))) if n + 1 == g)
+        && diag.rows_skipped() == 1
+        && diag.skipped_of(ErrorKind::BadField) == 1
 }
 
 /// One byte-level shard mutation (the DER mutator is structure-aware; TSV
@@ -274,8 +357,8 @@ fn swar_agrees(bytes: &[u8]) -> bool {
 fn classifier_agrees(records: &[X509Record]) -> bool {
     std::panic::catch_unwind(|| {
         records.iter().all(|rec| {
-            let fields = [
-                &rec.fingerprint,
+            let fields: [&str; 6] = [
+                rec.fingerprint.as_str(),
                 &rec.serial,
                 &rec.subject,
                 &rec.issuer,
@@ -286,14 +369,12 @@ fn classifier_agrees(records: &[X509Record]) -> bool {
                 issuer_org: rec.issuer_org.as_deref(),
                 issuer_is_campus: true,
             };
+            let lists = [&rec.san_dns, &rec.san_email, &rec.san_uri, &rec.san_ip];
             fields
                 .into_iter()
-                .chain(&rec.issuer_org)
-                .chain(&rec.subject_cn)
-                .chain(&rec.san_dns)
-                .chain(&rec.san_email)
-                .chain(&rec.san_uri)
-                .chain(&rec.san_ip)
+                .chain(rec.issuer_org.as_deref())
+                .chain(rec.subject_cn.as_deref())
+                .chain(lists.into_iter().flatten().map(String::as_str))
                 .all(|s| {
                     let _ = classify(s, ctx);
                     is_domain_name(s) == extract_domain(s).is_some()
@@ -394,12 +475,19 @@ pub fn run_tsv_campaign(seed: u64, mutants: u64) -> TsvSummary {
         ..TsvSummary::default()
     };
     let mut rng = Rng64::new(seed);
-    // Golden shards must parse cleanly in both modes.
+    // Golden shards must parse cleanly in both modes, and be rejected as
+    // a field error with any malformed fingerprint in them.
     for (i, shard) in shards.iter().enumerate() {
         let before = summary.divergences.total();
         run_any_shard(shard, i == 1, &mut summary);
         if summary.accepted != i as u64 + 1 || summary.divergences.total() != before {
             summary.divergences.golden += 1;
+        }
+        for bad in bad_fingerprints() {
+            let (bytes, field) = with_bad_fingerprint(shard, i == 1, &bad);
+            if !bad_fingerprint_judged(shard, &bytes, i == 1, field) {
+                summary.divergences.golden += 1;
+            }
         }
     }
     summary.accepted = 0; // golden acceptance checked above; count mutants only
@@ -420,6 +508,22 @@ mod tests {
         let s = run_tsv_campaign(7, 0);
         assert_eq!(s.evaluations, 4); // 2 shards x 2 modes
         assert!(!s.has_bugs(), "{s:?}");
+    }
+
+    #[test]
+    fn malformed_fingerprints_are_judged_in_both_logs() {
+        let golden = golden_shards();
+        for (i, shard) in golden.iter().enumerate() {
+            for bad in bad_fingerprints() {
+                let (bytes, field) = with_bad_fingerprint(shard, i == 1, &bad);
+                assert!(
+                    bad_fingerprint_judged(shard, &bytes, i == 1, field),
+                    "{bad:?} in {field}"
+                );
+                // The oracle itself is not vacuous: the clean shard fails it.
+                assert!(!bad_fingerprint_judged(shard, shard, i == 1, field));
+            }
+        }
     }
 
     #[test]

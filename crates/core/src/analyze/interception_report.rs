@@ -59,14 +59,15 @@ impl Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mtls_intern::{FxHashSet, Interner, Symbol};
-    use mtls_zeek::X509Record;
+    use crate::testutil::fp;
+    use mtls_intern::FxHashSet;
+    use mtls_zeek::{Fp, X509Record};
 
     #[test]
     fn reports_exclusion_share() {
-        let rec = |fp: &str| X509Record {
+        let rec = |name: &str| X509Record {
             ts: 0.0,
-            fingerprint: fp.into(),
+            fingerprint: fp(name),
             version: 3,
             serial: "01".into(),
             subject: String::new(),
@@ -77,7 +78,7 @@ mod tests {
             not_valid_after: 1,
             key_alg: "rsa".into(),
             key_length: 2048,
-            sig_alg: String::new(),
+            sig_alg: "".into(),
             san_dns: vec![],
             san_email: vec![],
             san_uri: vec![],
@@ -85,15 +86,13 @@ mod tests {
             basic_constraints_ca: false,
         };
         let certs = vec![rec("a"), rec("b"), rec("c"), rec("d")];
-        let mut interner = Interner::new();
-        let excluded: FxHashSet<Symbol> = [interner.intern("a")].into_iter().collect();
+        let excluded: FxHashSet<Fp> = [fp("a")].into_iter().collect();
         let corpus = crate::corpus::Corpus::build(
             vec![],
             certs,
             crate::testutil::meta(),
             &excluded,
             vec!["ProxyCo CA".into()],
-            interner,
         );
         let r = run(&corpus);
         assert_eq!(r.excluded_certs, 1);

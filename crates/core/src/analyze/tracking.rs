@@ -14,11 +14,12 @@ use crate::analyze::quantile;
 use crate::corpus::Corpus;
 use crate::report::{count, pct, Table};
 use mtls_classify::{classify, InfoType};
+use mtls_zeek::Fp;
 
 /// One trackable certificate.
 #[derive(Debug, Clone)]
 pub struct TrackedCert {
-    pub fingerprint: String,
+    pub fingerprint: Fp,
     /// Days between first and last observation.
     pub window_days: i64,
     /// Distinct source IPs it was presented from.
@@ -66,7 +67,7 @@ pub fn run(corpus: &Corpus) -> Report {
                 )
             });
         tracked.push(TrackedCert {
-            fingerprint: cert.rec.fingerprint.clone(),
+            fingerprint: cert.rec.fingerprint,
             window_days: cert.activity_days(),
             source_ips: cert.client_ips,
             source_subnets: cert.client_subnets,
@@ -140,7 +141,7 @@ impl Report {
         );
         for w in &self.worst {
             t.row(vec![
-                w.fingerprint.chars().take(16).collect(),
+                w.fingerprint.as_str()[..16].to_string(),
                 w.window_days.to_string(),
                 w.source_ips.to_string(),
                 w.source_subnets.to_string(),

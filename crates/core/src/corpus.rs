@@ -1,9 +1,9 @@
 //! The analysis corpus: the joined, enriched view of one log collection.
 
 use mtls_classify::{extract_domain, ClassifyContext};
-use mtls_intern::{contains_short, FxBuildHasher, FxHashMap, FxHashSet, Interner, Symbol};
+use mtls_intern::{contains_short, FxBuildHasher, FxHashMap, FxHashSet};
 use mtls_pki::{classify_org, IssuerCategory, OrgClass};
-use mtls_zeek::{Ipv4, SslRecord, X509Record};
+use mtls_zeek::{Fp, Ipv4, SslRecord, X509Record};
 
 /// Traffic direction relative to the university border.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -372,12 +372,9 @@ pub struct Corpus {
     pub certs: Vec<CertInfo>,
     pub conns: Vec<ConnInfo>,
     pub meta: MetaKnowledge,
-    /// Fingerprint symbol → certificate, keyed into [`Corpus::interner`].
-    /// String-based callers go through [`Corpus::cert_by_fp`].
-    pub fp_index: FxHashMap<Symbol, CertId>,
-    /// The interner the fingerprint symbols live in (shared with the
-    /// interception filter that ran before the build).
-    interner: Interner,
+    /// Fingerprint → certificate: one entry per distinct x509.log
+    /// fingerprint (a repeated row keeps the last one).
+    pub fp_index: FxHashMap<Fp, CertId>,
     /// Interception issuers identified during preprocessing.
     pub interception_issuers: Vec<String>,
     /// CT verification summary (default-empty under the legacy filter;
@@ -393,13 +390,12 @@ pub struct Corpus {
     /// Distinct fingerprints behind [`Corpus::dangling_fp_refs`].
     pub dangling_fps: usize,
     /// Up to eight sample dangling fingerprints for diagnostics.
-    pub dangling_samples: Vec<String>,
+    pub dangling_samples: Vec<Fp>,
 }
 
 impl Corpus {
     /// Join and enrich. `excluded_fps` comes from the interception filter
-    /// and its symbols must belong to `interner` (pass a fresh
-    /// [`Interner`] with an empty exclusion set when filtering is off).
+    /// (pass an empty set when filtering is off).
     ///
     /// Takes the records by value: every record is *moved* into its
     /// `CertInfo`/`ConnInfo` slot, so the corpus build allocates no second
@@ -408,18 +404,16 @@ impl Corpus {
         ssl: Vec<SslRecord>,
         x509: Vec<X509Record>,
         meta: MetaKnowledge,
-        excluded_fps: &FxHashSet<Symbol>,
+        excluded_fps: &FxHashSet<Fp>,
         interception_issuers: Vec<String>,
-        mut interner: Interner,
     ) -> Corpus {
-        let mut fp_index: FxHashMap<Symbol, CertId> =
+        let mut fp_index: FxHashMap<Fp, CertId> =
             FxHashMap::with_capacity_and_hasher(x509.len(), FxBuildHasher);
         let mut certs: Vec<CertInfo> = Vec::with_capacity(x509.len());
         for rec in x509 {
             let issuer = issuer_facts(&meta, &rec);
-            let fp_sym = interner.intern(&rec.fingerprint);
-            let excluded = excluded_fps.contains(&fp_sym);
-            fp_index.insert(fp_sym, certs.len());
+            let excluded = excluded_fps.contains(&rec.fingerprint);
+            fp_index.insert(rec.fingerprint, certs.len());
             certs.push(CertInfo {
                 rec,
                 issuer,
@@ -437,15 +431,12 @@ impl Corpus {
             });
         }
 
-        // Fingerprint lookups from here on are read-only: an Fx hash of
-        // the string once, then integer-keyed map hits.
-        let interner = interner;
-        let lookup = |fp: &String| interner.get(fp).and_then(|sym| fp_index.get(&sym)).copied();
+        let lookup = |fp: &Fp| fp_index.get(fp).copied();
 
         let mut conns: Vec<ConnInfo> = Vec::with_capacity(ssl.len());
         let mut dangling_fp_refs = 0u64;
-        let mut dangling_seen: FxHashSet<String> = FxHashSet::default();
-        let mut dangling_samples: Vec<String> = Vec::new();
+        let mut dangling_seen: FxHashSet<Fp> = FxHashSet::default();
+        let mut dangling_samples: Vec<Fp> = Vec::new();
         // The distinct-address keys behind the `CertInfo` counts; dropped
         // when the build returns.
         let mut seen_addrs = SeenAddrs::default();
@@ -504,8 +495,8 @@ impl Corpus {
                     certs[cid].observe(cid, &rec, as_server, &mut seen_addrs);
                 } else {
                     dangling_fp_refs += 1;
-                    if dangling_seen.insert(fp.clone()) && dangling_samples.len() < 8 {
-                        dangling_samples.push(fp.clone());
+                    if dangling_seen.insert(*fp) && dangling_samples.len() < 8 {
+                        dangling_samples.push(*fp);
                     }
                 }
             }
@@ -531,7 +522,6 @@ impl Corpus {
             conns,
             meta,
             fp_index,
-            interner,
             interception_issuers,
             ct: CtSummary::default(),
             excluded_certs,
@@ -541,17 +531,9 @@ impl Corpus {
         }
     }
 
-    /// Resolve a fingerprint string to its certificate, if present.
-    pub fn cert_by_fp(&self, fp: &str) -> Option<CertId> {
-        self.interner
-            .get(fp)
-            .and_then(|sym| self.fp_index.get(&sym))
-            .copied()
-    }
-
-    /// The interner backing [`Corpus::fp_index`].
-    pub fn interner(&self) -> &Interner {
-        &self.interner
+    /// Resolve a fingerprint to its certificate, if present.
+    pub fn cert_by_fp(&self, fp: &Fp) -> Option<CertId> {
+        self.fp_index.get(fp).copied()
     }
 
     /// Certificates that survive interception filtering.
@@ -578,6 +560,7 @@ impl Corpus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::fp;
 
     /// Build with interception filtering off.
     fn build_unfiltered(ssl: &[SslRecord], x509: &[X509Record], meta: MetaKnowledge) -> Corpus {
@@ -587,7 +570,6 @@ mod tests {
             meta,
             &FxHashSet::default(),
             vec![],
-            Interner::new(),
         )
     }
 
@@ -607,10 +589,10 @@ mod tests {
         }
     }
 
-    fn x509(fp: &str, issuer_org: Option<&str>) -> X509Record {
+    fn x509(name: &str, issuer_org: Option<&str>) -> X509Record {
         X509Record {
             ts: 0.0,
-            fingerprint: fp.into(),
+            fingerprint: fp(name),
             version: 3,
             serial: "01".into(),
             subject: "CN=test".into(),
@@ -647,8 +629,8 @@ mod tests {
             version: mtls_zeek::TlsVersion::Tls12,
             server_name: sni.map(str::to_owned),
             established: true,
-            cert_chain_fps: vec![server_fp.to_string()],
-            client_cert_chain_fps: client_fp.map(|f| vec![f.to_string()]).unwrap_or_default(),
+            cert_chain_fps: vec![fp(server_fp)],
+            client_cert_chain_fps: client_fp.map(|f| vec![fp(f)]).unwrap_or_default(),
         }
     }
 
@@ -863,7 +845,7 @@ mod tests {
         let corpus = build_unfiltered(&ssl, &certs, meta());
         assert_eq!(corpus.dangling_fp_refs, 2);
         assert_eq!(corpus.dangling_fps, 1);
-        assert_eq!(corpus.dangling_samples, vec!["skipped1".to_string()]);
+        assert_eq!(corpus.dangling_samples, vec![fp("skipped1")]);
         // The connection still joins on the side that parsed.
         assert_eq!(corpus.conns[0].server_leaf, None);
         assert_eq!(corpus.conns[0].client_leaf, Some(0));
@@ -892,15 +874,13 @@ mod tests {
             "aa",
             None,
         )];
-        let mut interner = Interner::new();
-        let excluded: FxHashSet<Symbol> = [interner.intern("aa")].into_iter().collect();
+        let excluded: FxHashSet<Fp> = [fp("aa")].into_iter().collect();
         let corpus = Corpus::build(
             ssl,
             certs,
             meta(),
             &excluded,
             vec!["NetGuard Inspection CA 1".into()],
-            interner,
         );
         assert!(corpus.conns[0].excluded);
         assert_eq!(corpus.excluded_certs, 1);
@@ -923,7 +903,7 @@ mod tests {
             x509("int", None),
         ];
         let mut chained = conn(a, internal, None, "srv", Some("cli"));
-        chained.cert_chain_fps.push("int".into());
+        chained.cert_chain_fps.push(fp("int"));
         let ssl = vec![
             chained,
             // `a` again, then its /24 neighbour.
@@ -938,9 +918,8 @@ mod tests {
             conn(internal, b, None, "mitm", None),
             conn(internal2, b, None, "mitm", None),
         ];
-        let mut interner = Interner::new();
-        let excluded: FxHashSet<Symbol> = [interner.intern("mitm")].into_iter().collect();
-        let corpus = Corpus::build(ssl.clone(), certs, meta(), &excluded, vec![], interner);
+        let excluded: FxHashSet<Fp> = [fp("mitm")].into_iter().collect();
+        let corpus = Corpus::build(ssl.clone(), certs, meta(), &excluded, vec![]);
         assert_eq!(corpus.dangling_fps, 1);
         assert!(corpus.certs[2].dual_role());
         assert!(corpus.certs[3].excluded);

@@ -287,7 +287,7 @@ pub fn write_tsv_obs(
             .iter()
             .map(|t| {
                 vec![
-                    t.fingerprint.clone(),
+                    t.fingerprint.to_string(),
                     t.window_days.to_string(),
                     t.source_ips.to_string(),
                     t.source_subnets.to_string(),

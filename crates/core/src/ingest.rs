@@ -37,7 +37,7 @@ use crate::stream::{CorpusBuilder, StreamParts, StreamSummary};
 use mtls_obs::{Obs, SpanId};
 use mtls_pki::ctlog::{CtEntry, CtLog};
 use mtls_pki::GossipBundle;
-use mtls_zeek::{IngestMode, IngestStats, Ipv4, ShardDiag, ERROR_KINDS};
+use mtls_zeek::{Fp, IngestMode, IngestStats, Ipv4, ShardDiag, ERROR_KINDS};
 use std::path::Path;
 
 /// Errors from loading a log directory.
@@ -78,7 +78,7 @@ impl std::fmt::Display for IngestError {
             IngestError::BadMeta(k) => write!(f, "meta.tsv: bad or missing key {k:?}"),
             IngestError::BadCt { line } => write!(
                 f,
-                "ct.log:{line}: expected domain, issuer and fingerprint separated by tabs"
+                "ct.log:{line}: expected domain, issuer and a 64-hex-digit fingerprint separated by tabs"
             ),
             IngestError::ErrorRate { rate, max } => write!(
                 f,
@@ -365,9 +365,10 @@ fn parse_meta(
 }
 
 /// Parse `ct.log`: one (domain, issuer, fingerprint) triple per line,
-/// tab-separated. A line without three fields (a blank line included) is a
-/// hard error in strict mode and a counted skip in lenient mode — a
-/// dropped CT entry shifts the interception filter, so it is never silent.
+/// tab-separated, the fingerprint exactly 64 lowercase hex digits. A line
+/// without three such fields (a blank line included) is a hard error in
+/// strict mode and a counted skip in lenient mode — a dropped CT entry
+/// shifts the interception filter, so it is never silent.
 fn parse_ct(path: &Path, mode: IngestMode) -> Result<(CtLog, u64), IngestError> {
     if !path.exists() {
         return Ok((CtLog::new(), 0)); // CT data is optional
@@ -377,7 +378,9 @@ fn parse_ct(path: &Path, mode: IngestMode) -> Result<(CtLog, u64), IngestError> 
     let mut skipped = 0;
     for (i, line) in text.lines().enumerate() {
         let mut cols = line.splitn(3, '\t');
-        let (Some(domain), Some(issuer), Some(fp)) = (cols.next(), cols.next(), cols.next()) else {
+        let (Some(domain), Some(issuer), Some(fingerprint)) =
+            (cols.next(), cols.next(), cols.next().and_then(Fp::parse))
+        else {
             if mode == IngestMode::Lenient {
                 skipped += 1;
                 continue;
@@ -387,7 +390,7 @@ fn parse_ct(path: &Path, mode: IngestMode) -> Result<(CtLog, u64), IngestError> 
         entries.push(CtEntry {
             domain: domain.to_string(),
             issuer_display: issuer.to_string(),
-            fingerprint_hex: fp.to_string(),
+            fingerprint,
         });
     }
     Ok((CtLog::from_entries(entries), skipped))
@@ -718,11 +721,16 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("meta.tsv"), BASE_META).unwrap();
         write_empty_logs(&dir);
-        // Two good triples around a two-field line and a blank line; both
-        // used to be dropped without a trace.
+        // Two good triples around a two-field line and a blank line (both
+        // used to be dropped without a trace), then an uppercase
+        // fingerprint.
+        let (fp1, fp3) = (Fp::of(b"fp1"), Fp::of(b"fp3"));
+        let upper = fp1.as_str().to_ascii_uppercase();
         std::fs::write(
             dir.join("ct.log"),
-            "a.example\tCA\tfp1\nb.example\tCA\n\nc.example\tCA\tfp3\n",
+            format!(
+                "a.example\tCA\t{fp1}\nb.example\tCA\n\nc.example\tCA\t{fp3}\nd.example\tCA\t{upper}\n"
+            ),
         )
         .unwrap();
 
@@ -735,9 +743,9 @@ mod tests {
 
         let (inputs, diag) = load_dir_with(&dir, IngestMode::Lenient).unwrap();
         assert_eq!(inputs.ct.len(), 2);
-        assert_eq!(diag.ct_lines_skipped, 2);
+        assert_eq!(diag.ct_lines_skipped, 3);
         assert!(diag.has_problems());
-        // Two skipped units, nothing parsed: the whole load is bad.
+        // Three skipped units, nothing parsed: the whole load is bad.
         assert_eq!(diag.error_rate(), 1.0);
         assert!(diag.check_error_rate(0.5).is_err());
         assert!(diag.render().contains("ct.log lines skipped"));

@@ -10,10 +10,10 @@ use crate::analyze;
 use crate::analyze::info_types::Slice;
 use crate::corpus::{Corpus, CtSummary, MetaKnowledge};
 use crate::stream::StreamParts;
-use mtls_intern::{FxHashMap, FxHashSet, Interner, Symbol};
+use mtls_intern::{FxHashMap, FxHashSet};
 use mtls_obs::{Obs, SpanId};
 use mtls_pki::{CtLog, GossipBundle};
-use mtls_zeek::{SslRecord, X509Record};
+use mtls_zeek::{Fp, SslRecord, X509Record};
 
 /// Everything the pipeline consumes.
 #[derive(Clone)]
@@ -76,16 +76,15 @@ pub mod interception {
     }
 
     /// Run the filter over the log's own index (no gossip evidence) with
-    /// the paper's thresholds. Excluded fingerprints come back as symbols
-    /// in `interner`, ready for [`Corpus::build`].
+    /// the paper's thresholds. The excluded fingerprints are ready for
+    /// [`Corpus::build`].
     pub fn filter(
         ssl: &[SslRecord],
         x509: &[X509Record],
         ct: &CtLog,
         meta: &MetaKnowledge,
-        interner: &mut Interner,
-    ) -> (FxHashSet<Symbol>, Vec<String>) {
-        filter_with(ssl, x509, ct, meta, MIN_CERTS, CANDIDATE_SHARE, interner)
+    ) -> (FxHashSet<Fp>, Vec<String>) {
+        filter_with(ssl, x509, ct, meta, MIN_CERTS, CANDIDATE_SHARE)
     }
 
     /// Run the filter with explicit thresholds (ablation: the decision is
@@ -98,19 +97,10 @@ pub mod interception {
         meta: &MetaKnowledge,
         min_certs: usize,
         candidate_share: f64,
-        interner: &mut Interner,
-    ) -> (FxHashSet<Symbol>, Vec<String>) {
+    ) -> (FxHashSet<Fp>, Vec<String>) {
         let no_gossip = GossipBundle::default();
-        let (excluded, issuers, _) = run(
-            ssl,
-            x509,
-            ct,
-            &no_gossip,
-            meta,
-            min_certs,
-            candidate_share,
-            interner,
-        );
+        let (excluded, issuers, _) =
+            run(ssl, x509, ct, &no_gossip, meta, min_certs, candidate_share);
         (excluded, issuers)
     }
 
@@ -119,7 +109,6 @@ pub mod interception {
     /// aggregation. Returns the combined exclusion set (interception +
     /// stripped), the interception issuer list, and the [`CtSummary`] for
     /// the `ct1` report.
-    #[allow(clippy::too_many_arguments)] // the filter's inputs plus its two thresholds
     pub(crate) fn run(
         ssl: &[SslRecord],
         x509: &[X509Record],
@@ -128,8 +117,7 @@ pub mod interception {
         meta: &MetaKnowledge,
         min_certs: usize,
         candidate_share: f64,
-        interner: &mut Interner,
-    ) -> (FxHashSet<Symbol>, Vec<String>, CtSummary) {
+    ) -> (FxHashSet<Fp>, Vec<String>, CtSummary) {
         let server_fps = server_leaf_fps(ssl);
         let audit = (!gossip.is_empty()).then(|| SplitViewDetector::audit(gossip));
         let (trusted, stats) = match &audit {
@@ -144,10 +132,10 @@ pub mod interception {
         // the precise fingerprint was never logged. Exact-domain matching
         // only: wildcard/SLD matches would flag unrelated unlogged
         // renewals sharing a registered domain.
-        let mut per_issuer: FxHashMap<&str, (usize, Vec<Symbol>)> = FxHashMap::default();
-        let mut stripped: Vec<&str> = Vec::new();
+        let mut per_issuer: FxHashMap<&str, (usize, Vec<Fp>)> = FxHashMap::default();
+        let mut stripped: FxHashSet<Fp> = FxHashSet::default();
         for cert in x509 {
-            if !server_fps.contains(cert.fingerprint.as_str()) {
+            if !server_fps.contains(&cert.fingerprint) {
                 continue;
             }
             if meta.issuer_is_public(cert.issuer_org.as_deref()) {
@@ -157,7 +145,7 @@ pub mod interception {
                             && !trusted.exact_domain_has_fingerprint(d, &cert.fingerprint)
                     })
                 {
-                    stripped.push(&cert.fingerprint);
+                    stripped.insert(cert.fingerprint);
                 }
                 continue;
             }
@@ -167,7 +155,7 @@ pub mod interception {
             let (total, candidates) = per_issuer.entry(org).or_default();
             *total += 1;
             if is_candidate(cert, &trusted) {
-                candidates.push(interner.intern(&cert.fingerprint));
+                candidates.push(cert.fingerprint);
             }
         }
         let (mut excluded, issuers) = aggregate(per_issuer, min_certs, candidate_share);
@@ -175,18 +163,15 @@ pub mod interception {
             return (excluded, issuers, CtSummary::default());
         };
 
-        let stripped_syms: FxHashSet<Symbol> =
-            stripped.iter().map(|fp| interner.intern(fp)).collect();
-        let stripped_fps: FxHashSet<&str> = stripped.into_iter().collect();
         let stripped_conns = ssl
             .iter()
             .filter(|rec| {
                 rec.cert_chain_fps
                     .first()
-                    .is_some_and(|fp| stripped_fps.contains(fp.as_str()))
+                    .is_some_and(|fp| stripped.contains(fp))
             })
             .count();
-        excluded.extend(stripped_syms.iter().copied());
+        excluded.extend(stripped.iter().copied());
 
         let sum = |f: fn(&mtls_pki::gossip::LogAudit) -> usize| -> usize {
             audit.logs.iter().map(f).sum()
@@ -203,7 +188,7 @@ pub mod interception {
             entries_rejected: stats.entries_rejected,
             inclusion_proofs_verified: stats.inclusion_proofs_verified,
             inclusion_proofs_failed: stats.inclusion_proofs_failed,
-            stripped_certs: stripped_syms.len(),
+            stripped_certs: stripped.len(),
             stripped_conns,
         };
         (excluded, issuers, summary)
@@ -213,10 +198,10 @@ pub mod interception {
     /// which ≥ `candidate_share` are candidates is interception, and its
     /// candidates are excluded.
     fn aggregate(
-        per_issuer: FxHashMap<&str, (usize, Vec<Symbol>)>,
+        per_issuer: FxHashMap<&str, (usize, Vec<Fp>)>,
         min_certs: usize,
         candidate_share: f64,
-    ) -> (FxHashSet<Symbol>, Vec<String>) {
+    ) -> (FxHashSet<Fp>, Vec<String>) {
         let mut excluded = FxHashSet::default();
         let mut issuers = Vec::new();
         for (org, (total, candidates)) in per_issuer {
@@ -230,14 +215,10 @@ pub mod interception {
     }
 
     /// Fingerprints presented as server leaves anywhere in the capture.
-    fn server_leaf_fps(ssl: &[SslRecord]) -> FxHashSet<&str> {
-        let mut server_fps: FxHashSet<&str> = FxHashSet::default();
-        for rec in ssl {
-            if let Some(fp) = rec.cert_chain_fps.first() {
-                server_fps.insert(fp);
-            }
-        }
-        server_fps
+    fn server_leaf_fps(ssl: &[SslRecord]) -> FxHashSet<&Fp> {
+        ssl.iter()
+            .filter_map(|rec| rec.cert_chain_fps.first())
+            .collect()
     }
 }
 
@@ -323,9 +304,9 @@ pub fn build_corpus_obs(inputs: AnalysisInputs, obs: &Obs, parent: Option<SpanId
 
 /// The one corpus build behind every pipeline entry point. The
 /// interception filter runs over the whole loaded window (it needs the
-/// global issuer/CT view, which no single epoch has), then the join, both
-/// on a fresh interner. Spans and gauges are the same for every caller,
-/// so a metrics consumer sees one schema.
+/// global issuer/CT view, which no single epoch has), then the join.
+/// Spans and gauges are the same for every caller, so a metrics consumer
+/// sees one schema.
 fn build_corpus_from(
     ssl: Vec<SslRecord>,
     x509: Vec<X509Record>,
@@ -335,7 +316,6 @@ fn build_corpus_from(
     obs: &Obs,
     parent: Option<SpanId>,
 ) -> Corpus {
-    let mut interner = Interner::with_capacity(x509.len());
     let (excluded, issuers, ct_summary) = obs.time(parent, "interception_filter", || {
         interception::run(
             &ssl,
@@ -345,11 +325,10 @@ fn build_corpus_from(
             &meta,
             interception::MIN_CERTS,
             interception::CANDIDATE_SHARE,
-            &mut interner,
         )
     });
     let mut corpus = obs.time(parent, "corpus_build", || {
-        Corpus::build(ssl, x509, meta, &excluded, issuers, interner)
+        Corpus::build(ssl, x509, meta, &excluded, issuers)
     });
     corpus.ct = ct_summary;
     record_corpus_metrics(obs, &corpus);
@@ -392,7 +371,9 @@ fn record_corpus_metrics(obs: &Obs, corpus: &Corpus) {
     obs.counter_add("ct.stripped_conns_excluded", s.stripped_conns as u64);
     obs.gauge_set("corpus.certs", corpus.certs.len() as i64);
     obs.gauge_set("corpus.conns", corpus.conns.len() as i64);
-    obs.gauge_set("corpus.interned_strings", corpus.interner().len() as i64);
+    // Named for the fingerprint interner the join index replaced; the
+    // value is still the number of distinct fingerprints indexed.
+    obs.gauge_set("corpus.interned_strings", corpus.fp_index.len() as i64);
     obs.gauge_set("corpus.dangling_fps", corpus.dangling_fps as i64);
 }
 
@@ -632,13 +613,13 @@ pub fn run_pipeline_streamed_parallel_obs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{external, internal, meta, T0};
+    use crate::testutil::{external, fp, internal, meta, T0};
     use mtls_zeek::{SslRecord, TlsVersion, X509Record};
 
-    fn x509(fp: &str, issuer_org: &str, cn: &str) -> X509Record {
+    fn x509(name: &str, issuer_org: &str, cn: &str) -> X509Record {
         X509Record {
             ts: T0,
-            fingerprint: fp.into(),
+            fingerprint: fp(name),
             version: 3,
             serial: "01".into(),
             subject: format!("CN={cn}"),
@@ -658,10 +639,10 @@ mod tests {
         }
     }
 
-    fn conn(server_fp: &str) -> SslRecord {
+    fn conn(server: &str) -> SslRecord {
         SslRecord {
             ts: T0,
-            uid: format!("C{server_fp}"),
+            uid: format!("C{server}"),
             orig_h: internal(5),
             orig_p: 40_000,
             resp_h: external(5),
@@ -669,7 +650,7 @@ mod tests {
             version: TlsVersion::Tls12,
             server_name: None,
             established: true,
-            cert_chain_fps: vec![server_fp.into()],
+            cert_chain_fps: vec![fp(server)],
             client_cert_chain_fps: vec![],
         }
     }
@@ -722,14 +703,12 @@ mod tests {
         ];
         let ssl: Vec<SslRecord> = ["p1", "p2", "p3", "ok1", "ok2", "ok3"]
             .iter()
-            .map(|fp| conn(fp))
+            .map(|name| conn(name))
             .collect();
-        let mut interner = Interner::new();
-        let (excluded, issuers) = interception::filter(&ssl, &x509s, &ct, &meta(), &mut interner);
+        let (excluded, issuers) = interception::filter(&ssl, &x509s, &ct, &meta());
         assert_eq!(issuers, vec!["ProxyGuard CA".to_string()]);
         assert_eq!(excluded.len(), 3);
-        let has = |fp: &str| interner.get(fp).is_some_and(|sym| excluded.contains(&sym));
-        assert!(has("p1") && !has("ok1"));
+        assert!(excluded.contains(&fp("p1")) && !excluded.contains(&fp("ok1")));
     }
 
     #[test]
@@ -742,9 +721,8 @@ mod tests {
             x509("d2", "Let's Encrypt", "popular.example.com"),
             x509("tiny", "OneOff Proxy CA", "popular.example.com"),
         ];
-        let ssl: Vec<SslRecord> = ["d1", "d2", "tiny"].iter().map(|fp| conn(fp)).collect();
-        let mut interner = Interner::new();
-        let (excluded, issuers) = interception::filter(&ssl, &x509s, &ct, &meta(), &mut interner);
+        let ssl: Vec<SslRecord> = ["d1", "d2", "tiny"].iter().map(|n| conn(n)).collect();
+        let (excluded, issuers) = interception::filter(&ssl, &x509s, &ct, &meta());
         assert!(excluded.is_empty(), "{excluded:?}");
         assert!(issuers.is_empty(), "{issuers:?}");
     }

@@ -25,8 +25,7 @@
 //! 3. **finish** — [`CorpusBuilder::finish`] moves the two buffers out,
 //!    already in canonical month order (so shuffled pushes converge to the
 //!    same rows) and without copying a row. The pipeline then runs the
-//!    interception filter and `Corpus::build` over them with a fresh
-//!    interner.
+//!    interception filter and `Corpus::build` over them.
 //!
 //! Equivalence contracts (pinned in `tests/ingest_equiv.rs`):
 //! * the full-window output is byte-identical for any push order;
@@ -37,7 +36,8 @@ use crate::corpus::MetaKnowledge;
 use crate::pipeline::AnalysisInputs;
 use mtls_obs::{Obs, SpanId};
 use mtls_pki::{CtLog, GossipBundle};
-use mtls_zeek::{SslRecord, X509Record};
+use mtls_zeek::{Fp, SslRecord, X509Record};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
@@ -48,25 +48,29 @@ fn ssl_heap_bytes(rec: &SslRecord) -> usize {
     std::mem::size_of::<SslRecord>()
         + rec.uid.len()
         + rec.server_name.as_ref().map_or(0, |s| s.len())
-        + rec
-            .cert_chain_fps
-            .iter()
-            .chain(rec.client_cert_chain_fps.iter())
-            .map(|f| f.len() + std::mem::size_of::<String>())
-            .sum::<usize>()
+        + (rec.cert_chain_fps.len() + rec.client_cert_chain_fps.len()) * std::mem::size_of::<Fp>()
+}
+
+/// The heap the algorithm names hold: nothing for a static name.
+fn owned_names_bytes(rec: &X509Record) -> usize {
+    [&rec.key_alg, &rec.sig_alg]
+        .into_iter()
+        .map(|name| match name {
+            Cow::Borrowed(_) => 0,
+            Cow::Owned(s) => s.len(),
+        })
+        .sum()
 }
 
 /// Rough retained heap of one `x509.log` record.
 fn x509_heap_bytes(rec: &X509Record) -> usize {
     std::mem::size_of::<X509Record>()
-        + rec.fingerprint.len()
         + rec.serial.len()
         + rec.subject.len()
         + rec.issuer.len()
         + rec.issuer_org.as_ref().map_or(0, |s| s.len())
         + rec.subject_cn.as_ref().map_or(0, |s| s.len())
-        + rec.key_alg.len()
-        + rec.sig_alg.len()
+        + owned_names_bytes(rec)
         + rec
             .san_dns
             .iter()
@@ -85,10 +89,13 @@ struct Epoch {
     footprint: u64,
 }
 
-/// Insert `rows` at `at`: an append when `at` is the end, else a splice
-/// that shifts the rows of later months up.
+/// Insert `rows` at `at`: the rows themselves when the buffer is empty
+/// (as after a rolling window retired every month), an append when `at`
+/// is the end, else a splice that shifts the rows of later months up.
 fn insert_at<T>(buf: &mut Vec<T>, at: usize, mut rows: Vec<T>) {
-    if at == buf.len() {
+    if buf.is_empty() {
+        *buf = rows;
+    } else if at == buf.len() {
         buf.append(&mut rows);
     } else {
         buf.splice(at..at, rows);
@@ -303,10 +310,10 @@ impl CorpusBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{external, internal, meta, T0};
+    use crate::testutil::{external, fp, internal, meta, T0};
     use mtls_zeek::TlsVersion;
 
-    fn ssl(uid: &str, fps: &[&str]) -> SslRecord {
+    fn ssl(uid: &str, certs: &[&str]) -> SslRecord {
         SslRecord {
             ts: T0,
             uid: uid.into(),
@@ -317,15 +324,15 @@ mod tests {
             version: TlsVersion::Tls12,
             server_name: Some("host.example.com".into()),
             established: true,
-            cert_chain_fps: fps.iter().map(|f| f.to_string()).collect(),
+            cert_chain_fps: certs.iter().map(|name| fp(name)).collect(),
             client_cert_chain_fps: vec![],
         }
     }
 
-    fn x509(fp: &str) -> X509Record {
+    fn x509(name: &str) -> X509Record {
         X509Record {
             ts: T0,
-            fingerprint: fp.into(),
+            fingerprint: fp(name),
             version: 3,
             serial: "0A".into(),
             subject: "CN=host".into(),
@@ -435,8 +442,9 @@ mod tests {
             uids,
             ["c-0", "c-1", "c-2", "c-3", "d-0", "b-0", "b-1", "b-2"]
         );
-        let fps: Vec<&str> = parts.x509.iter().map(|r| r.fingerprint.as_str()).collect();
-        assert_eq!(fps, ["c0", "c1", "c2", "c3", "d0", "b0", "b1", "b2"]);
+        let fps: Vec<Fp> = parts.x509.iter().map(|r| r.fingerprint).collect();
+        let names = ["c0", "c1", "c2", "c3", "d0", "b0", "b1", "b2"];
+        assert_eq!(fps, names.map(fp));
     }
 
     #[test]

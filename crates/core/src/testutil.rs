@@ -8,8 +8,7 @@
 //! code never calls it.
 
 use crate::corpus::{Corpus, MetaKnowledge};
-use mtls_intern::Interner;
-use mtls_zeek::{Ipv4, SslRecord, TlsVersion, X509Record};
+use mtls_zeek::{Fp, Ipv4, SslRecord, TlsVersion, X509Record};
 
 /// The study's first day, as a float timestamp.
 pub const T0: f64 = 1_651_363_200.0;
@@ -38,6 +37,12 @@ pub fn meta() -> MetaKnowledge {
         non_mtls_weight: 10.0,
         ct_forked_logs: vec![],
     }
+}
+
+/// The fingerprint of the certificate a test calls `name`: the SHA-256
+/// of the name, so every test certificate has a real, distinct one.
+pub fn fp(name: &str) -> Fp {
+    Fp::of(name.as_bytes())
 }
 
 /// An internal (university) IP with the given low bits.
@@ -90,11 +95,12 @@ impl CorpusBuilder {
         CorpusBuilder::default()
     }
 
-    /// Register a certificate under fingerprint `fp`.
-    pub fn cert(&mut self, fp: &str, opts: CertOpts) -> &mut Self {
+    /// Register a certificate named `name` (its fingerprint is
+    /// [`fp`]`(name)`).
+    pub fn cert(&mut self, name: &str, opts: CertOpts) -> &mut Self {
         self.certs.push(X509Record {
             ts: T0,
-            fingerprint: fp.to_string(),
+            fingerprint: fp(name),
             version: opts.version,
             serial: opts.serial.to_string(),
             subject: opts.cn.map(|c| format!("CN={c}")).unwrap_or_default(),
@@ -118,7 +124,8 @@ impl CorpusBuilder {
         self
     }
 
-    /// Add a connection. `server_fp`/`client_fp` of `""` means "no chain".
+    /// Add a connection whose chains are the certificates named
+    /// `server`/`client`; `""` means "no chain".
     #[allow(clippy::too_many_arguments)]
     pub fn conn(
         &mut self,
@@ -127,9 +134,16 @@ impl CorpusBuilder {
         resp: Ipv4,
         port: u16,
         sni: Option<&str>,
-        server_fp: &str,
-        client_fp: &str,
+        server: &str,
+        client: &str,
     ) -> &mut Self {
+        let chain = |name: &str| {
+            if name.is_empty() {
+                vec![]
+            } else {
+                vec![fp(name)]
+            }
+        };
         self.uid += 1;
         self.ssl.push(SslRecord {
             ts,
@@ -141,16 +155,8 @@ impl CorpusBuilder {
             version: TlsVersion::Tls12,
             server_name: sni.map(str::to_owned),
             established: true,
-            cert_chain_fps: if server_fp.is_empty() {
-                vec![]
-            } else {
-                vec![server_fp.into()]
-            },
-            client_cert_chain_fps: if client_fp.is_empty() {
-                vec![]
-            } else {
-                vec![client_fp.into()]
-            },
+            cert_chain_fps: chain(server),
+            client_cert_chain_fps: chain(client),
         });
         self
     }
@@ -187,7 +193,6 @@ impl CorpusBuilder {
             meta(),
             &Default::default(),
             vec![],
-            Interner::new(),
         )
     }
 }

@@ -24,7 +24,7 @@ use crate::analyze::audit::evaluate_fields;
 use crate::corpus::{issuer_facts, MetaKnowledge};
 use crate::pipeline::interception::is_candidate;
 use mtls_classify::classify;
-use mtls_crypto::{hex, sha256};
+use mtls_crypto::Fp;
 use mtls_pki::{CtLog, ValidationPolicy};
 use mtls_zeek::{TsvError, X509Record, X509Rows};
 use std::fmt::Write;
@@ -135,9 +135,9 @@ fn render_record(out: &mut String, rec: &X509Record, ctx: &VerdictContext) {
 /// verdict instead of an error channel: a malformed certificate is an
 /// analysis *result* here, not a failure.
 pub fn cert_verdict_der(der: &[u8], ctx: &VerdictContext) -> String {
-    let fp = hex::encode(&sha256(der));
+    let fp = Fp::of(der);
     match mtls_x509::Certificate::from_der(der) {
-        Ok(cert) => record_verdict(&mtls_netsim::to_x509_record(&cert, &fp, ctx.at), ctx),
+        Ok(cert) => record_verdict(&mtls_netsim::to_x509_record(&cert, fp, ctx.at), ctx),
         Err(e) => format!("verdict: cert\nfingerprint: {fp}\nparse: error: {e}\n"),
     }
 }
@@ -246,7 +246,7 @@ mod tests {
             .iter()
             .map(|d| {
                 let cert = mtls_x509::Certificate::from_der(d).unwrap();
-                mtls_netsim::to_x509_record(&cert, &hex::encode(&sha256(d)), c.at)
+                mtls_netsim::to_x509_record(&cert, Fp::of(d), c.at)
             })
             .collect();
         let mut tsv = Vec::new();
@@ -276,7 +276,7 @@ mod tests {
     fn interception_line(der: &[u8], c: &VerdictContext) -> (String, bool) {
         let v = cert_verdict_der(der, c);
         let cert = mtls_x509::Certificate::from_der(der).unwrap();
-        let rec = mtls_netsim::to_x509_record(&cert, &hex::encode(&sha256(der)), c.at);
+        let rec = mtls_netsim::to_x509_record(&cert, Fp::of(der), c.at);
         let line = v
             .lines()
             .find_map(|l| l.strip_prefix("interception: "))

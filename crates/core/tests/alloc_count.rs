@@ -4,7 +4,10 @@
 //! every `REQ_SHARD` and `REQ_DER` with these calls, so a count here is
 //! paid per request. And one `classify` call per information type: the
 //! verdict classifies every CN and SAN string of every row, so an
-//! allocation there is paid per string per request. Unlike a timing, no
+//! allocation there is paid per string per request. And the two ingest
+//! readers, `read_ssl_log` and `read_x509_log`, over a 16-row shard of
+//! each log cut from the same corpus: ingest pays these per row of every
+//! shard it loads. Unlike a timing, no
 //! host noise can move these counts. A budget may go down in any change;
 //! it goes up only with the reason recorded in CHANGES.md. This binary
 //! counts through its own global allocator with one counter per thread,
@@ -24,11 +27,23 @@ use std::cell::Cell;
 
 /// Allocations of one 16-row `shard_verdict`: the reused row's first
 /// fills and its growth on later rows, the line and column slices, and
-/// the output buffer. (170 when every row was parsed into a fresh record.)
-const SHARD_ALLOCS: usize = 20;
+/// the output buffer. (170 when every row was parsed into a fresh record;
+/// 20 while the row's fingerprint and algorithm names were heap strings.)
+const SHARD_ALLOCS: usize = 19;
 /// Allocations of one `cert_verdict_der`: the DER parse and its mapping
-/// to an `x509.log` row dominate.
-const DER_ALLOCS: usize = 46;
+/// to an `x509.log` row dominate. (46 while the row's fingerprint and
+/// algorithm names were heap strings.)
+const DER_ALLOCS: usize = 42;
+/// Allocations of `read_ssl_log` over a 16-row `ssl.log` shard: the
+/// buffer, the line and column slices, the record `Vec`, and per row the
+/// uid, the SNI and one `Vec` per non-empty chain. (93 with one heap
+/// string per chain fingerprint.)
+const SSL_READ_ALLOCS: usize = 63;
+/// Allocations of `read_x509_log` over a 16-row `x509.log` shard: the
+/// buffer, the line and column slices, the record `Vec`, and per row its
+/// text fields and SAN lists. (139 with heap strings for the fingerprint
+/// and the algorithm names.)
+const X509_READ_ALLOCS: usize = 93;
 
 struct Counting;
 
@@ -131,6 +146,32 @@ fn verdict_allocation_counts_are_pinned() {
         (shard, der_allocs),
         (SHARD_ALLOCS, DER_ALLOCS),
         "(shard_verdict, cert_verdict_der) allocations"
+    );
+}
+
+#[test]
+fn parse_allocation_counts_are_pinned() {
+    let sim = generate(&SimConfig {
+        seed: 7,
+        scale: 0.02,
+        ..SimConfig::default()
+    });
+    let mut ssl = Vec::new();
+    mtls_zeek::write_ssl_log(&mut ssl, &sim.ssl[..16]).unwrap();
+    let mut x509 = Vec::new();
+    mtls_zeek::write_x509_log(&mut x509, &sim.x509[..16]).unwrap();
+    // Warm up anything a first call initializes.
+    let _ = mtls_zeek::read_ssl_log(&ssl[..]).unwrap();
+    let _ = mtls_zeek::read_x509_log(&x509[..]).unwrap();
+
+    let (ssl_allocs, rows) = allocations(|| mtls_zeek::read_ssl_log(&ssl[..]).unwrap());
+    assert_eq!(rows, sim.ssl[..16]);
+    let (x509_allocs, rows) = allocations(|| mtls_zeek::read_x509_log(&x509[..]).unwrap());
+    assert_eq!(rows, sim.x509[..16]);
+    assert_eq!(
+        (ssl_allocs, x509_allocs),
+        (SSL_READ_ALLOCS, X509_READ_ALLOCS),
+        "(read_ssl_log, read_x509_log) allocations"
     );
 }
 

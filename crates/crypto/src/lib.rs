@@ -15,6 +15,8 @@
 //!   which asymmetric primitive signs it, and simsig still makes forged or
 //!   mis-chained certificates fail validation.
 //! * [`hex`] — lowercase hex encode/decode for fingerprints and serials.
+//! * [`Fp`] — a SHA-256 fingerprint as its 64 lowercase hex digits, held
+//!   inline: the join key between Zeek's `ssl.log` and `x509.log`.
 //!
 //! # Example
 //!
@@ -35,11 +37,13 @@
 //! assert!(!registry.verify(ca_key.key_id(), b"tampered", &sig));
 //! ```
 
+mod fp;
 pub mod hex;
 pub mod hmac;
 pub mod sha256;
 pub mod simsig;
 
+pub use fp::Fp;
 pub use hmac::hmac_sha256;
 pub use sha256::{sha256, sha256_scalar, sha_ni_available, Sha256};
 pub use simsig::{KeyId, KeyRegistry, Keypair, Signature};

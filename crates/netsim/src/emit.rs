@@ -10,15 +10,15 @@ use crate::scenarios::ContentQuotas;
 use crate::targets;
 use crate::world::{PublicCa, World};
 use mtls_asn1::Asn1Time;
-use mtls_crypto::{hex, sha256};
+use mtls_crypto::{sha256, Fp};
 use mtls_pki::ctlog::CtEntry;
 use mtls_pki::gossip::{CtObservation, GossipBundle, Vantage};
-use mtls_pki::merkle::leaf_hash;
 use mtls_pki::CtLog;
 use mtls_tlssim::{observe, simulate_handshake, HandshakeConfig};
 use mtls_x509::{Certificate, GeneralName, KeyAlgorithm, Version};
 use mtls_zeek::{Ipv4, SslRecord, TlsVersion, X509Record};
 use rand::Rng;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::Path;
@@ -63,7 +63,7 @@ pub struct MalformedStats {
     /// Distinct certificate blobs skipped (by fingerprint).
     pub certs_skipped: u64,
     /// Up to eight sample fingerprints of skipped blobs, first-seen order.
-    pub sample_fps: Vec<String>,
+    pub sample_fps: Vec<Fp>,
 }
 
 /// Out-of-band metadata the analysis pipeline needs (the paper's analogue:
@@ -139,7 +139,7 @@ pub struct Emitter {
 
 impl Emitter {
     /// Fresh emitter.
-    pub fn new(config: &SimConfig, _world: &World) -> Emitter {
+    pub fn new(config: &SimConfig) -> Emitter {
         Emitter {
             ssl: Vec::new(),
             x509: Vec::new(),
@@ -268,20 +268,20 @@ impl Emitter {
         self.ct_fork_entries.extend(entries);
     }
 
-    fn intern_chain(&mut self, ders: &[Vec<u8>], ts: f64) -> Vec<String> {
+    fn intern_chain(&mut self, ders: &[Vec<u8>], ts: f64) -> Vec<Fp> {
         let mut fps = Vec::with_capacity(ders.len());
         for der in ders {
             let digest = sha256(der);
-            let fp = hex::encode(&digest);
+            let fp = Fp::from_digest(&digest);
             if self.seen.insert(digest, ()).is_none() {
                 // Zeek's parse-failure path: the connection log keeps the
                 // fingerprint, the x509 log gets no row, nothing crashes.
                 match Certificate::from_der(der) {
-                    Ok(cert) => self.x509.push(to_x509_record(&cert, &fp, ts)),
+                    Ok(cert) => self.x509.push(to_x509_record(&cert, fp, ts)),
                     Err(_) => {
                         self.malformed.certs_skipped += 1;
                         if self.malformed.sample_fps.len() < 8 {
-                            self.malformed.sample_fps.push(fp.clone());
+                            self.malformed.sample_fps.push(fp);
                         }
                     }
                 }
@@ -406,7 +406,7 @@ impl Emitter {
         if forked {
             if let Some(proofs) = honest.prove_all_inclusions(honest.len() as u64) {
                 for (entry, proof) in honest.entries().iter().zip(proofs) {
-                    entry_proofs.push((leaf_hash(&CtLog::leaf_bytes(entry)), proof));
+                    entry_proofs.push((CtLog::leaf_hash(entry), proof));
                 }
             }
         }
@@ -461,11 +461,12 @@ impl Emitter {
     }
 }
 
-/// Convert a parsed certificate into its Zeek x509.log row.
-pub fn to_x509_record(cert: &Certificate, fp_hex: &str, ts: f64) -> X509Record {
+/// Convert a parsed certificate with fingerprint `fp` into its Zeek
+/// x509.log row.
+pub fn to_x509_record(cert: &Certificate, fp: Fp, ts: f64) -> X509Record {
     let (key_alg, key_length) = match cert.public_key().algorithm {
-        KeyAlgorithm::Rsa { bits } => ("rsa".to_string(), bits),
-        KeyAlgorithm::EcdsaP256 => ("ecdsa".to_string(), 256),
+        KeyAlgorithm::Rsa { bits } => ("rsa", bits),
+        KeyAlgorithm::EcdsaP256 => ("ecdsa", 256),
     };
     let mut san_dns = Vec::new();
     let mut san_email = Vec::new();
@@ -486,7 +487,7 @@ pub fn to_x509_record(cert: &Certificate, fp_hex: &str, ts: f64) -> X509Record {
     }
     X509Record {
         ts,
-        fingerprint: fp_hex.to_string(),
+        fingerprint: fp,
         version: match cert.version() {
             Version::V1 => 1,
             Version::V3 => 3,
@@ -498,14 +499,14 @@ pub fn to_x509_record(cert: &Certificate, fp_hex: &str, ts: f64) -> X509Record {
         subject_cn: cert.subject().common_name().map(str::to_owned),
         not_valid_before: cert.not_before().unix(),
         not_valid_after: cert.not_after().unix(),
-        key_alg,
+        key_alg: Cow::Borrowed(key_alg),
         key_length,
-        sig_alg: match cert.signature_algorithm() {
-            mtls_x509::SignatureAlgorithm::Sha256WithRsa => "sha256WithRSAEncryption".into(),
-            mtls_x509::SignatureAlgorithm::Sha1WithRsa => "sha1WithRSAEncryption".into(),
-            mtls_x509::SignatureAlgorithm::EcdsaWithSha256 => "ecdsa-with-SHA256".into(),
-            mtls_x509::SignatureAlgorithm::Md5WithRsa => "md5WithRSAEncryption".into(),
-        },
+        sig_alg: Cow::Borrowed(match cert.signature_algorithm() {
+            mtls_x509::SignatureAlgorithm::Sha256WithRsa => "sha256WithRSAEncryption",
+            mtls_x509::SignatureAlgorithm::Sha1WithRsa => "sha1WithRSAEncryption",
+            mtls_x509::SignatureAlgorithm::EcdsaWithSha256 => "ecdsa-with-SHA256",
+            mtls_x509::SignatureAlgorithm::Md5WithRsa => "md5WithRSAEncryption",
+        }),
         san_dns,
         san_email,
         san_uri,
@@ -542,7 +543,7 @@ impl SimOutput {
             writeln!(
                 ct,
                 "{}\t{}\t{}",
-                entry.domain, entry.issuer_display, entry.fingerprint_hex
+                entry.domain, entry.issuer_display, entry.fingerprint
             )?;
         }
 
@@ -599,8 +600,8 @@ mod tests {
     fn connection_interns_certs_once() {
         let cfg = SimConfig::default();
         let mut rng = StdRng::seed_from_u64(1);
-        let world = World::build(&cfg, &mut rng);
-        let mut em = Emitter::new(&cfg, &world);
+        let world = World::build(&cfg);
+        let mut em = Emitter::new(&cfg);
         let t0 = Asn1Time::from_ymd(2022, 6, 1);
         let ca = CertificateAuthority::new_root(
             b"e",
@@ -646,8 +647,8 @@ mod tests {
     fn tls13_connections_log_no_certs() {
         let cfg = SimConfig::default();
         let mut rng = StdRng::seed_from_u64(2);
-        let world = World::build(&cfg, &mut rng);
-        let mut em = Emitter::new(&cfg, &world);
+        let world = World::build(&cfg);
+        let mut em = Emitter::new(&cfg);
         let t0 = Asn1Time::from_ymd(2022, 6, 1);
         let ca = CertificateAuthority::new_root(
             b"e2",
@@ -682,8 +683,8 @@ mod tests {
     fn write_to_dir_round_trips_logs() {
         let cfg = SimConfig::default();
         let mut rng = StdRng::seed_from_u64(3);
-        let world = World::build(&cfg, &mut rng);
-        let mut em = Emitter::new(&cfg, &world);
+        let world = World::build(&cfg);
+        let mut em = Emitter::new(&cfg);
         let t0 = Asn1Time::from_ymd(2022, 7, 1);
         let ca = CertificateAuthority::new_root(
             b"e3",

@@ -77,8 +77,8 @@ pub fn generate_obs(config: &SimConfig, obs: &Obs, parent: Option<SpanId>) -> Si
     let span = obs.span(parent, "netsim_generate");
     let gid = span.id();
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let world = obs.time(gid, "world_build", || World::build(config, &mut rng));
-    let mut emitter = Emitter::new(config, &world);
+    let world = obs.time(gid, "world_build", || World::build(config));
+    let mut emitter = Emitter::new(config);
 
     macro_rules! scenario {
         ($name:ident) => {

@@ -58,12 +58,12 @@ pub fn run(config: &SimConfig, world: &World, em: &mut Emitter, rng: &mut impl R
         // The fabricated campus-view entries: CT "confirms" the proxy
         // issuer for both the exact host and the registered domain.
         let issuer = cert.issuer().to_display_string();
-        let fp = cert.fingerprint().to_hex();
+        let fp = cert.fingerprint().to_fp();
         for domain in [host.clone(), sld.to_string()] {
             fork.push(CtEntry {
                 domain,
                 issuer_display: issuer.clone(),
-                fingerprint_hex: fp.clone(),
+                fingerprint: fp,
             });
         }
         for _ in 0..CONNS_PER_CERT {

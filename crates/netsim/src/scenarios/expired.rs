@@ -15,7 +15,7 @@ use rand::Rng;
 
 /// Run the scenario.
 pub fn run(config: &SimConfig, world: &World, em: &mut Emitter, rng: &mut impl Rng) {
-    expired_outbound_cluster(config, world, em, rng);
+    expired_outbound_cluster(world, em, rng);
     expired_inbound(config, world, em, rng);
     long_validity(config, world, em, rng);
 }
@@ -23,17 +23,11 @@ pub fn run(config: &SimConfig, world: &World, em: &mut Emitter, rng: &mut impl R
 /// Fig. 5b: the tight cluster — Apple-issued client certs, expired about
 /// 1 000 days at first observation, talking to apple.com; plus two
 /// Microsoft ones (azure.com / azure-automation.net).
-fn expired_outbound_cluster(
-    config: &SimConfig,
-    world: &World,
-    em: &mut Emitter,
-    rng: &mut impl Rng,
-) {
+fn expired_outbound_cluster(world: &World, em: &mut Emitter, rng: &mut impl Rng) {
     let apple_ca = &world.public_ca(APPLE_DEVICE_ISSUER).intermediate;
     // Planted verbatim (already 1/10 of the paper's 337); the cluster must
     // dominate the two Microsoft certs at every scale.
     let n_apple = targets::EXPIRED_APPLE_CLIENTS;
-    let _ = config;
     let server_validity = (world.start.add_days(-30), world.start.add_days(760));
     let server_host = "gs.apple.com";
     let server_cert = em.public_server_leaf(

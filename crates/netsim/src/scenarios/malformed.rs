@@ -137,7 +137,7 @@ mod tests {
             ..SimConfig::default()
         };
         let mut rng = StdRng::seed_from_u64(7);
-        let world = World::build(&config, &mut rng);
+        let world = World::build(&config);
         let ca = world.private_ca("Fieldbus Conformance Lab");
         let t0 = world.start.add_days(10);
         for k in 0..24 {
@@ -155,10 +155,9 @@ mod tests {
             scale: 0.01,
             ..SimConfig::default()
         };
+        let world = World::build(&config);
+        let mut em = crate::emit::Emitter::new(&config);
         let mut rng = StdRng::seed_from_u64(9);
-        let world = World::build(&config, &mut rng);
-        let mut em = crate::emit::Emitter::new(&config, &world);
-        rng = StdRng::seed_from_u64(9);
         run(&config, &world, &mut em, &mut rng);
         // The RNG stream must be untouched when the gate is off.
         let mut fresh = StdRng::seed_from_u64(9);

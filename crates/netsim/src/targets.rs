@@ -1,7 +1,7 @@
 //! Calibration constants, each annotated with the paper statistic it
 //! reproduces. All counts are at `scale = 1.0` and are chosen so that the
-//! corpus preserves the paper's *ratios* at roughly 1/10⁴ of its connection
-//! volume and 1/250 of its certificate volume (DESIGN.md §1/§6).
+//! corpus preserves the paper's *ratios* at roughly 1/3,800 of its
+//! connection volume and 1/65 of its certificate volume (DESIGN.md §1/§6).
 //!
 //! Small "anecdote" populations (GuardiCore's 904 connections, the six
 //! private-CA server certificates with personal names, the 17 SDS clients…)

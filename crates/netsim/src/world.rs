@@ -5,7 +5,6 @@ use crate::ipplan::IpPlan;
 use mtls_asn1::Asn1Time;
 use mtls_pki::{CertificateAuthority, RootProgram, TrustAnchors};
 use mtls_x509::DistinguishedName;
-use rand::Rng;
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -82,7 +81,7 @@ const PUBLIC_CA_ROSTER: &[(&str, &[RootProgram])] = &[
 
 impl World {
     /// Deterministically build the world from the config seed.
-    pub fn build(config: &SimConfig, _rng: &mut impl Rng) -> World {
+    pub fn build(config: &SimConfig) -> World {
         let start = Asn1Time::from_ymd(2022, 5, 1);
         let mut anchors = TrustAnchors::new();
         let mut public_cas = Vec::new();
@@ -207,13 +206,9 @@ fn issuing_cn(org: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn world() -> World {
-        let cfg = SimConfig::default();
-        let mut rng = StdRng::seed_from_u64(0);
-        World::build(&cfg, &mut rng)
+        World::build(&SimConfig::default())
     }
 
     #[test]

@@ -27,7 +27,7 @@ fn every_public_server_leaf_is_logged_except_the_strip_twin() {
             .ct
             .entries()
             .iter()
-            .map(|e| e.fingerprint_hex.as_str())
+            .map(|e| e.fingerprint.as_str())
             .collect();
         let certs: HashMap<&str, _> = sim
             .x509

@@ -16,8 +16,8 @@ fn run_one(
         ..Default::default()
     };
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let world = World::build(&config, &mut rng);
-    let mut emitter = Emitter::new(&config, &world);
+    let world = World::build(&config);
+    let mut emitter = Emitter::new(&config);
     scenario(&config, &world, &mut emitter, &mut rng);
     emitter.finish(&world)
 }
@@ -157,8 +157,8 @@ fn interception_goes_dark_without_the_flag() {
         ..Default::default()
     };
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let world = World::build(&config, &mut rng);
-    let mut emitter = Emitter::new(&config, &world);
+    let world = World::build(&config);
+    let mut emitter = Emitter::new(&config);
     scenarios::interception::run(&config, &world, &mut emitter, &mut rng);
     let out = emitter.finish(&world);
     assert!(out.ssl.is_empty(), "flag disables the scenario");
@@ -206,8 +206,8 @@ fn nonmtls_respects_the_flag_and_rotates_certs() {
         ..Default::default()
     };
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let world = World::build(&config, &mut rng);
-    let mut emitter = Emitter::new(&config, &world);
+    let world = World::build(&config);
+    let mut emitter = Emitter::new(&config);
     scenarios::nonmtls::run(&config, &world, &mut emitter, &mut rng);
     assert!(
         emitter.finish(&world).ssl.is_empty(),

@@ -8,6 +8,7 @@
 //! over the whole log and over a randomly trusted subset of it — must
 //! equal what a linear scan of the same entries says.
 
+use mtls_crypto::Fp;
 use mtls_pki::ctlog::CtEntry;
 use mtls_pki::{CtIndex, CtLog};
 use proptest::prelude::*;
@@ -16,6 +17,7 @@ use std::collections::BTreeSet;
 const LABELS: &[&str] = &["a", "b", "www", "x", "*", "w*", ""];
 const SUFFIXES: &[&str] = &["x.y", "com", "y", "b.x.y"];
 const ISSUERS: &[&str] = &["O=A", "O=B", "O=C"];
+/// Fingerprint names; each entry's fingerprint is the SHA-256 of one.
 const FPS: &[&str] = &["00", "01", "02", "03", "04", "05"];
 
 /// A name built from a few labels over a small alphabet (so entries and
@@ -47,7 +49,7 @@ fn arb_entry() -> impl Strategy<Value = CtEntry> {
     (arb_name(), 0..ISSUERS.len(), 0..FPS.len()).prop_map(|(domain, issuer, fp)| CtEntry {
         domain,
         issuer_display: ISSUERS[issuer].into(),
-        fingerprint_hex: FPS[fp].into(),
+        fingerprint: Fp::of(FPS[fp].as_bytes()),
     })
 }
 
@@ -102,10 +104,11 @@ fn agrees(index: &CtIndex, entries: &[CtEntry], queries: &[String]) {
                 issuer
             );
         }
-        for fp in FPS.iter().chain(&["zz"]) {
+        for name in FPS.iter().chain(&["zz"]) {
+            let fp = Fp::of(name.as_bytes());
             prop_assert_eq!(
-                index.exact_domain_has_fingerprint(query, fp),
-                exact().any(|e| e.fingerprint_hex == *fp),
+                index.exact_domain_has_fingerprint(query, &fp),
+                exact().any(|e| e.fingerprint == fp),
                 "exact_domain_has_fingerprint({}, {})",
                 query,
                 fp
@@ -133,7 +136,7 @@ proptest! {
                 domain: e.domain.to_ascii_lowercase(),
                 ..e.clone()
             })
-            .filter(|e| seen.insert((e.domain.clone(), e.fingerprint_hex.clone())))
+            .filter(|e| seen.insert((e.domain.clone(), e.fingerprint)))
             .collect();
         prop_assert_eq!(log.len(), seen.len());
         prop_assert_eq!(log.entries(), &logged[..]);

@@ -10,7 +10,7 @@ use crate::tls::EndpointConfig;
 use mtls_asn1::Asn1Time;
 use mtls_core::testutil;
 use mtls_core::verdict::VerdictContext;
-use mtls_crypto::{hex, sha256, KeyRegistry, Keypair};
+use mtls_crypto::{Fp, KeyRegistry, Keypair};
 use mtls_obs::Obs;
 use mtls_pki::{Authorizer, CertificateAuthority, CtLog, TrustAnchors, ValidationPolicy};
 use mtls_x509::{CertificateBuilder, DistinguishedName, GeneralName};
@@ -150,7 +150,7 @@ pub fn demo_world() -> DemoWorld {
     .iter()
     .map(|der| {
         let cert = mtls_x509::Certificate::from_der(der).expect("demo cert");
-        mtls_netsim::to_x509_record(&cert, &hex::encode(&sha256(der)), at)
+        mtls_netsim::to_x509_record(&cert, Fp::of(der), at)
     })
     .collect();
     let mut sample_shard = Vec::new();

@@ -74,7 +74,7 @@ fn served_shard_verdict_matches_offline_against_a_populated_ct_log() {
     cfg.verdict.ct.submit_entry(CtEntry {
         domain: "vpn.campus.example".into(),
         issuer_display: "CN=DigiCert Global Root G2, O=DigiCert Inc".into(),
-        fingerprint_hex: "ab".repeat(32),
+        fingerprint: mtls_crypto::Fp::of(b"logged DigiCert leaf"),
     });
     let mut ctx = demo_verdict_context();
     ctx.ct = cfg.verdict.ct.clone();

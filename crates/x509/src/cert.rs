@@ -127,9 +127,9 @@ impl SignatureAlgorithm {
 pub struct Fingerprint(pub [u8; 32]);
 
 impl Fingerprint {
-    /// Lowercase hex form.
-    pub fn to_hex(self) -> String {
-        mtls_crypto::hex::encode(&self.0)
+    /// The fingerprint as Zeek logs it: 64 lowercase hex digits.
+    pub fn to_fp(self) -> mtls_crypto::Fp {
+        mtls_crypto::Fp::from_digest(&self.0)
     }
 }
 

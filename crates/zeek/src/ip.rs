@@ -14,26 +14,38 @@ impl Ipv4 {
         Ipv4(u32::from_be_bytes([a, b, c, d]))
     }
 
-    /// Parse dotted-quad text. Leading-zero octets (`010.0.0.1`) are
-    /// rejected: `inet_aton`-style parsers read them as octal, so accepting
-    /// them decimally would silently disagree about which address was seen.
+    /// Parse dotted-quad text: exactly four decimal octets of one to three
+    /// digits, each at most 255, in one pass over the bytes. Leading-zero
+    /// octets (`010.0.0.1`) are rejected: `inet_aton`-style parsers read
+    /// them as octal, so accepting them decimally would silently disagree
+    /// about which address was seen.
     pub fn parse(s: &str) -> Option<Ipv4> {
-        let mut parts = s.split('.');
-        let mut octets = [0u8; 4];
-        for o in octets.iter_mut() {
-            let part = parts.next()?;
-            if part.is_empty() || part.len() > 3 || !part.bytes().all(|b| b.is_ascii_digit()) {
+        let mut bytes = s.bytes();
+        let mut addr = 0u32;
+        for last in [false, false, false, true] {
+            let mut octet = 0u32;
+            let mut digits = 0;
+            loop {
+                match bytes.next() {
+                    // A fourth digit, or a digit after a leading zero.
+                    Some(b) if b.is_ascii_digit() => {
+                        if digits == 3 || (digits == 1 && octet == 0) {
+                            return None;
+                        }
+                        octet = octet * 10 + u32::from(b - b'0');
+                        digits += 1;
+                    }
+                    Some(b'.') if !last && digits > 0 => break,
+                    None if last && digits > 0 => break,
+                    _ => return None,
+                }
+            }
+            if octet > 255 {
                 return None;
             }
-            if part.len() > 1 && part.starts_with('0') {
-                return None;
-            }
-            *o = part.parse().ok()?;
+            addr = addr << 8 | octet;
         }
-        if parts.next().is_some() {
-            return None;
-        }
-        Some(Ipv4(u32::from_be_bytes(octets)))
+        Some(Ipv4(addr))
     }
 
     /// The four octets.

@@ -12,7 +12,7 @@
 //! # Example
 //!
 //! ```
-//! use mtls_zeek::{write_ssl_log, read_ssl_log, Ipv4, SslRecord, TlsVersion};
+//! use mtls_zeek::{write_ssl_log, read_ssl_log, Fp, Ipv4, SslRecord, TlsVersion};
 //!
 //! let rec = SslRecord {
 //!     ts: 1_651_363_200.5,
@@ -24,8 +24,9 @@
 //!     version: TlsVersion::Tls12,
 //!     server_name: Some("api.example.com".into()),
 //!     established: true,
-//!     cert_chain_fps: vec!["aa11".into()],
-//!     client_cert_chain_fps: vec!["bb22".into()], // a client chain => mutual TLS
+//!     cert_chain_fps: vec![Fp::of(b"server leaf DER")],
+//!     // A client chain => mutual TLS.
+//!     client_cert_chain_fps: vec![Fp::of(b"client leaf DER")],
 //! };
 //! assert!(rec.is_mutual_tls());
 //!
@@ -45,6 +46,7 @@ pub mod tsv;
 
 pub use diag::{ErrorKind, IngestMode, IngestStats, ShardDiag, SkipSample, ERROR_KINDS};
 pub use ip::Ipv4;
+pub use mtls_crypto::Fp;
 pub use records::{SslRecord, TlsVersion, X509Record};
 pub use rotate::{
     month_keys, partition_monthly, read_dir_obs, read_month_obs, read_monthly_with, write_monthly,

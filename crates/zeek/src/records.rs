@@ -1,6 +1,8 @@
 //! The two log record types of the paper's dataset.
 
 use crate::ip::Ipv4;
+use mtls_crypto::Fp;
+use std::borrow::Cow;
 
 /// Negotiated TLS protocol version, as Zeek prints it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -68,10 +70,10 @@ pub struct SslRecord {
     pub established: bool,
     /// Server certificate chain fingerprints (leaf first); empty under
     /// TLS 1.3 or when no certificate was sent.
-    pub cert_chain_fps: Vec<String>,
+    pub cert_chain_fps: Vec<Fp>,
     /// Client certificate chain fingerprints (leaf first); non-empty means
     /// the connection used mutual TLS.
-    pub client_cert_chain_fps: Vec<String>,
+    pub client_cert_chain_fps: Vec<Fp>,
 }
 
 impl SslRecord {
@@ -94,8 +96,8 @@ impl SslRecord {
 pub struct X509Record {
     /// First-seen timestamp, Unix seconds.
     pub ts: f64,
-    /// SHA-256 fingerprint (lowercase hex) — the join key from `ssl.log`.
-    pub fingerprint: String,
+    /// SHA-256 fingerprint — the join key from `ssl.log`.
+    pub fingerprint: Fp,
     /// Certificate version (1 or 3).
     pub version: u8,
     /// Serial number, uppercase hex as Zeek prints it.
@@ -112,11 +114,13 @@ pub struct X509Record {
     /// the misconfigured population the paper studies).
     pub not_valid_before: i64,
     pub not_valid_after: i64,
-    /// Key algorithm ("rsa" / "ecdsa") and length in bits.
-    pub key_alg: String,
+    /// Key algorithm ("rsa" / "ecdsa") and length in bits. The parser
+    /// borrows a static string for the names it knows and owns any other.
+    pub key_alg: Cow<'static, str>,
     pub key_length: u16,
-    /// Declared signature algorithm name.
-    pub sig_alg: String,
+    /// Declared signature algorithm name (static when the parser knows
+    /// it, owned otherwise).
+    pub sig_alg: Cow<'static, str>,
     /// SAN dNSName entries.
     pub san_dns: Vec<String>,
     /// SAN rfc822Name entries.
@@ -147,6 +151,7 @@ mod tests {
     use super::*;
 
     fn ssl(server_fps: &[&str], client_fps: &[&str]) -> SslRecord {
+        let fps = |names: &[&str]| names.iter().map(|n| Fp::of(n.as_bytes())).collect();
         SslRecord {
             ts: 1.5e9,
             uid: "CUid1".into(),
@@ -157,8 +162,8 @@ mod tests {
             version: TlsVersion::Tls12,
             server_name: Some("example.org".into()),
             established: true,
-            cert_chain_fps: server_fps.iter().map(|s| s.to_string()).collect(),
-            client_cert_chain_fps: client_fps.iter().map(|s| s.to_string()).collect(),
+            cert_chain_fps: fps(server_fps),
+            client_cert_chain_fps: fps(client_fps),
         }
     }
 
@@ -194,7 +199,7 @@ mod tests {
     fn x509_date_predicates() {
         let mut rec = X509Record {
             ts: 0.0,
-            fingerprint: "ab".into(),
+            fingerprint: Fp::of(b"ab"),
             version: 3,
             serial: "00".into(),
             subject: "CN=x".into(),

@@ -299,7 +299,7 @@ mod tests {
     fn x509_at(ts: f64, fp: &str) -> X509Record {
         X509Record {
             ts,
-            fingerprint: fp.to_string(),
+            fingerprint: crate::Fp::of(fp.as_bytes()),
             version: 3,
             serial: "01".into(),
             subject: String::new(),
@@ -310,7 +310,7 @@ mod tests {
             not_valid_after: 1,
             key_alg: "rsa".into(),
             key_length: 2048,
-            sig_alg: String::new(),
+            sig_alg: "".into(),
             san_dns: vec![],
             san_email: vec![],
             san_uri: vec![],

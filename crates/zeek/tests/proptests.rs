@@ -2,7 +2,7 @@
 
 use mtls_zeek::tsv::{escape, unescape, unescape_into};
 use mtls_zeek::{read_ssl_log, read_x509_log, write_ssl_log, write_x509_log};
-use mtls_zeek::{Ipv4, SslRecord, TlsVersion, X509Record, X509Rows};
+use mtls_zeek::{Fp, Ipv4, SslRecord, TlsVersion, X509Record, X509Rows};
 use proptest::prelude::*;
 use std::io::Cursor;
 
@@ -25,6 +25,14 @@ fn arb_vec_field() -> impl Strategy<Value = Vec<String>> {
     proptest::collection::vec("[ -~]{1,20}", 0..4)
 }
 
+fn arb_fp() -> impl Strategy<Value = Fp> {
+    "[0-9a-f]{64}".prop_map(|s| Fp::parse(&s).expect("64 lowercase hex digits"))
+}
+
+fn arb_chain() -> impl Strategy<Value = Vec<Fp>> {
+    proptest::collection::vec(arb_fp(), 0..4)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -39,8 +47,8 @@ proptest! {
         version in arb_version(),
         sni in proptest::option::of("[a-z0-9.-]{1,30}"),
         established in any::<bool>(),
-        server_fps in arb_vec_field(),
-        client_fps in arb_vec_field(),
+        server_fps in arb_chain(),
+        client_fps in arb_chain(),
     ) {
         let rec = SslRecord {
             ts,
@@ -63,7 +71,7 @@ proptest! {
 
     #[test]
     fn x509_records_round_trip(
-        fingerprint in "[a-f0-9]{8}",
+        fingerprint in arb_fp(),
         serial in "[A-F0-9]{2,16}",
         subject in arb_field(),
         issuer in arb_field(),
@@ -126,7 +134,7 @@ fn arb_san() -> impl Strategy<Value = Vec<String>> {
 fn arb_row() -> impl Strategy<Value = X509Record> {
     (
         (
-            "[a-f0-9]{1,16}",
+            arb_fp(),
             arb_shape_field(),
             arb_shape_field(),
             proptest::option::of(arb_shape_field()),
@@ -193,7 +201,7 @@ proptest! {
 #[test]
 fn reused_row_reports_the_first_error_of_the_fresh_reader() {
     let good = X509Record {
-        fingerprint: "aa".into(),
+        fingerprint: Fp::of(b"good"),
         subject: "CN=a\\,b".into(),
         issuer_org: Some("Org".into()),
         san_dns: vec!["a.example".into(), "b.example".into()],
@@ -253,8 +261,8 @@ proptest! {
             version: TlsVersion::Tls12,
             server_name: Some("mut.example.com".into()),
             established: true,
-            cert_chain_fps: vec!["aa".into()],
-            client_cert_chain_fps: vec!["bb".into()],
+            cert_chain_fps: vec![Fp::of(b"server")],
+            client_cert_chain_fps: vec![Fp::of(b"client")],
         };
         let mut buf = Vec::new();
         write_ssl_log(&mut buf, std::slice::from_ref(&rec)).unwrap();
@@ -464,6 +472,137 @@ proptest! {
             let ours: Vec<&str> = swar::split_str(&s, needle).collect();
             let std: Vec<&str> = s.split(needle as char).collect();
             prop_assert_eq!(ours, std);
+        }
+    }
+}
+
+/// The dotted-quad parser before it became one pass over the bytes: the
+/// oracle for the accept set (four decimal octets of 1–3 digits, each at
+/// most 255, no leading zeros).
+fn ipv4_parse_oracle(s: &str) -> Option<Ipv4> {
+    let mut parts = s.split('.');
+    let mut octets = [0u8; 4];
+    for o in octets.iter_mut() {
+        let part = parts.next()?;
+        if part.is_empty() || part.len() > 3 || !part.bytes().all(|b| b.is_ascii_digit()) {
+            return None;
+        }
+        if part.len() > 1 && part.starts_with('0') {
+            return None;
+        }
+        *o = part.parse().ok()?;
+    }
+    if parts.next().is_some() {
+        return None;
+    }
+    Some(Ipv4(u32::from_be_bytes(octets)))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn ipv4_parse_matches_oracle_on_digits_and_dots(s in "[0-9.]{0,20}") {
+        prop_assert_eq!(Ipv4::parse(&s), ipv4_parse_oracle(&s), "{:?}", s);
+    }
+
+    #[test]
+    fn ipv4_parse_matches_oracle_on_near_addresses(
+        octets in proptest::collection::vec("[0-9]{0,4}", 3..6),
+        tail in "[0-9a.x ]{0,2}",
+    ) {
+        let s = format!("{}{tail}", octets.join("."));
+        prop_assert_eq!(Ipv4::parse(&s), ipv4_parse_oracle(&s), "{:?}", s);
+    }
+
+    #[test]
+    fn ipv4_parse_matches_oracle_on_arbitrary_input(s in "\\PC{0,20}") {
+        prop_assert_eq!(Ipv4::parse(&s), ipv4_parse_oracle(&s), "{:?}", s);
+    }
+}
+
+/// What `Fp::parse` must accept: exactly 64 lowercase hex digits.
+fn is_fp_text(s: &str) -> bool {
+    s.len() == Fp::LEN && s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn fp_renders_back_what_it_accepted(s in "[0-9a-f]{64}") {
+        let fp = Fp::parse(&s).unwrap();
+        prop_assert_eq!(fp.as_str(), s.as_str());
+        prop_assert_eq!(fp.to_string(), s.clone());
+        prop_assert_eq!(fp.as_bytes(), s.as_bytes());
+    }
+
+    #[test]
+    fn fp_rejects_every_other_near_miss(s in "[0-9a-gA-F,x -]{60,68}") {
+        prop_assert_eq!(Fp::parse(&s).is_some(), is_fp_text(&s), "{:?}", s);
+    }
+
+    #[test]
+    fn fp_rejects_every_other_arbitrary_input(s in "\\PC{0,70}") {
+        prop_assert_eq!(Fp::parse(&s).is_some(), is_fp_text(&s), "{:?}", s);
+    }
+
+    #[test]
+    fn fp_order_is_string_order(
+        a in "[0-9a-f]{64}",
+        shared in 0usize..=64,
+        tail in "[0-9a-f]{64}",
+    ) {
+        // A shared prefix of any length, so the orders are compared at
+        // every digit position (and on equal values).
+        let b = format!("{}{}", &a[..shared], &tail[shared..]);
+        let (fa, fb) = (Fp::parse(&a).unwrap(), Fp::parse(&b).unwrap());
+        prop_assert_eq!(fa.cmp(&fb), a.cmp(&b));
+        prop_assert_eq!(fa == fb, a == b);
+    }
+}
+
+/// A chain field as the reader must judge it: unset or empty, or
+/// comma-separated entries that each parse as an `Fp`.
+fn chain_oracle(field: &str) -> Option<Vec<Fp>> {
+    if field == "(empty)" || field == "-" || field.is_empty() {
+        return Some(Vec::new());
+    }
+    field.split(',').map(Fp::parse).collect()
+}
+
+fn arb_chain_text() -> impl Strategy<Value = String> {
+    let entry = prop_oneof![
+        "[0-9a-f]{64}",
+        "[0-9a-f]{63,65}",
+        "[0-9a-fA-F]{64}",
+        "[0-9a-f,]{0,3}",
+        Just("-".to_string()),
+    ];
+    (proptest::collection::vec(entry, 0..4), "[,]{0,1}").prop_map(|(entries, tail)| {
+        let mut text = entries.join(",");
+        text.push_str(&tail);
+        text
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn chain_fields_parse_as_comma_joined_fingerprints(chain in arb_chain_text()) {
+        let mut buf = Vec::new();
+        write_ssl_log(&mut buf, std::iter::empty()).unwrap();
+        let mut text = String::from_utf8(buf).unwrap();
+        text.push_str(&format!(
+            "1.5\tCx\t10.0.0.1\t1\t10.0.0.2\t443\tTLSv12\t-\tT\t{chain}\t(empty)\n"
+        ));
+        match (read_ssl_log(Cursor::new(text)), chain_oracle(&chain)) {
+            (Ok(rows), Some(fps)) => prop_assert_eq!(&rows[0].cert_chain_fps, &fps),
+            (Err(mtls_zeek::TsvError::BadField { field, .. }), None) => {
+                prop_assert_eq!(field, "cert_chain_fps")
+            }
+            (got, want) => prop_assert!(false, "{:?}: read {:?}, oracle {:?}", chain, got, want),
         }
     }
 }

@@ -11,10 +11,10 @@ use mtlscope::core::testutil::faults;
 use mtlscope::core::{
     run_pipeline, run_pipeline_obs, AnalysisInputs, Corpus, CorpusBuilder, IngestMode,
 };
-use mtlscope::intern::{FxHashSet, Interner};
+use mtlscope::intern::FxHashSet;
 use mtlscope::netsim::{generate, SimConfig, SimOutput};
 use mtlscope::obs::{Obs, Snapshot};
-use mtlscope::zeek::{partition_monthly, ErrorKind};
+use mtlscope::zeek::{partition_monthly, ErrorKind, Fp};
 use std::path::{Path, PathBuf};
 
 /// A load with no window, unobserved.
@@ -375,9 +375,9 @@ fn epoch_merge_takes_min_first_seen_and_max_last_seen() {
 
     // Ground truth straight from the raw rows: per fingerprint, the
     // min/max connection timestamp over every chain that references it.
-    let mut expected: std::collections::HashMap<&str, (f64, f64, usize)> =
+    let mut expected: std::collections::HashMap<&Fp, (f64, f64, usize)> =
         std::collections::HashMap::new();
-    let mut months_seen: std::collections::HashMap<&str, FxHashSet<&str>> =
+    let mut months_seen: std::collections::HashMap<&Fp, FxHashSet<&str>> =
         std::collections::HashMap::new();
     for (key, ssl, _) in &months {
         for rec in ssl {
@@ -391,7 +391,7 @@ fn epoch_merge_takes_min_first_seen_and_max_last_seen() {
             }
         }
     }
-    let multi_month: Vec<&str> = months_seen
+    let multi_month: Vec<&Fp> = months_seen
         .iter()
         .filter(|(_, m)| m.len() >= 2)
         .map(|(fp, _)| *fp)
@@ -419,7 +419,6 @@ fn epoch_merge_takes_min_first_seen_and_max_last_seen() {
             parts.meta,
             &FxHashSet::default(),
             vec![],
-            Interner::new(),
         );
         for fp in &multi_month {
             let cert = corpus.cert(corpus.cert_by_fp(fp).expect("fp has an x509 row"));

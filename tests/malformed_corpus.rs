@@ -4,12 +4,16 @@
 //! unparseable blobs with accounting, the logs survive lenient ingest
 //! from disk, and the corpus reports exactly the resulting dangling
 //! fingerprint references — all without a panic anywhere in the pipeline.
+//! Malformed fingerprints in the logs themselves are field errors: strict
+//! ingest stops at the first, lenient ingest skips and counts each row.
 
 use mtlscope::core::ingest::load_dir;
-use mtlscope::core::{build_corpus_obs, run_pipeline_obs, AnalysisInputs, IngestMode};
+use mtlscope::core::{build_corpus_obs, run_pipeline_obs, AnalysisInputs, IngestError, IngestMode};
 use mtlscope::netsim::{generate, SimConfig};
 use mtlscope::obs::Obs;
 use mtlscope::x509::Certificate;
+use mtlscope::zeek::{ErrorKind, TsvError};
+use std::path::Path;
 
 fn config(include_malformed: bool) -> SimConfig {
     SimConfig {
@@ -93,8 +97,102 @@ fn planted_deformities_really_are_unparseable() {
     // change certs_skipped here.
     let again = generate(&config(true));
     assert_eq!(again.malformed, sim.malformed);
-    // And a well-formed cert from the corpus does parse (sanity check the
-    // oracle direction).
-    assert!(sim.x509.iter().all(|c| !c.fingerprint.is_empty()));
+    // One row per distinct certificate, as Zeek's x509 dedup logs them.
+    assert_eq!(present.len(), sim.x509.len());
     let _ = Certificate::from_der(&[0x30, 0x03, 0x02, 0x01, 0x00]).is_err();
+}
+
+/// Rewrite the first four data lines of `path` that `pick` accepts,
+/// putting the four malformed fingerprints (a non-hex digit, 63 digits,
+/// uppercase, unset) into tab-separated column `column`: `splice` gets the
+/// column's text and one bad fingerprint and returns the new text.
+fn plant_bad_fingerprints(
+    path: &Path,
+    column: usize,
+    pick: impl Fn(&str) -> bool,
+    splice: impl Fn(&str, &str) -> String,
+) {
+    let text = std::fs::read_to_string(path).expect("read log");
+    let good = "0123456789abcdef".repeat(4);
+    let bad = [
+        format!("{}x", &good[1..]),
+        good[1..].to_string(),
+        good.to_ascii_uppercase(),
+        "-".to_string(),
+    ];
+    let mut planted = 0;
+    let mut out = String::with_capacity(text.len() + 256);
+    for line in text.lines() {
+        let mut cols: Vec<String> = line.split('\t').map(str::to_string).collect();
+        if planted < bad.len() && !line.starts_with('#') && pick(&cols[column]) {
+            cols[column] = splice(&cols[column], &bad[planted]);
+            planted += 1;
+        }
+        out.push_str(&cols.join("\t"));
+        out.push('\n');
+    }
+    assert_eq!(planted, bad.len(), "{}", path.display());
+    std::fs::write(path, out).expect("write log");
+}
+
+/// The strict load's error, which must be a `BadField`; returns its field.
+fn strict_bad_field(dir: &Path) -> &'static str {
+    match load_dir(dir, IngestMode::Strict, None, &Obs::noop(), None) {
+        Err(IngestError::Tsv(TsvError::BadField { field, .. })) => field,
+        Err(e) => panic!("strict load failed, but not on a field: {e}"),
+        Ok(_) => panic!("strict load accepted malformed fingerprints"),
+    }
+}
+
+#[test]
+fn malformed_fingerprints_are_field_errors_in_both_logs() {
+    let sim = generate(&config(false));
+    let dir = std::env::temp_dir().join(format!("mtlscope-badfp-{}", std::process::id()));
+    sim.write_to_dir(&dir).expect("write logs");
+    // In `ssl.log` each bad value is a second chain entry: a whole chain
+    // column of `-` is an unset vector, which reads as no certificates.
+    plant_bad_fingerprints(&dir.join("x509.log"), 1, |_| true, |_, bad| bad.to_string());
+    let shards = |d: &mtlscope::core::IngestDiagnostics| {
+        d.stats
+            .shards
+            .iter()
+            .map(|s| {
+                (
+                    s.shard.clone(),
+                    s.skipped_of(ErrorKind::BadField),
+                    s.rows_skipped(),
+                )
+            })
+            .collect::<Vec<_>>()
+    };
+
+    // x509.log alone: strict names its column, lenient drops four rows.
+    assert_eq!(strict_bad_field(&dir), "fingerprint");
+    let (inputs, diag) =
+        load_dir(&dir, IngestMode::Lenient, None, &Obs::noop(), None).expect("lenient ingest");
+    assert_eq!(inputs.ssl.len(), sim.ssl.len());
+    assert_eq!(inputs.x509.len(), sim.x509.len() - 4);
+    assert_eq!(
+        shards(&diag),
+        [("ssl.log".into(), 0, 0), ("x509.log".into(), 4, 4)]
+    );
+
+    // Both logs: ssl.log is read first, so strict stops in its column.
+    plant_bad_fingerprints(
+        &dir.join("ssl.log"),
+        9,
+        |chain| chain.len() == 64,
+        |chain, bad| format!("{chain},{bad}"),
+    );
+    assert_eq!(strict_bad_field(&dir), "cert_chain_fps");
+    let (inputs, diag) =
+        load_dir(&dir, IngestMode::Lenient, None, &Obs::noop(), None).expect("lenient ingest");
+    assert_eq!(inputs.ssl.len(), sim.ssl.len() - 4);
+    assert_eq!(inputs.x509.len(), sim.x509.len() - 4);
+    assert_eq!(diag.stats.rows_skipped, 8);
+    assert_eq!(
+        shards(&diag),
+        [("ssl.log".into(), 4, 4), ("x509.log".into(), 4, 4)]
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

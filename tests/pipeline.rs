@@ -245,7 +245,6 @@ fn interception_thresholds_are_not_load_bearing() {
     // CT-mismatch candidates and real CAs ~0 %, so the verdict barely
     // moves across a wide threshold neighborhood.
     use mtlscope::core::pipeline::interception;
-    use mtlscope::intern::Interner;
     let sim = generate(&SimConfig {
         seed: 77,
         scale: 0.05,
@@ -261,21 +260,12 @@ fn interception_thresholds_are_not_load_bearing() {
         "TrafficLens",
     ];
 
-    let mut interner = Interner::new();
-    let (_, baseline) = interception::filter_with(
-        &inputs.ssl,
-        &inputs.x509,
-        &inputs.ct,
-        &inputs.meta,
-        3,
-        0.8,
-        &mut interner,
-    );
+    let (_, baseline) =
+        interception::filter_with(&inputs.ssl, &inputs.x509, &inputs.ct, &inputs.meta, 3, 0.8);
     assert!(!baseline.is_empty());
 
     for min_certs in [2usize, 3, 5] {
         for share in [0.5f64, 0.8, 0.95] {
-            let mut interner = Interner::new();
             let (excluded, issuers) = interception::filter_with(
                 &inputs.ssl,
                 &inputs.x509,
@@ -283,7 +273,6 @@ fn interception_thresholds_are_not_load_bearing() {
                 &inputs.meta,
                 min_certs,
                 share,
-                &mut interner,
             );
             // Zero false positives at every setting.
             for issuer in &issuers {
