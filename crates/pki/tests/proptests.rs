@@ -126,11 +126,11 @@ proptest! {
         cut_a in any::<u64>(),
         cut_b in any::<u64>(),
     ) {
-        use mtls_pki::merkle::{verify_consistency, verify_inclusion, MerkleTree};
+        use mtls_pki::merkle::{leaf_hash, verify_consistency, verify_inclusion, MerkleTree};
 
         let mut tree = MerkleTree::new();
         for leaf in &leaves {
-            tree.push(leaf);
+            tree.push(leaf_hash(leaf));
         }
         let n = tree.size();
         // Any prefix size m <= k <= n: PROOF(m, D[k]) links MTH(D[m]) to
@@ -156,7 +156,7 @@ proptest! {
         if k > 0 {
             let i = cut_a % k;
             let ipr = tree.inclusion_proof(i, k).unwrap();
-            prop_assert!(verify_inclusion(&leaves[i as usize], i, k, &ipr, &new_root));
+            prop_assert!(verify_inclusion(&leaf_hash(&leaves[i as usize]), i, k, &ipr, &new_root));
         }
     }
 
