@@ -12,9 +12,9 @@
 
 use crate::corpus::{CertInfo, Corpus, IssuerFacts};
 use crate::report::{count, pct, Table};
+use mtls_intern::{FxHashMap, FxHashSet};
 use mtls_pki::policy::Violation;
 use mtls_pki::ValidationPolicy;
-use std::collections::HashMap;
 
 /// The audit result.
 #[derive(Debug, Clone)]
@@ -155,8 +155,8 @@ pub fn run(corpus: &Corpus) -> Report {
 pub fn run_with(corpus: &Corpus, policy: &ValidationPolicy) -> Report {
     let mut total = 0usize;
     let mut flagged = 0usize;
-    let mut by_violation: HashMap<Violation, usize> = HashMap::new();
-    let mut flagged_cert_ids: std::collections::HashSet<usize> = Default::default();
+    let mut by_violation: FxHashMap<Violation, usize> = FxHashMap::default();
+    let mut flagged_cert_ids: FxHashSet<usize> = FxHashSet::default();
 
     for conn in corpus.mtls_conns() {
         if !conn.rec.established {

@@ -3,8 +3,9 @@
 
 use crate::corpus::{Corpus, Direction};
 use crate::report::{count, Table};
+use mtls_intern::FxHashSet;
 use mtls_zeek::Ipv4;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 /// One Table 5 population.
 #[derive(Debug, Clone)]
@@ -32,15 +33,15 @@ pub struct Report {
 pub fn run(corpus: &Corpus) -> Report {
     struct Acc {
         public: bool,
-        clients: HashSet<Ipv4>,
+        clients: FxHashSet<Ipv4>,
         conns: usize,
         first: f64,
         last: f64,
     }
-    let mut acc: BTreeMap<(bool, Option<String>, String), Acc> = BTreeMap::new();
+    let mut acc: BTreeMap<(bool, Option<&str>, &str), Acc> = BTreeMap::new();
     let mut inbound_conns = 0usize;
     let mut outbound_conns = 0usize;
-    let mut shared: HashSet<usize> = HashSet::new();
+    let mut shared: FxHashSet<usize> = FxHashSet::default();
 
     for conn in corpus.mtls_conns() {
         if !conn.same_cert_both_ends {
@@ -59,12 +60,12 @@ pub fn run(corpus: &Corpus) -> Report {
         }
         let key = (
             inbound,
-            conn.sld.clone(),
-            cert.rec.issuer_org.clone().unwrap_or_default(),
+            conn.sld.as_deref(),
+            cert.rec.issuer_org.as_deref().unwrap_or_default(),
         );
         let entry = acc.entry(key).or_insert(Acc {
             public: cert.issuer.public,
-            clients: HashSet::new(),
+            clients: FxHashSet::default(),
             conns: 0,
             first: f64::INFINITY,
             last: f64::NEG_INFINITY,
@@ -79,8 +80,8 @@ pub fn run(corpus: &Corpus) -> Report {
         .into_iter()
         .map(|((inbound, sld, issuer), a)| Row {
             inbound,
-            sld,
-            issuer,
+            sld: sld.map(str::to_owned),
+            issuer: issuer.to_owned(),
             public_issuer: a.public,
             clients: a.clients.len(),
             conns: a.conns,

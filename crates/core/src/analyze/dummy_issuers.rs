@@ -2,8 +2,9 @@
 //! plus the connections where *both* endpoints present dummy-issued
 //! certificates, and §5.1.1's v1 / weak-key sub-populations.
 
-use crate::corpus::{Corpus, Direction};
+use crate::corpus::{CertId, Corpus, Direction};
 use crate::report::{count, Table};
+use mtls_intern::FxHashSet;
 use mtls_pki::IssuerCategory;
 use mtls_zeek::Ipv4;
 use std::collections::{BTreeMap, HashSet};
@@ -39,66 +40,50 @@ pub struct Report {
 }
 
 /// Accumulator for Table 10: clients plus first/last timestamps.
-type BothAcc = BTreeMap<(Option<String>, String), (HashSet<Ipv4>, f64, f64)>;
+type BothAcc<'c> = BTreeMap<(Option<&'c str>, &'c str), (FxHashSet<Ipv4>, f64, f64)>;
+
+/// A [`Row`] while connections are folded in, keyed on the corpus's own
+/// strings.
+#[derive(Default)]
+struct RowAcc<'c> {
+    servers: FxHashSet<Ipv4>,
+    clients: FxHashSet<Ipv4>,
+    conns: usize,
+    slds: FxHashSet<&'c str>,
+}
 
 /// Run the analyzer.
 pub fn run(corpus: &Corpus) -> Report {
-    let mut rows: BTreeMap<(String, &'static str, bool), Row> = BTreeMap::new();
+    let mut rows: BTreeMap<(&str, &'static str, bool), RowAcc> = BTreeMap::new();
     let mut both_acc: BothAcc = BTreeMap::new();
+    // The issuer organization of a dummy-issued leaf.
+    let dummy_org = |leaf: Option<CertId>| {
+        let cert = corpus.cert(leaf?);
+        (cert.issuer.category == IssuerCategory::Dummy)
+            .then(|| cert.rec.issuer_org.as_deref().unwrap_or_default())
+    };
 
     for conn in corpus.mtls_conns() {
         if conn.direction == Direction::Transit {
             continue;
         }
         let inbound = conn.direction == Direction::Inbound;
-        let server_dummy = conn
-            .server_leaf
-            .map(|id| corpus.cert(id).issuer.category == IssuerCategory::Dummy)
-            .unwrap_or(false);
-        let client_dummy = conn
-            .client_leaf
-            .map(|id| corpus.cert(id).issuer.category == IssuerCategory::Dummy)
-            .unwrap_or(false);
+        let server_org = dummy_org(conn.server_leaf);
+        let client_org = dummy_org(conn.client_leaf);
 
-        if client_dummy {
-            let org = corpus
-                .cert(conn.client_leaf.expect("checked"))
-                .rec
-                .issuer_org
-                .clone()
-                .unwrap_or_default();
-            let row = rows.entry((org, "client", inbound)).or_default();
+        for (org, side) in [(client_org, "client"), (server_org, "server")] {
+            let Some(org) = org else { continue };
+            let row = rows.entry((org, side, inbound)).or_default();
             row.servers.insert(conn.rec.resp_h);
             row.clients.insert(conn.rec.orig_h);
             row.conns += 1;
-            if let Some(sld) = &conn.sld {
-                row.slds.insert(sld.clone());
+            if let Some(sld) = conn.sld.as_deref() {
+                row.slds.insert(sld);
             }
         }
-        if server_dummy {
-            let org = corpus
-                .cert(conn.server_leaf.expect("checked"))
-                .rec
-                .issuer_org
-                .clone()
-                .unwrap_or_default();
-            let row = rows.entry((org, "server", inbound)).or_default();
-            row.servers.insert(conn.rec.resp_h);
-            row.clients.insert(conn.rec.orig_h);
-            row.conns += 1;
-            if let Some(sld) = &conn.sld {
-                row.slds.insert(sld.clone());
-            }
-        }
-        if client_dummy && server_dummy {
-            let org = corpus
-                .cert(conn.client_leaf.expect("checked"))
-                .rec
-                .issuer_org
-                .clone()
-                .unwrap_or_default();
-            let entry = both_acc.entry((conn.sld.clone(), org)).or_insert((
-                HashSet::new(),
+        if let (Some(org), Some(_)) = (client_org, server_org) {
+            let entry = both_acc.entry((conn.sld.as_deref(), org)).or_insert((
+                FxHashSet::default(),
                 f64::INFINITY,
                 f64::NEG_INFINITY,
             ));
@@ -108,11 +93,23 @@ pub fn run(corpus: &Corpus) -> Report {
         }
     }
 
+    let rows = rows
+        .into_iter()
+        .map(|((org, side, inbound), acc)| {
+            let row = Row {
+                servers: acc.servers.into_iter().collect(),
+                clients: acc.clients.into_iter().collect(),
+                conns: acc.conns,
+                slds: acc.slds.into_iter().map(str::to_owned).collect(),
+            };
+            ((org.to_owned(), side, inbound), row)
+        })
+        .collect();
     let mut both: Vec<BothRow> = both_acc
         .into_iter()
         .map(|((sld, issuer), (clients, first, last))| BothRow {
-            sld,
-            issuer,
+            sld: sld.map(str::to_owned),
+            issuer: issuer.to_owned(),
             clients: clients.len(),
             duration_days: ((last - first) / 86_400.0).round() as i64,
         })

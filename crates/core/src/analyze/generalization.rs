@@ -10,8 +10,8 @@
 
 use crate::corpus::{Corpus, Direction, ServerAssociation};
 use crate::report::pct_f;
+use mtls_intern::FxHashSet;
 use mtls_zeek::Ipv4;
-use std::collections::{HashMap, HashSet};
 
 /// The §3.3 summary.
 #[derive(Debug, Clone)]
@@ -45,8 +45,8 @@ pub fn run(corpus: &Corpus) -> Report {
     let mut inbound_health = 0usize;
     let mut outbound = 0usize;
     let mut outbound_email = 0usize;
-    let mut external_servers: HashMap<Ipv4, bool> = HashMap::new();
-    let mut cloud_servers: HashSet<Ipv4> = HashSet::new();
+    let mut external_servers: FxHashSet<Ipv4> = FxHashSet::default();
+    let mut cloud_servers: FxHashSet<Ipv4> = FxHashSet::default();
 
     for conn in corpus.mtls_conns() {
         match conn.direction {
@@ -70,7 +70,7 @@ pub fn run(corpus: &Corpus) -> Report {
                     .map(|s| CLOUD_SLDS.contains(&s))
                     .unwrap_or(false)
                     || corpus.meta.is_cloud(conn.rec.resp_h);
-                external_servers.insert(conn.rec.resp_h, is_cloud);
+                external_servers.insert(conn.rec.resp_h);
                 if is_cloud {
                     cloud_servers.insert(conn.rec.resp_h);
                 }

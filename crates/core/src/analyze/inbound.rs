@@ -3,9 +3,9 @@
 
 use crate::corpus::{Corpus, Direction, ServerAssociation};
 use crate::report::{pct_f, Table};
+use mtls_intern::{FxHashMap, FxHashSet};
 use mtls_pki::IssuerCategory;
 use mtls_zeek::Ipv4;
-use std::collections::{HashMap, HashSet};
 
 /// One association row.
 #[derive(Debug, Clone)]
@@ -29,11 +29,11 @@ pub struct Report {
 pub fn run(corpus: &Corpus) -> Report {
     struct Acc {
         conns: usize,
-        clients: HashSet<Ipv4>,
-        issuer_clients: HashMap<IssuerCategory, HashSet<Ipv4>>,
+        clients: FxHashSet<Ipv4>,
+        issuer_clients: FxHashMap<IssuerCategory, FxHashSet<Ipv4>>,
     }
-    let mut accs: HashMap<ServerAssociation, Acc> = HashMap::new();
-    let mut all_clients: HashSet<Ipv4> = HashSet::new();
+    let mut accs: FxHashMap<ServerAssociation, Acc> = FxHashMap::default();
+    let mut all_clients: FxHashSet<Ipv4> = FxHashSet::default();
     let mut total_conns = 0usize;
 
     for conn in corpus.mtls_conns() {
@@ -44,8 +44,8 @@ pub fn run(corpus: &Corpus) -> Report {
         all_clients.insert(conn.rec.orig_h);
         let acc = accs.entry(conn.association).or_insert_with(|| Acc {
             conns: 0,
-            clients: HashSet::new(),
-            issuer_clients: HashMap::new(),
+            clients: FxHashSet::default(),
+            issuer_clients: FxHashMap::default(),
         });
         acc.conns += 1;
         acc.clients.insert(conn.rec.orig_h);

@@ -4,8 +4,9 @@
 
 use crate::corpus::{CertId, Corpus};
 use crate::report::{count, Table};
+use mtls_intern::FxHashSet;
 use mtls_zeek::Ipv4;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 /// One (issuer, side) population.
 #[derive(Debug, Clone)]
@@ -41,17 +42,17 @@ pub fn run(corpus: &Corpus) -> Report {
         !cert.excluded && cert.rec.has_incorrect_dates()
     };
 
-    struct Acc {
-        certs: HashSet<usize>,
-        clients: HashSet<Ipv4>,
-        sld: Option<String>,
+    struct Acc<'c> {
+        certs: FxHashSet<usize>,
+        clients: FxHashSet<Ipv4>,
+        sld: Option<&'c str>,
         nb_year: i32,
         na_year: i32,
         first: f64,
         last: f64,
     }
-    type BothAcc = BTreeMap<(Option<String>, String), (HashSet<Ipv4>, f64, f64)>;
-    let mut rows_acc: BTreeMap<(String, bool, String, i32), Acc> = BTreeMap::new();
+    type BothAcc<'c> = BTreeMap<(Option<&'c str>, &'c str), (FxHashSet<Ipv4>, f64, f64)>;
+    let mut rows_acc: BTreeMap<(&str, bool, &str, i32), Acc> = BTreeMap::new();
     let mut both_acc: BothAcc = BTreeMap::new();
 
     for conn in corpus.mtls_conns() {
@@ -61,15 +62,15 @@ pub fn run(corpus: &Corpus) -> Report {
             let Some(id) = id else { continue };
             let cert = corpus.cert(id);
             let key = (
-                cert.rec.issuer_org.clone().unwrap_or_default(),
+                cert.rec.issuer_org.as_deref().unwrap_or_default(),
                 client_side,
-                conn.sld.clone().unwrap_or_default(),
+                conn.sld.as_deref().unwrap_or_default(),
                 year_of(cert.rec.not_valid_before),
             );
             let acc = rows_acc.entry(key).or_insert(Acc {
-                certs: HashSet::new(),
-                clients: HashSet::new(),
-                sld: conn.sld.clone(),
+                certs: FxHashSet::default(),
+                clients: FxHashSet::default(),
+                sld: conn.sld.as_deref(),
                 nb_year: year_of(cert.rec.not_valid_before),
                 na_year: year_of(cert.rec.not_valid_after),
                 first: f64::INFINITY,
@@ -83,13 +84,14 @@ pub fn run(corpus: &Corpus) -> Report {
         if let (Some(_), Some(c_id)) = (s_bad, c_bad) {
             let cert = corpus.cert(c_id);
             let key = (
-                conn.sld.clone(),
-                cert.rec.issuer_org.clone().unwrap_or_default(),
+                conn.sld.as_deref(),
+                cert.rec.issuer_org.as_deref().unwrap_or_default(),
             );
-            let e =
-                both_acc
-                    .entry(key)
-                    .or_insert((HashSet::new(), f64::INFINITY, f64::NEG_INFINITY));
+            let e = both_acc.entry(key).or_insert((
+                FxHashSet::default(),
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+            ));
             e.0.insert(conn.rec.orig_h);
             e.1 = e.1.min(conn.rec.ts);
             e.2 = e.2.max(conn.rec.ts);
@@ -99,9 +101,9 @@ pub fn run(corpus: &Corpus) -> Report {
     let mut rows: Vec<Row> = rows_acc
         .into_iter()
         .map(|((issuer, client_side, _sld, _nb), acc)| Row {
-            issuer,
+            issuer: issuer.to_owned(),
             client_side,
-            sld: acc.sld,
+            sld: acc.sld.map(str::to_owned),
             certs: acc.certs.len(),
             not_before_year: acc.nb_year,
             not_after_year: acc.na_year,
@@ -121,8 +123,8 @@ pub fn run(corpus: &Corpus) -> Report {
         .into_iter()
         .map(|((sld, issuer), (clients, first, last))| {
             (
-                sld,
-                issuer,
+                sld.map(str::to_owned),
+                issuer.to_owned(),
                 clients.len(),
                 ((last - first) / 86_400.0).round() as i64,
             )

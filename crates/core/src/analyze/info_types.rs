@@ -6,9 +6,10 @@
 //! server and client (analyzed separately in Table 13), Table 14 covers
 //! server certificates from plain TLS.
 
+use crate::analyze::TextMemo;
 use crate::corpus::{CertInfo, Corpus};
 use crate::report::{count, pct, Table};
-use mtls_classify::{classify, InfoType};
+use mtls_classify::InfoType;
 use std::collections::HashMap;
 
 /// Which certificate population to analyze.
@@ -67,6 +68,22 @@ pub struct Report {
     pub columns: HashMap<Cell, Column>,
 }
 
+// `run` indexes its counts by `Cell as usize` and `InfoType as usize` and
+// reads them back in `ALL` order, so each `ALL` lists its enum in
+// declaration order.
+const _: () = {
+    let mut i = 0;
+    while i < InfoType::ALL.len() {
+        assert!(InfoType::ALL[i] as usize == i);
+        i += 1;
+    }
+    let mut i = 0;
+    while i < Cell::ALL.len() {
+        assert!(Cell::ALL[i] as usize == i);
+        i += 1;
+    }
+};
+
 fn in_slice(slice: Slice, cert: &CertInfo) -> bool {
     match slice {
         Slice::Mtls => cert.in_mtls && !cert.dual_role(),
@@ -77,69 +94,83 @@ fn in_slice(slice: Slice, cert: &CertInfo) -> bool {
 
 /// Run the analyzer.
 pub fn run(corpus: &Corpus, slice: Slice) -> Report {
-    let mut columns: HashMap<Cell, Column> = HashMap::new();
-    for cell in Cell::ALL {
-        columns.insert(cell, Column::default());
+    /// One column's counts, by `InfoType as usize`.
+    #[derive(Default)]
+    struct Counts {
+        cn_total: usize,
+        san_total: usize,
+        cn: [usize; InfoType::ALL.len()],
+        san: [usize; InfoType::ALL.len()],
     }
+    let mut counts: [Counts; 4] = Default::default();
+    let mut memo = TextMemo::new();
 
     for cert in corpus.live_certs() {
         if !in_slice(slice, cert) {
             continue;
         }
         let ctx = cert.issuer.classify_context(cert.rec.issuer_org.as_deref());
-        let mut cells: Vec<Cell> = Vec::with_capacity(2);
-        match slice {
-            Slice::NonMtlsServers => cells.push(if cert.issuer.public {
-                Cell::ServerPublic
-            } else {
-                Cell::ServerPrivate
-            }),
-            Slice::SharedCerts => {
-                // Table 13 groups only by issuer class (shared certs are by
-                // definition both roles); reuse the server cells.
-                cells.push(if cert.issuer.public {
-                    Cell::ServerPublic
-                } else {
-                    Cell::ServerPrivate
-                });
-            }
-            Slice::Mtls => {
-                if cert.seen_as_server {
-                    cells.push(if cert.issuer.public {
-                        Cell::ServerPublic
-                    } else {
-                        Cell::ServerPrivate
-                    });
-                }
-                if cert.seen_as_client {
-                    cells.push(if cert.issuer.public {
-                        Cell::ClientPublic
-                    } else {
-                        Cell::ClientPrivate
-                    });
-                }
-            }
-        }
+        let (server, client) = if cert.issuer.public {
+            (Cell::ServerPublic, Cell::ClientPublic)
+        } else {
+            (Cell::ServerPrivate, Cell::ClientPrivate)
+        };
+        let cells = match slice {
+            // Table 13 groups only by issuer class (shared certs are by
+            // definition both roles); reuse the server cells.
+            Slice::NonMtlsServers | Slice::SharedCerts => [Some(server), None],
+            Slice::Mtls => [
+                cert.seen_as_server.then_some(server),
+                cert.seen_as_client.then_some(client),
+            ],
+        };
 
-        for cell in cells {
-            let col = columns.get_mut(&cell).expect("pre-created");
-            if let Some(cn) = cert.rec.subject_cn.as_deref().filter(|s| !s.is_empty()) {
+        let cn = cert
+            .rec
+            .subject_cn
+            .as_deref()
+            .filter(|s| !s.is_empty())
+            .map(|cn| memo.classify(cn, ctx));
+        // A SAN may contain several types; a cert counts once per type.
+        let mut san = [false; InfoType::ALL.len()];
+        for name in &cert.rec.san_dns {
+            san[memo.classify(name, ctx) as usize] = true;
+        }
+        for cell in cells.into_iter().flatten() {
+            let col = &mut counts[cell as usize];
+            if let Some(ty) = cn {
                 col.cn_total += 1;
-                *col.cn.entry(classify(cn, ctx)).or_insert(0) += 1;
+                col.cn[ty as usize] += 1;
             }
             if !cert.rec.san_dns.is_empty() {
                 col.san_total += 1;
-                let mut types: Vec<InfoType> =
-                    cert.rec.san_dns.iter().map(|s| classify(s, ctx)).collect();
-                types.sort();
-                types.dedup();
-                for ty in types {
-                    *col.san.entry(ty).or_insert(0) += 1;
+                for (n, seen) in col.san.iter_mut().zip(san) {
+                    *n += usize::from(seen);
                 }
             }
         }
     }
 
+    let present = |by_type: [usize; InfoType::ALL.len()]| -> HashMap<InfoType, usize> {
+        InfoType::ALL
+            .into_iter()
+            .zip(by_type)
+            .filter(|&(_, n)| n > 0)
+            .collect()
+    };
+    let columns = Cell::ALL
+        .into_iter()
+        .zip(counts)
+        .map(|(cell, c)| {
+            let column = Column {
+                cn_total: c.cn_total,
+                san_total: c.san_total,
+                cn: present(c.cn),
+                san: present(c.san),
+            };
+            (cell, column)
+        })
+        .collect();
     Report { slice, columns }
 }
 

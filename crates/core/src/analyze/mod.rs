@@ -25,6 +25,35 @@ pub mod tracking;
 pub mod unidentified;
 pub mod validity;
 
+use mtls_classify::{classify, ClassifyContext, InfoType};
+use mtls_intern::FxHashMap;
+use std::hash::Hash;
+
+/// One analyzer run's memo of a per-string result. CN and SAN strings
+/// repeat across a corpus's certificates, so each distinct (text, `key`)
+/// is computed once; `key` must hold everything besides the text that the
+/// result reads.
+pub(crate) struct TextMemo<'c, K, V>(FxHashMap<(&'c str, K), V>);
+
+impl<'c, K: Eq + Hash, V: Copy> TextMemo<'c, K, V> {
+    pub(crate) fn new() -> Self {
+        TextMemo(FxHashMap::default())
+    }
+
+    /// The result for (`text`, `key`), computed by `compute` on first use.
+    pub(crate) fn get(&mut self, text: &'c str, key: K, compute: impl FnOnce() -> V) -> V {
+        *self.0.entry((text, key)).or_insert_with(compute)
+    }
+}
+
+impl<'c> TextMemo<'c, bool, InfoType> {
+    /// [`classify`] keyed on exactly what it reads: the text and
+    /// `issuer_is_campus` (it ignores `issuer_org`).
+    pub(crate) fn classify(&mut self, text: &'c str, ctx: ClassifyContext<'_>) -> InfoType {
+        self.get(text, ctx.issuer_is_campus, || classify(text, ctx))
+    }
+}
+
 /// Quantile over a sorted slice (nearest-rank).
 pub fn quantile(sorted: &[usize], q: f64) -> usize {
     if sorted.is_empty() {

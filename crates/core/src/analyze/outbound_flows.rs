@@ -5,8 +5,8 @@
 
 use crate::corpus::{Corpus, Direction};
 use crate::report::{pct, pct_f, Table};
+use mtls_intern::FxHashMap;
 use mtls_pki::IssuerCategory;
-use std::collections::HashMap;
 
 /// One flow: (tld, server public?, client category) with its connection
 /// count — the alluvial diagram's data.
@@ -36,8 +36,8 @@ pub struct Report {
 
 /// Run the analyzer.
 pub fn run(corpus: &Corpus) -> Report {
-    let mut flows: HashMap<(String, bool, IssuerCategory), usize> = HashMap::new();
-    let mut slds: HashMap<String, usize> = HashMap::new();
+    let mut flows: FxHashMap<(&str, bool, IssuerCategory), usize> = FxHashMap::default();
+    let mut slds: FxHashMap<&str, usize> = FxHashMap::default();
     let mut total = 0usize;
     let mut public_server = 0usize;
     let mut public_server_missing = 0usize;
@@ -64,20 +64,18 @@ pub fn run(corpus: &Corpus) -> Report {
             }
         }
         // The figure only includes connections with a valid SNI.
-        let (Some(tld), Some(sld)) = (&conn.tld, &conn.sld) else {
+        let (Some(tld), Some(sld)) = (conn.tld.as_deref(), conn.sld.as_deref()) else {
             continue;
         };
         total += 1;
-        *flows
-            .entry((tld.clone(), server_public, client_cat))
-            .or_insert(0) += 1;
-        *slds.entry(sld.clone()).or_insert(0) += 1;
+        *flows.entry((tld, server_public, client_cat)).or_insert(0) += 1;
+        *slds.entry(sld).or_insert(0) += 1;
     }
 
     let mut flows: Vec<Flow> = flows
         .into_iter()
         .map(|((tld, server_public, client_category), conns)| Flow {
-            tld,
+            tld: tld.to_owned(),
             server_public,
             client_category,
             conns,
@@ -93,7 +91,7 @@ pub fn run(corpus: &Corpus) -> Report {
 
     let mut top_slds: Vec<(String, f64)> = slds
         .into_iter()
-        .map(|(sld, n)| (sld, n as f64 / total.max(1) as f64))
+        .map(|(sld, n)| (sld.to_owned(), n as f64 / total.max(1) as f64))
         .collect();
     top_slds.sort_by(|a, b| {
         b.1.partial_cmp(&a.1)

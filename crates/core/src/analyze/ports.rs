@@ -3,7 +3,7 @@
 
 use crate::corpus::{Corpus, Direction};
 use crate::report::{pct, Table};
-use std::collections::HashMap;
+use mtls_intern::FxHashMap;
 
 /// A port group: single ports, plus the Globus 50000–51000 range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -85,7 +85,7 @@ pub struct Report {
     pub outbound_plain: RankedPorts,
 }
 
-fn rank(counts: HashMap<PortGroup, usize>) -> RankedPorts {
+fn rank(counts: FxHashMap<PortGroup, usize>) -> RankedPorts {
     let total = counts.values().sum();
     let mut ranked: Vec<(PortGroup, usize)> = counts.into_iter().collect();
     ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -94,12 +94,7 @@ fn rank(counts: HashMap<PortGroup, usize>) -> RankedPorts {
 
 /// Run the analyzer.
 pub fn run(corpus: &Corpus) -> Report {
-    let mut cells: [HashMap<PortGroup, usize>; 4] = [
-        HashMap::new(),
-        HashMap::new(),
-        HashMap::new(),
-        HashMap::new(),
-    ];
+    let mut cells: [FxHashMap<PortGroup, usize>; 4] = Default::default();
     for conn in corpus.live_conns() {
         let idx = match (conn.direction, conn.mtls) {
             (Direction::Inbound, true) => 0,

@@ -7,7 +7,7 @@
 
 use crate::corpus::{Corpus, Direction};
 use crate::report::{pct_f, Table};
-use std::collections::BTreeMap;
+use mtls_intern::FxHashMap;
 
 /// One month of the series.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,10 +28,10 @@ pub struct Report {
     pub share_end: f64,
 }
 
-/// `YYYY-MM` of a Unix timestamp.
-fn month_label(ts: f64) -> String {
+/// (year, month) of a Unix timestamp.
+fn month_of(ts: f64) -> (i32, u32) {
     let (y, m, ..) = mtls_asn1::Asn1Time::from_unix(ts as i64).to_civil();
-    format!("{y:04}-{m:02}")
+    (y, m)
 }
 
 /// Run the analyzer.
@@ -43,12 +43,12 @@ pub fn run(corpus: &Corpus) -> Report {
         mtls_out: usize,
         non: usize,
     }
-    let mut by_month: BTreeMap<String, Acc> = BTreeMap::new();
+    let mut by_month: FxHashMap<(i32, u32), Acc> = FxHashMap::default();
     // All connections count here: interception filtering excludes
     // *certificates* from certificate analyses, not traffic from traffic
     // volume (the intercepted flows are real TLS connections).
     for conn in corpus.conns.iter() {
-        let acc = by_month.entry(month_label(conn.rec.ts)).or_default();
+        let acc = by_month.entry(month_of(conn.rec.ts)).or_default();
         if conn.mtls {
             match conn.direction {
                 Direction::Inbound => acc.mtls_in += 1,
@@ -58,13 +58,13 @@ pub fn run(corpus: &Corpus) -> Report {
             acc.non += 1;
         }
     }
-    let months: Vec<MonthRow> = by_month
+    let mut months: Vec<MonthRow> = by_month
         .into_iter()
-        .map(|(label, acc)| {
+        .map(|((y, m), acc)| {
             let mtls = (acc.mtls_in + acc.mtls_out) as f64;
             let total = mtls + w * acc.non as f64;
             MonthRow {
-                label,
+                label: format!("{y:04}-{m:02}"),
                 mtls_in: acc.mtls_in,
                 mtls_out: acc.mtls_out,
                 non_mtls_raw: acc.non,
@@ -72,6 +72,8 @@ pub fn run(corpus: &Corpus) -> Report {
             }
         })
         .collect();
+    // Label order, which is (year, month) order for years 0-9999.
+    months.sort_unstable_by(|a, b| a.label.cmp(&b.label));
     let share_start = months.first().map(|m| m.share).unwrap_or(0.0);
     let share_end = months.last().map(|m| m.share).unwrap_or(0.0);
     Report {

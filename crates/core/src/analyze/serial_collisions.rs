@@ -1,10 +1,10 @@
 //! Experiment `ser1` — §5.1.2: certificates sharing the identical serial
 //! number within the same issuer's scope.
 
-use crate::corpus::{Corpus, Direction};
+use crate::corpus::{CertId, Corpus, Direction};
 use crate::report::{count, Table};
+use mtls_intern::{FxHashMap, FxHashSet};
 use mtls_zeek::Ipv4;
-use std::collections::{HashMap, HashSet};
 
 /// One (issuer, serial) collision group.
 #[derive(Debug, Clone)]
@@ -35,45 +35,54 @@ pub struct Report {
 
 /// Run the analyzer.
 pub fn run(corpus: &Corpus) -> Report {
-    // Group unique mTLS certs by (issuer display, serial).
-    #[derive(Default)]
-    struct Acc {
+    // Unique mTLS certs keyed by (serial, issuer display) and sorted, so
+    // each collision group is one run of two or more equal keys. Serials
+    // lead because they mostly differ in their first bytes, while one
+    // issuer's long display string repeats across all its certificates.
+    let mut keyed: Vec<(&str, &str, CertId)> = corpus
+        .certs
+        .iter()
+        .enumerate()
+        .filter(|(_, cert)| !cert.excluded && cert.in_mtls)
+        .map(|(id, cert)| (cert.rec.serial.as_str(), cert.rec.issuer.as_str(), id))
+        .collect();
+    keyed.sort_unstable();
+
+    struct Acc<'c> {
+        issuer: &'c str,
+        serial: &'c str,
         client_certs: usize,
         server_certs: usize,
-        cert_ids: HashSet<usize>,
         validities: Vec<i64>,
+        conns: usize,
+        clients: FxHashSet<Ipv4>,
     }
-    let mut by_key: HashMap<(String, String), Acc> = HashMap::new();
-    for (id, cert) in corpus.certs.iter().enumerate() {
-        if cert.excluded || !cert.in_mtls {
+    let mut accs: Vec<Acc> = Vec::new();
+    // Group index of every colliding certificate, for the connection pass.
+    let mut group_of: FxHashMap<CertId, usize> = FxHashMap::default();
+    for run in keyed.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+        if run.len() < 2 {
             continue;
         }
-        let key = (cert.rec.issuer.clone(), cert.rec.serial.clone());
-        let acc = by_key.entry(key).or_default();
-        if cert.seen_as_client {
-            acc.client_certs += 1;
-        }
-        if cert.seen_as_server {
-            acc.server_certs += 1;
-        }
-        acc.cert_ids.insert(id);
-        acc.validities.push(cert.rec.validity_days());
-    }
-    by_key.retain(|_, acc| acc.cert_ids.len() >= 2);
-
-    // Mark colliding certificates for the connection pass.
-    let mut colliding: HashSet<usize> = HashSet::new();
-    for acc in by_key.values() {
-        colliding.extend(&acc.cert_ids);
+        let certs = || run.iter().map(|&(.., id)| corpus.cert(id));
+        group_of.extend(run.iter().map(|&(.., id)| (id, accs.len())));
+        accs.push(Acc {
+            serial: run[0].0,
+            issuer: run[0].1,
+            client_certs: certs().filter(|c| c.seen_as_client).count(),
+            server_certs: certs().filter(|c| c.seen_as_server).count(),
+            validities: certs().map(|c| c.rec.validity_days()).collect(),
+            conns: 0,
+            clients: FxHashSet::default(),
+        });
     }
 
-    let mut group_conns: HashMap<(String, String), (usize, HashSet<Ipv4>)> = HashMap::new();
-    let mut inbound_clients: HashSet<Ipv4> = HashSet::new();
-    let mut outbound_clients: HashSet<Ipv4> = HashSet::new();
-    let mut outbound_both: HashSet<Ipv4> = HashSet::new();
+    let mut inbound_clients: FxHashSet<Ipv4> = FxHashSet::default();
+    let mut outbound_clients: FxHashSet<Ipv4> = FxHashSet::default();
+    let mut outbound_both: FxHashSet<Ipv4> = FxHashSet::default();
     for conn in corpus.mtls_conns() {
-        let s = conn.server_leaf.filter(|id| colliding.contains(id));
-        let c = conn.client_leaf.filter(|id| colliding.contains(id));
+        let group = |leaf: Option<CertId>| leaf.and_then(|id| group_of.get(&id).copied());
+        let (s, c) = (group(conn.server_leaf), group(conn.client_leaf));
         if s.is_none() && c.is_none() {
             continue;
         }
@@ -89,32 +98,24 @@ pub fn run(corpus: &Corpus) -> Report {
             }
             Direction::Transit => {}
         }
-        for id in [s, c].into_iter().flatten() {
-            let cert = corpus.cert(id);
-            let key = (cert.rec.issuer.clone(), cert.rec.serial.clone());
-            let entry = group_conns.entry(key).or_default();
-            entry.0 += 1;
-            entry.1.insert(conn.rec.orig_h);
+        for g in [s, c].into_iter().flatten() {
+            accs[g].conns += 1;
+            accs[g].clients.insert(conn.rec.orig_h);
         }
     }
 
-    let mut groups: Vec<Group> = by_key
+    let mut groups: Vec<Group> = accs
         .into_iter()
-        .map(|((issuer, serial), mut acc)| {
-            acc.validities.sort();
-            let median = acc.validities[acc.validities.len() / 2];
-            let (conns, clients) = group_conns
-                .get(&(issuer.clone(), serial.clone()))
-                .map(|(n, ips)| (*n, ips.len()))
-                .unwrap_or((0, 0));
+        .map(|mut acc| {
+            acc.validities.sort_unstable();
             Group {
-                issuer,
-                serial,
+                issuer: acc.issuer.to_owned(),
+                serial: acc.serial.to_owned(),
                 client_certs: acc.client_certs,
                 server_certs: acc.server_certs,
-                conns,
-                clients,
-                median_validity_days: median,
+                conns: acc.conns,
+                clients: acc.clients.len(),
+                median_validity_days: acc.validities[acc.validities.len() / 2],
             }
         })
         .collect();
@@ -240,6 +241,83 @@ mod tests {
         assert_eq!(r.inbound_clients, 2);
         assert_eq!(r.outbound_clients, 0);
         assert!(r.group("GuardiCore", "00").is_none());
+    }
+
+    #[test]
+    fn groups_order_by_size_then_issuer_then_serial() {
+        let mut b = CorpusBuilder::new();
+        let mut cert = |name: &str, issuer_org: &'static str, serial: &'static str| {
+            b.cert(
+                name,
+                CertOpts {
+                    issuer_org: Some(issuer_org),
+                    serial,
+                    ..Default::default()
+                },
+            );
+        };
+        cert("srv", "Server CA", "FF");
+        for name in ["m1", "m2", "m3"] {
+            cert(name, "Mid CA", "07");
+        }
+        // Three pairs tied on size: issuer order first, then serial order.
+        for (name, issuer, serial) in [
+            ("z1", "Zeta CA", "01"),
+            ("z2", "Zeta CA", "01"),
+            ("a1", "Alpha CA", "09"),
+            ("a2", "Alpha CA", "09"),
+            ("b1", "Alpha CA", "02"),
+            ("b2", "Alpha CA", "02"),
+        ] {
+            cert(name, issuer, serial);
+        }
+        // One serial under two issuers: no group.
+        cert("s1", "Alpha CA", "05");
+        cert("s2", "Zeta CA", "05");
+        // An excluded certificate leaves its group, with its connection.
+        for name in ["e1", "e2", "e3"] {
+            cert(name, "Alpha CA", "0E");
+        }
+        // Certificates seen only in plain TLS are not mutual-TLS ones.
+        for name in ["n1", "n2", "n3"] {
+            cert(name, "Alpha CA", "0A");
+        }
+        let mtls = [
+            "m1", "m2", "m3", "z1", "z2", "a1", "a2", "b1", "b2", "s1", "s2", "e1", "e2", "e3",
+            "n3",
+        ];
+        for (n, client) in (1..).zip(mtls) {
+            b.outbound(T0, n, None, "srv", client);
+        }
+        for server in ["n1", "n2"] {
+            b.outbound(T0, 99, None, server, "");
+        }
+        let r = run(&b.build_excluding(&["e3"]));
+
+        let keys: Vec<(&str, &str, usize, usize)> = r
+            .groups
+            .iter()
+            .map(|g| {
+                (
+                    g.issuer.as_str(),
+                    g.serial.as_str(),
+                    g.client_certs,
+                    g.conns,
+                )
+            })
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                ("O=Mid CA", "07", 3, 3),
+                ("O=Alpha CA", "02", 2, 2),
+                ("O=Alpha CA", "09", 2, 2),
+                ("O=Alpha CA", "0E", 2, 2),
+                ("O=Zeta CA", "01", 2, 2),
+            ]
+        );
+        assert_eq!(r.groups[0].clients, 3);
+        assert_eq!(r.outbound_clients, 11);
     }
 
     #[test]

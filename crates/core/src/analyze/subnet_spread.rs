@@ -5,7 +5,7 @@
 use crate::analyze::quantile;
 use crate::corpus::Corpus;
 use crate::report::Table;
-use std::collections::{HashMap, HashSet};
+use mtls_intern::{FxHashMap, FxHashSet};
 
 /// Table 6.
 #[derive(Debug, Clone)]
@@ -23,8 +23,8 @@ pub struct Report {
 pub fn run(corpus: &Corpus) -> Report {
     // Role usage in *distinct* connections: a cert that only ever appears
     // as both ends of the same connection is §5.2.1, not §5.2.2.
-    let mut server_distinct: HashSet<usize> = HashSet::new();
-    let mut client_distinct: HashSet<usize> = HashSet::new();
+    let mut server_distinct: FxHashSet<usize> = FxHashSet::default();
+    let mut client_distinct: FxHashSet<usize> = FxHashSet::default();
     for conn in corpus.live_conns() {
         if conn.same_cert_both_ends {
             continue;
@@ -45,13 +45,13 @@ pub fn run(corpus: &Corpus) -> Report {
 
     let mut server_counts: Vec<usize> = Vec::with_capacity(qualifying.len());
     let mut client_counts: Vec<usize> = Vec::with_capacity(qualifying.len());
-    let mut issuers: HashMap<String, usize> = HashMap::new();
+    let mut issuers: FxHashMap<&str, usize> = FxHashMap::default();
     for &id in &qualifying {
         let cert = corpus.cert(id);
         server_counts.push(cert.server_subnets);
         client_counts.push(cert.client_subnets);
         *issuers
-            .entry(cert.rec.issuer_org.clone().unwrap_or_default())
+            .entry(cert.rec.issuer_org.as_deref().unwrap_or_default())
             .or_insert(0) += 1;
     }
     server_counts.sort_unstable();
@@ -67,7 +67,7 @@ pub fn run(corpus: &Corpus) -> Report {
     };
     let mut issuer_mix: Vec<(String, f64)> = issuers
         .into_iter()
-        .map(|(org, n)| (org, n as f64 / qualifying.len().max(1) as f64))
+        .map(|(org, n)| (org.to_owned(), n as f64 / qualifying.len().max(1) as f64))
         .collect();
     issuer_mix.sort_by(|a, b| {
         b.1.partial_cmp(&a.1)

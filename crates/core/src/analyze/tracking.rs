@@ -10,10 +10,10 @@
 //! (linkability across locations), and whether its CN/SAN already carries
 //! the user's identity (the worst case: tracking plus identification).
 
-use crate::analyze::quantile;
+use crate::analyze::{quantile, TextMemo};
 use crate::corpus::Corpus;
 use crate::report::{count, pct, Table};
-use mtls_classify::{classify, InfoType};
+use mtls_classify::InfoType;
 use mtls_zeek::Fp;
 
 /// One trackable certificate.
@@ -50,6 +50,7 @@ pub struct Report {
 /// Run the analyzer over mutual-TLS client certificates.
 pub fn run(corpus: &Corpus) -> Report {
     let mut tracked: Vec<TrackedCert> = Vec::new();
+    let mut memo = TextMemo::new();
     for cert in corpus.live_certs() {
         if !cert.seen_as_client || !cert.in_mtls || cert.conns < 2 {
             continue;
@@ -62,7 +63,7 @@ pub fn run(corpus: &Corpus) -> Report {
             .chain(cert.rec.san_dns.iter())
             .any(|s| {
                 matches!(
-                    classify(s, ctx),
+                    memo.classify(s, ctx),
                     InfoType::PersonalName | InfoType::UserAccount | InfoType::Email
                 )
             });

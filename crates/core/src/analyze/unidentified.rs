@@ -2,6 +2,7 @@
 //! strings into non-random, issuer-recognizable random, and random strings
 //! of the characteristic lengths 8/32/36.
 
+use crate::analyze::TextMemo;
 use crate::corpus::Corpus;
 use crate::report::{pct, Table};
 use mtls_classify::{classify, classify_random, InfoType, RandomClass};
@@ -47,6 +48,8 @@ pub struct Report {
 pub fn run(corpus: &Corpus) -> Report {
     let mut counts: HashMap<(Col, RandomClass), usize> = HashMap::new();
     let mut totals: HashMap<Col, usize> = HashMap::new();
+    // The random class of an unidentified string, `None` for the others.
+    let mut memo = TextMemo::new();
 
     for cert in corpus.live_certs() {
         // Match Table 8's slice: mutual-TLS certs excluding the shared
@@ -55,11 +58,15 @@ pub fn run(corpus: &Corpus) -> Report {
             continue;
         }
         let ctx = cert.issuer.classify_context(cert.rec.issuer_org.as_deref());
-        let mut tally = |col: Col, text: &str| {
-            if classify(text, ctx) != InfoType::Unidentified {
+        let recognizable = cert.issuer.recognizable;
+        let mut tally = |col: Col, text| {
+            let class = memo.get(text, (ctx.issuer_is_campus, recognizable), || {
+                (classify(text, ctx) == InfoType::Unidentified)
+                    .then(|| classify_random(text, recognizable))
+            });
+            let Some(class) = class else {
                 return;
-            }
-            let class = classify_random(text, cert.issuer.recognizable);
+            };
             *counts.entry((col, class)).or_insert(0) += 1;
             *totals.entry(col).or_insert(0) += 1;
         };

@@ -4,6 +4,7 @@ use mtls_classify::{extract_domain, ClassifyContext};
 use mtls_intern::{contains_short, FxBuildHasher, FxHashMap, FxHashSet};
 use mtls_pki::{classify_org, IssuerCategory, OrgClass};
 use mtls_zeek::{Fp, Ipv4, SslRecord, X509Record};
+use std::sync::Arc;
 
 /// Traffic direction relative to the university border.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -157,6 +158,46 @@ enum AddrRole {
 /// The (certificate, role, address) keys [`Corpus::build`] has counted.
 type SeenAddrs = FxHashSet<(CertId, AddrRole, Ipv4)>;
 
+/// A connection's registered domain: (sld, tld).
+type Domain = (Arc<str>, Arc<str>);
+
+/// [`extract_domain`] once per distinct name for one [`Corpus::build`]:
+/// SNIs and certificate names repeat across connections, so each distinct
+/// string is split and lowercased once and its connections share the
+/// result.
+#[derive(Default)]
+struct DomainMemo {
+    names: FxHashMap<Box<str>, Option<Domain>>,
+    /// The fallback domain of an SNI-less connection depends only on the
+    /// leaf certificate: its first SAN DNS name or CN that is a domain.
+    certs: FxHashMap<CertId, Option<Domain>>,
+}
+
+impl DomainMemo {
+    fn name(&mut self, name: &str) -> Option<Domain> {
+        if let Some(domain) = self.names.get(name) {
+            return domain.clone();
+        }
+        let domain = extract_domain(name).map(|d| (d.registered_domain().into(), d.tld.into()));
+        self.names.insert(name.into(), domain.clone());
+        domain
+    }
+
+    fn cert(&mut self, id: CertId, cert: &CertInfo) -> Option<Domain> {
+        if let Some(domain) = self.certs.get(&id) {
+            return domain.clone();
+        }
+        let domain = cert
+            .rec
+            .san_dns
+            .iter()
+            .chain(cert.rec.subject_cn.iter())
+            .find_map(|name| self.name(name));
+        self.certs.insert(id, domain.clone());
+        domain
+    }
+}
+
 /// One connection with derived attributes.
 #[derive(Debug, Clone)]
 pub struct ConnInfo {
@@ -166,9 +207,10 @@ pub struct ConnInfo {
     /// Leaf certificates (dedup ids), if chains were visible.
     pub server_leaf: Option<CertId>,
     pub client_leaf: Option<CertId>,
-    /// Registered domain of the SNI (or of cert names when SNI absent).
-    pub sld: Option<String>,
-    pub tld: Option<String>,
+    /// Registered domain of the SNI (or of cert names when SNI absent),
+    /// shared by every connection whose name gives the same domain.
+    pub sld: Option<Arc<str>>,
+    pub tld: Option<Arc<str>>,
     /// Inbound server association.
     pub association: ServerAssociation,
     /// Both endpoints presented the identical certificate.
@@ -407,11 +449,22 @@ impl Corpus {
         excluded_fps: &FxHashSet<Fp>,
         interception_issuers: Vec<String>,
     ) -> Corpus {
+        // `issuer_facts` once per distinct (issuer_org, issuer) pair: it
+        // reads nothing else of the row, and a CA's rows all repeat it.
+        let facts: Vec<IssuerFacts> = {
+            let mut memo: FxHashMap<(Option<&str>, &str), IssuerFacts> = FxHashMap::default();
+            x509.iter()
+                .map(|rec| {
+                    *memo
+                        .entry((rec.issuer_org.as_deref(), rec.issuer.as_str()))
+                        .or_insert_with(|| issuer_facts(&meta, rec))
+                })
+                .collect()
+        };
         let mut fp_index: FxHashMap<Fp, CertId> =
             FxHashMap::with_capacity_and_hasher(x509.len(), FxBuildHasher);
         let mut certs: Vec<CertInfo> = Vec::with_capacity(x509.len());
-        for rec in x509 {
-            let issuer = issuer_facts(&meta, &rec);
+        for (rec, issuer) in x509.into_iter().zip(facts) {
             let excluded = excluded_fps.contains(&rec.fingerprint);
             fp_index.insert(rec.fingerprint, certs.len());
             certs.push(CertInfo {
@@ -439,7 +492,8 @@ impl Corpus {
         let mut dangling_samples: Vec<Fp> = Vec::new();
         // The distinct-address keys behind the `CertInfo` counts; dropped
         // when the build returns.
-        let mut seen_addrs = SeenAddrs::default();
+        let mut seen_addrs = SeenAddrs::with_capacity_and_hasher(ssl.len(), FxBuildHasher);
+        let mut domains = DomainMemo::default();
         for rec in ssl {
             let direction = meta.direction_of(&rec);
             let mtls = rec.is_mutual_tls();
@@ -447,31 +501,13 @@ impl Corpus {
             let client_leaf = rec.client_cert_chain_fps.first().and_then(lookup);
 
             // SLD/TLD: from SNI, falling back to certificate names (§4.2).
-            let mut domain = rec.server_name.as_deref().and_then(extract_domain);
-            if domain.is_none() {
-                if let Some(cid) = server_leaf {
-                    let cert = &certs[cid];
-                    domain = cert
-                        .rec
-                        .san_dns
-                        .iter()
-                        .chain(cert.rec.subject_cn.iter())
-                        .find_map(|name| extract_domain(name));
-                }
-            }
-            if domain.is_none() {
-                if let Some(cid) = client_leaf {
-                    let cert = &certs[cid];
-                    domain = cert
-                        .rec
-                        .san_dns
-                        .iter()
-                        .chain(cert.rec.subject_cn.iter())
-                        .find_map(|name| extract_domain(name));
-                }
-            }
-            let sld = domain.as_ref().map(|d| d.registered_domain());
-            let tld = domain.as_ref().map(|d| d.tld.clone());
+            let domain = rec
+                .server_name
+                .as_deref()
+                .and_then(|name| domains.name(name))
+                .or_else(|| server_leaf.and_then(|id| domains.cert(id, &certs[id])))
+                .or_else(|| client_leaf.and_then(|id| domains.cert(id, &certs[id])));
+            let (sld, tld) = domain.unzip();
             let association = if direction == Direction::Inbound {
                 meta.association_for(sld.as_deref())
             } else {
@@ -668,6 +704,108 @@ mod tests {
         assert_eq!(corpus.conns[1].direction, Direction::Outbound);
         assert_eq!(corpus.conns[1].sld.as_deref(), Some("amazonaws.com"));
         assert!(corpus.conns[0].mtls);
+    }
+
+    /// Each connection's memoized domain equals `extract_domain` over that
+    /// row alone: an SNI repeated in mixed case, padded and with a trailing
+    /// dot, an SNI that is no domain, and no SNI, each over a server leaf
+    /// whose names hold a domain, a client leaf whose CN does, or neither.
+    #[test]
+    fn memoized_domains_equal_the_per_row_extraction() {
+        let internal = Ipv4::new(172, 29, 10, 5);
+        let external = Ipv4::new(98, 100, 1, 1);
+        let mut named = x509("named", None);
+        named.san_dns = vec!["not a domain".into(), "Api.Example.co.uk".into()];
+        let mut client = x509("client", None);
+        client.subject_cn = Some("device.Campus-Main.edu.".into());
+        let certs = vec![named, client, x509("nameless", None)];
+        let mut ssl = Vec::new();
+        for sni in [
+            Some("www.Example.com"),
+            Some(" WWW.example.COM. "),
+            Some("www.example.com"),
+            Some("www.example.com"),
+            Some("not a domain"),
+            None,
+        ] {
+            for (server, client) in [
+                ("named", Some("client")),
+                ("nameless", Some("client")),
+                ("nameless", None),
+            ] {
+                ssl.push(conn(external, internal, sni, server, client));
+            }
+        }
+        let corpus = build_unfiltered(&ssl, &certs, meta());
+
+        let leaf_domain = |chain: &[Fp]| {
+            let cert = certs
+                .iter()
+                .find(|c| chain.first() == Some(&c.fingerprint))?;
+            cert.san_dns
+                .iter()
+                .chain(cert.subject_cn.iter())
+                .find_map(|name| extract_domain(name))
+        };
+        for (conn, rec) in corpus.conns.iter().zip(&ssl) {
+            let want = rec
+                .server_name
+                .as_deref()
+                .and_then(extract_domain)
+                .or_else(|| leaf_domain(&rec.cert_chain_fps))
+                .or_else(|| leaf_domain(&rec.client_cert_chain_fps));
+            assert_eq!(
+                (conn.sld.as_deref(), conn.tld.as_deref()),
+                (
+                    want.as_ref().map(|d| d.registered_domain()).as_deref(),
+                    want.as_ref().map(|d| d.tld.as_str())
+                ),
+                "{:?}",
+                rec.server_name
+            );
+        }
+        let slds: FxHashSet<Option<&str>> = corpus.conns.iter().map(|c| c.sld.as_deref()).collect();
+        assert_eq!(slds.len(), 4, "{slds:?}");
+        // The two rows with the same SNI share one domain.
+        let (first, second) = (&corpus.conns[6], &corpus.conns[9]);
+        assert!(Arc::ptr_eq(
+            first.sld.as_ref().expect("domain"),
+            second.sld.as_ref().expect("domain")
+        ));
+    }
+
+    /// Over a generated corpus, where each (issuer_org, issuer) pair
+    /// repeats across many rows, every certificate's memoized facts equal
+    /// `issuer_facts` of its own row.
+    #[test]
+    fn memoized_issuer_facts_equal_each_rows_own() {
+        let sim = mtls_netsim::generate(&mtls_netsim::SimConfig {
+            seed: 7,
+            scale: 0.02,
+            ..mtls_netsim::SimConfig::default()
+        });
+        let meta = MetaKnowledge::from_sim(&sim.meta);
+        let corpus = Corpus::build(
+            sim.ssl,
+            sim.x509,
+            meta.clone(),
+            &FxHashSet::default(),
+            vec![],
+        );
+        let pairs: FxHashSet<(Option<&str>, &str)> = corpus
+            .certs
+            .iter()
+            .map(|c| (c.rec.issuer_org.as_deref(), c.rec.issuer.as_str()))
+            .collect();
+        assert!(pairs.len() * 10 < corpus.certs.len(), "{}", pairs.len());
+        for cert in &corpus.certs {
+            assert_eq!(
+                cert.issuer,
+                issuer_facts(&meta, &cert.rec),
+                "{:?}",
+                cert.rec.issuer
+            );
+        }
     }
 
     #[test]

@@ -287,10 +287,10 @@ impl PipelineOutput {
     }
 }
 
-/// Interception filter → interned corpus from batch inputs, with the
+/// Interception filter → joined corpus from batch inputs, with the
 /// `interception_filter` and `corpus_build` spans under `parent`, plus the
-/// corpus-size gauges (certs, connections, interned strings) and
-/// interception counters.
+/// corpus-size gauges (certs, connections, distinct fingerprints under
+/// the `corpus.interned_strings` name) and interception counters.
 pub fn build_corpus_obs(inputs: AnalysisInputs, obs: &Obs, parent: Option<SpanId>) -> Corpus {
     let AnalysisInputs {
         ssl,

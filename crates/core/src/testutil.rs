@@ -187,11 +187,17 @@ impl CorpusBuilder {
 
     /// Build the corpus (no interception exclusions).
     pub fn build(&self) -> Corpus {
+        self.build_excluding(&[])
+    }
+
+    /// Build the corpus with the certificates named in `excluded`
+    /// excluded as interception.
+    pub fn build_excluding(&self, excluded: &[&str]) -> Corpus {
         Corpus::build(
             self.ssl.clone(),
             self.certs.clone(),
             meta(),
-            &Default::default(),
+            &excluded.iter().map(|name| fp(name)).collect(),
             vec![],
         )
     }

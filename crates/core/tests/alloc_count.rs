@@ -7,7 +7,9 @@
 //! allocation there is paid per string per request. And the two ingest
 //! readers, `read_ssl_log` and `read_x509_log`, over a 16-row shard of
 //! each log cut from the same corpus: ingest pays these per row of every
-//! shard it loads. Unlike a timing, no
+//! shard it loads. And, over the whole corpus, one `Corpus::build` and one
+//! `run_pipeline`: they are paid once per report, and their counts grow
+//! with the rows and distinct values of the corpus. Unlike a timing, no
 //! host noise can move these counts. A budget may go down in any change;
 //! it goes up only with the reason recorded in CHANGES.md. This binary
 //! counts through its own global allocator with one counter per thread,
@@ -16,9 +18,11 @@
 
 use mtls_asn1::Asn1Time;
 use mtls_classify::{classify, ClassifyContext, InfoType};
-use mtls_core::corpus::MetaKnowledge;
+use mtls_core::corpus::{Corpus, MetaKnowledge};
+use mtls_core::pipeline::{run_pipeline, AnalysisInputs};
 use mtls_core::verdict::{cert_verdict_der, shard_verdict, VerdictContext};
 use mtls_crypto::Keypair;
+use mtls_intern::FxHashSet;
 use mtls_netsim::{generate, SimConfig};
 use mtls_pki::{CertificateAuthority, ValidationPolicy};
 use mtls_x509::{CertificateBuilder, DistinguishedName, GeneralName};
@@ -44,6 +48,17 @@ const SSL_READ_ALLOCS: usize = 63;
 /// text fields and SAN lists. (139 with heap strings for the fingerprint
 /// and the algorithm names.)
 const X509_READ_ALLOCS: usize = 93;
+
+/// Allocations of `Corpus::build` over the whole corpus, with no
+/// certificate excluded: the join index, the per-connection and
+/// per-certificate `Vec`s, and one domain per distinct name. (31,355
+/// while each connection built its own domain strings.)
+const CORPUS_BUILD_ALLOCS: usize = 3341;
+/// Allocations of `run_pipeline` over the whole corpus: the interception
+/// filter, the corpus build and every analyzer. (55,775-55,778 while
+/// the analyzers keyed their maps on cloned strings; the count moved
+/// with SipHash's random order.)
+const PIPELINE_ALLOCS: usize = 4215;
 
 struct Counting;
 
@@ -210,4 +225,30 @@ fn classify_allocation_counts_are_pinned() {
         assert_eq!(t, *want_type, "{text:?}");
         assert_eq!(n, *want_allocs, "{text:?} ({t:?}) allocated {n} times");
     }
+}
+
+#[test]
+fn corpus_and_pipeline_allocation_counts_are_pinned() {
+    let sim = generate(&SimConfig {
+        seed: 7,
+        scale: 0.02,
+        ..SimConfig::default()
+    });
+    let meta = MetaKnowledge::from_sim(&sim.meta);
+    let (ssl, x509) = (sim.ssl.clone(), sim.x509.clone());
+    let none = FxHashSet::default();
+    // Warm up anything a first call initializes.
+    let _ = run_pipeline(AnalysisInputs::from_sim(sim.clone()));
+
+    let (build, corpus) = allocations(|| Corpus::build(ssl, x509, meta, &none, vec![]));
+    assert_eq!(corpus.conns.len(), sim.ssl.len());
+    drop(corpus);
+    let inputs = AnalysisInputs::from_sim(sim);
+    let (pipeline, out) = allocations(|| run_pipeline(inputs));
+    assert!(!out.fig1.months.is_empty());
+    assert_eq!(
+        (build, pipeline),
+        (CORPUS_BUILD_ALLOCS, PIPELINE_ALLOCS),
+        "(Corpus::build, run_pipeline) allocations"
+    );
 }
