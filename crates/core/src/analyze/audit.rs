@@ -10,7 +10,7 @@
 //! in `tests/adversarial.rs`), and reports how many connections each
 //! violation class would have refused.
 
-use crate::corpus::{CertInfo, Corpus, IssuerFacts};
+use crate::corpus::{Cert, Corpus, IssuerFacts};
 use crate::report::{count, pct, Table};
 use mtls_intern::{FxHashMap, FxHashSet};
 use mtls_pki::policy::Violation;
@@ -81,11 +81,11 @@ impl Violations {
 /// membership and the dummy test come from the corpus's issuer facts).
 pub fn evaluate_record(
     policy: &ValidationPolicy,
-    cert: &CertInfo,
+    cert: Cert<'_>,
     at: f64,
     peer_same_cert: bool,
 ) -> Violations {
-    evaluate_fields(policy, &cert.rec, &cert.issuer, at, peer_same_cert)
+    evaluate_fields(policy, cert.rec, &cert.issuer, at, peer_same_cert)
 }
 
 /// The record-level rule set on bare `x509.log` fields — shared between

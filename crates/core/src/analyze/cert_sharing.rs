@@ -60,7 +60,7 @@ pub fn run(corpus: &Corpus) -> Report {
         }
         let key = (
             inbound,
-            conn.sld.as_deref(),
+            conn.info.sld.as_deref(),
             cert.rec.issuer_org.as_deref().unwrap_or_default(),
         );
         let entry = acc.entry(key).or_insert(Acc {

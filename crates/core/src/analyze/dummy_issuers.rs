@@ -77,12 +77,12 @@ pub fn run(corpus: &Corpus) -> Report {
             row.servers.insert(conn.rec.resp_h);
             row.clients.insert(conn.rec.orig_h);
             row.conns += 1;
-            if let Some(sld) = conn.sld.as_deref() {
+            if let Some(sld) = conn.info.sld.as_deref() {
                 row.slds.insert(sld);
             }
         }
         if let (Some(org), Some(_)) = (client_org, server_org) {
-            let entry = both_acc.entry((conn.sld.as_deref(), org)).or_insert((
+            let entry = both_acc.entry((conn.info.sld.as_deref(), org)).or_insert((
                 FxHashSet::default(),
                 f64::INFINITY,
                 f64::NEG_INFINITY,

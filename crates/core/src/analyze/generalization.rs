@@ -83,7 +83,7 @@ pub fn run(corpus: &Corpus) -> Report {
     let w = corpus.meta.non_mtls_weight;
     let mut weighted_13 = 0.0;
     let mut weighted_all = 0.0;
-    for conn in corpus.conns.iter() {
+    for conn in corpus.all_conns() {
         let weight = if conn.mtls { 1.0 } else { w };
         weighted_all += weight;
         if conn.rec.version == mtls_zeek::TlsVersion::Tls13 {

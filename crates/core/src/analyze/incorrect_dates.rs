@@ -64,13 +64,13 @@ pub fn run(corpus: &Corpus) -> Report {
             let key = (
                 cert.rec.issuer_org.as_deref().unwrap_or_default(),
                 client_side,
-                conn.sld.as_deref().unwrap_or_default(),
+                conn.info.sld.as_deref().unwrap_or_default(),
                 year_of(cert.rec.not_valid_before),
             );
             let acc = rows_acc.entry(key).or_insert(Acc {
                 certs: FxHashSet::default(),
                 clients: FxHashSet::default(),
-                sld: conn.sld.as_deref(),
+                sld: conn.info.sld.as_deref(),
                 nb_year: year_of(cert.rec.not_valid_before),
                 na_year: year_of(cert.rec.not_valid_after),
                 first: f64::INFINITY,
@@ -84,7 +84,7 @@ pub fn run(corpus: &Corpus) -> Report {
         if let (Some(_), Some(c_id)) = (s_bad, c_bad) {
             let cert = corpus.cert(c_id);
             let key = (
-                conn.sld.as_deref(),
+                conn.info.sld.as_deref(),
                 cert.rec.issuer_org.as_deref().unwrap_or_default(),
             );
             let e = both_acc.entry(key).or_insert((

@@ -106,7 +106,7 @@ pub fn run(corpus: &Corpus, slice: Slice) -> Report {
     let mut memo = TextMemo::new();
 
     for cert in corpus.live_certs() {
-        if !in_slice(slice, cert) {
+        if !in_slice(slice, &cert) {
             continue;
         }
         let ctx = cert.issuer.classify_context(cert.rec.issuer_org.as_deref());

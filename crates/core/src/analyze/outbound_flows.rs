@@ -64,7 +64,7 @@ pub fn run(corpus: &Corpus) -> Report {
             }
         }
         // The figure only includes connections with a valid SNI.
-        let (Some(tld), Some(sld)) = (conn.tld.as_deref(), conn.sld.as_deref()) else {
+        let (Some(tld), Some(sld)) = (conn.info.tld.as_deref(), conn.info.sld.as_deref()) else {
             continue;
         };
         total += 1;

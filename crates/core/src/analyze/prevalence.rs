@@ -47,7 +47,7 @@ pub fn run(corpus: &Corpus) -> Report {
     // All connections count here: interception filtering excludes
     // *certificates* from certificate analyses, not traffic from traffic
     // volume (the intercepted flows are real TLS connections).
-    for conn in corpus.conns.iter() {
+    for conn in corpus.all_conns() {
         let acc = by_month.entry(month_of(conn.rec.ts)).or_default();
         if conn.mtls {
             match conn.direction {

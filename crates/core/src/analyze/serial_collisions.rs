@@ -40,11 +40,9 @@ pub fn run(corpus: &Corpus) -> Report {
     // lead because they mostly differ in their first bytes, while one
     // issuer's long display string repeats across all its certificates.
     let mut keyed: Vec<(&str, &str, CertId)> = corpus
-        .certs
-        .iter()
-        .enumerate()
-        .filter(|(_, cert)| !cert.excluded && cert.in_mtls)
-        .map(|(id, cert)| (cert.rec.serial.as_str(), cert.rec.issuer.as_str(), id))
+        .live_certs()
+        .filter(|cert| cert.in_mtls)
+        .map(|cert| (cert.rec.serial.as_str(), cert.rec.issuer.as_str(), cert.id))
         .collect();
     keyed.sort_unstable();
 

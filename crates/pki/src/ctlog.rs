@@ -41,6 +41,7 @@ use crate::sth::{ConsistencyProof, InclusionProof, SignedTreeHead};
 use mtls_crypto::{Fp, KeyId, Keypair};
 use mtls_intern::{FxHashMap, FxHashSet};
 use mtls_x509::Certificate;
+use std::sync::OnceLock;
 
 /// Seed for the default (honest) log identity. Fixed so a log rebuilt from
 /// exported entries signs with the same key as the one that produced them.
@@ -60,7 +61,11 @@ pub struct CtEntry {
 pub struct CtLog {
     entries: Vec<CtEntry>,
     index: CtIndex,
-    tree: MerkleTree,
+    /// Built on the first tree head or proof a log loaded by
+    /// [`CtLog::from_entries`] is asked for (ingest asks for none), and
+    /// from the start for a log that grows by submission; once built, every
+    /// submission extends it.
+    tree: OnceLock<MerkleTree>,
     keypair: Keypair,
 }
 
@@ -250,7 +255,7 @@ impl CtLog {
         CtLog {
             entries: Vec::new(),
             index: CtIndex::default(),
-            tree: MerkleTree::new(),
+            tree: OnceLock::from(MerkleTree::new()),
             keypair: Keypair::from_seed(seed),
         }
     }
@@ -283,9 +288,22 @@ impl CtLog {
         if !self.index.insert(&entry) {
             return false;
         }
-        self.tree.push(Self::leaf_hash(&entry));
+        if let Some(tree) = self.tree.get_mut() {
+            tree.push(Self::leaf_hash(&entry));
+        }
         self.entries.push(entry);
         true
+    }
+
+    /// The Merkle tree over every entry, hashed now if it was not yet.
+    fn tree(&self) -> &MerkleTree {
+        self.tree.get_or_init(|| {
+            let mut tree = MerkleTree::new();
+            for entry in &self.entries {
+                tree.push(Self::leaf_hash(entry));
+            }
+            tree
+        })
     }
 
     /// The Merkle leaf hash of an entry. The leaf is the entry's `ct.log`
@@ -315,9 +333,10 @@ impl CtLog {
     /// Rebuild a log from stored entries (the file-based pipeline's path).
     /// Entries are normalized and deduplicated on the way in, so feeding a
     /// log its own [`CtLog::entries`] reproduces it exactly — same entries,
-    /// same tree, same log identity.
+    /// same tree, same log identity. The tree is hashed on first use.
     pub fn from_entries(entries: Vec<CtEntry>) -> CtLog {
         let mut log = CtLog::new();
+        log.tree = OnceLock::new();
         log.entries.reserve(entries.len());
         log.index.reserve(entries.len());
         for entry in entries {
@@ -349,7 +368,7 @@ impl CtLog {
     /// Signed tree head over the first `tree_size` entries at a logical
     /// timestamp. `None` when `tree_size` exceeds the log.
     pub fn sth_at(&self, tree_size: u64, timestamp: u64) -> Option<SignedTreeHead> {
-        let root = self.tree.root_at(tree_size)?;
+        let root = self.tree().root_at(tree_size)?;
         let msg = SignedTreeHead::signed_bytes(&self.keypair.key_id(), tree_size, timestamp, &root);
         Some(SignedTreeHead {
             log_id: self.keypair.key_id(),
@@ -373,14 +392,14 @@ impl CtLog {
             log_id: self.log_id(),
             tree_size,
             leaf_index: index,
-            path: self.tree.inclusion_proof(index, tree_size)?,
+            path: self.tree().inclusion_proof(index, tree_size)?,
         })
     }
 
     /// Audit paths for every entry of the prefix of `tree_size` entries,
     /// in one `O(n log n)` pass (see [`MerkleTree::inclusion_proofs`]).
     pub fn prove_all_inclusions(&self, tree_size: u64) -> Option<Vec<InclusionProof>> {
-        let paths = self.tree.inclusion_proofs(tree_size)?;
+        let paths = self.tree().inclusion_proofs(tree_size)?;
         Some(
             paths
                 .into_iter()
@@ -401,7 +420,7 @@ impl CtLog {
             log_id: self.log_id(),
             old_size: old,
             new_size: new,
-            path: self.tree.consistency_proof(old, new)?,
+            path: self.tree().consistency_proof(old, new)?,
         })
     }
 }
@@ -551,6 +570,37 @@ mod tests {
         assert_eq!(rebuilt.entries(), log.entries());
         assert_eq!(rebuilt.log_id(), log.log_id());
         assert_eq!(rebuilt.sth(7), log.sth(7));
+    }
+
+    /// A loaded log hashes its tree only when asked; its heads and proofs
+    /// equal an eagerly built log's whether the tree was hashed before or
+    /// after further submissions.
+    #[test]
+    fn a_loaded_log_proves_what_an_eager_log_proves() {
+        let mut eager = CtLog::new();
+        for i in 0..5 {
+            eager.submit_entry(entry(&format!("h{i}.example.org"), "O=CA", &format!("{i}")));
+        }
+        let mut asked_first = CtLog::from_entries(eager.entries().to_vec());
+        let mut asked_after = CtLog::from_entries(eager.entries().to_vec());
+        assert_eq!(asked_first.sth(1), eager.sth(1));
+        for i in 5..11 {
+            let more = entry(&format!("h{i}.example.org"), "O=CA", &format!("{i}"));
+            eager.submit_entry(more.clone());
+            asked_first.submit_entry(more.clone());
+            asked_after.submit_entry(more);
+        }
+        for log in [&asked_first, &asked_after] {
+            assert_eq!(log.entries(), eager.entries());
+            assert_eq!(log.sth(9), eager.sth(9));
+            assert_eq!(log.sth_at(7, 3), eager.sth_at(7, 3));
+            for i in 0..11 {
+                assert_eq!(log.prove_inclusion(i, 11), eager.prove_inclusion(i, 11));
+            }
+            assert_eq!(log.prove_consistency(5, 11), eager.prove_consistency(5, 11));
+            assert_eq!(log.prove_consistency(3, 8), eager.prove_consistency(3, 8));
+            assert_eq!(log.prove_all_inclusions(11), eager.prove_all_inclusions(11));
+        }
     }
 
     #[test]

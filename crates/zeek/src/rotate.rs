@@ -178,8 +178,8 @@ fn read_files(
     for (path, is_ssl) in tasks {
         let (mut diag, parsed) = read_shard(path, *is_ssl, mode, obs, parent);
         match parsed {
-            Ok(ParsedShard::Ssl(records)) => ssl.extend(records),
-            Ok(ParsedShard::X509(records)) => x509.extend(records),
+            Ok(ParsedShard::Ssl(records)) => append(&mut ssl, records),
+            Ok(ParsedShard::X509(records)) => append(&mut x509, records),
             Err(err) if mode == IngestMode::Lenient => diag.quarantine(&err),
             Err(err) => return Err(err),
         }
@@ -187,6 +187,16 @@ fn read_files(
     }
     stats.wall_micros = t0.elapsed().as_micros() as u64;
     Ok((ssl, x509, stats))
+}
+
+/// Append one shard's rows to its stream: the first shard's `Vec` is
+/// adopted as it is, so no row is copied unless a stream has two shards.
+fn append<T>(stream: &mut Vec<T>, rows: Vec<T>) {
+    if stream.is_empty() {
+        *stream = rows;
+    } else {
+        stream.extend(rows);
+    }
 }
 
 /// Read a whole log directory (either layout, see the module docs): every

@@ -560,6 +560,55 @@ proptest! {
         prop_assert_eq!(fa.cmp(&fb), a.cmp(&b));
         prop_assert_eq!(fa == fb, a == b);
     }
+
+    #[test]
+    fn fp_equality_is_digit_equality_and_equal_fps_hash_equally(
+        a in "[0-9a-f]{64}",
+        shared in 0usize..=64,
+        tail in "[0-9a-f]{64}",
+    ) {
+        let b = format!("{}{}", &a[..shared], &tail[shared..]);
+        let (fa, fb) = (Fp::parse(&a).unwrap(), Fp::parse(&b).unwrap());
+        prop_assert_eq!(fa == fb, a == b);
+        prop_assert_eq!(fa != fb, a != b);
+        let copy = Fp::parse(&a).unwrap();
+        prop_assert!(fa == copy);
+        prop_assert_eq!(fx_hash(&fa), fx_hash(&copy));
+        if fa == fb {
+            prop_assert_eq!(fx_hash(&fa), fx_hash(&fb));
+        }
+    }
+
+    #[test]
+    fn fp_near_misses_compare_unequal(a in "[0-9a-f]{64}", step in 1u8..16) {
+        // One digit changed, at every position: inside the hashed head
+        // and past digit 16, in each 16-digit word.
+        let fa = Fp::parse(&a).unwrap();
+        for pos in 0..Fp::LEN {
+            let mut digits = a.clone().into_bytes();
+            let value = (hex_value(digits[pos]) + step) % 16;
+            digits[pos] = b"0123456789abcdef"[usize::from(value)];
+            let near = Fp::parse(std::str::from_utf8(&digits).unwrap()).unwrap();
+            prop_assert!(fa != near, "digit {}", pos);
+            prop_assert!(near != fa, "digit {}", pos);
+        }
+    }
+}
+
+/// `fp`'s hash under the join's hasher.
+fn fx_hash(fp: &Fp) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut hasher = mtls_intern::FxHasher::default();
+    fp.hash(&mut hasher);
+    hasher.finish()
+}
+
+/// The value of one lowercase hex digit.
+fn hex_value(digit: u8) -> u8 {
+    match digit {
+        b'0'..=b'9' => digit - b'0',
+        _ => digit - b'a' + 10,
+    }
 }
 
 /// A chain field as the reader must judge it: unset or empty, or

@@ -195,7 +195,7 @@ fn expired_points_are_actually_expired() {
 #[test]
 fn tls13_connections_carry_no_certificates() {
     let out = output();
-    for conn in &out.corpus.conns {
+    for conn in out.corpus.all_conns() {
         if conn.rec.version == mtlscope::zeek::TlsVersion::Tls13 {
             assert!(conn.rec.cert_chain_fps.is_empty());
             assert!(conn.rec.client_cert_chain_fps.is_empty());
@@ -207,7 +207,7 @@ fn tls13_connections_carry_no_certificates() {
 #[test]
 fn every_ssl_fingerprint_resolves() {
     let out = output();
-    for conn in &out.corpus.conns {
+    for conn in out.corpus.all_conns() {
         for fp in conn
             .rec
             .cert_chain_fps
@@ -292,4 +292,50 @@ fn interception_thresholds_are_not_load_bearing() {
             assert!(excluded.is_empty() == issuers.is_empty());
         }
     }
+}
+
+/// The filter's output on the seed-7 corpus over the ablation's threshold
+/// grid, pinned as one digest of every setting's sorted excluded
+/// fingerprints and flagged issuers, so a change to how the filter finds
+/// server leaves or marks exclusions cannot move a single fingerprint.
+#[test]
+fn interception_filter_output_is_pinned_on_seed_7() {
+    use mtlscope::core::pipeline::interception;
+    let sim = generate(&SimConfig {
+        seed: 7,
+        scale: 0.05,
+        ..Default::default()
+    });
+    let inputs = AnalysisInputs::from_sim(sim);
+    let mut text = String::new();
+    let mut excluded_at_default = 0;
+    for min_certs in [2usize, 3, 5] {
+        for share in [0.5f64, 0.8, 0.95] {
+            let (excluded, issuers) = interception::filter_with(
+                &inputs.ssl,
+                &inputs.x509,
+                &inputs.ct,
+                &inputs.meta,
+                min_certs,
+                share,
+            );
+            let mut excluded: Vec<_> = excluded.into_iter().collect();
+            excluded.sort();
+            if (min_certs, share) == (3, 0.8) {
+                excluded_at_default = excluded.len();
+            }
+            text.push_str(&format!("{min_certs} {share} {issuers:?}\n"));
+            for fp in excluded {
+                text.push_str(&format!("{fp}\n"));
+            }
+        }
+    }
+    let digest = mtlscope::crypto::hex::encode(&mtlscope::crypto::sha256(text.as_bytes()));
+    assert_eq!(
+        (excluded_at_default, digest.as_str()),
+        (
+            461,
+            "9e53062e15a837fbe80d4ffeecceab5a8ac6a32962360eec8dbda1c6741769da"
+        )
+    );
 }
