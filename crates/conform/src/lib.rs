@@ -5,7 +5,7 @@
 //! monitor must survive them. This crate turns that requirement into a
 //! testable property:
 //!
-//! * [`mutate`] — a deterministic, structure-aware DER mutation engine
+//! * [`mutate`](mod@mutate) — a deterministic, structure-aware DER mutation engine
 //!   (seeded xorshift; truncation, length corruption, tag swaps, TLV
 //!   duplication/deletion, high-tag-number and indefinite-length
 //!   injection, string-encoding swaps, time-string edits).

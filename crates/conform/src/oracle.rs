@@ -997,49 +997,33 @@ struct StreamTrace {
 }
 
 fn stream_trace<'a>(chunks: impl Iterator<Item = &'a [u8]>) -> StreamTrace {
-    use mtls_tlssim::stream::{HandshakeAssembler, RecordDeframer};
-    let mut deframer = RecordDeframer::new();
-    let mut assembler = HandshakeAssembler::new();
+    use mtls_tlssim::stream::{Reassembler, HANDSHAKE, RECORD};
+    let mut records = Reassembler::new(RECORD);
+    let mut messages = Reassembler::new(HANDSHAKE);
     let mut trace = StreamTrace {
         records: Vec::new(),
         messages: Vec::new(),
         record_error: None,
         message_error: None,
     };
-    'outer: for chunk in chunks {
-        deframer.push(chunk);
-        loop {
-            match deframer.next_record() {
-                Ok(Some((header, payload))) => {
-                    trace
-                        .records
-                        .push((header.content_type.byte(), payload.clone()));
-                    if header.content_type == mtls_tlssim::ContentType::Handshake
-                        && trace.message_error.is_none()
-                    {
-                        assembler.push(&payload);
-                        loop {
-                            match assembler.next_message() {
-                                Ok(Some(msg)) => trace.messages.push(msg),
-                                Ok(None) => break,
-                                Err(e) => {
-                                    trace.message_error = Some(e);
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    // The deframer is dead-on-error; bytes pushed after
-                    // death never change what was already extracted.
-                    trace.record_error = Some(e);
-                    break 'outer;
+    for chunk in chunks {
+        records.push(chunk);
+        // Both reassemblers are dead-on-error: bytes pushed after death
+        // never change what was already extracted.
+        while let Ok(Some(record)) = records.next_item() {
+            let payload = &record[RECORD.len..];
+            trace.records.push((record[0], payload.to_vec()));
+            if record[0] == mtls_tlssim::ContentType::Handshake.byte() {
+                messages.push(payload);
+                while let Ok(Some(msg)) = messages.next_item() {
+                    let body = &msg[HANDSHAKE.len..];
+                    trace.messages.push((msg[0], body.to_vec()));
                 }
             }
         }
     }
+    trace.record_error = records.error();
+    trace.message_error = messages.error();
     trace
 }
 

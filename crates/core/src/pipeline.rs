@@ -1,8 +1,8 @@
 //! End-to-end pipeline: interception filtering → corpus → all analyzers.
 //!
-//! Every entry point runs one body ([`run`]): build the corpus, run the
+//! Every entry point runs one body (`run`): build the corpus, run the
 //! analyzers, assemble [`PipelineOutput`]. The analyzers are one table,
-//! [`ANALYZERS`], of `(span name, job)` pairs, run in order on the
+//! `ANALYZERS`, of `(span name, job)` pairs, run in order on the
 //! caller's thread. Every directory load hands the pipeline the same
 //! [`AnalysisInputs`] (see [`crate::ingest::load_dir`]), windowed or not.
 

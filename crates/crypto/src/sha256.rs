@@ -3,7 +3,7 @@
 //! Two compression cores sit behind one run-time dispatcher:
 //!
 //! * `compress_ni` — the x86-64 SHA extensions (`sha256rnds2`,
-//!   `sha256msg1`, `sha256msg2`). [`compress`] takes it whenever the CPU
+//!   `sha256msg1`, `sha256msg2`). `compress` takes it whenever the CPU
 //!   advertises `sha`, `sse4.1` and `ssse3`; no build flag is involved.
 //! * `compress_scalar` — the portable core: 64 fully unrolled rounds over
 //!   a rolling 16-word schedule. It is what runs on every other host, and

@@ -4,7 +4,7 @@
 //!
 //! Every rendering is deterministic for a given set of recorded values:
 //! span rows come out in name-sorted pre-order (see
-//! [`SpanTree::rows`](crate::span::SpanTree)), counters/gauges/histograms
+//! `SpanTree::rows`), counters/gauges/histograms
 //! in name order. The JSON schema is pinned by a golden-file test
 //! (`tests/golden.rs`); bump [`SCHEMA_VERSION`] when changing it.
 

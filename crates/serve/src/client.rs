@@ -6,7 +6,7 @@ use crate::frame::{
     RESP_METRICS, RESP_PONG, RESP_VERDICT,
 };
 use crate::tls::{self, EndpointConfig, Session, SessionError};
-use mtls_tlssim::StreamError;
+use mtls_tlssim::{ContentType, StreamError};
 use std::io;
 use std::net::TcpStream;
 
@@ -58,9 +58,10 @@ impl ClientSession {
     }
 
     fn round_trip(&mut self, kind: u8, payload: &[u8]) -> Result<Response, SessionError> {
-        self.session.send_frame(kind, payload)?;
+        tls::send_frame(&mut self.session.sender, kind, payload)?;
         let frame = self
             .session
+            .receiver
             .recv_frame()?
             .ok_or(SessionError::Stream(StreamError::UnexpectedEof))?;
         Ok(decode_response(frame))
@@ -98,19 +99,22 @@ impl ClientSession {
     /// plant an oversize-frame violation. The server must reject it at
     /// the header (and close) without ever taking a quota token.
     pub fn send_oversize_header(&mut self) -> Result<(), SessionError> {
+        let header = frame_header(REQ_DER, MAX_FRAME_PAYLOAD + 1);
         self.session
-            .send_raw(&frame_header(REQ_DER, MAX_FRAME_PAYLOAD + 1))
+            .sender
+            .write(ContentType::ApplicationData, &header)?;
+        Ok(())
     }
 
     /// Whether the server closed the connection (next read is EOF or an
     /// error). Consumes the stream position, so only call when no
     /// response is expected.
     pub fn expect_close(&mut self) -> bool {
-        !matches!(self.session.recv_frame(), Ok(Some(_)))
+        !matches!(self.session.receiver.recv_frame(), Ok(Some(_)))
     }
 }
 
-fn decode_response(frame: Frame) -> Response {
+fn decode_response(frame: Frame<'_>) -> Response {
     match frame.kind {
         RESP_VERDICT => Response::Verdict(text(frame.payload)),
         RESP_PONG => Response::Pong,
@@ -120,12 +124,15 @@ fn decode_response(frame: Frame) -> Response {
     }
 }
 
-/// A response payload as text: valid UTF-8 (every verdict the server
-/// renders) is validated in one pass and kept without a copy; anything
-/// else is decoded lossily.
-fn text(payload: Vec<u8>) -> String {
-    String::from_utf8(payload)
-        .unwrap_or_else(|invalid| String::from_utf8_lossy(invalid.as_bytes()).into_owned())
+/// A response payload as text, copied once out of the borrowed frame:
+/// valid UTF-8 (every verdict the server renders) as it is, anything else
+/// decoded lossily. `str::from_utf8` checks first because it validates
+/// ASCII a word at a time, where the lossy decoder goes byte by byte.
+fn text(payload: &[u8]) -> String {
+    match std::str::from_utf8(payload) {
+        Ok(text) => text.to_owned(),
+        Err(_) => String::from_utf8_lossy(payload).into_owned(),
+    }
 }
 
 #[cfg(test)]
@@ -140,10 +147,7 @@ mod tests {
             "privacy.cn: Jos\u{e9} => PersonalName\n".as_bytes(),
             b"bad \xFF\xFE bytes and a cut \xE2\x82",
         ] {
-            assert_eq!(
-                text(payload.to_vec()),
-                String::from_utf8_lossy(payload).into_owned()
-            );
+            assert_eq!(text(payload), String::from_utf8_lossy(payload).into_owned());
         }
     }
 }

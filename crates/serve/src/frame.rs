@@ -4,8 +4,10 @@
 //! inside `application_data` records: `kind (u8) | length (u32 BE) |
 //! payload`. A frame is larger than a record on purpose — a 1 MiB shard
 //! upload spans many records — so the receiving side reassembles frames
-//! from record payloads exactly the way the handshake layer reassembles
-//! messages, with the same tolerance for arbitrary boundaries.
+//! from record payloads with the reassembler that rebuilds records and
+//! handshake messages, over the [`FRAME`] header.
+
+use mtls_tlssim::stream::Header;
 
 /// Request: one raw DER certificate blob.
 pub const REQ_DER: u8 = 1;
@@ -31,24 +33,24 @@ pub const RESP_METRICS: u8 = 0x85;
 /// small enough that a hostile length field cannot balloon the buffer.
 pub const MAX_FRAME_PAYLOAD: usize = 8 << 20;
 
-/// One decoded frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Frame {
-    pub kind: u8,
-    pub payload: Vec<u8>,
-}
+/// The frame header: `kind (u8) | length (u32 BE)`, at most
+/// [`MAX_FRAME_PAYLOAD`] payload bytes. A
+/// [`Reassembler`](mtls_tlssim::Reassembler) over it turns record payloads
+/// back into frames.
+pub const FRAME: Header = Header {
+    len: 5,
+    length_at: 1,
+    length_width: 4,
+    max: MAX_FRAME_PAYLOAD,
+    check: None,
+};
 
-/// Framing violation: a length field past [`MAX_FRAME_PAYLOAD`].
+/// One decoded frame, borrowed from the buffer it was reassembled in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrameTooLarge(pub usize);
-
-impl std::fmt::Display for FrameTooLarge {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "frame payload of {} bytes exceeds the limit", self.0)
-    }
+pub struct Frame<'a> {
+    pub kind: u8,
+    pub payload: &'a [u8],
 }
-
-impl std::error::Error for FrameTooLarge {}
 
 /// Encode one frame.
 pub fn encode_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
@@ -64,58 +66,10 @@ pub fn frame_header(kind: u8, len: usize) -> [u8; 5] {
     [kind, a, b, c, d]
 }
 
-/// Incremental frame reassembler over record payloads.
-#[derive(Debug, Default)]
-pub struct FrameAssembler {
-    buf: Vec<u8>,
-    pos: usize,
-}
-
-impl FrameAssembler {
-    /// Fresh, empty assembler.
-    pub fn new() -> FrameAssembler {
-        FrameAssembler::default()
-    }
-
-    /// Append one `application_data` record payload.
-    pub fn push(&mut self, payload: &[u8]) {
-        if self.pos > 4096 && self.pos * 2 >= self.buf.len() {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        self.buf.extend_from_slice(payload);
-    }
-
-    /// Bytes buffered but not yet consumed as complete frames.
-    pub fn pending(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Pull the next complete frame; `Ok(None)` means "need more bytes".
-    pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameTooLarge> {
-        let data = &self.buf[self.pos..];
-        if data.len() < 5 {
-            return Ok(None);
-        }
-        let len = u32::from_be_bytes([data[1], data[2], data[3], data[4]]) as usize;
-        if len > MAX_FRAME_PAYLOAD {
-            return Err(FrameTooLarge(len));
-        }
-        if data.len() < 5 + len {
-            return Ok(None);
-        }
-        let frame = Frame {
-            kind: data[0],
-            payload: data[5..5 + len].to_vec(),
-        };
-        self.pos += 5 + len;
-        Ok(Some(frame))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mtls_tlssim::{Reassembler, WireError};
 
     #[test]
     fn round_trip_any_chunking() {
@@ -123,30 +77,28 @@ mod tests {
         wire.extend(encode_frame(REQ_PING, b""));
         wire.extend(encode_frame(REQ_SHARD, &vec![7u8; 100_000]));
         for chunk_len in [1usize, 3, 16, 1000, 1 << 20] {
-            let mut a = FrameAssembler::new();
+            let mut a = Reassembler::new(FRAME);
             let mut frames = Vec::new();
             for chunk in wire.chunks(chunk_len) {
                 a.push(chunk);
-                while let Some(f) = a.next_frame().unwrap() {
-                    frames.push(f);
+                while let Some(item) = a.next_item().unwrap() {
+                    frames.push((item[0], item[FRAME.len..].to_vec()));
                 }
             }
             assert_eq!(frames.len(), 3, "chunk_len={chunk_len}");
-            assert_eq!(frames[0].kind, REQ_DER);
-            assert_eq!(frames[0].payload, b"der-bytes");
-            assert_eq!(frames[1].kind, REQ_PING);
-            assert!(frames[1].payload.is_empty());
-            assert_eq!(frames[2].payload.len(), 100_000);
+            assert_eq!(frames[0], (REQ_DER, b"der-bytes".to_vec()));
+            assert_eq!(frames[1], (REQ_PING, Vec::new()));
+            assert_eq!(frames[2], (REQ_SHARD, vec![7u8; 100_000]));
             assert_eq!(a.pending(), 0);
         }
     }
 
     #[test]
     fn oversize_length_rejected() {
-        let mut a = FrameAssembler::new();
+        let mut a = Reassembler::new(FRAME);
         let mut hdr = vec![REQ_SHARD];
         hdr.extend_from_slice(&(u32::MAX).to_be_bytes());
         a.push(&hdr);
-        assert!(a.next_frame().is_err());
+        assert_eq!(a.next_item(), Err(WireError::BadLength));
     }
 }

@@ -12,8 +12,8 @@
 //!
 //! Layers, bottom to top:
 //!
-//! - [`frame`] — `kind | u32 len | payload` application framing with an
-//!   incremental reassembler (frames span records).
+//! - [`frame`] — `kind | u32 len | payload` application framing; frames
+//!   span records and are reassembled over the [`frame::FRAME`] header.
 //! - [`quota`] — per-tenant token buckets driven by explicit elapsed
 //!   time, so the server owns the only clock.
 //! - [`tls`] — session establishment: the mutual-TLS handshake over any
@@ -40,7 +40,9 @@ pub mod taxonomy;
 pub mod tls;
 
 pub use client::{ClientSession, Response};
-pub use frame::{encode_frame, Frame, FrameAssembler};
+pub use frame::{encode_frame, Frame};
 pub use quota::{QuotaClock, QuotaTable, TokenBucket};
 pub use server::{Server, ServerConfig, METRICS_SCHEMA};
-pub use tls::{accept, connect, Accepted, EndpointConfig, ServerFlight, Session, SessionError};
+pub use tls::{
+    accept, connect, Accepted, EndpointConfig, Receiver, ServerFlight, Session, SessionError,
+};

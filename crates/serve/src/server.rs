@@ -33,6 +33,7 @@ use mtls_core::verdict::{cert_verdict_der, shard_verdict, VerdictContext};
 use mtls_obs::flight::{close, FlightEvent, FlightRecorder};
 use mtls_obs::{Counter, Histogram, Obs};
 use mtls_pki::{Authorizer, Tenant};
+use mtls_tlssim::RecordWriter;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -369,11 +370,11 @@ fn handle_connection(stream: TcpStream, accepted_at: Instant, shared: &Shared) {
     let mut stats = ConnStats::default();
     let mut latency = ConnLatency::default();
     let close_cause = loop {
-        let frame = match session.recv_frame() {
+        let frame = match session.receiver.recv_frame() {
             Ok(Some(f)) => f,
             Ok(None) => break close::CLEAN,
             // An oversize length field is caught at the frame header by
-            // the assembler — the frame never materializes, no quota
+            // the reassembler — the frame never materializes, no quota
             // token is ever taken for it.
             Err(SessionError::BadFrame) => {
                 shared
@@ -385,7 +386,7 @@ fn handle_connection(stream: TcpStream, accepted_at: Instant, shared: &Shared) {
             Err(_) => break close::STREAM,
         };
         if serve_frame(
-            &mut session,
+            &mut session.sender,
             &tenant,
             frame,
             shared,
@@ -436,21 +437,22 @@ struct ConnStats {
     bytes_out: u64,
 }
 
-fn send_counted<R: io::Read, W: io::Write>(
-    session: &mut tls::Session<R, W>,
+fn send_counted<W: io::Write>(
+    sender: &mut RecordWriter<W>,
     stats: &mut ConnStats,
     kind: u8,
     payload: &[u8],
 ) -> Result<(), SessionError> {
     stats.bytes_out += 5 + payload.len() as u64;
-    session.send_frame(kind, payload)
+    tls::send_frame(sender, kind, payload)
 }
 
-/// Answer one request frame. `Err` means the connection is unusable.
-fn serve_frame<R: io::Read, W: io::Write>(
-    session: &mut tls::Session<R, W>,
+/// Answer one request frame, borrowed from the session's receive half,
+/// through its send half. `Err` means the connection is unusable.
+fn serve_frame<W: io::Write>(
+    sender: &mut RecordWriter<W>,
     tenant: &Tenant,
-    frame: Frame,
+    frame: Frame<'_>,
     shared: &Shared,
     stats: &mut ConnStats,
     latency: &mut ConnLatency,
@@ -467,18 +469,18 @@ fn serve_frame<R: io::Read, W: io::Write>(
     }
 
     let result = match frame.kind {
-        REQ_PING => send_counted(session, stats, RESP_PONG, &[]),
+        REQ_PING => send_counted(sender, stats, RESP_PONG, &[]),
         REQ_DER | REQ_SHARD => {
             if !take_quota(tenant, shared) {
                 shared.hot.throttled.add(1);
-                send_counted(session, stats, RESP_THROTTLED, &[])
+                send_counted(sender, stats, RESP_THROTTLED, &[])
             } else {
                 let verdict = if frame.kind == REQ_DER {
-                    cert_verdict_der(&frame.payload, &shared.verdict)
+                    cert_verdict_der(frame.payload, &shared.verdict)
                 } else {
-                    shard_verdict(&frame.payload, &shared.verdict)
+                    shard_verdict(frame.payload, &shared.verdict)
                 };
-                send_counted(session, stats, RESP_VERDICT, verdict.as_bytes())
+                send_counted(sender, stats, RESP_VERDICT, verdict.as_bytes())
             }
         }
         // The admin frame: ops-class tenants (leaf OU
@@ -488,13 +490,13 @@ fn serve_frame<R: io::Read, W: io::Write>(
         REQ_METRICS => {
             if tenant.ops {
                 let payload = metrics_envelope(shared);
-                send_counted(session, stats, RESP_METRICS, payload.as_bytes())
+                send_counted(sender, stats, RESP_METRICS, payload.as_bytes())
             } else {
                 shared
                     .obs
                     .counter_add("serve.request.err.metrics_forbidden", 1);
                 send_counted(
-                    session,
+                    sender,
                     stats,
                     RESP_ERROR,
                     b"metrics requires an ops-class tenant",
@@ -503,7 +505,7 @@ fn serve_frame<R: io::Read, W: io::Write>(
         }
         other => {
             let msg = format!("unknown request kind {other:#04x}");
-            send_counted(session, stats, RESP_ERROR, msg.as_bytes())
+            send_counted(sender, stats, RESP_ERROR, msg.as_bytes())
         }
     };
 

@@ -21,14 +21,14 @@
 //! boundary. Everything else — framing, fragmentation, chain validation,
 //! identity derivation — is the real protocol shape.
 
-use crate::frame::{frame_header, Frame, FrameAssembler};
+use crate::frame::{frame_header, Frame, FRAME};
 use mtls_pki::{Authorized, Authorizer, AuthzError, Tenant};
 use mtls_tlssim::msgs::{
     encode_certificate_body, encode_certificate_request_body, handshake_envelope,
     parse_certificate_body, HS_CERTIFICATE, HS_CERTIFICATE_REQUEST, HS_CLIENT_HELLO, HS_FINISHED,
     HS_SERVER_HELLO, HS_SERVER_HELLO_DONE,
 };
-use mtls_tlssim::stream::{HandshakeAssembler, RecordReader, RecordWriter, StreamError};
+use mtls_tlssim::stream::{Reassembler, RecordReader, RecordWriter, StreamError, HANDSHAKE};
 use mtls_tlssim::wire::{legacy_version_bytes, ContentType};
 use mtls_tlssim::{client_hello, server_hello, TlsVersion, CHANGE_CIPHER_SPEC, FINISHED};
 use mtls_x509::Certificate;
@@ -112,32 +112,36 @@ impl ServerFlight {
 }
 
 /// An established session over a (read, write) stream pair — for a
-/// `TcpStream`, `(stream.try_clone()?, stream)`.
+/// `TcpStream`, `(stream.try_clone()?, stream)`. The halves are separate
+/// fields, so a caller can answer through `sender` while it still holds a
+/// frame borrowed from `receiver`.
 pub struct Session<R: Read, W: Write> {
-    reader: RecordReader<R>,
-    writer: RecordWriter<W>,
-    assembler: HandshakeAssembler,
-    frames: FrameAssembler,
+    /// The receive half: frames out of the peer's records.
+    pub receiver: Receiver<R>,
+    /// The send half.
+    pub sender: RecordWriter<W>,
 }
 
-/// Read handshake messages until one arrives, skipping ChangeCipherSpec,
-/// erroring on alerts and application data.
-fn next_handshake<R: Read>(
-    reader: &mut RecordReader<R>,
-    assembler: &mut HandshakeAssembler,
-) -> Result<(u8, Vec<u8>), SessionError> {
-    loop {
-        if let Some(msg) = assembler
-            .next_message()
-            .map_err(|e| SessionError::Stream(StreamError::Wire(e)))?
-        {
-            return Ok(msg);
-        }
-        let Some((header, payload)) = reader.read_record()? else {
+/// The receive half of an established session.
+pub struct Receiver<R: Read> {
+    records: RecordReader<R>,
+    frames: Reassembler,
+}
+
+/// Read records until a handshake message is complete and lend it as
+/// `(msg_type, body)`, skipping ChangeCipherSpec, erroring on alerts and
+/// application data.
+fn next_handshake<'m, R: Read>(
+    records: &mut RecordReader<R>,
+    messages: &'m mut Reassembler,
+) -> Result<(u8, &'m [u8]), SessionError> {
+    let wire = |e| SessionError::Stream(StreamError::Wire(e));
+    while !messages.ready().map_err(wire)? {
+        let Some((header, payload)) = records.read_record()? else {
             return Err(SessionError::Stream(StreamError::UnexpectedEof));
         };
         match header.content_type {
-            ContentType::Handshake => assembler.push(&payload),
+            ContentType::Handshake => messages.push(payload),
             ContentType::ChangeCipherSpec => {}
             ContentType::Alert => return Err(SessionError::PeerAlert),
             ContentType::ApplicationData => {
@@ -145,6 +149,9 @@ fn next_handshake<R: Read>(
             }
         }
     }
+    let msg = messages.next_item().map_err(wire)?;
+    let msg = msg.ok_or(SessionError::Stream(StreamError::UnexpectedEof))?;
+    Ok((msg[0], &msg[HANDSHAKE.len..]))
 }
 
 /// What a successful server-side handshake yields.
@@ -172,12 +179,12 @@ pub fn accept<R: Read, W: Write>(
     authorizer: &Authorizer,
     now: mtls_asn1::Asn1Time,
 ) -> Result<Accepted<R, W>, SessionError> {
-    let mut reader = RecordReader::new(read);
+    let mut records = RecordReader::new(read);
     let mut writer = RecordWriter::new(write, legacy_version_bytes(VERSION));
-    let mut assembler = HandshakeAssembler::new();
+    let mut messages = Reassembler::new(HANDSHAKE);
 
     // ClientHello.
-    let (msg_type, _body) = next_handshake(&mut reader, &mut assembler)?;
+    let (msg_type, _body) = next_handshake(&mut records, &mut messages)?;
     if msg_type != HS_CLIENT_HELLO {
         return Err(SessionError::UnexpectedMessage("expected ClientHello"));
     }
@@ -187,17 +194,17 @@ pub fn accept<R: Read, W: Write>(
     writer.write(ContentType::Handshake, &server.hello)?;
 
     // Client Certificate.
-    let (msg_type, body) = next_handshake(&mut reader, &mut assembler)?;
+    let (msg_type, body) = next_handshake(&mut records, &mut messages)?;
     if msg_type != HS_CERTIFICATE {
         return Err(SessionError::UnexpectedMessage(
             "expected client Certificate",
         ));
     }
     let chain =
-        parse_certificate_body(&body).map_err(|e| SessionError::Stream(StreamError::Wire(e)))?;
+        parse_certificate_body(body).map_err(|e| SessionError::Stream(StreamError::Wire(e)))?;
 
     // Client Finished.
-    let (msg_type, _body) = next_handshake(&mut reader, &mut assembler)?;
+    let (msg_type, _body) = next_handshake(&mut records, &mut messages)?;
     if msg_type != HS_FINISHED {
         return Err(SessionError::UnexpectedMessage("expected client Finished"));
     }
@@ -222,10 +229,8 @@ pub fn accept<R: Read, W: Write>(
 
     Ok(Accepted {
         session: Session {
-            reader,
-            writer,
-            assembler,
-            frames: FrameAssembler::new(),
+            receiver: Receiver::new(records),
+            sender: writer,
         },
         tenant,
         client_chain: chain,
@@ -240,9 +245,9 @@ pub fn connect<R: Read, W: Write>(
     cfg: &EndpointConfig,
     sni: Option<&str>,
 ) -> Result<Session<R, W>, SessionError> {
-    let mut reader = RecordReader::new(read);
+    let mut records = RecordReader::new(read);
     let mut writer = RecordWriter::new(write, legacy_version_bytes(VERSION));
-    let mut assembler = HandshakeAssembler::new();
+    let mut messages = Reassembler::new(HANDSHAKE);
 
     writer.write(
         ContentType::Handshake,
@@ -250,13 +255,13 @@ pub fn connect<R: Read, W: Write>(
     )?;
 
     // ServerHello, then the rest of the server flight.
-    let (msg_type, _) = next_handshake(&mut reader, &mut assembler)?;
+    let (msg_type, _) = next_handshake(&mut records, &mut messages)?;
     if msg_type != HS_SERVER_HELLO {
         return Err(SessionError::UnexpectedMessage("expected ServerHello"));
     }
     let mut cert_req_seen = false;
     loop {
-        let (msg_type, _body) = next_handshake(&mut reader, &mut assembler)?;
+        let (msg_type, _body) = next_handshake(&mut records, &mut messages)?;
         match msg_type {
             HS_CERTIFICATE => {}
             HS_CERTIFICATE_REQUEST => cert_req_seen = true,
@@ -281,47 +286,46 @@ pub fn connect<R: Read, W: Write>(
     ])?;
 
     // Server CCS + Finished — or the authorization alert.
-    let (msg_type, _) = next_handshake(&mut reader, &mut assembler)?;
+    let (msg_type, _) = next_handshake(&mut records, &mut messages)?;
     if msg_type != HS_FINISHED {
         return Err(SessionError::UnexpectedMessage("expected server Finished"));
     }
 
     Ok(Session {
-        reader,
-        writer,
-        assembler,
-        frames: FrameAssembler::new(),
+        receiver: Receiver::new(records),
+        sender: writer,
     })
 }
 
-impl<R: Read, W: Write> Session<R, W> {
-    /// Send one frame inside `application_data` records: the bytes of
-    /// [`crate::frame::encode_frame`] written whole, built without that copy — the
-    /// 5-byte header and the payload go straight into the record buffer.
-    pub fn send_frame(&mut self, kind: u8, payload: &[u8]) -> Result<(), SessionError> {
-        let header = frame_header(kind, payload.len());
-        self.writer
-            .write_parts(ContentType::ApplicationData, &[&header, payload])?;
-        Ok(())
+/// Send one frame inside `application_data` records: the bytes of
+/// [`crate::frame::encode_frame`] written whole, built without that copy —
+/// the 5-byte header and the payload go straight into the record buffer.
+pub fn send_frame<W: Write>(
+    sender: &mut RecordWriter<W>,
+    kind: u8,
+    payload: &[u8],
+) -> Result<(), SessionError> {
+    let header = frame_header(kind, payload.len());
+    sender.write_parts(ContentType::ApplicationData, &[&header, payload])?;
+    Ok(())
+}
+
+impl<R: Read> Receiver<R> {
+    /// The receive half over `records`, read past the handshake.
+    pub fn new(records: RecordReader<R>) -> Receiver<R> {
+        Receiver {
+            records,
+            frames: Reassembler::new(FRAME),
+        }
     }
 
-    /// Send raw bytes as `application_data` without frame encoding —
-    /// the hook the planted-failure harness uses to put a framing
-    /// violation (e.g. an oversize length field) on the wire.
-    pub fn send_raw(&mut self, bytes: &[u8]) -> Result<(), SessionError> {
-        self.writer.write(ContentType::ApplicationData, bytes)?;
-        Ok(())
-    }
-
-    /// Receive the next frame; `Ok(None)` is a clean peer close.
-    pub fn recv_frame(&mut self) -> Result<Option<Frame>, SessionError> {
-        loop {
-            match self.frames.next_frame() {
-                Ok(Some(frame)) => return Ok(Some(frame)),
-                Ok(None) => {}
-                Err(_) => return Err(SessionError::BadFrame),
-            }
-            let Some((header, payload)) = self.reader.read_record()? else {
+    /// Receive the next frame, lent from the frame buffer until the next
+    /// call; `Ok(None)` is a clean peer close. Each record payload is
+    /// copied once, into the frame buffer. Handshake and ChangeCipherSpec
+    /// records after establishment are ignored and keep nothing.
+    pub fn recv_frame(&mut self) -> Result<Option<Frame<'_>>, SessionError> {
+        while !self.frames.ready().map_err(|_| SessionError::BadFrame)? {
+            let Some((header, payload)) = self.records.read_record()? else {
                 return if self.frames.pending() == 0 {
                     Ok(None)
                 } else {
@@ -329,15 +333,19 @@ impl<R: Read, W: Write> Session<R, W> {
                 };
             };
             match header.content_type {
-                ContentType::ApplicationData => self.frames.push(&payload),
+                ContentType::ApplicationData => self.frames.push(payload),
                 ContentType::Alert => return Err(SessionError::PeerAlert),
-                // Ignore stray handshake/CCS records post-establishment;
-                // the assembler keeps its place for renegotiation-shaped
-                // noise without acting on it.
-                ContentType::Handshake => self.assembler.push(&payload),
-                ContentType::ChangeCipherSpec => {}
+                ContentType::Handshake | ContentType::ChangeCipherSpec => {}
             }
         }
+        let item = self
+            .frames
+            .next_item()
+            .map_err(|_| SessionError::BadFrame)?;
+        Ok(item.map(|item| Frame {
+            kind: item[0],
+            payload: &item[FRAME.len..],
+        }))
     }
 }
 
@@ -461,8 +469,8 @@ mod tests {
             let (write, writes) = Recorder::new(stream.try_clone().unwrap());
             let mut session = connect(stream, write, &client_cfg, Some("serve.example")).unwrap();
             let handshake_writes = writes.lock().unwrap().clone();
-            session.send_frame(crate::frame::REQ_PING, b"").unwrap();
-            let resp = session.recv_frame().unwrap().unwrap();
+            send_frame(&mut session.sender, crate::frame::REQ_PING, b"").unwrap();
+            let resp = session.receiver.recv_frame().unwrap().unwrap();
             assert_eq!(resp.kind, crate::frame::RESP_PONG);
             handshake_writes
         });
@@ -472,9 +480,9 @@ mod tests {
         let accepted = accept(stream, write, &server_flight, &authorizer, now()).unwrap();
         let server_writes = writes.lock().unwrap().clone();
         let mut session = accepted.session;
-        let req = session.recv_frame().unwrap().unwrap();
+        let req = session.receiver.recv_frame().unwrap().unwrap();
         assert_eq!(req.kind, crate::frame::REQ_PING);
-        session.send_frame(crate::frame::RESP_PONG, b"").unwrap();
+        send_frame(&mut session.sender, crate::frame::RESP_PONG, b"").unwrap();
         let client_writes = client_thread.join().unwrap();
 
         // Before the first frame: the client wrote its hello and one
@@ -555,13 +563,8 @@ mod tests {
         for len in [0, 7, MAX_FRAGMENT - 5, MAX_FRAGMENT, 2 * MAX_FRAGMENT + 3] {
             let payload: Vec<u8> = (0..len as u32).map(|i| (i % 251) as u8).collect();
             let (write, writes) = Recorder::new(Vec::new());
-            let mut session = Session {
-                reader: RecordReader::new(std::io::empty()),
-                writer: RecordWriter::new(write, [3, 3]),
-                assembler: HandshakeAssembler::new(),
-                frames: FrameAssembler::new(),
-            };
-            session.send_frame(RESP_VERDICT, &payload).unwrap();
+            let mut sender = RecordWriter::new(write, [3, 3]);
+            send_frame(&mut sender, RESP_VERDICT, &payload).unwrap();
             let writes = writes.lock().unwrap();
             assert_eq!(writes.len(), 1, "one write per frame ({len} bytes)");
             let frame = encode_frame(RESP_VERDICT, &payload);
@@ -571,6 +574,32 @@ mod tests {
                 "{len} bytes"
             );
         }
+    }
+
+    #[test]
+    fn stray_handshake_records_are_ignored_and_kept_nowhere() {
+        // After establishment the peer sends 256 full-size handshake
+        // records before each of two pings. The pings come back, and the
+        // session holds at most one record's worth of unread bytes.
+        use crate::frame::REQ_PING;
+        use mtls_tlssim::wire::MAX_FRAGMENT;
+        let stray = vec![0u8; MAX_FRAGMENT];
+        let mut wire = Vec::new();
+        let mut writer = RecordWriter::new(&mut wire, [3, 3]);
+        for _ in 0..2 {
+            for _ in 0..256 {
+                writer.write(ContentType::Handshake, &stray).unwrap();
+            }
+            send_frame(&mut writer, REQ_PING, b"").unwrap();
+        }
+        let mut receiver = Receiver::new(RecordReader::new(std::io::Cursor::new(wire)));
+        for _ in 0..2 {
+            let frame = receiver.recv_frame().unwrap().unwrap();
+            assert_eq!((frame.kind, frame.payload), (REQ_PING, &[][..]));
+            let held = receiver.records.pending() + receiver.frames.pending();
+            assert!(held <= 5 + MAX_FRAGMENT, "{held} bytes held");
+        }
+        assert!(receiver.recv_frame().unwrap().is_none());
     }
 
     /// Drive client and server through in-memory pipes without threads:
@@ -602,8 +631,8 @@ mod tests {
                 Some("serve.example"),
             )
             .unwrap();
-            session.send_frame(crate::frame::REQ_PING, b"").unwrap();
-            let resp = session.recv_frame().unwrap().unwrap();
+            send_frame(&mut session.sender, crate::frame::REQ_PING, b"").unwrap();
+            let resp = session.receiver.recv_frame().unwrap().unwrap();
             assert_eq!(resp.kind, crate::frame::RESP_PONG);
         });
         let (stream, _) = listener.accept().unwrap();
@@ -623,9 +652,9 @@ mod tests {
             "presented chain handed back for the privacy meter"
         );
         let mut session = accepted.session;
-        let req = session.recv_frame().unwrap().unwrap();
+        let req = session.receiver.recv_frame().unwrap().unwrap();
         assert_eq!(req.kind, crate::frame::REQ_PING);
-        session.send_frame(crate::frame::RESP_PONG, b"").unwrap();
+        send_frame(&mut session.sender, crate::frame::RESP_PONG, b"").unwrap();
         client_thread.join().unwrap();
     }
 
@@ -718,9 +747,9 @@ mod tests {
             let stream = std::net::TcpStream::connect(addr).unwrap();
             let mut session =
                 connect(stream.try_clone().unwrap(), stream, &client_cfg, None).unwrap();
-            session.send_frame(crate::frame::REQ_PING, b"").unwrap();
+            send_frame(&mut session.sender, crate::frame::REQ_PING, b"").unwrap();
             assert_eq!(
-                session.recv_frame().unwrap().unwrap().kind,
+                session.receiver.recv_frame().unwrap().unwrap().kind,
                 crate::frame::RESP_PONG
             );
         });
@@ -736,9 +765,9 @@ mod tests {
         assert_eq!(accepted.tenant.name, "fat-tenant");
         assert_eq!(accepted.client_chain.len(), 42);
         let mut session = accepted.session;
-        let req = session.recv_frame().unwrap().unwrap();
+        let req = session.receiver.recv_frame().unwrap().unwrap();
         assert_eq!(req.kind, crate::frame::REQ_PING);
-        session.send_frame(crate::frame::RESP_PONG, b"").unwrap();
+        send_frame(&mut session.sender, crate::frame::RESP_PONG, b"").unwrap();
         client_thread.join().unwrap();
     }
 }

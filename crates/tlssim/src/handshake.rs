@@ -329,7 +329,7 @@ mod tests {
             .unwrap();
         let mut cursor = &client_cert.bytes[..];
         let (_, payload) = read_record(&mut cursor).unwrap();
-        let (ty, body) = crate::msgs::parse_envelope(&payload).unwrap();
+        let (ty, body) = crate::msgs::parse_envelope(payload).unwrap();
         assert_eq!(ty, crate::msgs::HS_CERTIFICATE);
         assert!(crate::msgs::parse_certificate_body(body)
             .unwrap()

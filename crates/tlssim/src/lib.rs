@@ -18,12 +18,13 @@
 //!   and handshake parsing that turns a byte stream back into a
 //!   [`monitor::ConnectionObservation`] (version, SNI, server chain, client
 //!   chain, establishment);
-//! * [`stream`] — the record layer over real byte streams: an incremental
-//!   [`stream::RecordDeframer`] / [`stream::HandshakeAssembler`] pair
-//!   (tolerant of arbitrary chunk boundaries and cross-record handshake
-//!   messages) plus [`stream::RecordReader`] / [`stream::RecordWriter`]
-//!   bound to `std::io`, which is what `mtlscope serve` terminates mutual
-//!   TLS with on live sockets.
+//! * [`stream`] — the record layer over real byte streams: one
+//!   incremental length-prefixed [`stream::Reassembler`] (tolerant of
+//!   arbitrary chunk boundaries; it lends each complete record or
+//!   cross-record handshake message from its buffer) plus
+//!   [`stream::RecordReader`] / [`stream::RecordWriter`] bound to
+//!   `std::io`, which is what `mtlscope serve` terminates mutual TLS with
+//!   on live sockets.
 //!
 //! The framing is true to RFC 5246/8446 for everything a passive monitor
 //! inspects; cryptographic payloads (Finished, key exchange) are elided
@@ -74,7 +75,7 @@ pub use monitor::{
     identity_exposure, identity_exposure_parsed, observe, ConnectionObservation, IdentityExposure,
 };
 pub use msgs::{ClientHello, ServerHello};
-pub use stream::{HandshakeAssembler, RecordDeframer, RecordReader, RecordWriter, StreamError};
+pub use stream::{Reassembler, RecordReader, RecordWriter, StreamError};
 pub use wire::{ContentType, RecordHeader, WireError};
 
 pub use mtls_zeek::TlsVersion;

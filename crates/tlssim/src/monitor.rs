@@ -12,17 +12,16 @@
 //! `TranscriptRecord` may end mid-record, carry three records, or hold one
 //! third of a handshake message whose remainder arrives two chunks later.
 //! Observation therefore runs each direction through a
-//! [`RecordDeframer`](crate::stream::RecordDeframer) and a
-//! [`HandshakeAssembler`](crate::stream::HandshakeAssembler), which makes
-//! the result invariant under any re-chunking that preserves per-direction
-//! byte order (pinned by a property test below).
+//! [`Reassembler`] for records and another for handshake messages, which
+//! makes the result invariant under any re-chunking that preserves
+//! per-direction byte order (pinned by a property test below).
 
 use crate::handshake::{Direction, TranscriptRecord};
 use crate::msgs::{
     parse_certificate_body, ClientHello, ServerHello, HS_CERTIFICATE, HS_CERTIFICATE_REQUEST,
     HS_CLIENT_HELLO, HS_FINISHED, HS_SERVER_HELLO,
 };
-use crate::stream::{HandshakeAssembler, RecordDeframer};
+use crate::stream::{Reassembler, HANDSHAKE, RECORD};
 use crate::wire::{looks_like_tls, ContentType, WireError};
 use mtls_zeek::TlsVersion;
 
@@ -147,82 +146,59 @@ pub fn identity_exposure_parsed(
     exp
 }
 
-/// Per-direction reassembly state: the record deframer, the handshake
-/// assembler stacked on top, and a dead flag once the byte stream stops
-/// making sense (a monitor cannot resync a corrupt TCP stream).
-#[derive(Default)]
-struct DirectionState {
-    deframer: RecordDeframer,
-    assembler: HandshakeAssembler,
-    dead: bool,
-}
-
 /// Run DPD + passive handshake parsing over a transcript.
 ///
 /// Returns `Err(NotTls)` if the stream does not look like TLS (the DPD
-/// rejection path), otherwise best-effort observation — mid-stream parse
-/// errors stop analysis of that direction but keep what was already
-/// extracted, matching how a real monitor degrades on truncated captures.
+/// rejection path: the client's first record is not a complete hello
+/// record), otherwise best-effort observation — mid-stream parse errors
+/// stop analysis of that direction but keep what was already extracted,
+/// matching how a real monitor degrades on truncated captures.
 pub fn observe(transcript: &[TranscriptRecord]) -> Result<ConnectionObservation, WireError> {
-    let first_client: Vec<u8> = transcript
-        .iter()
-        .filter(|r| r.direction == Direction::ClientToServer)
-        .flat_map(|r| r.bytes.iter().copied())
-        .collect();
-    if !looks_like_tls(&first_client) {
-        return Err(WireError::NotTls);
-    }
-
     let mut obs = ConnectionObservation::default();
+    // DPD's verdict on the client's first complete record.
+    let mut looks_tls = None;
     let mut saw_client_activity_after_hello = false;
     let mut saw_server_finished = false;
     let mut saw_client_finished = false;
-    let mut client = DirectionState::default();
-    let mut server = DirectionState::default();
+    // Per direction: records, and the handshake messages on their payloads.
+    let mut client = (Reassembler::new(RECORD), Reassembler::new(HANDSHAKE));
+    let mut server = (Reassembler::new(RECORD), Reassembler::new(HANDSHAKE));
 
     for rec in transcript {
-        let state = match rec.direction {
+        let (records, messages) = match rec.direction {
             Direction::ClientToServer => &mut client,
             Direction::ServerToClient => &mut server,
         };
-        if state.dead {
-            continue;
-        }
-        state.deframer.push(&rec.bytes);
-        loop {
-            let (header, payload) = match state.deframer.next_record() {
-                Ok(Some(rec)) => rec,
-                Ok(None) => break, // mid-record: wait for the next chunk
-                Err(_) => {
-                    state.dead = true; // corrupt stream: keep what we have
-                    break;
-                }
+        records.push(&rec.bytes);
+        // Either layer's error ends the direction (a monitor cannot resync
+        // a corrupt TCP stream); what was extracted stays.
+        while messages.error().is_none() {
+            let Ok(Some(record)) = records.next_item() else {
+                break;
             };
-            match header.content_type {
-                ContentType::Handshake => {
-                    state.assembler.push(&payload);
-                    loop {
-                        let (msg_type, body) = match state.assembler.next_message() {
-                            Ok(Some(msg)) => msg,
-                            Ok(None) => break, // message spans records: wait
-                            Err(_) => {
-                                state.dead = true;
-                                break;
-                            }
-                        };
-                        match (rec.direction, msg_type) {
+            if rec.direction == Direction::ClientToServer && looks_tls.is_none() {
+                looks_tls = Some(looks_like_tls(record));
+            }
+            let payload = &record[RECORD.len..];
+            match ContentType::from_byte(record[0]) {
+                Some(ContentType::Handshake) => {
+                    messages.push(payload);
+                    // A message that spans records waits for the next one.
+                    while let Ok(Some(msg)) = messages.next_item() {
+                        let body = &msg[HANDSHAKE.len..];
+                        match (rec.direction, msg[0]) {
                             (Direction::ClientToServer, HS_CLIENT_HELLO) => {
-                                if let Ok(ch) = ClientHello::parse(&body) {
+                                if let Ok(ch) = ClientHello::parse(body) {
                                     obs.sni = ch.sni;
                                 }
                             }
                             (Direction::ServerToClient, HS_SERVER_HELLO) => {
-                                if let Ok(sh) = ServerHello::parse(&body) {
+                                if let Ok(sh) = ServerHello::parse(body) {
                                     obs.version = Some(sh.version);
                                 }
                             }
                             (Direction::ServerToClient, HS_CERTIFICATE) => {
-                                if let Ok(chain) = parse_certificate_body(&body) {
+                                if let Ok(chain) = parse_certificate_body(body) {
                                     obs.server_cert_ders = chain;
                                 }
                             }
@@ -230,7 +206,7 @@ pub fn observe(transcript: &[TranscriptRecord]) -> Result<ConnectionObservation,
                                 obs.client_cert_requested = true;
                             }
                             (Direction::ClientToServer, HS_CERTIFICATE) => {
-                                if let Ok(chain) = parse_certificate_body(&body) {
+                                if let Ok(chain) = parse_certificate_body(body) {
                                     obs.client_cert_ders = chain;
                                 }
                             }
@@ -244,17 +220,17 @@ pub fn observe(transcript: &[TranscriptRecord]) -> Result<ConnectionObservation,
                         }
                     }
                 }
-                ContentType::ApplicationData => {
-                    if rec.direction == Direction::ClientToServer {
-                        saw_client_activity_after_hello = true;
-                    }
+                Some(ContentType::ApplicationData)
+                    if rec.direction == Direction::ClientToServer =>
+                {
+                    saw_client_activity_after_hello = true;
                 }
-                ContentType::Alert | ContentType::ChangeCipherSpec => {}
-            }
-            if state.dead {
-                break;
+                _ => {}
             }
         }
+    }
+    if looks_tls != Some(true) {
+        return Err(WireError::NotTls);
     }
 
     // Establishment: clear-text versions show both Finished messages;

@@ -6,22 +6,21 @@
 //! handshake message may span several records (RFC 5246 §6.2.1). This
 //! module supplies the incremental layers a real transport needs:
 //!
-//! * [`RecordDeframer`] — push bytes in any chunking, pull complete
-//!   records. Pure state machine, no I/O.
-//! * [`HandshakeAssembler`] — push handshake-record payloads, pull
-//!   complete `(msg_type, body)` messages, reassembling messages split
-//!   across records.
-//! * [`RecordReader`] / [`RecordWriter`] — the same machinery bound to
-//!   `std::io` streams, used by `mtlscope serve` to terminate mutual TLS
-//!   on a live `TcpStream`.
+//! * [`Reassembler`] — push bytes in any chunking, borrow complete
+//!   length-prefixed items. Pure state machine, no I/O. A [`Header`]
+//!   describes each layer it serves: [`RECORD`] for TLS records,
+//!   [`HANDSHAKE`] for handshake messages reassembled from record
+//!   payloads, and `mtlscope serve`'s request frames.
+//! * [`RecordReader`] / [`RecordWriter`] — records over `std::io`
+//!   streams, used by `mtlscope serve` to terminate mutual TLS on a live
+//!   `TcpStream`.
 //!
 //! The passive monitor's [`observe`](crate::monitor::observe) runs on the
-//! same deframer + assembler, which is what makes its output invariant
-//! under re-chunking of the captured bytes.
+//! same two reassemblers, which is what makes its output invariant under
+//! re-chunking of the captured bytes.
 
 use crate::wire::{
-    read_record, write_fragmented, write_fragmented_parts, ContentType, RecordHeader, WireError,
-    MAX_FRAGMENT,
+    write_fragmented, write_fragmented_parts, ContentType, RecordHeader, WireError, MAX_FRAGMENT,
 };
 use std::io::{Read, Write};
 
@@ -29,6 +28,68 @@ use std::io::{Read, Write};
 /// field allows 16 MiB - 1; no certificate chain is anywhere near that,
 /// and the cap keeps a hostile peer from ballooning the buffer.
 pub const MAX_HANDSHAKE_MESSAGE: usize = 1 << 20;
+
+/// The shape of a length-prefixed item: `len` header bytes, of which the
+/// `length_width` bytes at `length_at` hold the body length, big-endian.
+#[derive(Debug, Clone, Copy)]
+pub struct Header {
+    /// Header bytes before the body.
+    pub len: usize,
+    /// Offset of the length field within the header.
+    pub length_at: usize,
+    /// Width of the length field in bytes.
+    pub length_width: usize,
+    /// The largest body accepted. A longer length field is rejected as
+    /// [`WireError::BadLength`] at the header, before the body arrives.
+    pub max: usize,
+    /// Runs on each complete header before its length is read.
+    pub check: Option<HeaderCheck>,
+}
+
+/// A check on a complete header, for [`Header::check`].
+pub type HeaderCheck = fn(&[u8]) -> Result<(), WireError>;
+
+impl Header {
+    /// The size, header included, of the complete item at the front of
+    /// `bytes`; `None` while it is incomplete.
+    pub fn item_len(&self, bytes: &[u8]) -> Result<Option<usize>, WireError> {
+        let Some(header) = bytes.get(..self.len) else {
+            return Ok(None);
+        };
+        if let Some(check) = self.check {
+            check(header)?;
+        }
+        let body = header[self.length_at..self.length_at + self.length_width]
+            .iter()
+            .fold(0, |n, &b| n << 8 | usize::from(b));
+        if body > self.max {
+            return Err(WireError::BadLength);
+        }
+        let item = self.len + body;
+        Ok((bytes.len() >= item).then_some(item))
+    }
+}
+
+/// TLS records: `type | version (2) | length (u16) | fragment`. The check
+/// rejects an unknown content type or an implausible version as soon as
+/// the five header bytes are in.
+pub const RECORD: Header = Header {
+    len: 5,
+    length_at: 3,
+    length_width: 2,
+    max: u16::MAX as usize,
+    check: Some(|header| RecordHeader::parse(header).map(drop)),
+};
+
+/// Handshake messages: `msg_type | length (u24) | body`, at most
+/// [`MAX_HANDSHAKE_MESSAGE`] body bytes.
+pub const HANDSHAKE: Header = Header {
+    len: 4,
+    length_at: 1,
+    length_width: 3,
+    max: MAX_HANDSHAKE_MESSAGE,
+    check: None,
+};
 
 /// Error from a streaming transport: either the wire said no, or the
 /// underlying I/O did.
@@ -66,127 +127,106 @@ impl From<std::io::Error> for StreamError {
     }
 }
 
-/// Incremental record parser: feed bytes in arbitrary chunks, pull
-/// complete records. Once a hard wire error is seen the deframer stays
-/// dead — TLS has no way to resynchronize a corrupt record stream.
-#[derive(Debug, Default)]
-pub struct RecordDeframer {
+/// Incremental length-prefixed reassembler: feed bytes in arbitrary
+/// chunks, borrow complete items (header and body) as they form. The first
+/// error is terminal: a length-prefixed stream cannot be resynchronized,
+/// so later pushes are dropped and every later call returns that error.
+#[derive(Debug)]
+pub struct Reassembler {
+    header: Header,
+    /// Buffer storage; bytes `start..end` are pushed but not yet lent.
     buf: Vec<u8>,
-    pos: usize,
-    dead: Option<WireError>,
+    start: usize,
+    end: usize,
+    error: Option<WireError>,
 }
 
-impl RecordDeframer {
-    /// Fresh, empty deframer.
-    pub fn new() -> RecordDeframer {
-        RecordDeframer::default()
+impl Reassembler {
+    /// Fresh, empty reassembler for items shaped like `header`.
+    pub fn new(header: Header) -> Reassembler {
+        Reassembler {
+            header,
+            buf: Vec::new(),
+            start: 0,
+            end: 0,
+            error: None,
+        }
     }
 
-    /// Append raw stream bytes.
+    /// Append stream bytes.
     pub fn push(&mut self, bytes: &[u8]) {
-        if self.dead.is_none() {
-            self.compact();
-            self.buf.extend_from_slice(bytes);
+        if self.error.is_none() {
+            self.room(bytes.len())[..bytes.len()].copy_from_slice(bytes);
+            self.end += bytes.len();
         }
     }
 
-    /// Bytes buffered but not yet consumed as complete records.
+    /// One `read()` from `src` straight into the buffer, offering it at
+    /// least 8 KiB; returns what the read returned.
+    pub fn read_from(&mut self, src: &mut impl Read) -> std::io::Result<usize> {
+        let n = src.read(self.room(8192))?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// At least `n` bytes of room after the pending ones. The consumed
+    /// prefix is reclaimed first when nothing is pending, or once it passes
+    /// 4 KiB and half the pushed bytes.
+    fn room(&mut self, n: usize) -> &mut [u8] {
+        if self.start == self.end || self.start > 4096 && self.start * 2 >= self.end {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        if self.buf.len() < self.end + n {
+            self.buf.resize(self.end + n, 0);
+        }
+        &mut self.buf[self.end..]
+    }
+
+    /// Bytes pushed but not yet lent as complete items.
     pub fn pending(&self) -> usize {
-        self.buf.len() - self.pos
+        self.end - self.start
     }
 
-    /// The error that killed the stream, if any.
+    /// The error that ended the stream, if any.
     pub fn error(&self) -> Option<WireError> {
-        self.dead
+        self.error
     }
 
-    fn compact(&mut self) {
-        // Reclaim consumed prefix once it dominates the buffer.
-        if self.pos > 4096 && self.pos * 2 >= self.buf.len() {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
+    /// Whether a complete item is buffered. Checks the header as soon as
+    /// it is complete; an error is terminal.
+    pub fn ready(&mut self) -> Result<bool, WireError> {
+        Ok(self.item_len()?.is_some())
     }
 
-    /// Pull the next complete record. `Ok(None)` means "need more bytes";
-    /// an error is terminal.
-    pub fn next_record(&mut self) -> Result<Option<(RecordHeader, Vec<u8>)>, WireError> {
-        if let Some(e) = self.dead {
+    fn item_len(&mut self) -> Result<Option<usize>, WireError> {
+        if let Some(e) = self.error {
             return Err(e);
         }
-        let mut cursor = &self.buf[self.pos..];
-        let before = cursor.len();
-        match read_record(&mut cursor) {
-            Ok((header, payload)) => {
-                self.pos += before - cursor.len();
-                Ok(Some((header, payload)))
-            }
-            Err(WireError::Truncated) => Ok(None),
-            Err(e) => {
-                self.dead = Some(e);
-                Err(e)
-            }
-        }
-    }
-}
-
-/// Incremental handshake-message reassembler: push the payloads of
-/// handshake records (in stream order), pull complete
-/// `(msg_type, body)` messages — even when one message spans several
-/// records or one record carries several messages.
-#[derive(Debug, Default)]
-pub struct HandshakeAssembler {
-    buf: Vec<u8>,
-    pos: usize,
-}
-
-impl HandshakeAssembler {
-    /// Fresh, empty assembler.
-    pub fn new() -> HandshakeAssembler {
-        HandshakeAssembler::default()
+        let len = self.header.item_len(&self.buf[self.start..self.end]);
+        self.error = len.err();
+        len
     }
 
-    /// Append one handshake-record payload.
-    pub fn push(&mut self, payload: &[u8]) {
-        if self.pos > 4096 && self.pos * 2 >= self.buf.len() {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        self.buf.extend_from_slice(payload);
-    }
-
-    /// Bytes buffered but not yet consumed as complete messages.
-    pub fn pending(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Pull the next complete handshake message. `Ok(None)` means a
-    /// partial message is waiting for more records.
-    pub fn next_message(&mut self) -> Result<Option<(u8, Vec<u8>)>, WireError> {
-        let data = &self.buf[self.pos..];
-        if data.len() < 4 {
+    /// Lend the next complete item, header included. `Ok(None)` means
+    /// "need more bytes". The item stays valid until the next call.
+    pub fn next_item(&mut self) -> Result<Option<&[u8]>, WireError> {
+        let Some(len) = self.item_len()? else {
             return Ok(None);
-        }
-        let len = usize::from(data[1]) << 16 | usize::from(data[2]) << 8 | usize::from(data[3]);
-        if len > MAX_HANDSHAKE_MESSAGE {
-            return Err(WireError::BadLength);
-        }
-        if data.len() < 4 + len {
-            return Ok(None);
-        }
-        let msg_type = data[0];
-        let body = data[4..4 + len].to_vec();
-        self.pos += 4 + len;
-        Ok(Some((msg_type, body)))
+        };
+        let item = &self.buf[self.start..self.start + len];
+        self.start += len;
+        Ok(Some(item))
     }
 }
 
-/// Blocking record reader over any `io::Read` (a `TcpStream` in `serve`).
+/// Blocking record reader over any `io::Read` (a `TcpStream` in `serve`):
+/// each `read()` lands in the record reassembler's buffer, and each record
+/// is lent from there.
 pub struct RecordReader<R: Read> {
     inner: R,
-    deframer: RecordDeframer,
-    chunk: Box<[u8; 8192]>,
-    eof: bool,
+    records: Reassembler,
 }
 
 impl<R: Read> RecordReader<R> {
@@ -194,34 +234,32 @@ impl<R: Read> RecordReader<R> {
     pub fn new(inner: R) -> RecordReader<R> {
         RecordReader {
             inner,
-            deframer: RecordDeframer::new(),
-            chunk: Box::new([0u8; 8192]),
-            eof: false,
+            records: Reassembler::new(RECORD),
         }
     }
 
-    /// Read the next record, blocking for more bytes as needed.
-    /// `Ok(None)` is a clean EOF on a record boundary; EOF mid-record is
-    /// [`StreamError::UnexpectedEof`].
-    pub fn read_record(&mut self) -> Result<Option<(RecordHeader, Vec<u8>)>, StreamError> {
-        loop {
-            if let Some(rec) = self.deframer.next_record()? {
-                return Ok(Some(rec));
-            }
-            if self.eof {
-                return if self.deframer.pending() == 0 {
-                    Ok(None)
-                } else {
-                    Err(StreamError::UnexpectedEof)
-                };
-            }
-            match self.inner.read(&mut self.chunk[..]) {
-                Ok(0) => self.eof = true,
-                Ok(n) => self.deframer.push(&self.chunk[..n]),
+    /// Bytes read from the stream but not yet returned as records.
+    pub fn pending(&self) -> usize {
+        self.records.pending()
+    }
+
+    /// Read the next record, blocking for more bytes as needed; the
+    /// payload is valid until the next call. `Ok(None)` is a clean EOF on
+    /// a record boundary; EOF mid-record is [`StreamError::UnexpectedEof`].
+    pub fn read_record(&mut self) -> Result<Option<(RecordHeader, &[u8])>, StreamError> {
+        while !self.records.ready()? {
+            match self.records.read_from(&mut self.inner) {
+                Ok(0) if self.records.pending() == 0 => return Ok(None),
+                Ok(0) => return Err(StreamError::UnexpectedEof),
+                Ok(_) => {}
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(StreamError::Io(e)),
             }
         }
+        let Some(record) = self.records.next_item()? else {
+            return Ok(None);
+        };
+        Ok(Some((RecordHeader::parse(record)?, &record[RECORD.len..])))
     }
 }
 
@@ -296,36 +334,40 @@ mod tests {
         let mut stream = framed(ContentType::Handshake, b"abc");
         stream.extend(framed(ContentType::ApplicationData, &[9u8; 300]));
         for chunk_len in [1usize, 2, 3, 5, 7, 64, 10_000] {
-            let mut d = RecordDeframer::new();
+            let mut d = Reassembler::new(RECORD);
             let mut records = Vec::new();
             for chunk in stream.chunks(chunk_len) {
                 d.push(chunk);
-                while let Some(rec) = d.next_record().unwrap() {
-                    records.push(rec);
+                while let Some(rec) = d.next_item().unwrap() {
+                    records.push(rec.to_vec());
                 }
             }
             assert_eq!(records.len(), 2, "chunk_len={chunk_len}");
-            assert_eq!(records[0].1, b"abc");
-            assert_eq!(records[1].1, vec![9u8; 300]);
+            assert_eq!(records[0][5..], *b"abc");
+            assert_eq!(records[1][5..], [9u8; 300]);
             assert_eq!(d.pending(), 0);
         }
     }
 
     #[test]
     fn deframer_dies_on_garbage_and_stays_dead() {
-        let mut d = RecordDeframer::new();
+        let mut d = Reassembler::new(RECORD);
         d.push(b"GET / HTTP/1.1\r\n");
-        assert_eq!(d.next_record(), Err(WireError::NotTls));
-        assert_eq!(d.next_record(), Err(WireError::NotTls));
+        assert_eq!(d.next_item(), Err(WireError::NotTls));
+        assert_eq!(d.next_item(), Err(WireError::NotTls));
         d.push(&framed(ContentType::Handshake, b"x"));
-        assert_eq!(d.next_record(), Err(WireError::NotTls));
+        assert_eq!(d.next_item(), Err(WireError::NotTls));
+        // Fails fast: the five header bytes alone are enough.
+        let mut d = Reassembler::new(RECORD);
+        d.push(b"GET /");
+        assert_eq!(d.ready(), Err(WireError::NotTls));
     }
 
     #[test]
     fn deframer_rejects_ssl30() {
-        let mut d = RecordDeframer::new();
+        let mut d = Reassembler::new(RECORD);
         d.push(&[22, 3, 0, 0, 1, 1]);
-        assert_eq!(d.next_record(), Err(WireError::BadVersion));
+        assert_eq!(d.next_item(), Err(WireError::BadVersion));
     }
 
     #[test]
@@ -334,20 +376,20 @@ mod tests {
         let body = vec![0xABu8; 70_000];
         let msg = handshake_envelope(11, &body);
         let stream = framed(ContentType::Handshake, &msg);
-        let mut d = RecordDeframer::new();
-        let mut a = HandshakeAssembler::new();
+        let mut d = Reassembler::new(RECORD);
+        let mut a = Reassembler::new(HANDSHAKE);
         d.push(&stream);
         let mut messages = Vec::new();
-        while let Some((h, payload)) = d.next_record().unwrap() {
-            assert_eq!(h.content_type, ContentType::Handshake);
-            a.push(&payload);
-            while let Some(m) = a.next_message().unwrap() {
-                messages.push(m);
+        while let Some(record) = d.next_item().unwrap() {
+            assert_eq!(record[0], ContentType::Handshake.byte());
+            a.push(&record[5..]);
+            while let Some(m) = a.next_item().unwrap() {
+                messages.push(m.to_vec());
             }
         }
-        assert_eq!(messages.len(), 1);
-        assert_eq!(messages[0].0, 11);
-        assert_eq!(messages[0].1, body);
+        assert_eq!(messages, [msg]);
+        assert_eq!(messages[0][0], 11);
+        assert_eq!(messages[0][4..], body);
         assert_eq!(a.pending(), 0);
     }
 
@@ -355,11 +397,11 @@ mod tests {
     fn assembler_handles_multiple_messages_per_record() {
         let mut payload = handshake_envelope(1, b"one");
         payload.extend(handshake_envelope(2, b"two"));
-        let mut a = HandshakeAssembler::new();
+        let mut a = Reassembler::new(HANDSHAKE);
         a.push(&payload);
-        assert_eq!(a.next_message().unwrap(), Some((1, b"one".to_vec())));
-        assert_eq!(a.next_message().unwrap(), Some((2, b"two".to_vec())));
-        assert_eq!(a.next_message().unwrap(), None);
+        assert_eq!(a.next_item(), Ok(Some(&handshake_envelope(1, b"one")[..])));
+        assert_eq!(a.next_item(), Ok(Some(&handshake_envelope(2, b"two")[..])));
+        assert_eq!(a.next_item(), Ok(None));
     }
 
     #[test]
@@ -423,10 +465,10 @@ mod tests {
 
     #[test]
     fn assembler_caps_message_size() {
-        // A u24 length of 0xFFFFFF is the cap; the assembler must not sit
-        // buffering forever on an insane claim — it errors at the cap.
-        let mut a = HandshakeAssembler::new();
+        // A u24 length of 0xFFFFFF is past the cap; the reassembler must not
+        // sit buffering forever on an insane claim — it errors at the header.
+        let mut a = Reassembler::new(HANDSHAKE);
         a.push(&[1, 0xFF, 0xFF, 0xFF]);
-        assert_eq!(a.next_message(), Err(WireError::BadLength));
+        assert_eq!(a.next_item(), Err(WireError::BadLength));
     }
 }

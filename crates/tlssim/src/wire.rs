@@ -4,6 +4,8 @@
 //! opaque fragment[length]; }` — the five-byte header every TLS record
 //! starts with, and the first thing dynamic protocol detection looks at.
 
+use crate::stream::RECORD;
+
 /// RFC 5246/8446 §5.1: a record fragment carries at most 2^14 bytes;
 /// [`write_fragmented`] splits longer payloads across records at this
 /// boundary.
@@ -85,6 +87,28 @@ pub struct RecordHeader {
     pub length: u16,
 }
 
+impl RecordHeader {
+    /// Parse the five header bytes at the front of `bytes`: a known
+    /// content type and a plausible version, or the error that says why
+    /// not.
+    pub fn parse(bytes: &[u8]) -> Result<RecordHeader, WireError> {
+        let &[ct, major, minor, len_hi, len_lo, ..] = bytes else {
+            return Err(WireError::Truncated);
+        };
+        let content_type = ContentType::from_byte(ct).ok_or(WireError::NotTls)?;
+        // [3, 0] is SSL 3.0: `version_from_bytes` cannot map it, so letting
+        // it through here only deferred the rejection to a confusing place.
+        if major != 3 || minor == 0 || minor > 4 {
+            return Err(WireError::BadVersion);
+        }
+        Ok(RecordHeader {
+            content_type,
+            version: [major, minor],
+            length: u16::from_be_bytes([len_hi, len_lo]),
+        })
+    }
+}
+
 /// Errors from record-layer parsing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireError {
@@ -158,33 +182,13 @@ pub fn write_fragmented_parts(
     }
 }
 
-/// Read one record from the front of `buf`, advancing it. Returns the header
-/// and the payload slice (copied out).
-pub fn read_record(buf: &mut &[u8]) -> Result<(RecordHeader, Vec<u8>), WireError> {
-    if buf.len() < 5 {
-        return Err(WireError::Truncated);
-    }
-    let ct = ContentType::from_byte(buf[0]).ok_or(WireError::NotTls)?;
-    let version = [buf[1], buf[2]];
-    // [3, 0] is SSL 3.0: `version_from_bytes` cannot map it, so letting it
-    // through here only deferred the rejection to a confusing place.
-    if version[0] != 3 || version[1] == 0 || version[1] > 4 {
-        return Err(WireError::BadVersion);
-    }
-    let length = u16::from_be_bytes([buf[3], buf[4]]) as usize;
-    if buf.len() < 5 + length {
-        return Err(WireError::Truncated);
-    }
-    let payload = buf[5..5 + length].to_vec();
-    *buf = &buf[5 + length..];
-    Ok((
-        RecordHeader {
-            content_type: ct,
-            version,
-            length: length as u16,
-        },
-        payload,
-    ))
+/// Read one record from the front of `buf`, advancing it. Returns the
+/// header and the payload, borrowed from `buf`.
+pub fn read_record<'a>(buf: &mut &'a [u8]) -> Result<(RecordHeader, &'a [u8]), WireError> {
+    let len = RECORD.item_len(buf)?.ok_or(WireError::Truncated)?;
+    let (record, rest) = buf.split_at(len);
+    *buf = rest;
+    Ok((RecordHeader::parse(record)?, &record[RECORD.len..]))
 }
 
 /// Content-based protocol detection: does this byte stream *look like* TLS?
@@ -339,7 +343,7 @@ mod tests {
             let (h, chunk) = read_record(&mut cursor).unwrap();
             assert_eq!(h.content_type, ContentType::Handshake);
             assert!(chunk.len() <= MAX_FRAGMENT);
-            reassembled.extend_from_slice(&chunk);
+            reassembled.extend_from_slice(chunk);
             records += 1;
         }
         assert_eq!(records, 70_000usize.div_ceil(MAX_FRAGMENT));
